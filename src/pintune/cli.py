@@ -7,8 +7,9 @@ Verbs:
   drift      drift/oscillation report for an f_r time series -> JSON
   calibrate  solve the pin-coupling model from tuning-curve anchors -> JSON
 
-Exit codes: 0 success/converged, 2 validation, 3 no resonance, 4 non-physical
-fit, 5 unreachable target, 6 convergence failure / step budget exhausted.
+Exit codes: 0 success/converged, 2 validation or unwritable output, 3 no
+resonance, 4 non-physical fit, 5 unreachable target, 6 convergence failure /
+step budget exhausted.
 """
 
 import argparse
@@ -244,6 +245,9 @@ def main(argv=None):
     except ConvergenceFailure as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except OSError as exc:  # input files are read as ValidationError; this is an output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -167,10 +167,13 @@ def from_dict(user_doc=None):
     if state.d < pin.d_min:
         raise ValidationError("state.d_um: below calibration.d_min_um")
 
+    seed = _get(doc, "noise", "seed", kind=int)
+    if seed < 0:
+        raise ValidationError("noise.seed: must be >= 0")
     noise = build("noise", NoiseModel, dict(
         sigma_rel=_get(doc, "noise", "sigma_rel"),
         vib_amplitude=_get(doc, "noise", "vib_amplitude_um") * um,
-        seed=_get(doc, "noise", "seed", kind=int),
+        seed=seed,
     ))
 
     n_points = _get(doc, "sweep", "n_points", kind=int)

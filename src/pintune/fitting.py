@@ -3,8 +3,9 @@
 The dip model (see transmission.s21_power) is fit to a measured power-ratio
 trace over (f_r, Q_L, Q_e, phi).  Internally Q_L and Q_e are parameterized as
 logs to keep them positive without constraints.  The optimizer is
-Gauss-Newton with multiplicative damping (x10 on a cost increase, /10 on a
-decrease) and analytic residual derivatives.
+Gauss-Newton with multiplicative damping (x10 on a rejected step, /10 on a
+cost decrease) and analytic residual derivatives.  A trial step is rejected
+when its cost rises, is not finite, or its Q exponents overflow.
 """
 
 import math
@@ -166,9 +167,14 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
         theta_new = theta + step
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
         theta_new[3] = float(np.clip(theta_new[3], -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9))
-        r_new, jac_new = _residual_and_jacobian(theta_new, f, y)
+        try:
+            r_new, jac_new = _residual_and_jacobian(theta_new, f, y)
+        except OverflowError:  # ln Q_L or ln Q_e stepped past the float range
+            lam *= 10.0
+            continue
         cost_new = float(r_new @ r_new)
 
+        # A non-finite trial cost fails this test and is rejected like a rise.
         if cost_new <= cost:
             rel_step = max(
                 abs(step[0]) / theta[0], abs(step[1]), abs(step[2]), abs(step[3])

@@ -39,6 +39,13 @@ def write_trace_csv(path, trace):
             fh.write(f"{_fmt(f)},{_fmt(r)}\n")
 
 
+def _check_finite(path, linenos, *columns):
+    """Reject NaN and infinite values, naming the first offending line."""
+    bad = ~np.logical_and.reduce([np.isfinite(c) for c in columns])
+    if bad.any():
+        raise ValidationError(f"{path}:{linenos[int(np.argmax(bad))]}: empty or non-finite value")
+
+
 def _read_lines(path):
     try:
         with open(path) as fh:
@@ -53,7 +60,7 @@ def read_trace_csv(path, p_in_dbm=None):
     lines = _read_lines(path)
     meta = {}
     header = None
-    rows = []
+    rows, linenos = [], []
     header_cols = 2
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -84,6 +91,7 @@ def read_trace_csv(path, p_in_dbm=None):
             rows.append([float(p) if p != "" else None for p in parts])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
+        linenos.append(lineno)
     if header is None or not rows:
         raise ValidationError(f"{path}: no data rows")
 
@@ -94,7 +102,7 @@ def read_trace_csv(path, p_in_dbm=None):
             raise ValidationError(f"{path}: bad '# p_in_dbm =' metadata") from None
 
     freqs, ratios = [], []
-    for row in rows:
+    for lineno, row in zip(linenos, rows):
         freqs.append(row[0])
         ratio = row[1]
         if ratio is None:
@@ -104,13 +112,18 @@ def read_trace_csv(path, p_in_dbm=None):
                 raise ValidationError(
                     f"{path}: pout_dbm column requires a recorded input power"
                 )
-            ratio = 10.0 ** ((row[2] - p_in_dbm) / 10.0)
+            try:
+                ratio = 10.0 ** ((row[2] - p_in_dbm) / 10.0)
+            except OverflowError:
+                raise ValidationError(f"{path}:{lineno}: pout_dbm out of range") from None
         ratios.append(ratio)
+    freqs, ratios = np.asarray(freqs, dtype=float), np.asarray(ratios)  # empty cell -> nan
+    _check_finite(path, linenos, freqs, ratios)
 
     timestamp = float(meta.get("timestamp_s", 0.0))
     try:
         return SweepTrace(
-            np.asarray(freqs), np.asarray(ratios),
+            freqs, ratios,
             p_in_dbm=p_in_dbm if p_in_dbm is not None else 0.0,
             timestamp=timestamp,
         )
@@ -130,7 +143,7 @@ def read_series_csv(path, f0=None):
     lines = _read_lines(path)
     meta = {}
     header = None
-    times, freqs = [], []
+    times, freqs, linenos = [], [], []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -155,12 +168,15 @@ def read_series_csv(path, f0=None):
             freqs.append(float(parts[1]))
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
+        linenos.append(lineno)
     if header is None or not times:
         raise ValidationError(f"{path}: no data rows")
+    times, freqs = np.asarray(times), np.asarray(freqs)
+    _check_finite(path, linenos, times, freqs)
     if f0 is None:
         f0 = float(meta["f0_hz"]) if "f0_hz" in meta else float(np.mean(freqs))
     try:
-        return FrequencyTimeSeries(np.asarray(times), np.asarray(freqs), f0=f0)
+        return FrequencyTimeSeries(times, freqs, f0=f0)
     except Exception as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

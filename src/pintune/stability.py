@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, PintuneError
 
@@ -65,6 +64,24 @@ def peak_to_peak_deviation(series):
     return float(np.ptp(series.f_r))
 
 
+def _golden_section_max(func, lo, hi, xatol):
+    """Maximise a unimodal func on [lo, hi] by golden-section search until the
+    bracket is narrower than xatol; returns the bracket midpoint."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = func(c), func(d)
+    while hi - lo > xatol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = func(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = func(d)
+    return 0.5 * (lo + hi)
+
+
 def detect_oscillation(series, lineshape_slope=None):
     """Find the dominant periodic modulation in a uniformly sampled record.
 
@@ -97,15 +114,11 @@ def detect_oscillation(series, lineshape_slope=None):
     n = y0.size
     df_bin = 1.0 / (n * dt)
 
-    def neg_dft_mag(nu):
-        z = np.exp(-2j * math.pi * nu * t)
-        return -abs(np.sum(y0 * z))
+    def dft_mag(nu):
+        return abs(np.sum(y0 * np.exp(-2j * math.pi * nu * t)))
 
-    lo = max(k - 1, 1) * df_bin
-    hi = min(k + 1, n // 2) * df_bin
-    res = minimize_scalar(neg_dft_mag, bounds=(lo, hi), method="bounded",
-                          options={"xatol": df_bin * 1e-6})
-    nu = float(res.x)
+    nu = _golden_section_max(dft_mag, max(k - 1, 1) * df_bin,
+                             min(k + 1, n // 2) * df_bin, df_bin * 1e-6)
 
     design = np.column_stack([np.sin(2 * math.pi * nu * t),
                               np.cos(2 * math.pi * nu * t)])

@@ -59,6 +59,8 @@ class SweepTrace:
             raise DomainError("SweepTrace arrays must have equal length")
         if self.frequencies.size < 2:
             raise DomainError("SweepTrace needs at least 2 points")
+        if not (np.isfinite(self.frequencies).all() and np.isfinite(self.power_ratio).all()):
+            raise DomainError("SweepTrace values must be finite")
         if not np.all(np.diff(self.frequencies) > 0):
             raise DomainError("SweepTrace.frequencies must be strictly increasing")
         if np.any(self.power_ratio < 0):

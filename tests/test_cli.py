@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ class TestConfig:
             ({"controller": {"tolerance_ppm": 0}}, "tolerance_ppm"),
             ({"calibration": {"f_closest_ghz": 6.0}}, "calibration"),
             ({"noise": {"seed": "abc"}}, "noise.seed"),
+            ({"noise": {"seed": -1}}, "noise.seed"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -108,6 +113,20 @@ class TestTraceCsv:
         with pytest.raises(ValidationError):
             pio.read_trace_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "t.csv"
+        path.write_text(f"frequency_hz,power_ratio\n6.8e9,0.9\n6.9e9,{value}\n")
+        with pytest.raises(ValidationError) as err:
+            pio.read_trace_csv(path)
+        assert f"{path}:3:" in str(err.value)
+
+    def test_pout_dbm_out_of_range(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("frequency_hz,power_ratio,pout_dbm\n6.8e9,,-141.0\n6.9e9,,1e4\n")
+        with pytest.raises(ValidationError):
+            pio.read_trace_csv(path, p_in_dbm=-131.0)
+
 
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
@@ -119,6 +138,13 @@ class TestSeriesCsv:
         assert np.array_equal(back.timestamps, t)
         assert np.array_equal(back.f_r, f)
         assert back.f0 == 6.8278e9
+
+    def test_non_finite_value_reports_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("time_s,f_r_hz\n0.0,6.8e9\n120.0,nan\n")
+        with pytest.raises(ValidationError) as err:
+            pio.read_series_csv(path)
+        assert f"{path}:3:" in str(err.value)
 
 
 class TestSimulateCommand:
@@ -138,6 +164,19 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, {"resonator": {"qi0": -5}})
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "t.csv"]) == 2
 
+    @pytest.mark.parametrize("sigma_rel", [0.0, 0.01])
+    def test_negative_seed_rejected(self, tmp_path, capsys, sigma_rel):
+        cfg = write_config(tmp_path, {"noise": {"seed": -1, "sigma_rel": sigma_rel}})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "t.csv"]) == 2
+        assert "noise.seed" in capsys.readouterr().err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "o.csv"
+        assert run(["simulate", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err
+
 
 class TestFitCommand:
     def test_simulate_then_fit_round_trip(self, tmp_path):
@@ -153,6 +192,13 @@ class TestFitCommand:
 
     def test_missing_file(self, tmp_path):
         assert run(["fit", tmp_path / "absent.csv"]) == 2
+
+    def test_non_finite_trace_exit(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        rows = "".join(f"{6.8e9 + i * 1e5},{'nan' if i == 100 else 1.0}\n" for i in range(201))
+        path.write_text("frequency_hz,power_ratio\n" + rows)
+        assert run(["fit", path]) == 2
+        assert f"{path}:102:" in capsys.readouterr().err
 
     def test_flat_trace_no_resonance_exit(self, tmp_path):
         path = tmp_path / "flat.csv"
@@ -249,3 +295,11 @@ class TestDeterminism:
         run(["simulate", "--config", cfg, "--seed", 1, "--out", a])
         run(["simulate", "--config", cfg, "--seed", 2, "--out", b])
         assert a.read_bytes() != b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, pintune.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

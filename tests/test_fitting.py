@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from pintune.errors import NoResonance
+from pintune.errors import NoResonance, PintuneError
 from pintune.fitting import (
+    FitResult,
     InitialGuess,
     _residual_and_jacobian,
     fit_power_series,
     fit_resonance,
     initial_guess,
 )
-from pintune.transmission import SweepTrace, internal_q, loaded_q, s21_power
+from pintune.resonator import ResonatorParams, TuningState, calibrate_pin_model
+from pintune.transmission import (
+    NoiseModel,
+    SweepConfig,
+    SweepTrace,
+    internal_q,
+    loaded_q,
+    s21_power,
+    synthesize_sweep,
+)
 
 
 def make_trace(f_r, q_l, q_e, phi=0.0, n=801, span_linewidths=10, noise=None, seed=0):
@@ -112,6 +122,22 @@ class TestFitResonance:
         f = np.linspace(6.8e9, 6.9e9, 201)
         with pytest.raises(NoResonance):
             fit_resonance(SweepTrace(f, np.ones_like(f), -131.0))
+
+    def test_overflowing_trial_step_is_rejected(self):
+        # A shallow broad-range dip (Q_i 13,200 against Q_e 6e6) under 1% noise:
+        # a trial step once drove ln Q_L past the float range of math.exp and
+        # the fit raised a bare OverflowError.
+        params = ResonatorParams(L0=1e-9, C=9.234233444133278e-13, Qi0=13199.293172238959,
+                                 Qe=6038046.0648326995, phi=-0.20629017649832682)
+        pin = calibrate_pin_model(6.8278e9, 6.8454e9, 40e-6, 8.7e3 / 60e-9)
+        sweep = SweepConfig(5235459467.747194, 5239436117.779219, 1601, -131.0)
+        tr = synthesize_sweep(sweep, params, TuningState(d=0.05), pin,
+                              NoiseModel(sigma_rel=0.01, seed=1561809142))
+        try:
+            result = fit_resonance(tr)
+        except PintuneError:  # NonPhysicalFit: the dip is too shallow to resolve
+            return
+        assert isinstance(result, FitResult)
 
     def test_uncertainties_cover_noise_scale(self):
         tr = make_trace(6.83e9, PAPER_QL, 5e5, n=1601, noise=0.01, seed=5)

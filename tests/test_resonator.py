@@ -145,14 +145,25 @@ class TestCalibration:
     def test_oracle_root_find_on_exact_model(self):
         # Independent check: solve the exact model numerically instead of
         # using the closed forms.
-        from scipy.optimize import brentq
+        def bisect(func, lo, hi):
+            # root of a sign change in [lo, hi], halved down to the last bit
+            f_lo = func(lo)
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    return mid
+                f_mid = func(mid)
+                if (f_mid < 0) == (f_lo < 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
 
-        m_max = brentq(
+        m_max = bisect(
             lambda m: F_BASELINE / math.sqrt(1 - m * m) - F_CLOSEST, 1e-6, 0.5
         )
         pin = paper_pin()
         assert pin.m_max == pytest.approx(m_max, rel=1e-9)
-        lam = brentq(
+        lam = bisect(
             lambda l: F_BASELINE * m_max**2 / (l * (1 - m_max**2) ** 1.5)
             - PEAK_SENSITIVITY,
             1e-6,

@@ -95,6 +95,21 @@ class TestDetectOscillation:
         assert nu_hat == pytest.approx(nu, rel=0.05)
         assert amp_hat == pytest.approx(amp, rel=0.05)
 
+    def test_peak_refined_off_the_fft_grid(self):
+        # An unrefined estimate lands on a bin centre, up to half a bin off.
+        # The |DFT| maximum of a real sinusoid 1000 bins up sits within
+        # 2.3e-4 bin of the true frequency (leakage of the negative-frequency
+        # image), so a working refinement recovers it to 1e-3 bin.
+        n, dt = 4096, 0.01
+        t = np.arange(n) * dt
+        bin_hz = 1.0 / (n * dt)
+        for offset in (0.13, 0.3, 0.5, 0.77):
+            nu = (1000 + offset) * bin_hz
+            f = F0 + 2000.0 * np.sin(2 * np.pi * nu * t + 0.4)
+            nu_hat, amp_hat = detect_oscillation(series(t, f))
+            assert abs(nu_hat - nu) < 1e-3 * bin_hz
+            assert amp_hat == pytest.approx(2000.0, rel=1e-4)
+
     def test_recovery_under_noise_50_seeds(self):
         n, dt = 1024, 0.01
         t = np.arange(n) * dt

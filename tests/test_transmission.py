@@ -228,6 +228,13 @@ class TestSweepTraceInvariants:
         with pytest.raises(DomainError):
             SweepTrace(np.array([1.0, 2.0]), np.array([1.0, -0.1]), -131.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values(self, bad):
+        with pytest.raises(DomainError):
+            SweepTrace(np.array([1.0, 2.0]), np.array([1.0, bad]), -131.0)
+        with pytest.raises(DomainError):
+            SweepTrace(np.array([1.0, bad]), np.array([1.0, 1.0]), -131.0)
+
     def test_config_invariants(self):
         with pytest.raises(DomainError):
             SweepConfig(2e9, 1e9, 100, -131.0)
