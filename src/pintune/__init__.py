@@ -1,6 +1,8 @@
 """Digital twin and analysis toolkit for a piezo-tunable thin-film
 superconducting microwave resonator."""
 
+__version__ = "0.1.0"
+
 from .resonator import (
     PinCouplingModel,
     ResonatorParams,
@@ -43,5 +45,3 @@ from .stability import (
     peak_to_peak_deviation,
 )
 from .units import F_RB
-
-__version__ = "0.1.0"

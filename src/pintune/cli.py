@@ -30,10 +30,11 @@ from .errors import (
 )
 from .fitting import fit_resonance
 from .piezo import tune_to_target
-from .resonator import calibrate_pin_model, tuned_frequency
+from .resonator import (ResonatorParams, TuningState, calibrate_pin_model, capacitance_for_frequency,
+                        frequency_slope, tuned_frequency)
 from .stability import NoOscillation, allan_deviation, detect_oscillation, drift_rate, peak_to_peak_deviation
 from .transmission import SweepConfig, synthesize_sweep
-from .units import GHz, MHz, um
+from .units import GHz, MHz, nH, um
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -62,7 +63,6 @@ def cmd_simulate(args):
             f_stop=center + span / 2.0,
             n_points=n_points,
             p_in_dbm=cfg.sweep.p_in_dbm,
-            duration_s=cfg.sweep.duration_s,
         )
     except Exception as exc:
         raise ValidationError(f"sweep: {exc}") from exc
@@ -162,10 +162,13 @@ def cmd_calibrate(args):
     doc = pio.result_document("calibrate", None, None, pio.to_jsonable(payload))
     if args.out:
         pio.write_result_json(args.out, doc)
-    # Residuals at the anchors (exact by construction of the closed form).
+    # Residuals at the anchors: zero up to round-off by construction of the
+    # closed form.  The quality factors of this LC stand-in are irrelevant.
     f_b = args.f_baseline_ghz * GHz
-    shift = f_b / (1.0 - model.m_max**2) ** 0.5 - f_b
-    slope = f_b * model.m_max**2 / (model.lam * (1.0 - model.m_max**2) ** 1.5)
+    lc = ResonatorParams(L0=nH, C=capacitance_for_frequency(f_b, nH), Qi0=1.0, Qe=1.0)
+    at_min = TuningState(d=model.d_min)
+    shift = tuned_frequency(lc, at_min, model) - f_b
+    slope = -frequency_slope(lc, at_min, model)
     print(f"m_max = {model.m_max:.6f}, lambda = {model.lam * 1e6:.2f} um, "
           f"d_min = {model.d_min * 1e6:.1f} um")
     print(f"anchor residuals: shift {shift - (args.f_closest_ghz * GHz - f_b):+.3e} Hz, "

@@ -9,8 +9,8 @@ ValidationError naming the offending field.
 
 import copy
 import json
+import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError, ValidationError
 from .piezo import ControllerConfig, PiezoStage, Plant
@@ -21,7 +21,7 @@ from .resonator import (
     calibrate_pin_model,
     capacitance_for_frequency,
 )
-from .transmission import NoiseModel, TlsLossModel
+from .transmission import NoiseModel
 from .units import GHz, MHz, nH, nm, um
 
 DEFAULT_CONFIG = {
@@ -70,7 +70,6 @@ DEFAULT_CONFIG = {
         "sweep_points": 1201,
         "sweep_span_mhz": 6.0,
     },
-    "tls": None,  # optional: {"q_tls_low": ..., "p_sat_dbm": ..., "q_other": ...}
 }
 
 
@@ -79,7 +78,6 @@ class SweepDefaults:
     span: float        # Hz, centered on the tuned resonance unless overridden
     n_points: int
     p_in_dbm: float
-    duration_s: float
 
 
 @dataclass
@@ -91,7 +89,6 @@ class ExperimentConfig:
     sweep: SweepDefaults
     stage: PiezoStage
     controller: ControllerConfig
-    tls: Optional[TlsLossModel]
     raw: dict  # the merged document, for provenance snapshots
 
     def plant(self):
@@ -103,11 +100,13 @@ class ExperimentConfig:
         )
 
 
-def _merge(base, override):
+def _merge(base, override, prefix=""):
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in out:
+            raise ValidationError(f"{prefix}{key}: unknown field")
+        if isinstance(value, dict) and isinstance(out[key], dict):
+            out[key] = _merge(out[key], value, f"{prefix}{key}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -120,6 +119,8 @@ def _get(doc, section, key, kind=(int, float)):
         raise ValidationError(f"{section}.{key}: missing") from None
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValidationError(f"{section}.{key}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past the float range
+        raise ValidationError(f"{section}.{key}: must be finite")
     return value
 
 
@@ -189,7 +190,6 @@ def from_dict(user_doc=None):
         span=span,
         n_points=n_points,
         p_in_dbm=_get(doc, "sweep", "p_in_dbm"),
-        duration_s=duration,
     )
 
     stage = build("stage", PiezoStage, dict(
@@ -211,16 +211,8 @@ def from_dict(user_doc=None):
         sweep_points=_get(doc, "controller", "sweep_points", kind=int),
         sweep_span=_get(doc, "controller", "sweep_span_mhz") * MHz,
         p_in_dbm=sweep.p_in_dbm,
-        duration_s=sweep.duration_s,
+        duration_s=duration,
     ))
-
-    tls = None
-    if doc.get("tls") is not None:
-        tls = build("tls", TlsLossModel, dict(
-            q_tls_low=_get(doc, "tls", "q_tls_low"),
-            p_sat_dbm=_get(doc, "tls", "p_sat_dbm"),
-            q_other=_get(doc, "tls", "q_other"),
-        ))
 
     return ExperimentConfig(
         params=params,
@@ -230,7 +222,6 @@ def from_dict(user_doc=None):
         sweep=sweep,
         stage=stage,
         controller=controller,
-        tls=tls,
         raw=doc,
     )
 

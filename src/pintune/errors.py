@@ -42,10 +42,6 @@ class ConvergenceFailure(PintuneError):
         self.best = best
 
 
-class UnreachableTarget(PintuneError):
-    """Requested frequency lies outside the plant's achievable band."""
-
-
 class StageStalled(PintuneError):
     """Drive voltage below the minimum; the stick-slip stage does not move."""
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, NonPhysicalFit, NoResonance
-from .transmission import internal_q
+from .transmission import internal_q, notch_response
 
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-8       # relative parameter step
@@ -110,17 +110,13 @@ def _residual_and_jacobian(theta, f, y):
     theta = (f_r, ln Q_L, ln Q_e, phi)."""
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
-    q_e = math.exp(lqe)
-
-    x = (f - f_r) / f_r
-    denom = 1.0 + 2j * q_l * x
-    t = (q_l / q_e) * np.exp(1j * phi) / denom
-    resp = 1.0 - t
+    resp, t, denom = notch_response(f, f_r, q_l, math.exp(lqe), phi)
     r = resp.real**2 + resp.imag**2 - y
 
     # dS/dp = -2 Re[conj(resp) * dt/dp]
+    # denom - 1.0 is 2i Q_L x exactly (the real part of denom is 1.0).
     dt_dfr = t * (2j * q_l / denom) * (f / (f_r * f_r))
-    dt_dlql = t * (1.0 - 2j * q_l * x / denom)
+    dt_dlql = t * (1.0 - (denom - 1.0) / denom)
     dt_dlqe = -t
     dt_dphi = 1j * t
 

@@ -12,9 +12,11 @@ metadata line.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
+from . import __version__
 from .errors import ValidationError
 from .stability import FrequencyTimeSeries
 from .transmission import SweepTrace
@@ -22,8 +24,6 @@ from .transmission import SweepTrace
 TRACE_HEADER = "frequency_hz,power_ratio"
 TRACE_HEADER_3COL = "frequency_hz,power_ratio,pout_dbm"
 SERIES_HEADER = "time_s,f_r_hz"
-
-TOOLKIT_VERSION = "0.1.0"
 
 
 def _fmt(x):
@@ -46,22 +46,19 @@ def _check_finite(path, linenos, *columns):
         raise ValidationError(f"{path}:{linenos[int(np.argmax(bad))]}: empty or non-finite value")
 
 
-def _read_lines(path):
+def _read_table(path, headers):
+    """Parse a CSV file: `# key = value` metadata lines, a header that must be
+    one of `headers`, then numeric rows (an empty cell reads as nan).
+
+    Returns (meta, header, columns, linenos), where columns has one row per
+    column and linenos gives each data row's line number.
+    """
     try:
         with open(path) as fh:
-            return fh.readlines()
-    except OSError as exc:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def read_trace_csv(path, p_in_dbm=None):
-    """Parse a trace file; IO/format problems raise ValidationError with the
-    line number."""
-    lines = _read_lines(path)
-    meta = {}
-    header = None
-    rows, linenos = [], []
-    header_cols = 2
+    meta, header, rows, linenos = {}, None, [], []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -72,55 +69,57 @@ def read_trace_csv(path, p_in_dbm=None):
                 meta[key.strip()] = value.strip()
             continue
         if header is None:
-            header = text
-            if text == TRACE_HEADER:
-                header_cols = 2
-            elif text == TRACE_HEADER_3COL:
-                header_cols = 3
-            else:
+            if text not in headers:
                 raise ValidationError(
-                    f"{path}:{lineno}: expected header '{TRACE_HEADER}', got {text!r}"
+                    f"{path}:{lineno}: expected header '{headers[0]}', got {text!r}"
                 )
+            header, n_cols = text, text.count(",") + 1
             continue
         parts = text.split(",")
-        if len(parts) != header_cols:
-            raise ValidationError(
-                f"{path}:{lineno}: expected {header_cols} columns, got {len(parts)}"
-            )
+        if len(parts) != n_cols:
+            raise ValidationError(f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
         try:
-            rows.append([float(p) if p != "" else None for p in parts])
+            rows.append([float(p) if p else math.nan for p in parts])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
         linenos.append(lineno)
     if header is None or not rows:
         raise ValidationError(f"{path}: no data rows")
+    return meta, header, np.array(rows).T.copy(), linenos
 
-    if p_in_dbm is None and "p_in_dbm" in meta:
-        try:
-            p_in_dbm = float(meta["p_in_dbm"])
-        except ValueError:
-            raise ValidationError(f"{path}: bad '# p_in_dbm =' metadata") from None
 
-    freqs, ratios = [], []
-    for lineno, row in zip(linenos, rows):
-        freqs.append(row[0])
-        ratio = row[1]
-        if ratio is None:
-            if len(row) < 3 or row[2] is None:
-                raise ValidationError(f"{path}: empty power_ratio without pout_dbm")
-            if p_in_dbm is None:
-                raise ValidationError(
-                    f"{path}: pout_dbm column requires a recorded input power"
-                )
+def _meta_float(path, meta, key, default):
+    """The finite float value of the `# key = value` line, or default."""
+    if key not in meta:
+        return default
+    try:
+        value = float(meta[key])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: bad '# {key} =' metadata")
+    return value
+
+
+def read_trace_csv(path, p_in_dbm=None):
+    """Parse a trace file; IO/format problems raise ValidationError with the
+    line number."""
+    meta, header, columns, linenos = _read_table(path, (TRACE_HEADER, TRACE_HEADER_3COL))
+    if p_in_dbm is None:
+        p_in_dbm = _meta_float(path, meta, "p_in_dbm", None)
+    timestamp = _meta_float(path, meta, "timestamp_s", 0.0)
+    freqs, ratios = columns[0], columns[1]
+    missing = np.flatnonzero(np.isnan(ratios)).tolist() if header == TRACE_HEADER_3COL else []
+    if missing and p_in_dbm is None:
+        raise ValidationError(f"{path}: pout_dbm column requires a recorded input power")
+    if missing:
+        pout = columns[2].tolist()  # Python floats: numpy's SIMD power rounds differently
+        for i in missing:
             try:
-                ratio = 10.0 ** ((row[2] - p_in_dbm) / 10.0)
+                ratios[i] = 10.0 ** ((pout[i] - p_in_dbm) / 10.0)
             except OverflowError:
-                raise ValidationError(f"{path}:{lineno}: pout_dbm out of range") from None
-        ratios.append(ratio)
-    freqs, ratios = np.asarray(freqs, dtype=float), np.asarray(ratios)  # empty cell -> nan
+                raise ValidationError(f"{path}:{linenos[i]}: pout_dbm out of range") from None
     _check_finite(path, linenos, freqs, ratios)
-
-    timestamp = float(meta.get("timestamp_s", 0.0))
     try:
         return SweepTrace(
             freqs, ratios,
@@ -140,41 +139,10 @@ def write_series_csv(path, series):
 
 
 def read_series_csv(path, f0=None):
-    lines = _read_lines(path)
-    meta = {}
-    header = None
-    times, freqs, linenos = [], [], []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            if "=" in text:
-                key, _, value = text.lstrip("#").partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = text
-            if text != SERIES_HEADER:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected header '{SERIES_HEADER}', got {text!r}"
-                )
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 2 columns")
-        try:
-            times.append(float(parts[0]))
-            freqs.append(float(parts[1]))
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: non-numeric value") from None
-        linenos.append(lineno)
-    if header is None or not times:
-        raise ValidationError(f"{path}: no data rows")
-    times, freqs = np.asarray(times), np.asarray(freqs)
+    meta, _, (times, freqs), linenos = _read_table(path, (SERIES_HEADER,))
     _check_finite(path, linenos, times, freqs)
     if f0 is None:
-        f0 = float(meta["f0_hz"]) if "f0_hz" in meta else float(np.mean(freqs))
+        f0 = _meta_float(path, meta, "f0_hz", float(np.mean(freqs)))
     try:
         return FrequencyTimeSeries(times, freqs, f0=f0)
     except Exception as exc:
@@ -188,7 +156,7 @@ def result_document(command, config_raw, seed, payload):
     bit-identical files.
     """
     return {
-        "toolkit_version": TOOLKIT_VERSION,
+        "toolkit_version": __version__,
         "command": command,
         "seed": seed,
         "config": config_raw,

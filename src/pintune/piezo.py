@@ -9,9 +9,8 @@ Hz-per-meter sensitivity (model slope as fallback), at most
 `steps_per_measurement` pulses between measurements.
 """
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List
 
 from .errors import (
     ConvergenceFailure,
@@ -158,7 +157,6 @@ def _measure(plant, stage, cfg, iteration):
             f_stop=f_pred + span / 2.0,
             n_points=cfg.sweep_points,
             p_in_dbm=cfg.p_in_dbm,
-            duration_s=cfg.duration_s,
         )
         trace = synthesize_sweep(
             sweep,
@@ -180,8 +178,8 @@ def tune_to_target(plant, stage, cfg):
 
     Returns a TuningSession with the full step-by-step log.  The session ends
     Converged (|f_r - f_target| within tolerance), Unreachable (target outside
-    the achievable band), StepBudgetExhausted, or Aborted (repeated fit
-    failure or a stalled stage).
+    the achievable band, or a pin that does not couple), StepBudgetExhausted,
+    or Aborted (repeated fit failure or a stalled stage).
     """
     tol = cfg.tolerance_ppm * 1e-6 * cfg.f_target
     session = TuningSession(f_target=cfg.f_target, tolerance_hz=tol)
@@ -220,6 +218,14 @@ def tune_to_target(plant, stage, cfg):
         # Sensitivity: secant on the last two measurements when available and
         # well conditioned, otherwise the calibrated model slope.
         slope = frequency_slope(plant.params, plant.state_at(d_before), plant.pin)
+        if slope == 0:  # no pulse can move f_r
+            session.outcome = "Unreachable"
+            session.final_error_hz = err
+            session.steps.append(
+                TuningStep(k, d_before, fit.f_r, err, 0, 0, fit.rms_residual,
+                           fit.n_iterations, note="pin does not couple")
+            )
+            return session
         if history:
             d_prev, f_prev = history[-1]
             if abs(d_before - d_prev) > 1e-12:
@@ -227,10 +233,6 @@ def tune_to_target(plant, stage, cfg):
                 if secant < 0:
                     slope = secant
         history.append((d_before, fit.f_r))
-        if slope >= 0:  # defensive; the plant is strictly decreasing in d
-            slope = -frequency_sensitivity(
-                plant.state_at(d_before), plant.params, plant.pin, stage.step_length
-            ) / max(stage.step_length, 1e-12)
 
         dd = -err / slope
         pulses = int(round(abs(dd) / stage.step_length))

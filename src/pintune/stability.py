@@ -119,6 +119,9 @@ def detect_oscillation(series, lineshape_slope=None):
 
     nu = _golden_section_max(dft_mag, max(k - 1, 1) * df_bin,
                              min(k + 1, n // 2) * df_bin, df_bin * 1e-6)
+    if nu > (n // 2 - 1) * df_bin:
+        # Towards Nyquist the sine column of the design below goes to zero.
+        raise NoOscillation("spectral peak within one bin of the Nyquist frequency")
 
     design = np.column_stack([np.sin(2 * math.pi * nu * t),
                               np.cos(2 * math.pi * nu * t)])

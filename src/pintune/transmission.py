@@ -24,21 +24,18 @@ from .units import HBAR, dbm_to_watts
 @dataclass(frozen=True)
 class SweepConfig:
     """Frequency sweep settings: span [f_start, f_stop] in Hz, point count,
-    input power at the resonator, total sweep time."""
+    input power at the resonator."""
 
     f_start: float
     f_stop: float
     n_points: int
     p_in_dbm: float
-    duration_s: float = 160.0
 
     def __post_init__(self):
         if not self.f_start < self.f_stop:
             raise DomainError("SweepConfig.f_start must be < f_stop")
         if self.n_points < 2:
             raise DomainError("SweepConfig.n_points must be >= 2")
-        if not self.duration_s > 0:
-            raise DomainError("SweepConfig.duration_s must be > 0")
 
 
 @dataclass
@@ -103,6 +100,18 @@ class TlsLossModel:
             raise DomainError("TlsLossModel quality factors must be > 0")
 
 
+def notch_response(f, f_r, q_l, q_e, phi):
+    """Complex notch response 1 - t with t = (Q_L/Q_e) e^{i phi} / denom and
+    denom = 1 + 2i Q_L (f - f_r)/f_r; returns (response, t, denom).
+
+    The one copy of the lineshape: no argument checks, f_r may be an array.
+    """
+    x = (f - f_r) / f_r
+    denom = 1.0 + 2j * q_l * x
+    t = (q_l / q_e) * np.exp(1j * phi) / denom
+    return 1.0 - t, t, denom
+
+
 def s21_power(f, f_r, q_l, q_e, phi=0.0):
     """Transmitted power ratio at frequency f (scalar or array)."""
     if not f_r > 0:
@@ -111,9 +120,7 @@ def s21_power(f, f_r, q_l, q_e, phi=0.0):
         raise DomainError("quality factors must be > 0")
     if not abs(phi) < math.pi / 2:
         raise DomainError("|phi| must be < pi/2")
-    f = np.asarray(f, dtype=float)
-    x = (f - f_r) / f_r
-    resp = 1.0 - (q_l / q_e) * np.exp(1j * phi) / (1.0 + 2j * q_l * x)
+    resp = notch_response(np.asarray(f, dtype=float), f_r, q_l, q_e, phi)[0]
     out = resp.real**2 + resp.imag**2
     return float(out) if out.ndim == 0 else out
 
@@ -158,11 +165,8 @@ def synthesize_sweep(config, params, state, pin, noise, q_i=None, timestamp=0.0)
         phase = np.zeros(config.n_points)
         gauss = np.zeros(config.n_points)
 
-    df = jitter_amp * np.sin(phase)
-    # Per-point resonance displacement: evaluate the lineshape point by point
-    # at the jittered f_r.  Vectorized via the detuning variable.
-    x = (f - (f_r + df)) / (f_r + df)
-    resp = 1.0 - (q_l / params.Qe) * np.exp(1j * params.phi) / (1.0 + 2j * q_l * x)
+    # Per-point resonance displacement: each point sees its own jittered f_r.
+    resp = notch_response(f, f_r + jitter_amp * np.sin(phase), q_l, params.Qe, params.phi)[0]
     ratio = resp.real**2 + resp.imag**2
     ratio = ratio * (1.0 + noise.sigma_rel * gauss)
     np.clip(ratio, 0.0, None, out=ratio)

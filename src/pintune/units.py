@@ -2,17 +2,12 @@
 
 Internal convention everywhere in this package:
   frequency Hz, length m, inductance H, capacitance F, power dBm or W.
-The CLI layer accepts GHz / MHz / um / nm / nH / pF and converts on entry.
+The CLI layer accepts GHz / MHz / um / nm / nH and converts on entry.
 """
-
-import math
 
 GHz = 1e9
 MHz = 1e6
-kHz = 1e3
-pF = 1e-12
 nH = 1e-9
-mm = 1e-3
 um = 1e-6
 nm = 1e-9
 
@@ -25,9 +20,3 @@ F_RB = 6.834683e9
 def dbm_to_watts(p_dbm):
     """Exact dBm -> W conversion, P_W = 10**((dBm - 30)/10)."""
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_watts):
-    if p_watts <= 0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(p_watts) + 30.0

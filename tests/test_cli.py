@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pintune
 from pintune import io as pio
 from pintune.cli import main
 from pintune.config import from_dict, load_config
@@ -50,6 +54,11 @@ class TestConfig:
             ({"calibration": {"f_closest_ghz": 6.0}}, "calibration"),
             ({"noise": {"seed": "abc"}}, "noise.seed"),
             ({"noise": {"seed": -1}}, "noise.seed"),
+            ({"sweep": {"p_in_dbm": float("inf")}}, "sweep.p_in_dbm: must be finite"),
+            ({"resonator": {"qi0": float("nan")}}, "resonator.qi0: must be finite"),
+            ({"tls": {"q_tls_low": 4e4, "p_sat_dbm": -120.0, "q_other": 2.8e5}},
+             "tls: unknown field"),
+            ({"noise": {"sigma": 0.01}}, "noise.sigma: unknown field"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -147,6 +156,49 @@ class TestSeriesCsv:
         assert f"{path}:3:" in str(err.value)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def strictly_increasing(elements):
+    return st.lists(elements, min_size=2, max_size=40, unique=True).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=strictly_increasing(st.floats(1.0, 1e12)),
+    ratio=st.lists(st.floats(0.0, 1e3), min_size=40, max_size=40),
+    p_in_dbm=finite,
+    timestamp=finite,
+)
+def test_trace_csv_round_trip_bit_exact(f, ratio, p_in_dbm, timestamp):
+    trace = SweepTrace(f, ratio[: len(f)], p_in_dbm=p_in_dbm, timestamp=timestamp)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        pio.write_trace_csv(path, trace)
+        back = pio.read_trace_csv(path)
+    assert back.frequencies.tobytes() == trace.frequencies.tobytes()
+    assert back.power_ratio.tobytes() == trace.power_ratio.tobytes()
+    assert (back.p_in_dbm, back.timestamp) == (p_in_dbm, timestamp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=strictly_increasing(finite), f_r=st.lists(finite, min_size=40, max_size=40),
+       f0=st.floats(1e-300, 1e300))
+def test_series_csv_round_trip_bit_exact(t, f_r, f0):
+    series = FrequencyTimeSeries(t, f_r[: len(t)], f0=f0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        pio.write_series_csv(path, series)
+        back = pio.read_series_csv(path)
+    assert back.timestamps.tobytes() == series.timestamps.tobytes()
+    assert back.f_r.tobytes() == series.f_r.tobytes()
+    assert back.f0 == f0
+
+
+def test_result_document_carries_package_version():
+    assert pio.result_document("fit", None, None, {})["toolkit_version"] == pintune.__version__
+
+
 class TestSimulateCommand:
     def test_default_run(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -200,6 +252,19 @@ class TestFitCommand:
         assert run(["fit", path]) == 2
         assert f"{path}:102:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["p_in_dbm", "timestamp_s"])
+    def test_bad_metadata_exit(self, tmp_path, capsys, key):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# {key} = abc\nfrequency_hz,power_ratio\n6.8e9,1.0\n6.9e9,1.0\n")
+        assert run(["fit", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: bad '# {key} =' metadata\n"
+
+    def test_binary_file_exit(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe\x00frequency")
+        assert run(["fit", path]) == 2
+
     def test_flat_trace_no_resonance_exit(self, tmp_path):
         path = tmp_path / "flat.csv"
         rows = "".join(f"{6.8e9 + i * 1e5},1.0\n" for i in range(201))
@@ -236,6 +301,20 @@ class TestTuneCommand:
     def test_zero_tolerance_rejected(self, tmp_path):
         assert run(["tune", "--tolerance-ppm", 0.0]) == 2
 
+    def test_uncoupled_pin_unreachable(self, tmp_path):
+        # Zero tuning range: the model slope is 0, so no pulse moves f_r.
+        cfg = write_config(tmp_path, {
+            "calibration": {"f_closest_ghz": 6.8278},
+            "controller": {"f_target_ghz": 6.8278, "tolerance_ppm": 0.001},
+            "noise": {"sigma_rel": 0.01},
+        })
+        out = tmp_path / "session.json"
+        assert run(["tune", "--config", cfg, "--out", out]) == 5
+        session = json.loads(out.read_text())["result"]
+        assert session["outcome"] == "Unreachable"
+        assert [step["note"] for step in session["steps"]] == ["pin does not couple"]
+        assert abs(session["final_error_hz"]) > session["tolerance_hz"]
+
 
 class TestDriftCommand:
     def test_linear_drift_report(self, tmp_path):
@@ -256,6 +335,12 @@ class TestDriftCommand:
         out = tmp_path / "report.json"
         assert run(["drift", src, "--out", out]) == 0
         assert json.loads(out.read_text())["result"]["rate_ppb_per_hr"] == 0.0
+
+    def test_bad_metadata_exit(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("# f0_hz = abc\ntime_s,f_r_hz\n0.0,6.8e9\n120.0,6.8e9\n240.0,6.8e9\n")
+        assert run(["drift", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad '# f0_hz =' metadata\n"
 
     def test_two_point_series_rejected(self, tmp_path):
         src = tmp_path / "series.csv"

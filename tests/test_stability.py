@@ -110,6 +110,28 @@ class TestDetectOscillation:
             assert abs(nu_hat - nu) < 1e-3 * bin_hz
             assert amp_hat == pytest.approx(2000.0, rel=1e-4)
 
+    @pytest.mark.parametrize("bins", [511.6, 511.9])
+    def test_peak_next_to_nyquist_rejected(self, bins):
+        # Within one bin of Nyquist (512 bins here) the sine column of the
+        # amplitude fit vanishes; these tones used to come back at 512 bins
+        # with amplitudes of 2.4e7 and 2.2e7 instead of 100.
+        n = 1024
+        t = np.arange(n) * 1.0
+        f = F0 + 100.0 * np.sin(2 * np.pi * bins / n * t)
+        with pytest.raises(NoOscillation):
+            detect_oscillation(series(t, f))
+
+    def test_tone_below_nyquist_band_recovered(self):
+        # 23.4 bins from its negative-frequency image the |DFT| maximum is
+        # biased by up to 4.0e-3 bin, depending on the phase.
+        n = 1024
+        t = np.arange(n) * 1.0
+        for phase in np.linspace(0.0, np.pi, 7):
+            f = F0 + 100.0 * np.sin(2 * np.pi * 500.3 / n * t + phase)
+            nu_hat, amp_hat = detect_oscillation(series(t, f))
+            assert abs(nu_hat * n - 500.3) < 5e-3
+            assert amp_hat == pytest.approx(100.0, rel=0.01)
+
     def test_recovery_under_noise_50_seeds(self):
         n, dt = 1024, 0.01
         t = np.arange(n) * dt

@@ -132,7 +132,7 @@ class TestSynthesizeSweep:
         tr = synthesize_sweep(cfg, params, state, pin, NoiseModel(0.0, 0.0, 99))
         q_l = loaded_q(params.Qi0, params.Qe)
         expected = s21_power(tr.frequencies, f_r, q_l, params.Qe, params.phi)
-        np.testing.assert_allclose(tr.power_ratio, expected, rtol=1e-12)
+        np.testing.assert_array_equal(tr.power_ratio, expected)
 
     def test_deterministic_for_fixed_seed(self):
         params, pin = paper_plant()
