@@ -5,7 +5,9 @@ trace over (f_r, Q_L, Q_e, phi).  Internally Q_L and Q_e are parameterized as
 logs to keep them positive without constraints.  The optimizer is
 Gauss-Newton with multiplicative damping (x10 on a rejected step, /10 on a
 cost decrease) and analytic residual derivatives.  A trial step is rejected
-when its cost rises, is not finite, or its Q exponents overflow.
+when its cost rises, is not finite, or its Q exponents overflow.  A trial
+point costs only its residual: the Jacobian and the normal equations are
+evaluated at the start point and at accepted points alone (Moré 1978).
 """
 
 import math
@@ -21,6 +23,7 @@ MAX_ITERATIONS = 200
 STEP_TOL = 1e-8       # relative parameter step
 COST_TOL = 1e-12      # relative cost decrease
 DAMPING_START = 1e-3
+PHI_LIMIT = math.pi / 2 - 1e-9  # the model is undefined at |phi| = pi/2
 
 
 @dataclass
@@ -51,9 +54,23 @@ class FitResult:
 def _baseline_and_noise(y):
     # Robust to a dip anywhere in the span (including the edges): baseline
     # from the upper quantile, noise floor from successive differences.
-    baseline = float(np.percentile(y, 80))
+    # Partial sorts at the needed order statistics, with the arithmetic of
+    # np.percentile(y, 80) (linear method) and np.median, bit for bit.
+    pos = (y.size - 1) * 0.8
+    k = math.floor(pos)
+    w = pos - k
+    part = np.partition(y, (k, k + 1))
+    a, b = float(part[k]), float(part[k + 1])
+    baseline = b - (b - a) * (1 - w) if w >= 0.5 else a + (b - a) * w
+
     diffs = np.abs(np.diff(y))
-    noise = 1.4826 * float(np.median(diffs)) / math.sqrt(2.0)
+    m = diffs.size // 2
+    if diffs.size % 2:
+        median = float(np.partition(diffs, m)[m])
+    else:
+        part = np.partition(diffs, (m - 1, m))
+        median = (float(part[m - 1]) + float(part[m])) / 2
+    noise = 1.4826 * median / math.sqrt(2.0)
     return baseline, noise
 
 
@@ -76,19 +93,20 @@ def initial_guess(trace):
     at_edge = imin < 2 or imin > len(y) - 3
     f_r = float(f[imin])
 
-    # Full width at half depth, found by walking outward from the minimum.
+    # Full width at half depth: the first point at or above half depth on
+    # either side of the minimum, interpolated against its inner neighbour.
     half_level = baseline - depth / 2.0
     left = right = None
-    for i in range(imin, 0, -1):
-        if y[i - 1] >= half_level:
-            frac = (half_level - y[i]) / (y[i - 1] - y[i])
-            left = f[i] + frac * (f[i - 1] - f[i])
-            break
-    for i in range(imin, len(y) - 1):
-        if y[i + 1] >= half_level:
-            frac = (half_level - y[i]) / (y[i + 1] - y[i])
-            right = f[i] + frac * (f[i + 1] - f[i])
-            break
+    above = np.flatnonzero(y[:imin] >= half_level)
+    if above.size:
+        j = above[-1]
+        frac = (half_level - y[j + 1]) / (y[j] - y[j + 1])
+        left = f[j + 1] + frac * (f[j] - f[j + 1])
+    above = np.flatnonzero(y[imin + 1:] >= half_level)
+    if above.size:
+        j = imin + 1 + above[0]
+        frac = (half_level - y[j - 1]) / (y[j] - y[j - 1])
+        right = f[j - 1] + frac * (f[j] - f[j - 1])
     if left is not None and right is not None:
         width = right - left
     elif left is not None:
@@ -105,28 +123,43 @@ def initial_guess(trace):
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 
 
-def _residual_and_jacobian(theta, f, y):
-    """Residuals r = model - data and d r / d theta for
-    theta = (f_r, ln Q_L, ln Q_e, phi)."""
+def _residual(theta, f, y):
+    """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
+    the lineshape terms (Q_L, response, t, denom) that _jacobian reuses."""
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
     resp, t, denom = notch_response(f, f_r, q_l, math.exp(lqe), phi)
-    r = resp.real**2 + resp.imag**2 - y
+    return resp.real**2 + resp.imag**2 - y, (q_l, resp, t, denom)
 
+
+def _jacobian(theta, f, terms):
+    """d r / d theta at the point whose _residual returned terms."""
+    q_l, resp, t, denom = terms
+    f_r = theta[0]
     # dS/dp = -2 Re[conj(resp) * dt/dp]
     # denom - 1.0 is 2i Q_L x exactly (the real part of denom is 1.0).
     dt_dfr = t * (2j * q_l / denom) * (f / (f_r * f_r))
     dt_dlql = t * (1.0 - (denom - 1.0) / denom)
-    dt_dlqe = -t
-    dt_dphi = 1j * t
 
+    # dt/d ln Q_e = -t and dt/d phi = i t share conj(resp) * t; complex
+    # multiplication is symmetric in sign, so both columns keep their bits.
     rc = np.conj(resp)
+    rct = rc * t
     jac = np.empty((f.size, 4))
-    jac[:, 0] = -2.0 * (rc * dt_dfr).real
-    jac[:, 1] = -2.0 * (rc * dt_dlql).real
-    jac[:, 2] = -2.0 * (rc * dt_dlqe).real
-    jac[:, 3] = -2.0 * (rc * dt_dphi).real
-    return r, jac
+    np.multiply((rc * dt_dfr).real, -2.0, out=jac[:, 0])
+    np.multiply((rc * dt_dlql).real, -2.0, out=jac[:, 1])
+    np.multiply(rct.real, 2.0, out=jac[:, 2])
+    np.multiply(rct.imag, 2.0, out=jac[:, 3])
+    return jac
+
+
+def _normal_equations(jac, r):
+    """Gradient J^T r, Gauss-Newton matrix J^T J, and the damping matrix: the
+    diagonal of J^T J with its non-positive entries raised to 1e-30."""
+    h = jac.T @ jac
+    diag = np.diag(h).copy()
+    diag[diag <= 0] = 1e-30
+    return jac.T @ r, h, np.diag(diag)
 
 
 def fit_resonance(trace, guess: Optional[InitialGuess] = None):
@@ -143,28 +176,28 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
     y = trace.power_ratio
     theta = np.array([guess.f_r, math.log(guess.q_l), math.log(guess.q_e), guess.phi])
 
-    r, jac = _residual_and_jacobian(theta, f, y)
+    r, terms = _residual(theta, f, y)
+    # jac stays bound until the next one exists: freed early, its 200 kB (at
+    # 6401 points) went back to the system and faulted in again each step.
+    jac = _jacobian(theta, f, terms)
+    g, h, damping = _normal_equations(jac, r)
     cost = float(r @ r)
     lam = DAMPING_START
     converged = False
     n_iter = 0
 
     for n_iter in range(1, MAX_ITERATIONS + 1):
-        g = jac.T @ r
-        h = jac.T @ jac
-        diag = np.diag(h).copy()
-        diag[diag <= 0] = 1e-30
         try:
-            step = np.linalg.solve(h + lam * np.diag(diag), -g)
+            step = np.linalg.solve(h + lam * damping, -g)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
 
         theta_new = theta + step
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
-        theta_new[3] = float(np.clip(theta_new[3], -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9))
+        theta_new[3] = min(max(theta_new[3], -PHI_LIMIT), PHI_LIMIT)
         try:
-            r_new, jac_new = _residual_and_jacobian(theta_new, f, y)
+            r_new, terms = _residual(theta_new, f, y)
         except OverflowError:  # ln Q_L or ln Q_e stepped past the float range
             lam *= 10.0
             continue
@@ -176,7 +209,9 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
                 abs(step[0]) / theta[0], abs(step[1]), abs(step[2]), abs(step[3])
             )
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
-            theta, r, jac, cost = theta_new, r_new, jac_new, cost_new
+            theta, r, cost = theta_new, r_new, cost_new
+            jac = _jacobian(theta, f, terms)
+            g, h, damping = _normal_equations(jac, r)
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL or rel_drop < COST_TOL:
                 converged = True
@@ -194,7 +229,7 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
     dof = max(f.size - 4, 1)
     sigma2 = cost / dof
     try:
-        cov = sigma2 * np.linalg.pinv(jac.T @ jac)
+        cov = sigma2 * np.linalg.pinv(h)
         errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         errs = np.full(4, float("nan"))

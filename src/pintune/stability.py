@@ -83,7 +83,8 @@ def _golden_section_max(func, lo, hi, xatol):
 
 
 def detect_oscillation(series, lineshape_slope=None):
-    """Find the dominant periodic modulation in a uniformly sampled record.
+    """Find the dominant periodic modulation in a uniformly sampled record,
+    after removing its least-squares line.
 
     Returns (modulation frequency in Hz, amplitude).  The amplitude is in the
     units of the samples; when the samples are power-ratio values taken at a
@@ -101,7 +102,11 @@ def detect_oscillation(series, lineshape_slope=None):
         raise DomainError("detect_oscillation requires uniform sampling")
     dt = float(dt[0])
 
+    # Remove the least-squares line, not only the mean: a linear drift would
+    # otherwise leak into the low bins and outrank a real oscillation.
+    tc = t - t.mean()
     y0 = y - np.mean(y)
+    y0 = y0 - (tc @ y0) / (tc @ tc) * tc
     power = np.abs(np.fft.rfft(y0)) ** 2
     power[0] = 0.0
     k = int(np.argmax(power))

@@ -2,17 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pintune.errors import NoResonance, PintuneError
 from pintune.fitting import (
     FitResult,
     InitialGuess,
-    _residual_and_jacobian,
+    _jacobian,
+    _residual,
     fit_power_series,
     fit_resonance,
     initial_guess,
 )
-from pintune.resonator import ResonatorParams, TuningState, calibrate_pin_model
+from pintune.resonator import (
+    ResonatorParams,
+    TuningState,
+    calibrate_pin_model,
+    capacitance_for_frequency,
+    tuned_frequency,
+)
 from pintune.transmission import (
     NoiseModel,
     SweepConfig,
@@ -147,6 +156,33 @@ class TestFitResonance:
         assert 0 < res.q_l_err < 0.1 * res.q_l
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    log_qi=st.floats(4.0, 6.0),
+    log_qe=st.floats(5.0, 7.0),
+    phi=st.floats(-0.5, 0.5),
+    f_r=st.floats(4e9, 8e9),
+    n=st.integers(401, 1601),
+)
+def test_fit_recovers_synthesized_parameters(log_qi, log_qe, phi, f_r, n):
+    """fit(synthesize(theta)) = theta over acceptance criterion 4's ranges,
+    noiseless, on a span of +-5 linewidths."""
+    q_i, q_e = 10**log_qi, 10**log_qe
+    params = ResonatorParams(L0=1e-9, C=capacitance_for_frequency(f_r, 1e-9), Qi0=q_i, Qe=q_e, phi=phi)
+    state = TuningState(d=0.05)  # pin far away: the bare resonance
+    pin = calibrate_pin_model(6.8278e9, 6.8454e9, 40e-6, 8.7e3 / 60e-9)
+    f_true = tuned_frequency(params, state, pin)
+    q_l = loaded_q(q_i, q_e)
+    lw = f_true / q_l
+    sweep = SweepConfig(f_true - 5 * lw, f_true + 5 * lw, n, -131.0)
+    res = fit_resonance(synthesize_sweep(sweep, params, state, pin, NoiseModel()))
+    assert abs(res.f_r / f_true - 1) < 1e-3
+    assert abs(res.f_r - f_true) < 1e-3 * lw
+    assert abs(res.q_l / q_l - 1) < 1e-3
+    assert abs(res.q_e / q_e - 1) < 1e-3
+    assert abs(res.phi - phi) < 1e-3
+
+
 class TestGradientCheck:
     def test_analytic_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -162,15 +198,16 @@ class TestGradientCheck:
                     rng.uniform(-0.5, 0.5),
                 ]
             )
-            _, jac = _residual_and_jacobian(theta, f, y)
+            _, terms = _residual(theta, f, y)
+            jac = _jacobian(theta, f, terms)
             # steps sized for truncation error: f_r varies on the linewidth
             # scale, not its absolute scale
             steps = (10.0, 1e-6, 1e-6, 1e-6)
             for j in range(4):
                 h = np.zeros(4)
                 h[j] = steps[j]
-                rp, _ = _residual_and_jacobian(theta + h, f, y)
-                rm, _ = _residual_and_jacobian(theta - h, f, y)
+                rp, _ = _residual(theta + h, f, y)
+                rm, _ = _residual(theta - h, f, y)
                 fd = (rp - rm) / (2 * h[j])
                 scale = np.max(np.abs(fd)) + 1e-300
                 assert np.max(np.abs(jac[:, j] - fd)) / scale < 1e-6

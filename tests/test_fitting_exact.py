@@ -1,0 +1,286 @@
+"""The fitter's hot path is pinned bit for bit.
+
+`fit_resonance` evaluates the Jacobian only at accepted points, takes its
+quantiles by partial sorts and walks to the half-depth points with vectorised
+searches.  None of this may change a bit of a result, so these tests hold it
+against golden values and against copies of the plain implementations.
+
+The golden values were recorded with numpy 2.4.6 (OpenBLAS) on x86-64 from
+the code before those changes.  Another numpy or BLAS build may round the
+synthesized traces or the linear algebra differently; the trace digests tell
+the two cases apart.  Re-record from a commit known to be right, never from
+the change under test.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pintune import fitting
+from pintune.errors import ConvergenceFailure, NoResonance
+from pintune.fitting import InitialGuess, _baseline_and_noise, fit_resonance, initial_guess
+from pintune.resonator import (
+    ResonatorParams,
+    TuningState,
+    calibrate_pin_model,
+    capacitance_for_frequency,
+    tuned_frequency,
+)
+from pintune.transmission import NoiseModel, SweepConfig, SweepTrace, loaded_q, synthesize_sweep
+
+PIN = calibrate_pin_model(6.8278e9, 6.8454e9, 40e-6, 8.7e3 / 60e-9)
+
+
+def criterion4_trace(f_r, q_i, q_e, phi, n, seed):
+    """Acceptance criterion 4's noisy trace: +-5 linewidths, 1% noise."""
+    params = ResonatorParams(L0=1e-9, C=capacitance_for_frequency(f_r, 1e-9), Qi0=q_i, Qe=q_e, phi=phi)
+    state = TuningState(d=0.05)  # pin far away: the bare resonance
+    f_true = tuned_frequency(params, state, PIN)
+    lw = f_true / loaded_q(q_i, q_e)
+    sweep = SweepConfig(f_true - 5 * lw, f_true + 5 * lw, n, -131.0)
+    return synthesize_sweep(sweep, params, state, PIN, NoiseModel(sigma_rel=0.01, seed=seed))
+
+
+# (f_r, Q_i, Q_e, phi, points, noise seed), the digest of the trace's power
+# ratios, float.hex of f_r, Q_L, Q_e, phi, the rms residual and the four
+# standard errors, and the iteration count.
+GOLDEN = {
+    "device-401": (
+        (6834683000.0, 35000.0, 500000.0, -0.222029717806419, 401, 328258452),
+        "a267f167f0a7c742",
+        ("0x1.9760f96a18e2ap+32", "0x1.f057d4863767dp+14", "0x1.e9be0bbadcc28p+18",
+         "-0x1.c1070eca9af9ap-3", "0x1.4554bba6b34f2p-7", "0x1.9e2c60c1b35e7p+11",
+         "0x1.c8ba2873a4957p+9", "0x1.3ff876169faabp+13", "0x1.71afc6a773346p-6"),
+        6),
+    "device-1601": (
+        (6834683000.0, 35000.0, 500000.0, 0.43373840568325917, 1601, 955959054),
+        "5b1ea389ab86ea4b",
+        ("0x1.9760f3444dafap+32", "0x1.ffef22858bb15p+14", "0x1.e3407e85fd7a4p+18",
+         "0x1.c13bca0ea3611p-2", "0x1.443684dec32bcp-7", "0x1.7e3410df88557p+10",
+         "0x1.cad10c173c32bp+8", "0x1.368df48b55d15p+12", "0x1.5ccd15c5d17a5p-7"),
+        6),
+    "device-6401": (
+        (6834683000.0, 35000.0, 500000.0, -0.2206261194775878, 6401, 536393447),
+        "4ad962cea49f0e78",
+        ("0x1.9760fbf9b7afbp+32", "0x1.fdccf1525b5c6p+14", "0x1.e6dbbf9c47f2dp+18",
+         "-0x1.bfcbf01f8113cp-3", "0x1.415b5b72586e5p-7", "0x1.8479a8011acd9p+9",
+         "0x1.c4c0e97ac28ffp+7", "0x1.32f77e2da1df5p+11", "0x1.632b4104ee48dp-8"),
+        5),
+    "broad-401": (
+        (4228100136.274949, 18784.912940901275, 633043.3010062983, 0.278446362175662, 401, 1481135592),
+        "098a7a3229d30969",
+        ("0x1.f8071d595fcfcp+31", "0x1.3b7ceba21b7d4p+14", "0x1.4a14ee10b0bb1p+19",
+         "0x1.38c0bb151a44ep-2", "0x1.48e500b7a2bf4p-7", "0x1.bf94791ede5a8p+12",
+         "0x1.47267ecafa388p+10", "0x1.e71c52e18d03ep+14", "0x1.9d04614b1b8bap-5"),
+        6),
+    "broad-1601": (
+        (7659040120.583509, 23057.581793387475, 1140880.1162411429, -0.48644385669938683, 1601, 92906558),
+        "ff4914f9d514962b",
+        ("0x1.c883ee8bc9ad3p+32", "0x1.6a34ba9fc26b7p+14", "0x1.0d4c77394f16fp+20",
+         "-0x1.12058cd4518dfp-1", "0x1.3f1fc79fa3204p-7", "0x1.cdd62c32b5ad3p+12",
+         "0x1.f50560a83153ap+9", "0x1.0c905c613d864p+15", "0x1.0e302315d730ap-5"),
+        9),
+    "broad-6401": (
+        (6488750664.203288, 40015.865015532974, 126838.71963366943, 0.12928980070184704, 6401, 1862978404),
+        "c0bce7627bddae2f",
+        ("0x1.82c27bb9b6d8ap+32", "0x1.da9e873bf3be3p+14", "0x1.ef21683f688f7p+16",
+         "0x1.050c8e04f33b8p-3", "0x1.358bf06665a08p-7", "0x1.cb0b4e7694fb2p+7",
+         "0x1.e655f79685c6ap+5", "0x1.6b489dd56bf2fp+7", "0x1.777893392a4b4p-10"),
+        4),
+}
+# A shallow dip (Q_i 45,500 against Q_e 8.2e6) that exhausts the budget: the
+# ConvergenceFailure carries this best-so-far result.
+GOLDEN_BEST = (
+    (4863938544.864087, 45516.302988253636, 8220044.408938354, -0.4419570972957112, 401, 1987131395),
+    "4b21e4a6c732b590",
+    ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a18p+27",
+     "0x1.db65a07cde299p-1", "0x1.5b7390d91efa7p-7", "0x1.7ba6cea8a4c0bp+13",
+     "0x1.b317ca1f8c967p+39", "0x1.c6df76eba2a66p+39", "0x1.82e780ab174fdp+12"),
+    200)
+
+
+def golden_trace(case, digest):
+    trace = criterion4_trace(*case)
+    got = hashlib.sha256(trace.power_ratio.tobytes()).hexdigest()[:16]
+    assert got == digest, "the synthesized trace itself changed, not the fit"
+    return trace
+
+
+def fingerprint(res):
+    return tuple(float(v).hex() for v in (res.f_r, res.q_l, res.q_e, res.phi, res.rms_residual,
+                                          res.f_r_err, res.q_l_err, res.q_e_err, res.phi_err))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_fit_results(name):
+    case, digest, values, iterations = GOLDEN[name]
+    res = fit_resonance(golden_trace(case, digest))
+    assert res.converged
+    assert fingerprint(res) == values
+    assert res.n_iterations == iterations
+
+
+def test_golden_convergence_failure_best():
+    case, digest, values, iterations = GOLDEN_BEST
+    with pytest.raises(ConvergenceFailure) as info:
+        fit_resonance(golden_trace(case, digest))
+    best = info.value.best
+    assert not best.converged
+    assert fingerprint(best) == values
+    assert best.n_iterations == iterations
+
+
+def test_jacobian_only_at_accepted_points(monkeypatch):
+    """One Jacobian at the start point and one per accepted step: a trial
+    step that is rejected costs only its residual."""
+    costs, jacobians = [], []
+    residual, jacobian = fitting._residual, fitting._jacobian
+
+    def counted_residual(theta, f, y):
+        out = residual(theta, f, y)
+        costs.append(float(out[0] @ out[0]))
+        return out
+
+    def counted_jacobian(theta, f, terms):
+        jacobians.append(theta.copy())
+        return jacobian(theta, f, terms)
+
+    monkeypatch.setattr(fitting, "_residual", counted_residual)
+    monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
+    rejected_total = 0
+    for case, digest, _, _ in (GOLDEN["broad-1601"], GOLDEN_BEST):
+        trace = golden_trace(case, digest)
+        costs.clear()
+        jacobians.clear()
+        try:
+            fit_resonance(trace)
+        except ConvergenceFailure:
+            pass
+        # The fitter's own rule: a trial is accepted when its cost does not rise.
+        accepted, current = 0, costs[0]
+        for cost in costs[1:]:
+            if cost <= current:
+                accepted, current = accepted + 1, cost
+        rejected_total += len(costs) - 1 - accepted
+        assert len(jacobians) == accepted + 1
+    assert rejected_total > 0  # the budget-exhausting fit rejects half its trials
+
+
+# --------------------------------------------------------------------------
+# The plain implementations the hot path replaced, kept as references.
+
+
+def reference_baseline_and_noise(y):
+    baseline = float(np.percentile(y, 80))
+    noise = 1.4826 * float(np.median(np.abs(np.diff(y)))) / math.sqrt(2.0)
+    return baseline, noise
+
+
+def reference_half_width_walk(f, y, imin, half_level):
+    left = right = None
+    for i in range(imin, 0, -1):
+        if y[i - 1] >= half_level:
+            frac = (half_level - y[i]) / (y[i - 1] - y[i])
+            left = f[i] + frac * (f[i - 1] - f[i])
+            break
+    for i in range(imin, len(y) - 1):
+        if y[i + 1] >= half_level:
+            frac = (half_level - y[i]) / (y[i + 1] - y[i])
+            right = f[i] + frac * (f[i + 1] - f[i])
+            break
+    return left, right
+
+
+def reference_initial_guess(trace):
+    f = trace.frequencies
+    y = trace.power_ratio
+    if len(y) < 16:
+        raise NoResonance("trace too short for a guess (< 16 points)")
+    baseline, noise_floor = reference_baseline_and_noise(y)
+    imin = int(np.argmin(y))
+    depth = baseline - y[imin]
+    if depth < 3.0 * max(noise_floor, 1e-12):
+        raise NoResonance("dip depth below 3x the noise floor")
+    at_edge = imin < 2 or imin > len(y) - 3
+    f_r = float(f[imin])
+    left, right = reference_half_width_walk(f, y, imin, baseline - depth / 2.0)
+    if left is not None and right is not None:
+        width = right - left
+    elif left is not None:
+        width = 2.0 * (f_r - left)
+    elif right is not None:
+        width = 2.0 * (right - f_r)
+    else:
+        width = (f[-1] - f[0]) / 2.0
+    width = max(width, (f[-1] - f[0]) / (len(f) - 1))
+    q_l = f_r / width
+    min_ratio = min(max(y[imin] / baseline, 0.0), 1.0 - 1e-9)
+    q_e = q_l / (1.0 - math.sqrt(min_ratio))
+    return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
+
+
+def outcome(func, trace):
+    try:
+        g = func(trace)
+    except NoResonance as exc:
+        return "NoResonance", str(exc)
+    return (float(g.f_r).hex(), float(g.q_l).hex(), float(g.q_e).hex(), g.phi, g.at_edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(st.floats(0.0, 4.0), min_size=16, max_size=300)
+       | st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60))
+@example(y=[1.0] * 16)
+@example(y=[float(i % 3) for i in range(17)])
+def test_baseline_and_noise_matches_percentile_and_median(y):
+    y = np.asarray(y)
+    got = _baseline_and_noise(y)
+    want = reference_baseline_and_noise(y)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def dip_trace(n, u, width, depth, noise, slope, f0, df):
+    """A Lorentzian dip at u * (n - 1) on a sloped baseline with deterministic
+    ripple."""
+    i = np.arange(n)
+    centre = u * (n - 1)
+    ripple = noise * np.sin(1.7 * i + 0.3) * np.cos(0.61 * i)
+    y = 1.0 + slope * (i - centre) / n + ripple - depth / (1.0 + ((i - centre) / width) ** 2)
+    f = f0 + df * i
+    return SweepTrace(f, np.clip(y, 0.0, None), p_in_dbm=-131.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(16, 400),
+    u=st.sampled_from([0.0, 1.0]) | st.floats(-0.2, 1.2),
+    width=st.floats(0.3, 300.0),
+    depth=st.floats(0.0, 1.0),
+    noise=st.floats(0.0, 0.05),
+    slope=st.floats(-1.5, 1.5),
+    f0=st.floats(1e6, 1e10),
+    df=st.floats(1.0, 1e5),
+)
+def test_initial_guess_matches_loop_walk(n, u, width, depth, noise, slope, f0, df):
+    trace = dip_trace(n, u, width, depth, noise, slope, f0, df)
+    assert outcome(initial_guess, trace) == outcome(reference_initial_guess, trace)
+
+
+@pytest.mark.parametrize("u, slope, missing", [
+    (0.0, 0.0, "left"),     # dip at the first point: nothing to its left
+    (1.0, 0.0, "right"),    # dip at the last point: nothing to its right
+    (0.05, -1.5, "right"),  # the baseline falls away: the right side stays low
+    (0.95, 1.5, "left"),    # the baseline rises from the left: it stays low
+])
+def test_initial_guess_one_sided_walks(u, slope, missing):
+    trace = dip_trace(201, u, width=3.0, depth=0.9, noise=0.0, slope=slope, f0=6.8e9, df=1e3)
+    f, y = trace.frequencies, trace.power_ratio
+    baseline, _ = reference_baseline_and_noise(y)
+    imin = int(np.argmin(y))
+    left, right = reference_half_width_walk(f, y, imin, baseline - (baseline - y[imin]) / 2.0)
+    assert (left is None, right is None) == (missing == "left", missing == "right")
+    assert outcome(initial_guess, trace) == outcome(reference_initial_guess, trace)

@@ -110,6 +110,17 @@ class TestDetectOscillation:
             assert abs(nu_hat - nu) < 1e-3 * bin_hz
             assert amp_hat == pytest.approx(2000.0, rel=1e-4)
 
+    def test_oscillation_found_under_linear_drift(self):
+        # 70 h at 120 s, a 1 kHz drift (the paper's regime) and a 300 Hz tone
+        # of 7000 s period.  A mean-only subtraction let the drift's leakage
+        # outrank the tone: it came back at 7.5e-6 Hz with 159 Hz.
+        t = np.arange(2101) * 120.0
+        nu = 1.0 / 7000.0
+        f = F0 + 1000.0 * t / t[-1] + 300.0 * np.sin(2 * np.pi * nu * t)
+        nu_hat, amp_hat = detect_oscillation(series(t, f))
+        assert nu_hat == pytest.approx(nu, rel=1e-3)
+        assert amp_hat == pytest.approx(300.0, rel=0.01)
+
     @pytest.mark.parametrize("bins", [511.6, 511.9])
     def test_peak_next_to_nyquist_rejected(self, bins):
         # Within one bin of Nyquist (512 bins here) the sine column of the
