@@ -30,6 +30,7 @@ from .transmission import (
 from .fitting import FitResult, InitialGuess, fit_power_series, fit_resonance, initial_guess
 from .piezo import (
     ControllerConfig,
+    ControllerModel,
     PiezoStage,
     Plant,
     TuningSession,

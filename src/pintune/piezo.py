@@ -106,7 +106,8 @@ class ControllerConfig:
 
 @dataclass
 class Plant:
-    """The simulated device under control."""
+    """The simulated device under control: the truth the controller only
+    sees through sweeps."""
 
     params: ResonatorParams
     pin: PinCouplingModel
@@ -117,6 +118,35 @@ class Plant:
         return TuningState(d=d, trim_shift=self.trim_shift)
 
     def true_frequency(self, d):
+        return tuned_frequency(self.params, self.state_at(d), self.pin)
+
+    def sweep(self, sweep, d, iteration, timestamp):
+        """The trace of one sweep at pin height d; iteration k draws its own
+        noise seed."""
+        noise = replace(self.noise, seed=self.noise.seed + iteration)
+        return synthesize_sweep(sweep, self.params, self.state_at(d), self.pin,
+                                noise, timestamp=timestamp)
+
+
+@dataclass(frozen=True)
+class ControllerModel:
+    """What the controller believes about the device: its resonator, its
+    pin coupling, its trim and the stage's travel per pulse."""
+
+    params: ResonatorParams
+    pin: PinCouplingModel
+    step_length: float
+    trim_shift: float = 0.0
+
+    @classmethod
+    def of(cls, plant, stage):
+        """The plant's own model and the stage's own step."""
+        return cls(plant.params, plant.pin, stage.step_length, plant.trim_shift)
+
+    def state_at(self, d):
+        return TuningState(d=d, trim_shift=self.trim_shift)
+
+    def frequency(self, d):
         return tuned_frequency(self.params, self.state_at(d), self.pin)
 
 
@@ -144,11 +174,10 @@ class TuningSession:
     steps: List[TuningStep] = field(default_factory=list)
 
 
-def _measure(plant, stage, cfg, iteration):
-    """One sweep-and-fit around the model-predicted resonance.  Retries once
-    with a 4x wider span before giving up."""
-    f_pred = plant.true_frequency(stage.position)
-    noise = replace(plant.noise, seed=plant.noise.seed + iteration)
+def _measure(plant, model, stage, cfg, iteration):
+    """One sweep-and-fit around the belief's predicted resonance.  Retries
+    once with a 4x wider span before giving up."""
+    f_pred = model.frequency(stage.position)
     last_exc = None
     for widen in (1.0, 4.0):
         span = cfg.sweep_span * widen
@@ -158,14 +187,7 @@ def _measure(plant, stage, cfg, iteration):
             n_points=cfg.sweep_points,
             p_in_dbm=cfg.p_in_dbm,
         )
-        trace = synthesize_sweep(
-            sweep,
-            plant.params,
-            plant.state_at(stage.position),
-            plant.pin,
-            noise,
-            timestamp=iteration * cfg.duration_s,
-        )
+        trace = plant.sweep(sweep, stage.position, iteration, iteration * cfg.duration_s)
         try:
             return fit_resonance(trace)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
@@ -173,22 +195,28 @@ def _measure(plant, stage, cfg, iteration):
     raise last_exc
 
 
-def tune_to_target(plant, stage, cfg):
+def tune_to_target(plant, stage, cfg, model=None):
     """Drive the plant's resonance onto cfg.f_target.
+
+    The controller sees the plant only through sweeps; everything else (the
+    sweep centre, the reach check, the moves) comes from `model`, the
+    ControllerModel it believes, by default the plant's own.
 
     Returns a TuningSession with the full step-by-step log.  The session ends
     Converged (|f_r - f_target| within tolerance), Unreachable (target outside
     the achievable band, or a pin that does not couple), StepBudgetExhausted,
     or Aborted (repeated fit failure or a stalled stage).
     """
+    if model is None:
+        model = ControllerModel.of(plant, stage)
     tol = cfg.tolerance_ppm * 1e-6 * cfg.f_target
     session = TuningSession(f_target=cfg.f_target, tolerance_hz=tol)
 
-    f_low = baseline_frequency(plant.params, plant.state_at(stage.position))
-    f_high = plant.true_frequency(plant.pin.d_min)
+    f_low = baseline_frequency(model.params, model.state_at(stage.position))
+    f_high = model.frequency(model.pin.d_min)
     if not (f_low - tol < cfg.f_target <= f_high + tol):
         session.outcome = "Unreachable"
-        session.final_error_hz = plant.true_frequency(stage.position) - cfg.f_target
+        session.final_error_hz = model.frequency(stage.position) - cfg.f_target
         return session
 
     history = []  # (d, measured f_r) pairs for the secant slope
@@ -196,7 +224,7 @@ def tune_to_target(plant, stage, cfg):
     for k in range(cfg.max_steps):
         d_before = stage.position
         try:
-            fit = _measure(plant, stage, cfg, k)
+            fit = _measure(plant, model, stage, cfg, k)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
             session.outcome = "Aborted"
             session.steps.append(
@@ -217,7 +245,7 @@ def tune_to_target(plant, stage, cfg):
 
         # Sensitivity: secant on the last two measurements when available and
         # well conditioned, otherwise the calibrated model slope.
-        slope = frequency_slope(plant.params, plant.state_at(d_before), plant.pin)
+        slope = frequency_slope(model.params, model.state_at(d_before), model.pin)
         if slope == 0:  # no pulse can move f_r
             session.outcome = "Unreachable"
             session.final_error_hz = err
@@ -235,7 +263,7 @@ def tune_to_target(plant, stage, cfg):
         history.append((d_before, fit.f_r))
 
         dd = -err / slope
-        pulses = int(round(abs(dd) / stage.step_length))
+        pulses = int(round(abs(dd) / model.step_length))
         pulses = min(max(pulses, 1), cfg.steps_per_measurement)
         direction = 1 if dd > 0 else -1
 
