@@ -2,13 +2,18 @@
 
 The stick-slip stage moves in discrete pulses; pulse length scales linearly
 with drive voltage (60 nm at the 36 V reference) and the stage stalls below a
-minimum voltage.  The controller iterates measure -> fit -> actuate: each
-iteration synthesizes a sweep around the model-predicted resonance, fits it,
-and steps the stage toward the target using a secant estimate of the local
-Hz-per-meter sensitivity (model slope as fallback), at most
-`steps_per_measurement` pulses between measurements.
-"""
+minimum voltage.  The controller iterates measure -> fit -> actuate against a
+ControllerModel, its belief about the device, which may differ from the
+Plant it drives.  Each iteration sweeps around the belief's f_r shifted by
+the offset of the last reading, fits the trace, and aims the stage at the
+height where that shifted belief reaches the target (a few percent short,
+so the approach stays on one side), through the closed-form inverse of the
+coupling map.  A move is capped by a trust-region radius in pulses: it
+starts at `steps_per_measurement`, doubles after a full-radius move whose
+measured df the belief predicted, and halves after a mispredicted move, a
+crossing of the target or a mechanical clamp."""
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List
 
@@ -27,10 +32,30 @@ from .resonator import (
     TuningState,
     baseline_frequency,
     frequency_slope,
+    resonance_frequency,
     tuned_frequency,
 )
 from .transmission import NoiseModel, SweepConfig, synthesize_sweep
 from .units import F_RB
+
+
+# Trust-region pulse budget (More 1978; Conn, Gould & Toint, Trust-Region
+# Methods, SIAM 2000).  A move agrees with the belief when its measured df is
+# between AGREE_MIN and AGREE_MAX times the predicted df, give or take
+# AGREE_SIGMA combined fit standard errors.  Inside that band an aimed move
+# still shrinks the error, however far it goes.
+AGREE_MIN = 0.5
+AGREE_MAX = 2.0
+AGREE_SIGMA = 3.0
+# The radius stops growing at 16384 pulses, about 1 mm at 60 nm: more than
+# the calibrated device's whole tuning travel, and a bound on the pulses a
+# session spends on a target its belief places out of reach.
+RADIUS_MAX = 16384
+# Each move aims this share of the measured error short of the target, so
+# the approach stays on one side under a step or slope the belief
+# underrates.  A shortfall within two tolerances (about one step) buys
+# nothing and is dropped.
+APPROACH_SHORT = 0.05
 
 
 @dataclass
@@ -46,8 +71,9 @@ class PiezoStage:
     last_direction: int = 0
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise DomainError("PiezoStage.step_size must be > 0")
+        for name in ("step_size", "voltage", "reference_voltage"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"PiezoStage.{name} must be > 0")
         if not self.position > 0:
             raise DomainError("PiezoStage.position must be > 0")
 
@@ -89,7 +115,7 @@ class ControllerConfig:
     f_target: float = F_RB
     tolerance_ppm: float = 0.3
     max_steps: int = 2000           # measure-decide-actuate iterations
-    steps_per_measurement: int = 8  # piezo pulses between measurements
+    steps_per_measurement: int = 8  # starting pulse radius of a move
     sweep_points: int = 1201
     sweep_span: float = 6e6         # Hz, centered on the predicted resonance
     p_in_dbm: float = -131.0
@@ -138,6 +164,10 @@ class ControllerModel:
     step_length: float
     trim_shift: float = 0.0
 
+    def __post_init__(self):
+        if not self.step_length > 0:
+            raise DomainError("ControllerModel.step_length must be > 0")
+
     @classmethod
     def of(cls, plant, stage):
         """The plant's own model and the stage's own step."""
@@ -148,6 +178,19 @@ class ControllerModel:
 
     def frequency(self, d):
         return tuned_frequency(self.params, self.state_at(d), self.pin)
+
+    def height_for(self, f):
+        """The pin height at which the belief reads f: the closed-form inverse
+        of f = f0 / sqrt(1 - m(d)**2) + trim.  A frequency at or below the
+        retracted-pin baseline gives inf, one beyond closest approach d_min."""
+        f0 = resonance_frequency(self.params.L0, self.params.C)
+        g = f - self.trim_shift
+        if not g > f0:
+            return math.inf
+        m2 = 1.0 - (f0 / g) ** 2
+        if m2 >= self.pin.m_max ** 2:
+            return self.pin.d_min
+        return self.pin.d_min + 0.5 * self.pin.lam * math.log(self.pin.m_max ** 2 / m2)
 
 
 @dataclass
@@ -161,6 +204,9 @@ class TuningStep:
     fit_rms: float
     fit_iterations: int
     note: str = ""
+    true_f_r: float = float("nan")       # the twin's f_r at `position`
+    predicted_f_r: float = float("nan")  # the reading the belief predicted: the sweep centre
+    radius: int = 0                      # the pulse radius in force for this move
 
 
 @dataclass
@@ -174,16 +220,15 @@ class TuningSession:
     steps: List[TuningStep] = field(default_factory=list)
 
 
-def _measure(plant, model, stage, cfg, iteration):
-    """One sweep-and-fit around the belief's predicted resonance.  Retries
-    once with a 4x wider span before giving up."""
-    f_pred = model.frequency(stage.position)
+def _measure(plant, stage, cfg, f_center, iteration):
+    """One sweep-and-fit around f_center.  Retries once with a 4x wider span
+    before giving up."""
     last_exc = None
     for widen in (1.0, 4.0):
         span = cfg.sweep_span * widen
         sweep = SweepConfig(
-            f_start=f_pred - span / 2.0,
-            f_stop=f_pred + span / 2.0,
+            f_start=f_center - span / 2.0,
+            f_stop=f_center + span / 2.0,
             n_points=cfg.sweep_points,
             p_in_dbm=cfg.p_in_dbm,
         )
@@ -199,8 +244,9 @@ def tune_to_target(plant, stage, cfg, model=None):
     """Drive the plant's resonance onto cfg.f_target.
 
     The controller sees the plant only through sweeps; everything else (the
-    sweep centre, the reach check, the moves) comes from `model`, the
-    ControllerModel it believes, by default the plant's own.
+    pin height it dead-reckons from the pulses it issued, the sweep centre,
+    the reach check, the moves) comes from `model`, the ControllerModel it
+    believes, by default the plant's own.
 
     Returns a TuningSession with the full step-by-step log.  The session ends
     Converged (|f_r - f_target| within tolerance), Unreachable (target outside
@@ -212,60 +258,72 @@ def tune_to_target(plant, stage, cfg, model=None):
     tol = cfg.tolerance_ppm * 1e-6 * cfg.f_target
     session = TuningSession(f_target=cfg.f_target, tolerance_hz=tol)
 
-    f_low = baseline_frequency(model.params, model.state_at(stage.position))
+    d = stage.position  # the believed pin height
+    f_low = baseline_frequency(model.params, model.state_at(d))
     f_high = model.frequency(model.pin.d_min)
     if not (f_low - tol < cfg.f_target <= f_high + tol):
         session.outcome = "Unreachable"
-        session.final_error_hz = model.frequency(stage.position) - cfg.f_target
+        session.final_error_hz = model.frequency(d) - cfg.f_target
         return session
 
-    history = []  # (d, measured f_r) pairs for the secant slope
+    radius = cfg.steps_per_measurement
+    offset = 0.0  # measured minus believed f_r at the last reading
+    last = None   # (believed f_r, measured f_r, its error, error, pulses) of the last move
 
     for k in range(cfg.max_steps):
         d_before = stage.position
+        f_belief = model.frequency(d)
+        f_pred = f_belief + offset
+
+        def log(measured_f_r, err, fit_rms, fit_iterations, pulses=0, direction=0, note=""):
+            session.steps.append(TuningStep(
+                k, d_before, measured_f_r, err, pulses, direction, fit_rms,
+                fit_iterations, note, plant.true_frequency(d_before), f_pred, radius))
+
         try:
-            fit = _measure(plant, model, stage, cfg, k)
+            fit = _measure(plant, stage, cfg, f_pred, k)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
             session.outcome = "Aborted"
-            session.steps.append(
-                TuningStep(k, d_before, float("nan"), float("nan"), 0, 0,
-                           float("nan"), 0, note=f"fit failed: {type(exc).__name__}")
-            )
+            log(float("nan"), float("nan"), float("nan"), 0,
+                note=f"fit failed: {type(exc).__name__}")
             return session
 
         err = fit.f_r - cfg.f_target
         if abs(err) <= tol:
-            session.steps.append(
-                TuningStep(k, d_before, fit.f_r, err, 0, 0,
-                           fit.rms_residual, fit.n_iterations)
-            )
+            log(fit.f_r, err, fit.rms_residual, fit.n_iterations)
             session.outcome = "Converged"
             session.final_error_hz = err
             return session
-
-        # Sensitivity: secant on the last two measurements when available and
-        # well conditioned, otherwise the calibrated model slope.
-        slope = frequency_slope(model.params, model.state_at(d_before), model.pin)
-        if slope == 0:  # no pulse can move f_r
+        if model.pin.m_max == 0:  # no pulse can move f_r
+            log(fit.f_r, err, fit.rms_residual, fit.n_iterations, note="pin does not couple")
             session.outcome = "Unreachable"
             session.final_error_hz = err
-            session.steps.append(
-                TuningStep(k, d_before, fit.f_r, err, 0, 0, fit.rms_residual,
-                           fit.n_iterations, note="pin does not couple")
-            )
             return session
-        if history:
-            d_prev, f_prev = history[-1]
-            if abs(d_before - d_prev) > 1e-12:
-                secant = (fit.f_r - f_prev) / (d_before - d_prev)
-                if secant < 0:
-                    slope = secant
-        history.append((d_before, fit.f_r))
 
-        dd = -err / slope
-        pulses = int(round(abs(dd) / model.step_length))
-        pulses = min(max(pulses, 1), cfg.steps_per_measurement)
-        direction = 1 if dd > 0 else -1
+        # Trust-region radius: grow after a full-radius move whose df the
+        # belief predicted, shrink after one it mispredicted or that crossed
+        # the target.
+        if last is not None:
+            f_last, measured_last, sigma_last, err_last, pulses_last = last
+            predicted = f_belief - f_last
+            moved = (fit.f_r - measured_last) * math.copysign(1.0, predicted)
+            noise = AGREE_SIGMA * math.hypot(sigma_last, fit.f_r_err)
+            agrees = (AGREE_MIN * abs(predicted) - noise <= moved
+                      <= AGREE_MAX * abs(predicted) + noise)
+            if not agrees or err * err_last < 0:
+                radius = max(radius // 2, 1)
+            elif pulses_last >= radius and radius < RADIUS_MAX:
+                radius = min(2 * radius, RADIUS_MAX)
+        offset = fit.f_r - f_belief
+
+        # Aim where the offset-shifted belief reads a point a little short
+        # of the target, on the side already measured.
+        short = APPROACH_SHORT * err
+        if abs(short) <= 2 * tol:
+            short = 0.0
+        dd = model.height_for(cfg.f_target + short - offset) - d
+        pulses = max(int(round(min(abs(dd) / model.step_length, radius))), 1)
+        direction = 1 if err > 0 else -1
 
         issued = 0
         note = ""
@@ -277,19 +335,18 @@ def tune_to_target(plant, stage, cfg, model=None):
             note = "clamped at mechanical limit"
         except StageStalled as exc:
             session.outcome = "Aborted"
-            session.steps.append(
-                TuningStep(k, d_before, fit.f_r, err, issued, direction,
-                           fit.rms_residual, fit.n_iterations,
-                           note=f"stage stalled: {exc}")
-            )
+            log(fit.f_r, err, fit.rms_residual, fit.n_iterations, issued, direction,
+                note=f"stage stalled: {exc}")
             return session
 
+        log(fit.f_r, err, fit.rms_residual, fit.n_iterations, issued, direction, note)
         session.total_pulses += issued
-        session.steps.append(
-            TuningStep(k, d_before, fit.f_r, err, issued, direction,
-                       fit.rms_residual, fit.n_iterations, note=note)
-        )
         session.final_error_hz = err
+        d = max(d + direction * issued * model.step_length, model.pin.d_min)
+        last = (f_belief, fit.f_r, fit.f_r_err, err, issued)
+        if note:
+            radius = max(radius // 2, 1)
+            last = None
 
     session.outcome = "StepBudgetExhausted"
     return session

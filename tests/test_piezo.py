@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from pintune.errors import DomainError, MechanicalLimit, StageStalled
+from dataclasses import replace
+
 from pintune.piezo import (
     ControllerConfig,
+    ControllerModel,
     PiezoStage,
     Plant,
     frequency_sensitivity,
@@ -185,6 +190,96 @@ class TestTuneToTarget:
         session = tune_to_target(plant, stage, ControllerConfig())
         assert session.outcome == "Aborted"
         assert "stalled" in session.steps[-1].note
+
+
+class TestControllerModel:
+    @pytest.mark.parametrize("trim", [0.0, -5e6])
+    @pytest.mark.parametrize("d_um", [40.0, 155.0, 300.0, 600.0])
+    def test_height_for_inverts_frequency(self, d_um, trim):
+        plant = replace(noiseless_plant(), trim_shift=trim)
+        model = ControllerModel.of(plant, PiezoStage(position=300 * UM))
+        assert model.height_for(model.frequency(d_um * UM)) == pytest.approx(d_um * UM, rel=1e-6)
+
+    def test_height_for_outside_the_band(self):
+        model = ControllerModel.of(noiseless_plant(), PiezoStage(position=300 * UM))
+        assert model.height_for(F_BASELINE) == math.inf
+        assert model.height_for(6.9e9) == model.pin.d_min
+
+
+def mismatched(lam_factor=1.0, step_nm=60.0, backlash_nm=0.0, start_um=300.0):
+    """A noiseless plant and stage that differ from the controller's belief
+    (60-nm steps, the calibrated decay length, no backlash)."""
+    believed = noiseless_plant()
+    model = ControllerModel.of(believed, PiezoStage(position=start_um * UM))
+    plant = replace(believed, pin=replace(believed.pin, lam=believed.pin.lam * lam_factor))
+    stage = PiezoStage(position=start_um * UM, step_size=step_nm * NM, backlash=backlash_nm * NM)
+    return plant, stage, model
+
+
+class TestModelMismatch:
+    @pytest.mark.parametrize("start_um,budget", [(300.0, 30), (600.0, 40)])
+    @pytest.mark.parametrize("mismatch", [
+        {"lam_factor": 0.9}, {"lam_factor": 1.1},
+        {"step_nm": 54.0}, {"step_nm": 66.0},
+        {"backlash_nm": 5.0},
+    ])
+    def test_converges_under_mismatch(self, mismatch, start_um, budget):
+        plant, stage, model = mismatched(start_um=start_um, **mismatch)
+        cfg = ControllerConfig()
+        session = tune_to_target(plant, stage, cfg, model)
+        assert session.outcome == "Converged"
+        assert abs(plant.true_frequency(stage.position) - cfg.f_target) <= session.tolerance_hz
+        assert len(session.steps) <= budget
+
+    def test_sweeps_centre_on_the_belief(self):
+        plant, stage, model = mismatched(lam_factor=1.1)
+        session = tune_to_target(plant, stage, ControllerConfig(), model)
+        first = session.steps[0]
+        assert first.predicted_f_r == model.frequency(300 * UM)
+        assert first.true_f_r == plant.true_frequency(300 * UM)
+        assert first.true_f_r - first.predicted_f_r > 100e3  # the belief is off
+
+    def test_converges_with_a_trim(self):
+        plant = replace(noiseless_plant(), trim_shift=-5e6)
+        stage = PiezoStage(position=300 * UM)
+        cfg = ControllerConfig()
+        session = tune_to_target(plant, stage, cfg)
+        assert session.outcome == "Converged"
+        assert abs(plant.true_frequency(stage.position) - cfg.f_target) <= session.tolerance_hz
+        assert len(session.steps) <= 30
+
+
+class TestPulseRadius:
+    def test_radius_starts_at_steps_per_measurement_and_grows(self):
+        plant = noiseless_plant()
+        session = tune_to_target(plant, PiezoStage(position=600 * UM),
+                                 ControllerConfig(steps_per_measurement=4))
+        assert session.outcome == "Converged"
+        radii = [s.radius for s in session.steps]
+        assert radii[0] == 4 and session.steps[0].pulses == 4
+        assert max(radii) >= 1024
+        assert all(s.pulses <= s.radius for s in session.steps)
+
+    def test_radius_halves_on_a_clamp(self):
+        # The belief puts the target below its closest approach, so every
+        # move runs into the real stage's limit.
+        plant = noiseless_plant()
+        stage = PiezoStage(position=40 * UM + 10 * 60 * NM)
+        cfg = ControllerConfig(f_target=plant.true_frequency(plant.pin.d_min) + 1e3,
+                               max_steps=6)
+        session = tune_to_target(plant, stage, cfg)
+        clamped = [s for s in session.steps if s.note == "clamped at mechanical limit"]
+        assert clamped
+        for step, nxt in zip(session.steps, session.steps[1:]):
+            if step.note:
+                assert nxt.radius == max(step.radius // 2, 1)
+
+    def test_steps_log_the_truth(self):
+        plant = noiseless_plant()
+        session = tune_to_target(plant, PiezoStage(position=300 * UM), ControllerConfig())
+        for step in session.steps:
+            assert step.true_f_r == plant.true_frequency(step.position)
+            assert abs(step.measured_f_r - step.true_f_r) < 100.0
 
 
 class TestControllerConfigValidation:
