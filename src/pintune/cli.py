@@ -120,7 +120,7 @@ def cmd_tune(args):
 
 
 def cmd_drift(args):
-    series = pio.read_series_csv(args.series, f0=args.f0_ghz * GHz if args.f0_ghz else None)
+    series = pio.read_series_csv(args.series, f0=None if args.f0_ghz is None else args.f0_ghz * GHz)
     slope_hr, ppb_hr = drift_rate(series)
     payload = {
         "f0_hz": series.f0,

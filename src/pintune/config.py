@@ -20,6 +20,7 @@ from .resonator import (
     TuningState,
     calibrate_pin_model,
     capacitance_for_frequency,
+    tuned_frequency,
 )
 from .transmission import NoiseModel
 from .units import GHz, MHz, nH, nm, um
@@ -167,6 +168,11 @@ def from_dict(user_doc=None):
         raise ValidationError("state.trim_shift_mhz: must be <= 0 (added capacitance)")
     if state.d < pin.d_min:
         raise ValidationError("state.d_um: below calibration.d_min_um")
+    try:  # the tuning band's ends, from d_min to the start height
+        for d in (pin.d_min, state.d):
+            tuned_frequency(params, TuningState(d=d, trim_shift=state.trim_shift), pin)
+    except (ArithmeticError, DomainError) as exc:
+        raise ValidationError(f"resonator: no finite resonance with this calibration ({exc})") from None
 
     seed = _get(doc, "noise", "seed", kind=int)
     if seed < 0:
@@ -203,13 +209,22 @@ def from_dict(user_doc=None):
     if stage.backlash < 0:
         raise ValidationError("stage.backlash_nm: must be >= 0")
 
+    f_target = _get(doc, "controller", "f_target_ghz") * GHz
+    if not f_target > 0:
+        raise ValidationError("controller.f_target_ghz: must be > 0")
+    sweep_points = _get(doc, "controller", "sweep_points", kind=int)
+    if sweep_points < 2:
+        raise ValidationError("controller.sweep_points: must be >= 2")
+    sweep_span = _get(doc, "controller", "sweep_span_mhz") * MHz
+    if not sweep_span > 0:
+        raise ValidationError("controller.sweep_span_mhz: must be > 0")
     controller = build("controller", ControllerConfig, dict(
-        f_target=_get(doc, "controller", "f_target_ghz") * GHz,
+        f_target=f_target,
         tolerance_ppm=_get(doc, "controller", "tolerance_ppm"),
         max_steps=_get(doc, "controller", "max_steps", kind=int),
         steps_per_measurement=_get(doc, "controller", "steps_per_measurement", kind=int),
-        sweep_points=_get(doc, "controller", "sweep_points", kind=int),
-        sweep_span=_get(doc, "controller", "sweep_span_mhz") * MHz,
+        sweep_points=sweep_points,
+        sweep_span=sweep_span,
         p_in_dbm=sweep.p_in_dbm,
         duration_s=duration,
     ))

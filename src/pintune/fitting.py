@@ -118,6 +118,8 @@ def initial_guess(trace):
     width = max(width, (f[-1] - f[0]) / (len(f) - 1))
 
     q_l = f_r / width
+    if not q_l > 0:
+        raise NoResonance("dip too wide for its frequency (Q_L underflows)")
     min_ratio = min(max(y[imin] / baseline, 0.0), 1.0 - 1e-9)
     q_e = q_l / (1.0 - math.sqrt(min_ratio))
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
@@ -198,7 +200,7 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
         theta_new[3] = min(max(theta_new[3], -PHI_LIMIT), PHI_LIMIT)
         try:
             r_new, terms = _residual(theta_new, f, y)
-        except OverflowError:  # ln Q_L or ln Q_e stepped past the float range
+        except ArithmeticError:  # ln Q_L or ln Q_e stepped past the float range
             lam *= 10.0
             continue
         cost_new = float(r_new @ r_new)

@@ -142,7 +142,10 @@ def read_series_csv(path, f0=None):
     meta, _, (times, freqs), linenos = _read_table(path, (SERIES_HEADER,))
     _check_finite(path, linenos, times, freqs)
     if f0 is None:
-        f0 = _meta_float(path, meta, "f0_hz", float(np.mean(freqs)))
+        f0 = _meta_float(path, meta, "f0_hz", None)
+    if f0 is None:
+        with np.errstate(over="ignore"):  # an overflowing mean is rejected below as inf
+            f0 = float(np.mean(freqs))
     try:
         return FrequencyTimeSeries(times, freqs, f0=f0)
     except Exception as exc:

@@ -106,7 +106,10 @@ def capacitance_for_frequency(f_r, L):
         raise DomainError("frequency must be > 0")
     if not L > 0:
         raise DomainError("inductance must be > 0")
-    return 1.0 / ((2.0 * math.pi * f_r) ** 2 * L)
+    try:
+        return 1.0 / ((2.0 * math.pi * f_r) ** 2 * L)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("frequency out of range for a capacitance") from None
 
 
 def screened_inductance(L0, M):

@@ -40,8 +40,8 @@ class FrequencyTimeSeries:
             raise DomainError("FrequencyTimeSeries arrays must have equal length")
         if self.timestamps.size and not np.all(np.diff(self.timestamps) > 0):
             raise DomainError("FrequencyTimeSeries.timestamps must be strictly increasing")
-        if not self.f0 > 0:
-            raise DomainError("FrequencyTimeSeries.f0 must be > 0")
+        if not 0 < self.f0 < math.inf:
+            raise DomainError("FrequencyTimeSeries.f0 must be finite and > 0")
 
 
 def drift_rate(series):

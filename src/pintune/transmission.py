@@ -32,8 +32,8 @@ class SweepConfig:
     p_in_dbm: float
 
     def __post_init__(self):
-        if not self.f_start < self.f_stop:
-            raise DomainError("SweepConfig.f_start must be < f_stop")
+        if not 0 < self.f_start < self.f_stop:
+            raise DomainError("SweepConfig needs 0 < f_start < f_stop")
         if self.n_points < 2:
             raise DomainError("SweepConfig.n_points must be >= 2")
 
@@ -58,8 +58,8 @@ class SweepTrace:
             raise DomainError("SweepTrace needs at least 2 points")
         if not (np.isfinite(self.frequencies).all() and np.isfinite(self.power_ratio).all()):
             raise DomainError("SweepTrace values must be finite")
-        if not np.all(np.diff(self.frequencies) > 0):
-            raise DomainError("SweepTrace.frequencies must be strictly increasing")
+        if not (self.frequencies[0] > 0 and np.all(np.diff(self.frequencies) > 0)):
+            raise DomainError("SweepTrace.frequencies must be positive and strictly increasing")
         if np.any(self.power_ratio < 0):
             raise DomainError("SweepTrace.power_ratio must be >= 0")
 

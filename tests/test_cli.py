@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,9 @@ class TestConfig:
             ({"state": {"trim_shift_mhz": 5.0}}, "trim_shift"),
             ({"noise": {"sigma_rel": -0.1}}, "sigma_rel"),
             ({"controller": {"tolerance_ppm": 0}}, "tolerance_ppm"),
+            ({"controller": {"f_target_ghz": -1}}, "controller.f_target_ghz: must be > 0"),
+            ({"controller": {"sweep_span_mhz": 0}}, "controller.sweep_span_mhz: must be > 0"),
+            ({"controller": {"sweep_points": 1}}, "controller.sweep_points: must be >= 2"),
             ({"calibration": {"f_closest_ghz": 6.0}}, "calibration"),
             ({"noise": {"seed": "abc"}}, "noise.seed"),
             ({"noise": {"seed": -1}}, "noise.seed"),
@@ -154,6 +158,27 @@ class TestSeriesCsv:
         with pytest.raises(ValidationError) as err:
             pio.read_series_csv(path)
         assert f"{path}:3:" in str(err.value)
+
+    NEAR_MAX = "time_s,f_r_hz\n0.0,1.7e308\n120.0,1.7e308\n240.0,1.7e308\n"
+
+    def test_near_float_max_with_f0_metadata(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# f0_hz = 6.8e9\n" + self.NEAR_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = pio.read_series_csv(path)
+        assert series.f0 == 6.8e9
+
+    def test_near_float_max_without_f0_metadata(self, tmp_path, capsys):
+        # The mean overflows to inf, which is no reference frequency.
+        path = tmp_path / "s.csv"
+        path.write_text(self.NEAR_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="f0 must be finite"):
+                pio.read_series_csv(path)
+            assert run(["drift", path]) == 2
+        assert "f0 must be finite" in capsys.readouterr().err
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,0 +1,136 @@
+"""Property: whatever config or argv `tune`, `simulate` and `fit` are given,
+the CLI ends in an exit code from the README table, never in a traceback.
+
+Configs start from the defaults and replace up to three fields with scaled
+numbers or with arbitrary JSON values, and may add an unknown field.  Point counts
+are drawn below 4,000 and the step budget below 40: a sweep of 10**12 points
+is a memory limit, not a validation case, and a session that cannot
+converge would otherwise run its default 2,000 measurements.
+"""
+
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pintune.cli import main
+from pintune.config import DEFAULT_CONFIG
+
+EXIT_CODES = {0, 2, 3, 4, 5, 6}  # the README's exit-code table
+BOUNDED = {("sweep", "n_points"): 4000, ("controller", "sweep_points"): 4000,
+           ("controller", "max_steps"): 40}
+
+any_json = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.floats(), st.integers(-10**25, 10**25), st.lists(st.integers(), max_size=2),
+)
+FIELDS = [(section, key) for section, fields in DEFAULT_CONFIG.items() for key in fields]
+factors = st.one_of(st.floats(0.5, 1.5), st.floats(-3.0, 3.0),
+                    st.sampled_from([0.0, 1e-300, 1e300, -1.0]))
+
+
+@st.composite
+def configs(draw):
+    doc = {}
+    for section, key in draw(st.lists(st.sampled_from(FIELDS), max_size=3, unique=True)):
+        default = DEFAULT_CONFIG[section][key]
+        if (section, key) in BOUNDED:
+            value = draw(st.integers(-3, BOUNDED[section, key]))
+        elif draw(st.booleans()):
+            value = default * draw(factors)
+            value = int(value) if isinstance(default, int) and abs(value) < 1e18 else value
+        else:
+            value = draw(any_json)
+        doc.setdefault(section, {})[key] = value
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(["noise", "extra"]))] = {"unknown": 1}
+    doc.setdefault("controller", {}).setdefault("max_steps", draw(st.integers(1, 40)))
+    return doc
+
+
+def exit_code(argv):
+    """The CLI's exit code; argparse's own exits included."""
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+def run_with_config(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        return exit_code([argv[0], "--config", path, "--out", Path(tmp) / "out", *argv[1:]])
+
+
+def sometimes(plausible, anything):
+    """None (the flag left out) or a value, plausible more often than not."""
+    return st.one_of(st.none(), plausible, plausible, anything)
+
+
+optional_float = sometimes(st.floats(-10.0, 10.0), st.floats())
+seeds = sometimes(st.integers(0, 2**40), st.integers(-5, 2**70))
+
+
+def flag(name, value):
+    return [] if value is None else [name, value]
+
+
+fuzz = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(fuzz, max_examples=150)
+@given(doc=configs(), seed=seeds, target=sometimes(st.floats(6.82, 6.85), st.floats()),
+       tolerance=sometimes(st.floats(0.01, 100.0), st.floats()))
+def test_tune_ends_in_a_documented_exit_code(doc, seed, target, tolerance):
+    argv = ["tune", *flag("--seed", seed), *flag("--target-ghz", target),
+            *flag("--tolerance-ppm", tolerance)]
+    assert run_with_config(doc, argv) in EXIT_CODES
+
+
+@fuzz
+@given(doc=configs(), seed=seeds, center=optional_float, span=optional_float,
+       n_points=sometimes(st.integers(2, 4000), st.integers(-3, 1)))
+def test_simulate_ends_in_a_documented_exit_code(doc, seed, center, span, n_points):
+    argv = ["simulate", *flag("--seed", seed), *flag("--center-ghz", center),
+            *flag("--span-mhz", span), *flag("--n-points", n_points)]
+    assert run_with_config(doc, argv) in EXIT_CODES
+
+
+cells = st.one_of(st.floats(), st.floats(-1e10, 1e10), st.integers(-10**25, 10**25),
+                  st.sampled_from(["", "x", "nan"]))
+
+
+@fuzz
+@given(header=st.sampled_from(["frequency_hz,power_ratio", "frequency_hz,power_ratio,pout_dbm",
+                               "time_s,f_r_hz", ""]),
+       meta=st.lists(st.tuples(st.sampled_from(["p_in_dbm", "timestamp_s", "other"]), cells),
+                     max_size=2),
+       rows=st.lists(st.lists(cells, min_size=1, max_size=3), max_size=30),
+       p_in_dbm=st.one_of(st.none(), st.floats()))
+def test_fit_ends_in_a_documented_exit_code(header, meta, rows, p_in_dbm):
+    lines = [f"# {key} = {value}" for key, value in meta] + [header]
+    lines += [",".join(str(c) for c in row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        trace.write_text("\n".join(lines) + "\n")
+        argv = ["fit", trace, "--out", Path(tmp) / "fit.json", *flag("--p-in-dbm", p_in_dbm)]
+        assert exit_code(argv) in EXIT_CODES
+
+
+@fuzz
+@given(doc=configs(), seed=st.integers(0, 2**32), n_points=st.integers(-3, 4000))
+def test_fit_of_a_simulated_trace_ends_in_a_documented_exit_code(doc, seed, n_points):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, trace = Path(tmp) / "config.json", Path(tmp) / "trace.csv"
+        path.write_text(json.dumps(doc))
+        code = exit_code(["simulate", "--config", path, "--seed", seed,
+                          "--n-points", n_points, "--out", trace])
+        assert code in EXIT_CODES
+        if code == 0:
+            assert exit_code(["fit", trace, "--out", Path(tmp) / "fit.json"]) in EXIT_CODES

@@ -63,6 +63,11 @@ class TestDriftRate:
         with pytest.raises(DomainError):
             drift_rate(series([0.0, 1.0], [F0, F0]))
 
+    @pytest.mark.parametrize("f0", [0.0, -F0, float("inf"), float("nan")])
+    def test_reference_frequency_must_be_finite_and_positive(self, f0):
+        with pytest.raises(DomainError):
+            FrequencyTimeSeries(np.arange(3.0), np.full(3, F0), f0=f0)
+
 
 class TestPeakToPeak:
     def test_constant(self):
