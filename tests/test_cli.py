@@ -52,9 +52,6 @@ class TestConfig:
             ({"state": {"trim_shift_mhz": 5.0}}, "trim_shift"),
             ({"noise": {"sigma_rel": -0.1}}, "sigma_rel"),
             ({"controller": {"tolerance_ppm": 0}}, "tolerance_ppm"),
-            ({"controller": {"f_target_ghz": -1}}, "controller.f_target_ghz: must be > 0"),
-            ({"controller": {"sweep_span_mhz": 0}}, "controller.sweep_span_mhz: must be > 0"),
-            ({"controller": {"sweep_points": 1}}, "controller.sweep_points: must be >= 2"),
             ({"calibration": {"f_closest_ghz": 6.0}}, "calibration"),
             ({"noise": {"seed": "abc"}}, "noise.seed"),
             ({"noise": {"seed": -1}}, "noise.seed"),
@@ -63,6 +60,9 @@ class TestConfig:
             ({"tls": {"q_tls_low": 4e4, "p_sat_dbm": -120.0, "q_other": 2.8e5}},
              "tls: unknown field"),
             ({"noise": {"sigma": 0.01}}, "noise.sigma: unknown field"),
+            ({"controller": {"f_target_ghz": -1}}, "controller.f_target_ghz: must be > 0"),
+            ({"controller": {"sweep_span_mhz": 0}}, "controller.sweep_span_mhz: must be > 0"),
+            ({"controller": {"sweep_points": 1}}, "controller.sweep_points: must be >= 2"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):

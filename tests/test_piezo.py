@@ -1,12 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pintune.errors import DomainError, MechanicalLimit, StageStalled
-from dataclasses import replace
-
 from pintune.piezo import (
+    RADIUS_MAX,
     ControllerConfig,
     ControllerModel,
     PiezoStage,
@@ -273,6 +273,17 @@ class TestPulseRadius:
         for step, nxt in zip(session.steps, session.steps[1:]):
             if step.note:
                 assert nxt.radius == max(step.radius // 2, 1)
+
+    def test_radius_stops_growing_at_its_cap(self):
+        # From 2 mm the target is ~31,000 pulses away: the third move spends
+        # a full radius of RADIUS_MAX, which would otherwise double again.
+        session = tune_to_target(noiseless_plant(), PiezoStage(position=2000 * UM),
+                                 ControllerConfig(steps_per_measurement=RADIUS_MAX // 4))
+        assert session.outcome == "Converged"
+        assert [s.radius for s in session.steps[:4]] == [RADIUS_MAX // 4, RADIUS_MAX // 2,
+                                                         RADIUS_MAX, RADIUS_MAX]
+        assert session.steps[2].pulses == RADIUS_MAX
+        assert max(s.radius for s in session.steps) == RADIUS_MAX
 
     def test_steps_log_the_truth(self):
         plant = noiseless_plant()
