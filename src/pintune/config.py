@@ -172,7 +172,8 @@ def from_dict(user_doc=None):
         for d in (pin.d_min, state.d):
             tuned_frequency(params, TuningState(d=d, trim_shift=state.trim_shift), pin)
     except (ArithmeticError, DomainError) as exc:
-        raise ValidationError(f"resonator: no finite resonance with this calibration ({exc})") from None
+        raise ValidationError(
+            f"resonator: no finite resonance with this calibration ({exc})") from None
 
     seed = _get(doc, "noise", "seed", kind=int)
     if seed < 0:

@@ -275,27 +275,29 @@ def tune_to_target(plant, stage, cfg, model=None):
         f_belief = model.frequency(d)
         f_pred = f_belief + offset
 
-        def log(measured_f_r, err, fit_rms, fit_iterations, pulses=0, direction=0, note=""):
+        def log(fit, err, pulses=0, direction=0, note=""):
+            measured, rms, iterations = float("nan"), float("nan"), 0
+            if fit is not None:
+                measured, rms, iterations = fit.f_r, fit.rms_residual, fit.n_iterations
             session.steps.append(TuningStep(
-                k, d_before, measured_f_r, err, pulses, direction, fit_rms,
-                fit_iterations, note, plant.true_frequency(d_before), f_pred, radius))
+                k, d_before, measured, err, pulses, direction, rms, iterations, note,
+                plant.true_frequency(d_before), f_pred, radius))
 
         try:
             fit = _measure(plant, stage, cfg, f_pred, k)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
             session.outcome = "Aborted"
-            log(float("nan"), float("nan"), float("nan"), 0,
-                note=f"fit failed: {type(exc).__name__}")
+            log(None, float("nan"), note=f"fit failed: {type(exc).__name__}")
             return session
 
         err = fit.f_r - cfg.f_target
         if abs(err) <= tol:
-            log(fit.f_r, err, fit.rms_residual, fit.n_iterations)
+            log(fit, err)
             session.outcome = "Converged"
             session.final_error_hz = err
             return session
         if model.pin.m_max == 0:  # no pulse can move f_r
-            log(fit.f_r, err, fit.rms_residual, fit.n_iterations, note="pin does not couple")
+            log(fit, err, note="pin does not couple")
             session.outcome = "Unreachable"
             session.final_error_hz = err
             return session
@@ -335,16 +337,15 @@ def tune_to_target(plant, stage, cfg, model=None):
             note = "clamped at mechanical limit"
         except StageStalled as exc:
             session.outcome = "Aborted"
-            log(fit.f_r, err, fit.rms_residual, fit.n_iterations, issued, direction,
-                note=f"stage stalled: {exc}")
+            log(fit, err, issued, direction, note=f"stage stalled: {exc}")
             return session
 
-        log(fit.f_r, err, fit.rms_residual, fit.n_iterations, issued, direction, note)
+        log(fit, err, issued, direction, note)
         session.total_pulses += issued
         session.final_error_hz = err
         d = max(d + direction * issued * model.step_length, model.pin.d_min)
         last = (f_belief, fit.f_r, fit.f_r_err, err, issued)
-        if note:
+        if note:  # clamped: shrink now, and judge no prediction on a cut move
             radius = max(radius // 2, 1)
             last = None
 
