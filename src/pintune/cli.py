@@ -121,6 +121,14 @@ def cmd_tune(args):
 
 def cmd_drift(args):
     series = pio.read_series_csv(args.series, f0=None if args.f0_ghz is None else args.f0_ghz * GHz)
+    try:  # finite values whose squares or ratios leave the float range
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _drift_report(args, series)
+    except ArithmeticError as exc:
+        raise ValidationError(f"{args.series}: values outside the float range ({exc})") from None
+
+
+def _drift_report(args, series):
     slope_hr, ppb_hr = drift_rate(series)
     payload = {
         "f0_hz": series.f0,

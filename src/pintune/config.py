@@ -207,8 +207,6 @@ def from_dict(user_doc=None):
         min_voltage=_get(doc, "stage", "min_voltage_v"),
         backlash=_get(doc, "stage", "backlash_nm") * nm,
     ))
-    if stage.backlash < 0:
-        raise ValidationError("stage.backlash_nm: must be >= 0")
 
     f_target = _get(doc, "controller", "f_target_ghz") * GHz
     if not f_target > 0:

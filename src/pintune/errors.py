@@ -47,4 +47,11 @@ class StageStalled(PintuneError):
 
 
 class MechanicalLimit(PintuneError):
-    """A step would push the pin below the closest allowed separation."""
+    """A step would push the pin below the closest allowed separation.
+
+    Carries the number of pulses the stage took before the limit in `issued`.
+    """
+
+    def __init__(self, message, issued=0):
+        super().__init__(message)
+        self.issued = issued

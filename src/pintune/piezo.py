@@ -2,7 +2,12 @@
 
 The stick-slip stage moves in discrete pulses; pulse length scales linearly
 with drive voltage (60 nm at the 36 V reference) and the stage stalls below a
-minimum voltage.  The controller iterates measure -> fit -> actuate against a
+minimum voltage.  `piezo_step` issues a whole move, n pulses one way, as one
+call in closed form: only the first pulse of a reversal loses the backlash,
+the landing is counted from the start in whole steps (no per-pulse
+round-off), a landing within 1e-9 relative below d_min snaps to d_min, and a
+move that runs out of room stops at the last pulse that fits and reports the
+clamp.  The controller iterates measure -> fit -> actuate against a
 ControllerModel, its belief about the device, which may differ from the
 Plant it drives.  Each iteration sweeps around the belief's f_r shifted by
 the offset of the last reading, fits the trace, and aims the stage at the
@@ -74,6 +79,10 @@ class PiezoStage:
         for name in ("step_size", "voltage", "reference_voltage"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"PiezoStage.{name} must be > 0")
+        if not 0 < self.step_length < math.inf:
+            raise DomainError("PiezoStage.step_length at the drive voltage must be finite and > 0")
+        if not self.backlash >= 0:
+            raise DomainError("PiezoStage.backlash must be >= 0")
         if not self.position > 0:
             raise DomainError("PiezoStage.position must be > 0")
 
@@ -83,24 +92,46 @@ class PiezoStage:
         return self.step_size * self.voltage / self.reference_voltage
 
 
-def piezo_step(stage, direction, d_min=0.0):
-    """Issue one pulse; direction +1 retracts the pin (larger d), -1 moves it
-    toward the resonator.  Returns the new position."""
+def piezo_step(stage, direction, d_min=0.0, pulses=1):
+    """Issue `pulses` pulses in one direction; +1 retracts the pin (larger d),
+    -1 moves it toward the resonator.  Returns the new position.
+
+    The move is computed in closed form: on a reversal the first pulse loses
+    the backlash, the rest travel a full step, and the stage lands at
+    position + direction * (first + (n - 1) * step).  A landing below d_min
+    within the 1e-9 relative tolerance of `mutual_inductance` snaps to d_min.
+    If fewer than `pulses` pulses fit above d_min, the stage takes those that
+    do and MechanicalLimit is raised with their count in `issued`."""
     if direction not in (-1, 1):
         raise DomainError("direction must be +1 or -1")
+    if pulses < 1:
+        raise DomainError("pulses must be >= 1")
     if stage.voltage < stage.min_voltage:
         raise StageStalled(
             f"{stage.voltage:g} V is below the {stage.min_voltage:g} V minimum"
         )
-    move = stage.step_length
-    if stage.backlash > 0 and stage.last_direction not in (0, direction):
-        move = max(move - stage.backlash, 0.0)
-    new = stage.position + direction * move
-    if new < d_min:
-        raise MechanicalLimit("step would push the pin below d_min")
-    stage.position = new
-    stage.last_direction = direction
-    return new
+    step = stage.step_length
+    first = step
+    if stage.last_direction not in (0, direction):
+        first = max(step - stage.backlash, 0.0)
+    floor = d_min * (1.0 - 1e-9)
+    n = pulses
+    if direction < 0:  # the pulses that land at or above the floor
+        room = stage.position - first - floor  # left after the first pulse
+        if room < 0:
+            n = 0
+        elif room < (pulses - 1) * step:
+            n = 1 + int(room // step)
+        while n and stage.position - (first + (n - 1) * step) < floor:
+            n -= 1  # round-off in the count
+    elif stage.position + first < floor:
+        n = 0
+    if n:
+        stage.position = max(stage.position + direction * (first + (n - 1) * step), d_min)
+        stage.last_direction = direction
+    if n < pulses:
+        raise MechanicalLimit("step would push the pin below d_min", issued=n)
+    return stage.position
 
 
 def frequency_sensitivity(state, params, pin, step_length=60e-9):
@@ -327,17 +358,14 @@ def tune_to_target(plant, stage, cfg, model=None):
         pulses = max(int(round(min(abs(dd) / model.step_length, radius))), 1)
         direction = 1 if err > 0 else -1
 
-        issued = 0
-        note = ""
+        issued, note = pulses, ""
         try:
-            for _ in range(pulses):
-                piezo_step(stage, direction, d_min=plant.pin.d_min)
-                issued += 1
-        except MechanicalLimit:
-            note = "clamped at mechanical limit"
+            piezo_step(stage, direction, plant.pin.d_min, pulses)
+        except MechanicalLimit as exc:
+            issued, note = exc.issued, "clamped at mechanical limit"
         except StageStalled as exc:
             session.outcome = "Aborted"
-            log(fit, err, issued, direction, note=f"stage stalled: {exc}")
+            log(fit, err, 0, direction, note=f"stage stalled: {exc}")
             return session
 
         log(fit, err, issued, direction, note)

@@ -68,10 +68,10 @@ class PinCouplingModel:
     def __post_init__(self):
         if not 0.0 <= self.m_max < 1.0:
             raise DomainError("PinCouplingModel.m_max must be in [0, 1)")
-        if not self.lam > 0:
-            raise DomainError("PinCouplingModel.lam must be > 0")
-        if not self.d_min > 0:
-            raise DomainError("PinCouplingModel.d_min must be > 0")
+        if not 0 < self.lam < math.inf:
+            raise DomainError("PinCouplingModel.lam must be finite and > 0")
+        if not 0 < self.d_min < math.inf:
+            raise DomainError("PinCouplingModel.d_min must be finite and > 0")
 
 
 @dataclass(frozen=True)

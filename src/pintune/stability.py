@@ -53,8 +53,8 @@ def drift_rate(series):
         raise DomainError("drift_rate needs a non-degenerate time span")
     # center both axes first; raw values (seconds x GHz) are badly scaled
     slope_per_s = np.polyfit(t - t.mean(), series.f_r - series.f_r.mean(), 1)[0]
-    slope_per_hr = float(slope_per_s) * 3600.0
-    return slope_per_hr, slope_per_hr / series.f0 * 1e9
+    slope_per_hr = slope_per_s * 3600.0  # numpy scalars, so an overflow follows np.errstate
+    return float(slope_per_hr), float(slope_per_hr / series.f0 * 1e9)
 
 
 def peak_to_peak_deviation(series):

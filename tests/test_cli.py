@@ -63,6 +63,8 @@ class TestConfig:
             ({"controller": {"f_target_ghz": -1}}, "controller.f_target_ghz: must be > 0"),
             ({"controller": {"sweep_span_mhz": 0}}, "controller.sweep_span_mhz: must be > 0"),
             ({"controller": {"sweep_points": 1}}, "controller.sweep_points: must be >= 2"),
+            ({"stage": {"backlash_nm": -1.0}}, "stage: PiezoStage.backlash must be >= 0"),
+            ({"stage": {"backlash_nm": float("nan")}}, "stage.backlash_nm: must be finite"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):

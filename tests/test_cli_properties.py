@@ -1,5 +1,6 @@
-"""Property: whatever config or argv `tune`, `simulate` and `fit` are given,
-the CLI ends in an exit code from the README table, never in a traceback.
+"""Property: whatever config, argv or input file `tune`, `simulate`, `fit`,
+`drift` and `calibrate` are given, the CLI ends in an exit code from the
+README table, never in a traceback.
 
 Configs start from the defaults and replace up to three fields with scaled
 numbers or with arbitrary JSON values, and may add an unknown field.  Point counts
@@ -9,12 +10,13 @@ converge would otherwise run its default 2,000 measurements.
 """
 
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pintune.cli import main
@@ -134,3 +136,86 @@ def test_fit_of_a_simulated_trace_ends_in_a_documented_exit_code(doc, seed, n_po
         assert code in EXIT_CODES
         if code == 0:
             assert exit_code(["fit", trace, "--out", Path(tmp) / "fit.json"]) in EXIT_CODES
+
+
+@st.composite
+def series_rows(draw):
+    """A time series: either a uniformly sampled record (long enough, at
+    times, for the oscillation search and the Allan deviation) of drift plus
+    a tone, with a few cells replaced, or rows of arbitrary cells."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(cells, min_size=1, max_size=3), max_size=30))
+    n = draw(st.integers(0, 300))
+    t0 = draw(st.sampled_from([0.0, 1e9]) | st.floats(-1e6, 1e6))
+    dt = draw(st.sampled_from([60.0, 1e-300, 1e300]) | st.floats(-10.0, 1e4))
+    f0 = draw(st.sampled_from([6.834683e9, 1.7e308, 0.0]) | st.floats(-1e10, 1e10))
+    amp = draw(st.floats(0.0, 1e4) | st.sampled_from([1e300]))
+    rate = draw(st.floats(-1.0, 1.0))
+    nu = draw(st.floats(0.0, 0.5))
+    rows = [[t0 + i * dt, f0 + rate * i * dt + amp * math.sin(2 * math.pi * nu * i)]
+            for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, 1))] = draw(cells)
+    return rows
+
+
+def uniform(n, f):
+    return [[60.0 * i, f(i)] for i in range(n)]
+
+
+@fuzz
+@given(header=st.sampled_from(["time_s,f_r_hz", "time_s,f_r_hz,extra", "frequency_hz,power_ratio"]),
+       meta=st.lists(st.tuples(st.sampled_from(["f0_hz", "other"]),
+                               cells | st.sampled_from([6.834683e9, 1e-310])), max_size=2),
+       rows=series_rows(),
+       f0_ghz=sometimes(st.floats(6.8, 6.9), st.floats()),
+       allan=st.booleans())
+# Faults this property found: a time step whose square underflows (polyfit
+# divided by zero and raised LinAlgError), and, each reported with exit 0,
+# samples whose squares overflow, a mean past the float range and an f0 so
+# small that the drift rate overflows.
+@example("time_s,f_r_hz", [], [[0.0, 6.8e9], [1e-300, 6.8e9], [2e-300, 6.8e9]], None, False)
+@example("time_s,f_r_hz", [("f0_hz", 6.8e9)], uniform(100, lambda i: 1e300 * (-1) ** i), None, True)
+@example("time_s,f_r_hz", [("f0_hz", 6.8e9)], uniform(10, lambda i: 1.7e308), None, False)
+@example("time_s,f_r_hz", [("f0_hz", 1e-310)], uniform(10, lambda i: 6.8e9 + 60.0 * i), None, False)
+def test_drift_ends_in_a_documented_exit_code(header, meta, rows, f0_ghz, allan):
+    lines = [f"# {key} = {value}" for key, value in meta] + [header]
+    lines += [",".join(str(c) for c in row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        series.write_text("\n".join(lines) + "\n")
+        out = Path(tmp) / "drift.json"
+        argv = ["drift", series, "--out", out, *flag("--f0-ghz", f0_ghz)]
+        code = exit_code(argv + (["--allan"] if allan else []))
+        assert code in EXIT_CODES
+        if code == 0:  # a report holds numbers; JSON null stands for nan or inf
+            result = json.loads(out.read_text())["result"]
+            assert None not in [result["f0_hz"], result["slope_hz_per_hr"],
+                                result["rate_ppb_per_hr"], result["peak_to_peak_hz"]]
+            if allan:
+                assert None not in result["allan"]["tau_s"] + result["allan"]["adev"]
+
+
+def anchor(default):
+    """A calibration anchor near its default, anywhere, or not a number."""
+    return st.one_of(st.floats(0.5, 1.5).map(lambda x: default * x), st.floats(),
+                     st.sampled_from([default, 0.0, -default, 1e-300, 1e300, "nan", "x"]))
+
+
+@fuzz
+@given(f_baseline=anchor(6.8278), f_closest=anchor(6.8454), d_min=anchor(40.0),
+       sensitivity=anchor(8.7e3 / 60e-9), drop=st.sampled_from([None, 0, 1, 2, 3]))
+@example(6.8278, 6.8454, 40.0, 1e-310, None)  # found: an infinite decay length, exit 0
+def test_calibrate_ends_in_a_documented_exit_code(f_baseline, f_closest, d_min, sensitivity,
+                                                  drop):
+    pairs = [("--f-baseline-ghz", f_baseline), ("--f-closest-ghz", f_closest),
+             ("--d-min-um", d_min), ("--peak-sensitivity", sensitivity)]
+    if drop is not None:  # a required anchor left out
+        del pairs[drop]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "cal.json"
+        code = exit_code(["calibrate", *[x for pair in pairs for x in pair], "--out", out])
+        assert code in EXIT_CODES
+        if code == 0:
+            assert None not in json.loads(out.read_text())["result"].values()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pintune.errors import DomainError, MechanicalLimit, StageStalled
 from pintune.piezo import (
@@ -76,6 +78,98 @@ class TestPiezoStep:
     def test_bad_direction(self):
         with pytest.raises(DomainError):
             piezo_step(PiezoStage(position=300 * UM), 0)
+
+    def test_last_pulse_lands_on_closest_approach(self):
+        # 40.06 um as a pulse-by-pulse walk leaves it, 3e-20 m off the grid:
+        # the pulse lands 3e-20 m below d_min, within round-off of it.
+        stage = PiezoStage(position=4.005999999999997e-05)
+        assert piezo_step(stage, -1, d_min=40 * UM) == 40 * UM
+        assert stage.position == 40 * UM
+
+    def test_one_call_moves_many_pulses(self):
+        stage = PiezoStage(position=300 * UM, backlash=20 * NM, last_direction=1)
+        piezo_step(stage, -1, pulses=10)
+        assert stage.position == pytest.approx(300 * UM - 40 * NM - 9 * 60 * NM, rel=1e-15)
+        assert stage.last_direction == -1
+
+    def test_clamp_reports_the_pulses_issued(self):
+        stage = PiezoStage(position=40 * UM + 10.5 * 60 * NM)
+        with pytest.raises(MechanicalLimit) as clamp:
+            piezo_step(stage, -1, d_min=40 * UM, pulses=15)
+        assert clamp.value.issued == 10
+        assert stage.position == pytest.approx(40 * UM + 30 * NM, rel=1e-12)
+        assert stage.last_direction == -1
+
+    @pytest.mark.parametrize("backlash", [-1 * NM, float("nan")])
+    def test_backlash_must_be_non_negative(self, backlash):
+        with pytest.raises(DomainError, match="backlash"):
+            PiezoStage(position=300 * UM, backlash=backlash)
+
+    @pytest.mark.parametrize("kwargs", [dict(step_size=1e-300, voltage=1e-30),
+                                        dict(step_size=1e300, voltage=1e300)])
+    def test_step_length_must_be_finite_and_positive(self, kwargs):
+        with pytest.raises(DomainError, match="step_length"):
+            PiezoStage(position=300 * UM, **kwargs)
+
+
+def reference_walk(stage, direction, d_min, pulses):
+    """The move as a loop of single pulses with the same tolerance and snap at
+    d_min.  Returns (issued, clamped).  The pulses are summed with Kahan's
+    compensation: a plain running sum drifts by up to ~1e-12 of the height
+    over RADIUS_MAX pulses, which is the fault the closed form removes."""
+    if stage.voltage < stage.min_voltage:
+        raise StageStalled("stalled")
+    issued, carry = 0, 0.0
+    for _ in range(pulses):
+        move = stage.step_length
+        if stage.last_direction not in (0, direction):
+            move = max(move - stage.backlash, 0.0)
+        term = direction * move - carry
+        new = stage.position + term
+        if new < d_min * (1.0 - 1e-9):
+            return issued, True
+        carry = (new - stage.position) - term
+        stage.position = max(new, d_min)
+        stage.last_direction = direction
+        issued += 1
+    return issued, False
+
+
+def closed_form_move(stage, direction, d_min, pulses):
+    try:
+        piezo_step(stage, direction, d_min, pulses)
+    except MechanicalLimit as clamp:
+        return clamp.issued, True
+    return pulses, False
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    start=st.floats(40.0, 700.0) | st.floats(40.0, 41.0),  # um; the second near d_min
+    direction=st.sampled_from([-1, 1]),
+    last_direction=st.sampled_from([-1, 0, 1]),
+    pulses=st.integers(1, RADIUS_MAX),
+    backlash=st.sampled_from([0.0, 60.0, 100.0]) | st.floats(0.0, 120.0),  # nm
+    voltage=st.floats(25.0, 40.0),
+)
+def test_closed_form_move_matches_pulse_walk(start, direction, last_direction, pulses,
+                                             backlash, voltage):
+    def stage():
+        return PiezoStage(position=start * UM, voltage=voltage, backlash=backlash * NM,
+                          last_direction=last_direction)
+
+    moved, walked = stage(), stage()
+    if voltage < moved.min_voltage:
+        with pytest.raises(StageStalled):
+            closed_form_move(moved, direction, 40 * UM, pulses)
+        with pytest.raises(StageStalled):
+            reference_walk(walked, direction, 40 * UM, pulses)
+        assert moved.position == walked.position == start * UM
+        return
+    assert (closed_form_move(moved, direction, 40 * UM, pulses)
+            == reference_walk(walked, direction, 40 * UM, pulses))
+    assert moved.last_direction == walked.last_direction
+    assert moved.position == pytest.approx(walked.position, rel=1e-12, abs=0.0)
 
 
 class TestFrequencySensitivity:
@@ -262,9 +356,10 @@ class TestPulseRadius:
 
     def test_radius_halves_on_a_clamp(self):
         # The belief puts the target below its closest approach, so every
-        # move runs into the real stage's limit.
+        # move runs into the real stage's limit.  The start is off the step
+        # grid, so the last pulse that fits stops half a step above d_min.
         plant = noiseless_plant()
-        stage = PiezoStage(position=40 * UM + 10 * 60 * NM)
+        stage = PiezoStage(position=40 * UM + 10.5 * 60 * NM)
         cfg = ControllerConfig(f_target=plant.true_frequency(plant.pin.d_min) + 1e3,
                                max_steps=6)
         session = tune_to_target(plant, stage, cfg)
