@@ -2,21 +2,19 @@
 
 The stick-slip stage moves in discrete pulses; pulse length scales linearly
 with drive voltage (60 nm at the 36 V reference) and the stage stalls below a
-minimum voltage.  `piezo_step` issues a whole move, n pulses one way, as one
-call in closed form: only the first pulse of a reversal loses the backlash,
-the landing is counted from the start in whole steps (no per-pulse
-round-off), a landing within 1e-9 relative below d_min snaps to d_min, and a
-move that runs out of room stops at the last pulse that fits and reports the
-clamp.  The controller iterates measure -> fit -> actuate against a
-ControllerModel, its belief about the device, which may differ from the
-Plant it drives.  Each iteration sweeps around the belief's f_r shifted by
-the offset of the last reading, fits the trace, and aims the stage at the
-height where that shifted belief reaches the target (a few percent short,
-so the approach stays on one side), through the closed-form inverse of the
-coupling map.  A move is capped by a trust-region radius in pulses: it
-starts at `steps_per_measurement`, doubles after a full-radius move whose
-measured df the belief predicted, and halves after a mispredicted move, a
-crossing of the target or a mechanical clamp."""
+minimum voltage.  `piezo_step` issues a whole move as one call: it lands the
+pulse train in closed form, snaps a landing within 1e-9 relative below d_min
+to d_min, and stops a move that runs out of room at the last pulse that
+fits, reporting the clamp.  The controller iterates measure -> fit ->
+actuate against a ControllerModel, its belief about the device, which may
+differ from the Plant it drives.  Each iteration sweeps around the belief's
+f_r shifted by the offset of the last reading, fits the trace, and aims the
+stage at the height where that shifted belief reaches the target (a few
+percent short, so the approach stays on one side), through the closed-form
+inverse of the coupling map.  A move is capped by a trust-region radius in
+pulses: it starts at `steps_per_measurement`, doubles after a full-radius
+move whose measured df the belief predicted, and halves after a mispredicted
+move, a crossing of the target or a mechanical clamp."""
 
 import math
 from dataclasses import dataclass, field, replace
