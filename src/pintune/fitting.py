@@ -198,12 +198,13 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
         theta_new = theta + step
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
         theta_new[3] = min(max(theta_new[3], -PHI_LIMIT), PHI_LIMIT)
-        try:
-            r_new, terms = _residual(theta_new, f, y)
+        try:  # a trial may leave the float range: its non-finite cost is a rise
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_new, terms = _residual(theta_new, f, y)
+                cost_new = float(r_new @ r_new)
         except ArithmeticError:  # ln Q_L or ln Q_e stepped past the float range
             lam *= 10.0
             continue
-        cost_new = float(r_new @ r_new)
 
         # A non-finite trial cost fails this test and is rejected like a rise.
         if cost_new <= cost:

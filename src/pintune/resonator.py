@@ -46,6 +46,8 @@ class ResonatorParams:
         for name in ("L0", "C", "Qi0", "Qe"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"ResonatorParams.{name} must be > 0")
+        if not self.Qi0 * self.Qe < math.inf:  # Q_L = Qi0 Qe / (Qi0 + Qe) would overflow
+            raise DomainError("ResonatorParams.Qi0 * Qe must be finite")
         if not abs(self.phi) < math.pi / 2:
             raise DomainError("ResonatorParams.phi must satisfy |phi| < pi/2")
 

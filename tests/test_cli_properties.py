@@ -89,6 +89,10 @@ fuzz = settings(max_examples=60, deadline=None, suppress_health_check=[HealthChe
 @settings(fuzz, max_examples=150)
 @given(doc=configs(), seed=seeds, target=sometimes(st.floats(6.82, 6.85), st.floats()),
        tolerance=sometimes(st.floats(0.01, 100.0), st.floats()))
+# Found with RuntimeWarnings as errors: fit trials that overflow on a Q_i of
+# 1, and a loaded Q that overflows to inf.
+@example({"resonator": {"qi0": 1}, "controller": {"max_steps": 1}}, None, None, None)
+@example({"resonator": {"qi0": 3.5e304}, "controller": {"max_steps": 1}}, None, None, None)
 def test_tune_ends_in_a_documented_exit_code(doc, seed, target, tolerance):
     argv = ["tune", *flag("--seed", seed), *flag("--target-ghz", target),
             *flag("--tolerance-ppm", tolerance)]
