@@ -198,7 +198,7 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
         theta_new = theta + step
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
         theta_new[3] = min(max(theta_new[3], -PHI_LIMIT), PHI_LIMIT)
-        try:  # a trial may leave the float range: its non-finite cost is a rise
+        try:  # a trial may overflow; quietly, as its non-finite cost is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
                 r_new, terms = _residual(theta_new, f, y)
                 cost_new = float(r_new @ r_new)

@@ -115,8 +115,8 @@ class TestPiezoStep:
 def reference_walk(stage, direction, d_min, pulses):
     """The move as a loop of single pulses with the same tolerance and snap at
     d_min.  Returns (issued, clamped).  The pulses are summed with Kahan's
-    compensation: a plain running sum drifts by up to ~1e-12 of the height
-    over RADIUS_MAX pulses, which is the fault the closed form removes."""
+    compensation: a plain running sum drifts by 1e-12 relative within a few
+    thousand pulses, the round-off the closed form avoids."""
     if stage.voltage < stage.min_voltage:
         raise StageStalled("stalled")
     issued, carry = 0, 0.0
