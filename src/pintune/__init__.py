@@ -18,16 +18,13 @@ from .transmission import (
     NoiseModel,
     SweepConfig,
     SweepTrace,
-    TlsLossModel,
-    input_chain_power,
     internal_q,
     loaded_q,
     photon_number,
-    power_dependent_qi,
     s21_power,
     synthesize_sweep,
 )
-from .fitting import FitResult, InitialGuess, fit_power_series, fit_resonance, initial_guess
+from .fitting import FitResult, InitialGuess, fit_resonance, initial_guess
 from .piezo import (
     ControllerConfig,
     ControllerModel,

@@ -8,9 +8,17 @@ cost decrease) and analytic residual derivatives.  A trial step is rejected
 when its cost rises, is not finite, or its Q exponents overflow.  A trial
 point costs only its residual: the Jacobian and the normal equations are
 evaluated at the start point and at accepted points alone (Moré 1978).
+
+A fit writes its point-sized arrays into a workspace that each thread keeps
+and reuses from fit to fit, so they are not freed and faulted in again on
+every step.  It grows to the largest trace the thread has fitted, a smaller
+trace uses prefix views of it, and threads never share one.  A trace above
+KEEP_MAX_POINTS gets a workspace of its own that is not kept.
 """
 
 import math
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,31 +133,70 @@ def initial_guess(trace):
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 
 
-def _residual(theta, f, y):
+# A fit's point-sized arrays (lineshape terms, residual, scratch, Jacobian).
+# They take 144 bytes a point, so a kept store is at most 9.4 MB a thread and
+# one huge trace cannot pin its memory.
+_Workspace = namedtuple("_Workspace", "resp t denom c1 c2 c3 r scratch jac")
+KEEP_MAX_POINTS = 65536
+_kept = threading.local()
+
+
+def _workspace(n, keep=True):
+    """A workspace of C-contiguous n-point prefixes, so the ufunc and BLAS
+    paths are those of fresh arrays.  Kept, they are this thread's store,
+    grown first if it is under n points; above KEEP_MAX_POINTS or not kept,
+    they are new arrays of the call's own."""
+    keep = keep and n <= KEEP_MAX_POINTS
+    store = getattr(_kept, "store", None) if keep else None
+    if store is None or store[2].shape[0] < n:
+        store = (np.empty((6, n), complex), np.empty((2, n)), np.empty((n, 4)))
+        if keep:
+            _kept.store = store
+    cplx, real, jac = store
+    return _Workspace(*cplx[:, :n], *real[:, :n], jac[:n])
+
+
+def _residual(theta, f, y, ws=None):
     """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
-    the lineshape terms (Q_L, response, t, denom) that _jacobian reuses."""
+    the lineshape terms (Q_L, response, t, denom) that _jacobian reuses.
+    They are written into ws, or into fresh arrays without one."""
+    ws = ws or _workspace(f.size, keep=False)
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
-    resp, t, denom = notch_response(f, f_r, q_l, math.exp(lqe), phi)
-    return resp.real**2 + resp.imag**2 - y, (q_l, resp, t, denom)
+    out = (ws.resp, ws.t, ws.denom, ws.scratch)
+    resp, t, denom = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=out)
+    r = np.square(resp.real, out=ws.r)
+    r += np.square(resp.imag, out=ws.scratch)
+    r -= y
+    return r, (q_l, resp, t, denom)
 
 
-def _jacobian(theta, f, terms):
-    """d r / d theta at the point whose _residual returned terms."""
+def _jacobian(theta, f, terms, ws=None):
+    """d r / d theta at the point whose _residual returned terms, written
+    into ws, or into fresh arrays without one."""
+    ws = ws or _workspace(f.size, keep=False)
     q_l, resp, t, denom = terms
     f_r = theta[0]
-    # dS/dp = -2 Re[conj(resp) * dt/dp]
-    # denom - 1.0 is 2i Q_L x exactly (the real part of denom is 1.0).
-    dt_dfr = t * (2j * q_l / denom) * (f / (f_r * f_r))
-    dt_dlql = t * (1.0 - (denom - 1.0) / denom)
+    # dS/dp = -2 Re[conj(resp) * dt/dp].  Each complex product keeps its
+    # factor order: with fused multiply-adds it is not commutative bit for bit.
+    # dt/d f_r = t * (2i Q_L / denom) * (f / f_r^2)
+    dt_dfr = np.divide(2j * q_l, denom, out=ws.c1)
+    dt_dfr = np.multiply(t, dt_dfr, out=dt_dfr)
+    dt_dfr *= np.divide(f, f_r * f_r, out=ws.scratch)
+    # dt/d ln Q_L = t * (1 - (denom - 1) / denom); denom - 1.0 is 2i Q_L x
+    # exactly (the real part of denom is 1.0).
+    dt_dlql = np.subtract(denom, 1.0, out=ws.c2)
+    dt_dlql /= denom
+    dt_dlql = np.subtract(1.0, dt_dlql, out=dt_dlql)
+    dt_dlql = np.multiply(t, dt_dlql, out=dt_dlql)
 
     # dt/d ln Q_e = -t and dt/d phi = i t share conj(resp) * t; complex
     # multiplication is symmetric in sign, so both columns keep their bits.
-    rc = np.conj(resp)
-    rct = rc * t
-    jac = np.empty((f.size, 4))
-    np.multiply((rc * dt_dfr).real, -2.0, out=jac[:, 0])
-    np.multiply((rc * dt_dlql).real, -2.0, out=jac[:, 1])
+    rc = np.conjugate(resp, out=ws.c3)
+    jac = ws.jac
+    np.multiply(np.multiply(rc, dt_dfr, out=dt_dfr).real, -2.0, out=jac[:, 0])
+    np.multiply(np.multiply(rc, dt_dlql, out=dt_dlql).real, -2.0, out=jac[:, 1])
+    rct = np.multiply(rc, t, out=rc)
     np.multiply(rct.real, 2.0, out=jac[:, 2])
     np.multiply(rct.imag, 2.0, out=jac[:, 3])
     return jac
@@ -178,10 +225,10 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
     y = trace.power_ratio
     theta = np.array([guess.f_r, math.log(guess.q_l), math.log(guess.q_e), guess.phi])
 
-    r, terms = _residual(theta, f, y)
-    # jac stays bound until the next one exists: freed early, its 200 kB (at
-    # 6401 points) went back to the system and faulted in again each step.
-    jac = _jacobian(theta, f, terms)
+    # One set of buffers: a trial overwrites the current point's spent terms.
+    ws = _workspace(f.size)
+    r, terms = _residual(theta, f, y, ws)
+    jac = _jacobian(theta, f, terms, ws)
     g, h, damping = _normal_equations(jac, r)
     cost = float(r @ r)
     lam = DAMPING_START
@@ -200,7 +247,7 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
         theta_new[3] = min(max(theta_new[3], -PHI_LIMIT), PHI_LIMIT)
         try:  # a trial may overflow; quietly, as its non-finite cost is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
-                r_new, terms = _residual(theta_new, f, y)
+                r_new, terms = _residual(theta_new, f, y, ws)
                 cost_new = float(r_new @ r_new)
         except ArithmeticError:  # ln Q_L or ln Q_e stepped past the float range
             lam *= 10.0
@@ -213,7 +260,7 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
             )
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             theta, r, cost = theta_new, r_new, cost_new
-            jac = _jacobian(theta, f, terms)
+            jac = _jacobian(theta, f, terms, ws)
             g, h, damping = _normal_equations(jac, r)
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL or rel_drop < COST_TOL:
@@ -267,22 +314,3 @@ def fit_resonance(trace, guess: Optional[InitialGuess] = None):
             "fitted f_r outside the trace span", best=build(False)
         )
     return build(True)
-
-
-@dataclass
-class PowerSeriesEntry:
-    p_in_dbm: float
-    result: Optional[FitResult]
-    error: Optional[str]
-
-
-def fit_power_series(traces):
-    """Fit each trace, ordered by input power; failures are recorded per
-    entry instead of aborting the batch."""
-    entries = []
-    for tr in sorted(traces, key=lambda t: t.p_in_dbm):
-        try:
-            entries.append(PowerSeriesEntry(tr.p_in_dbm, fit_resonance(tr), None))
-        except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
-            entries.append(PowerSeriesEntry(tr.p_in_dbm, None, type(exc).__name__))
-    return entries

@@ -84,32 +84,19 @@ class NoiseModel:
             raise DomainError("NoiseModel.vib_amplitude must be >= 0")
 
 
-@dataclass(frozen=True)
-class TlsLossModel:
-    """Phenomenological saturable two-level-system loss:
-
-    1/Q_i(P) = 1 / (q_tls_low * sqrt(1 + P/P_sat)) + 1/q_other
-    """
-
-    q_tls_low: float
-    p_sat_dbm: float
-    q_other: float
-
-    def __post_init__(self):
-        if not self.q_tls_low > 0 or not self.q_other > 0:
-            raise DomainError("TlsLossModel quality factors must be > 0")
-
-
-def notch_response(f, f_r, q_l, q_e, phi):
+def notch_response(f, f_r, q_l, q_e, phi, out=None):
     """Complex notch response 1 - t with t = (Q_L/Q_e) e^{i phi} / denom and
     denom = 1 + 2i Q_L (f - f_r)/f_r; returns (response, t, denom).
 
     The one copy of the lineshape: no argument checks, f_r may be an array.
+    out: optional arrays of f's shape, three complex ones that receive
+    (response, t, denom) and a real one for x = (f - f_r)/f_r.
     """
-    x = (f - f_r) / f_r
-    denom = 1.0 + 2j * q_l * x
-    t = (q_l / q_e) * np.exp(1j * phi) / denom
-    return 1.0 - t, t, denom
+    resp, t, denom, x = (None,) * 4 if out is None else out
+    x = np.divide(np.subtract(f, f_r, out=x), f_r, out=x)
+    denom = np.add(1.0, np.multiply(2j * q_l, x, out=denom), out=denom)
+    t = np.divide((q_l / q_e) * np.exp(1j * phi), denom, out=t)
+    return np.subtract(1.0, t, out=resp), t, denom
 
 
 def s21_power(f, f_r, q_l, q_e, phi=0.0):
@@ -191,20 +178,3 @@ def photon_number(p_in_dbm, f_r, q_l, q_e, kappa=DEFAULT_PHOTON_KAPPA):
     if not f_r > 0 or not q_l > 0 or not q_e > 0:
         raise DomainError("f_r and quality factors must be > 0")
     return kappa * _stored_energy_factor(p_in_dbm, f_r, q_l, q_e)
-
-
-def input_chain_power(source_dbm, attenuators):
-    """Power at the resonator after the cold attenuation chain (dBm)."""
-    total = 0.0
-    for a in attenuators:
-        if a < 0:
-            raise DomainError("attenuation values must be >= 0 dB")
-        total += a
-    return source_dbm - total
-
-
-def power_dependent_qi(p_in_dbm, tls):
-    """Internal Q at the given drive power under saturable TLS loss."""
-    p_ratio = 10.0 ** ((p_in_dbm - tls.p_sat_dbm) / 10.0)
-    inv = 1.0 / (tls.q_tls_low * math.sqrt(1.0 + p_ratio)) + 1.0 / tls.q_other
-    return 1.0 / inv

@@ -11,7 +11,6 @@ from pintune.fitting import (
     InitialGuess,
     _jacobian,
     _residual,
-    fit_power_series,
     fit_resonance,
     initial_guess,
 )
@@ -211,32 +210,3 @@ class TestGradientCheck:
                 fd = (rp - rm) / (2 * h[j])
                 scale = np.max(np.abs(fd)) + 1e-300
                 assert np.max(np.abs(jac[:, j] - fd)) / scale < 1e-6
-
-
-class TestPowerSeries:
-    def test_ordering_and_monotone_qi(self):
-        from pintune.transmission import TlsLossModel, power_dependent_qi
-
-        tls = TlsLossModel(q_tls_low=40000.0, p_sat_dbm=-120.0, q_other=280000.0)
-        traces = []
-        for p in (-110.0, -140.0):
-            q_i = power_dependent_qi(p, tls)
-            q_l = loaded_q(q_i, 5e5)
-            tr = make_trace(6.8278e9, q_l, 5e5, n=801)
-            tr.p_in_dbm = p
-            traces.append(tr)
-        entries = fit_power_series(traces)
-        assert [e.p_in_dbm for e in entries] == [-140.0, -110.0]
-        assert entries[0].result.q_i < entries[1].result.q_i
-
-    def test_empty(self):
-        assert fit_power_series([]) == []
-
-    def test_partial_failure(self):
-        good = make_trace(6.8278e9, PAPER_QL, 5e5)
-        f = np.linspace(6.8e9, 6.9e9, 201)
-        flat = SweepTrace(f, np.ones_like(f), -100.0)
-        entries = fit_power_series([good, flat])
-        by_power = {e.p_in_dbm: e for e in entries}
-        assert by_power[-100.0].error == "NoResonance"
-        assert by_power[-131.0].result is not None

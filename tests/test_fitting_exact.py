@@ -14,6 +14,8 @@ the change under test.
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -140,14 +142,14 @@ def test_jacobian_only_at_accepted_points(monkeypatch):
     costs, jacobians = [], []
     residual, jacobian = fitting._residual, fitting._jacobian
 
-    def counted_residual(theta, f, y):
-        out = residual(theta, f, y)
+    def counted_residual(theta, f, y, *args):
+        out = residual(theta, f, y, *args)
         costs.append(float(out[0] @ out[0]))
         return out
 
-    def counted_jacobian(theta, f, terms):
+    def counted_jacobian(theta, f, terms, *args):
         jacobians.append(theta.copy())
-        return jacobian(theta, f, terms)
+        return jacobian(theta, f, terms, *args)
 
     monkeypatch.setattr(fitting, "_residual", counted_residual)
     monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
@@ -168,6 +170,102 @@ def test_jacobian_only_at_accepted_points(monkeypatch):
         rejected_total += len(costs) - 1 - accepted
         assert len(jacobians) == accepted + 1
     assert rejected_total > 0  # the budget-exhausting fit rejects half its trials
+
+
+# --------------------------------------------------------------------------
+# The fitter's point-sized arrays live in a workspace kept per thread and
+# reused from fit to fit; none of that may change a bit either.
+
+
+def golden_outcome(entry):
+    """The fingerprint and iteration count of a golden fit, of its best-so-far
+    result when the fit exhausts its budget."""
+    case, digest, _, _ = entry
+    try:
+        res = fit_resonance(golden_trace(case, digest))
+    except ConvergenceFailure as exc:
+        res = exc.best
+    return fingerprint(res), res.n_iterations
+
+
+GOLDEN_ALL = {**GOLDEN, "best-401": GOLDEN_BEST}
+
+
+def test_goldens_bit_exact_in_any_size_order():
+    """After a 6401-point fit the kept workspace is at least that large, and
+    smaller fits run on prefix views of it."""
+    fit_resonance(golden_trace(*GOLDEN["broad-6401"][:2]))
+    by_size = sorted(GOLDEN_ALL, key=lambda name: GOLDEN_ALL[name][0][4])
+    for name in by_size[::-1] + by_size:
+        _, _, values, iterations = GOLDEN_ALL[name]
+        assert golden_outcome(GOLDEN_ALL[name]) == (values, iterations), name
+
+
+def test_threads_fitting_at_once_match_the_serial_bits():
+    """Each thread fits on its own workspace: four threads on two CPUs, each
+    fitting every golden in its own order, with frequent thread switches."""
+    traces = {name: golden_trace(*entry[:2]) for name, entry in GOLDEN_ALL.items()}
+    names = sorted(traces)
+    results, errors = {}, []
+    start = threading.Barrier(4)
+
+    def fit_all(k):
+        try:
+            start.wait(timeout=10)
+            for name in names[k:] + names[:k]:
+                try:
+                    res = fit_resonance(traces[name])
+                except ConvergenceFailure as exc:
+                    res = exc.best
+                results[k, name] = (fingerprint(res), res.n_iterations)
+        except Exception as exc:  # reported by the main thread's asserts
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=fit_all, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for (_, name), outcome in results.items():
+        _, _, values, iterations = GOLDEN_ALL[name]
+        assert outcome == (values, iterations), name
+    assert len(results) == 4 * len(names)
+
+
+def test_fit_above_keep_bound_leaves_the_kept_workspace():
+    """A trace past KEEP_MAX_POINTS fits on a workspace of its own, so one
+    huge trace does not pin its memory in the thread's kept store."""
+    fit_resonance(golden_trace(*GOLDEN["device-1601"][:2]))
+    store = fitting._kept.store
+    size = len(store[2])
+    trace = criterion4_trace(6834683000.0, 35000.0, 500000.0, 0.1, fitting.KEEP_MAX_POINTS + 1, 7)
+    res = fit_resonance(trace)
+    assert res.converged
+    assert fitting._kept.store is store and len(store[2]) == size
+
+
+def test_standalone_residuals_do_not_alias():
+    """Without a workspace, _residual and _jacobian return fresh arrays."""
+    case, digest, _, _ = GOLDEN["device-401"]
+    trace = golden_trace(case, digest)
+    f, y = trace.frequencies, trace.power_ratio
+    g = initial_guess(trace)
+    theta = np.array([g.f_r, math.log(g.q_l), math.log(g.q_e), g.phi])
+    first, terms = fitting._residual(theta, f, y)
+    kept = first.copy()
+    second, other = fitting._residual(theta + [1e3, 0.0, 0.0, 0.1], f, y)
+    arrays = [first, *terms[1:], fitting._jacobian(theta, f, terms)]
+    for a in arrays:
+        for b in [second, *other[1:], fitting._jacobian(theta, f, other)]:
+            assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(first, kept)
 
 
 # --------------------------------------------------------------------------

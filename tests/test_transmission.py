@@ -15,12 +15,9 @@ from pintune.transmission import (
     NoiseModel,
     SweepConfig,
     SweepTrace,
-    TlsLossModel,
-    input_chain_power,
     internal_q,
     loaded_q,
     photon_number,
-    power_dependent_qi,
     s21_power,
     synthesize_sweep,
 )
@@ -172,47 +169,6 @@ class TestPhotonNumber:
         # using Q_i = 35,000 instead of the rounded Q_L anchor
         n = photon_number(-131.0, 6.828e9, loaded_q(35000, 5e5), 5e5)
         assert n == pytest.approx(11.0, rel=1e-3)
-
-
-class TestInputChain:
-    def test_paper_attenuation_chain(self):
-        assert input_chain_power(-81.0, [10, 10, 30]) == pytest.approx(-131.0)
-
-    def test_empty_chain(self):
-        assert input_chain_power(-81.0, []) == -81.0
-
-    def test_single(self):
-        assert input_chain_power(0.0, [50]) == -50.0
-
-    def test_negative_attenuation_rejected(self):
-        with pytest.raises(DomainError):
-            input_chain_power(0.0, [-3])
-
-
-class TestTlsLoss:
-    def tls(self):
-        return TlsLossModel(q_tls_low=40000.0, p_sat_dbm=-120.0, q_other=280000.0)
-
-    def test_low_power_limit(self):
-        tls = self.tls()
-        expected = 1.0 / (1.0 / tls.q_tls_low + 1.0 / tls.q_other)
-        assert power_dependent_qi(-200.0, tls) == pytest.approx(expected, rel=1e-3)
-
-    def test_saturated_limit(self):
-        tls = self.tls()
-        assert power_dependent_qi(0.0, tls) == pytest.approx(tls.q_other, rel=1e-3)
-
-    def test_low_power_matches_measured_qi(self):
-        # q_tls_low and q_other chosen so Q_i(low power) ~ 35,000
-        assert power_dependent_qi(-140.0, self.tls()) == pytest.approx(
-            35000, rel=0.02
-        )
-
-    def test_monotone_in_power(self):
-        tls = self.tls()
-        p = np.linspace(-170, -60, 200)
-        q = np.array([power_dependent_qi(x, tls) for x in p])
-        assert np.all(np.diff(q) >= 0)
 
 
 class TestSweepTraceInvariants:
