@@ -18,6 +18,7 @@ from .transmission import (
     NoiseModel,
     SweepConfig,
     SweepTrace,
+    input_chain_power,
     internal_q,
     loaded_q,
     photon_number,

@@ -178,3 +178,13 @@ def photon_number(p_in_dbm, f_r, q_l, q_e, kappa=DEFAULT_PHOTON_KAPPA):
     if not f_r > 0 or not q_l > 0 or not q_e > 0:
         raise DomainError("f_r and quality factors must be > 0")
     return kappa * _stored_energy_factor(p_in_dbm, f_r, q_l, q_e)
+
+
+def input_chain_power(source_dbm, attenuators):
+    """Power at the resonator after the cold attenuation chain (dBm)."""
+    total = 0.0
+    for a in attenuators:
+        if a < 0:
+            raise DomainError("attenuation values must be >= 0 dB")
+        total += a
+    return source_dbm - total

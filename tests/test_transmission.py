@@ -15,6 +15,7 @@ from pintune.transmission import (
     NoiseModel,
     SweepConfig,
     SweepTrace,
+    input_chain_power,
     internal_q,
     loaded_q,
     photon_number,
@@ -169,6 +170,21 @@ class TestPhotonNumber:
         # using Q_i = 35,000 instead of the rounded Q_L anchor
         n = photon_number(-131.0, 6.828e9, loaded_q(35000, 5e5), 5e5)
         assert n == pytest.approx(11.0, rel=1e-3)
+
+
+class TestInputChain:
+    def test_paper_attenuation_chain(self):
+        assert input_chain_power(-81.0, [10, 10, 30]) == pytest.approx(-131.0)
+
+    def test_empty_chain(self):
+        assert input_chain_power(-81.0, []) == -81.0
+
+    def test_single(self):
+        assert input_chain_power(0.0, [50]) == -50.0
+
+    def test_negative_attenuation_rejected(self):
+        with pytest.raises(DomainError):
+            input_chain_power(0.0, [-3])
 
 
 class TestSweepTraceInvariants:
