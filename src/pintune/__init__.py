@@ -18,7 +18,6 @@ from .transmission import (
     NoiseModel,
     SweepConfig,
     SweepTrace,
-    input_chain_power,
     internal_q,
     loaded_q,
     photon_number,

@@ -2,17 +2,18 @@
 experiment (resonator, pin calibration anchors, noise, sweep defaults, stage
 and controller settings).
 
-Config files use lab-friendly units (GHz, MHz, um, nm, nH, dBm); everything
-is converted to SI on load.  Any invariant violation is reported as a
-ValidationError naming the offending field.
+Config files use lab-friendly units (GHz, MHz, um, nm, dBm); everything is
+converted to SI on load.  FIELDS holds each field's default, unit and rule,
+and any violation is reported as a ValidationError naming the field.
 """
 
 import copy
 import json
+import operator
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import CalibrationError, DomainError, ValidationError
 from .piezo import ControllerConfig, PiezoStage, Plant
 from .resonator import (
     PinCouplingModel,
@@ -25,53 +26,57 @@ from .resonator import (
 from .transmission import NoiseModel
 from .units import GHz, MHz, nH, nm, um
 
-DEFAULT_CONFIG = {
-    # Paper-anchored virtual experiment: Nb resonator coarse-trimmed to
-    # 6.8278 GHz, pin calibration from the measured tuning curve.
+# section -> key -> (default, SI factor, rule); the defaults are the paper's
+# Nb resonator trimmed to 6.8278 GHz, with the pin calibrated on its tuning
+# curve.  Each field must be a number (an int if its default is), finite, and
+# in SI pass its rule; one with no rule is checked by the object it builds.
+FIELDS = {
     "resonator": {
-        "l0_nh": 1.0,
-        "f_baseline_ghz": 6.8278,
-        "qi0": 35000.0,
-        "qe": 5.0e5,
-        "phi": 0.0,
+        "f_baseline_ghz": (6.8278, GHz, "> 0"),
+        "qi0": (35000.0, 1, None),
+        "qe": (5.0e5, 1, None),
+        "phi": (0.0, 1, None),
     },
     "calibration": {
-        "f_baseline_ghz": 6.8278,
-        "f_closest_ghz": 6.8454,
-        "d_min_um": 40.0,
-        "peak_sensitivity_hz_per_m": 8.7e3 / 60e-9,
+        "f_baseline_ghz": (6.8278, GHz, None),
+        "f_closest_ghz": (6.8454, GHz, None),
+        "d_min_um": (40.0, um, None),
+        "peak_sensitivity_hz_per_m": (8.7e3 / 60e-9, 1, None),
     },
     "state": {
-        "d_um": 300.0,
-        "trim_shift_mhz": 0.0,
+        "d_um": (300.0, um, None),
+        "trim_shift_mhz": (0.0, MHz, "<= 0"),
     },
     "noise": {
-        "sigma_rel": 0.0,
-        "vib_amplitude_um": 0.0,
-        "seed": 20120828,
+        "sigma_rel": (0.0, 1, None),
+        "vib_amplitude_um": (0.0, um, None),
+        "seed": (20120828, 1, ">= 0"),
     },
     "sweep": {
-        "span_mhz": 6.0,
-        "n_points": 1601,
-        "p_in_dbm": -131.0,
-        "duration_s": 160.0,
+        "span_mhz": (6.0, MHz, "> 0"),
+        "n_points": (1601, 1, ">= 2"),
+        "p_in_dbm": (-131.0, 1, None),
+        "duration_s": (160.0, 1, "> 0"),
     },
     "stage": {
-        "step_size_nm": 60.0,
-        "voltage_v": 36.0,
-        "reference_voltage_v": 36.0,
-        "min_voltage_v": 30.0,
-        "backlash_nm": 0.0,
+        "step_size_nm": (60.0, nm, None),
+        "voltage_v": (36.0, 1, None),
+        "reference_voltage_v": (36.0, 1, None),
+        "min_voltage_v": (30.0, 1, None),
+        "backlash_nm": (0.0, nm, None),
     },
     "controller": {
-        "f_target_ghz": 6.834683,
-        "tolerance_ppm": 0.3,
-        "max_steps": 2000,
-        "steps_per_measurement": 8,
-        "sweep_points": 1201,
-        "sweep_span_mhz": 6.0,
+        "f_target_ghz": (6.834683, GHz, "> 0"),
+        "tolerance_ppm": (0.3, 1, None),
+        "max_steps": (2000, 1, None),
+        "steps_per_measurement": (8, 1, None),
+        "sweep_points": (1201, 1, ">= 2"),
+        "sweep_span_mhz": (6.0, MHz, "> 0"),
     },
 }
+DEFAULT_CONFIG = {section: {key: row[0] for key, row in fields.items()}
+                  for section, fields in FIELDS.items()}
+_RULES = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 @dataclass
@@ -113,59 +118,58 @@ def _merge(base, override, prefix=""):
     return out
 
 
-def _get(doc, section, key, kind=(int, float)):
-    try:
-        value = doc[section][key]
-    except (KeyError, TypeError):
-        raise ValidationError(f"{section}.{key}: missing") from None
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValidationError(f"{section}.{key}: expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past the float range
-        raise ValidationError(f"{section}.{key}: must be finite")
-    return value
+def _read(doc):
+    """Every field's SI value by (section, key), checked in FIELDS order."""
+    out = {}
+    for section, fields in FIELDS.items():
+        if not isinstance(doc[section], dict):
+            raise ValidationError(f"{section}: expected an object")
+        for key, (default, factor, rule) in fields.items():
+            value = doc[section][key]
+            if isinstance(value, bool) or not isinstance(value, (type(default), int)):
+                raise ValidationError(f"{section}.{key}: expected a number, got {value!r}")
+            si = value * factor if abs(value) <= sys.float_info.max else float("inf")
+            if not abs(si) <= sys.float_info.max:  # NaN, inf, or past the float range
+                raise ValidationError(f"{section}.{key}: must be finite")
+            op, _, bound = (rule or "").partition(" ")
+            if rule and not _RULES[op](si, float(bound)):
+                raise ValidationError(f"{section}.{key}: must be {rule}")
+            out[section, key] = si
+    return out
 
 
 def from_dict(user_doc=None):
     """Build an ExperimentConfig from a (partial) document merged over the
     defaults.  Raises ValidationError naming the first offending field."""
     doc = _merge(DEFAULT_CONFIG, user_doc or {})
+    v = _read(doc)
 
     def build(section, ctor, kwargs):
         try:
             return ctor(**kwargs)
-        except DomainError as exc:
+        except (CalibrationError, DomainError) as exc:
             raise ValidationError(f"{section}: {exc}") from exc
 
-    l0 = _get(doc, "resonator", "l0_nh") * nH
-    if not l0 > 0:
-        raise ValidationError("resonator.l0_nh: must be > 0")
-    f_baseline = _get(doc, "resonator", "f_baseline_ghz") * GHz
-    if not f_baseline > 0:
-        raise ValidationError("resonator.f_baseline_ghz: must be > 0")
+    # Only L0*C enters the model, so L0 is fixed and C sets the baseline.
     params = build("resonator", ResonatorParams, dict(
-        L0=l0,
-        C=capacitance_for_frequency(f_baseline, l0),
-        Qi0=_get(doc, "resonator", "qi0"),
-        Qe=_get(doc, "resonator", "qe"),
-        phi=_get(doc, "resonator", "phi"),
+        L0=nH,
+        C=capacitance_for_frequency(v["resonator", "f_baseline_ghz"], nH),
+        Qi0=v["resonator", "qi0"],
+        Qe=v["resonator", "qe"],
+        phi=v["resonator", "phi"],
     ))
 
-    try:
-        pin = calibrate_pin_model(
-            f_baseline=_get(doc, "calibration", "f_baseline_ghz") * GHz,
-            f_closest=_get(doc, "calibration", "f_closest_ghz") * GHz,
-            d_min=_get(doc, "calibration", "d_min_um") * um,
-            peak_sensitivity=_get(doc, "calibration", "peak_sensitivity_hz_per_m"),
-        )
-    except Exception as exc:
-        raise ValidationError(f"calibration: {exc}") from exc
+    pin = build("calibration", calibrate_pin_model, dict(
+        f_baseline=v["calibration", "f_baseline_ghz"],
+        f_closest=v["calibration", "f_closest_ghz"],
+        d_min=v["calibration", "d_min_um"],
+        peak_sensitivity=v["calibration", "peak_sensitivity_hz_per_m"],
+    ))
 
     state = build("state", TuningState, dict(
-        d=_get(doc, "state", "d_um") * um,
-        trim_shift=_get(doc, "state", "trim_shift_mhz") * MHz,
+        d=v["state", "d_um"],
+        trim_shift=v["state", "trim_shift_mhz"],
     ))
-    if state.trim_shift > 0:
-        raise ValidationError("state.trim_shift_mhz: must be <= 0 (added capacitance)")
     if state.d < pin.d_min:
         raise ValidationError("state.d_um: below calibration.d_min_um")
     try:  # the tuning band's ends, from d_min to the start height
@@ -175,57 +179,36 @@ def from_dict(user_doc=None):
         raise ValidationError(
             f"resonator: no finite resonance with this calibration ({exc})") from None
 
-    seed = _get(doc, "noise", "seed", kind=int)
-    if seed < 0:
-        raise ValidationError("noise.seed: must be >= 0")
     noise = build("noise", NoiseModel, dict(
-        sigma_rel=_get(doc, "noise", "sigma_rel"),
-        vib_amplitude=_get(doc, "noise", "vib_amplitude_um") * um,
-        seed=seed,
+        sigma_rel=v["noise", "sigma_rel"],
+        vib_amplitude=v["noise", "vib_amplitude_um"],
+        seed=v["noise", "seed"],
     ))
 
-    n_points = _get(doc, "sweep", "n_points", kind=int)
-    if n_points < 2:
-        raise ValidationError("sweep.n_points: must be >= 2")
-    span = _get(doc, "sweep", "span_mhz") * MHz
-    if not span > 0:
-        raise ValidationError("sweep.span_mhz: must be > 0")
-    duration = _get(doc, "sweep", "duration_s")
-    if not duration > 0:
-        raise ValidationError("sweep.duration_s: must be > 0")
     sweep = SweepDefaults(
-        span=span,
-        n_points=n_points,
-        p_in_dbm=_get(doc, "sweep", "p_in_dbm"),
+        span=v["sweep", "span_mhz"],
+        n_points=v["sweep", "n_points"],
+        p_in_dbm=v["sweep", "p_in_dbm"],
     )
 
     stage = build("stage", PiezoStage, dict(
         position=state.d,
-        voltage=_get(doc, "stage", "voltage_v"),
-        step_size=_get(doc, "stage", "step_size_nm") * nm,
-        reference_voltage=_get(doc, "stage", "reference_voltage_v"),
-        min_voltage=_get(doc, "stage", "min_voltage_v"),
-        backlash=_get(doc, "stage", "backlash_nm") * nm,
+        voltage=v["stage", "voltage_v"],
+        step_size=v["stage", "step_size_nm"],
+        reference_voltage=v["stage", "reference_voltage_v"],
+        min_voltage=v["stage", "min_voltage_v"],
+        backlash=v["stage", "backlash_nm"],
     ))
 
-    f_target = _get(doc, "controller", "f_target_ghz") * GHz
-    if not f_target > 0:
-        raise ValidationError("controller.f_target_ghz: must be > 0")
-    sweep_points = _get(doc, "controller", "sweep_points", kind=int)
-    if sweep_points < 2:
-        raise ValidationError("controller.sweep_points: must be >= 2")
-    sweep_span = _get(doc, "controller", "sweep_span_mhz") * MHz
-    if not sweep_span > 0:
-        raise ValidationError("controller.sweep_span_mhz: must be > 0")
     controller = build("controller", ControllerConfig, dict(
-        f_target=f_target,
-        tolerance_ppm=_get(doc, "controller", "tolerance_ppm"),
-        max_steps=_get(doc, "controller", "max_steps", kind=int),
-        steps_per_measurement=_get(doc, "controller", "steps_per_measurement", kind=int),
-        sweep_points=sweep_points,
-        sweep_span=sweep_span,
+        f_target=v["controller", "f_target_ghz"],
+        tolerance_ppm=v["controller", "tolerance_ppm"],
+        max_steps=v["controller", "max_steps"],
+        steps_per_measurement=v["controller", "steps_per_measurement"],
+        sweep_points=v["controller", "sweep_points"],
+        sweep_span=v["controller", "sweep_span_mhz"],
         p_in_dbm=sweep.p_in_dbm,
-        duration_s=duration,
+        duration_s=v["sweep", "duration_s"],
     ))
 
     return ExperimentConfig(

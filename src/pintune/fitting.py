@@ -20,7 +20,6 @@ import math
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -211,15 +210,14 @@ def _normal_equations(jac, r):
     return jac.T @ r, h, np.diag(diag)
 
 
-def fit_resonance(trace, guess: Optional[InitialGuess] = None):
+def fit_resonance(trace):
     """Fit the dip model to a trace; returns a FitResult.
 
     Raises NoResonance (no usable dip), ConvergenceFailure (iteration budget
     exhausted; carries best-so-far), or NonPhysicalFit (Q_L >= Q_e at the
     optimum).
     """
-    if guess is None:
-        guess = initial_guess(trace)
+    guess = initial_guess(trace)
 
     f = trace.frequencies
     y = trace.power_ratio

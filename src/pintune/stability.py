@@ -82,14 +82,12 @@ def _golden_section_max(func, lo, hi, xatol):
     return 0.5 * (lo + hi)
 
 
-def detect_oscillation(series, lineshape_slope=None):
+def detect_oscillation(series):
     """Find the dominant periodic modulation in a uniformly sampled record,
     after removing its least-squares line.
 
-    Returns (modulation frequency in Hz, amplitude).  The amplitude is in the
-    units of the samples; when the samples are power-ratio values taken at a
-    fixed probe frequency, pass the local lineshape slope d(ratio)/df to
-    convert the result to equivalent frequency jitter in Hz.
+    Returns (modulation frequency in Hz, amplitude in the units of the
+    samples).
 
     Raises NoOscillation when no spectral peak clears the noise floor.
     """
@@ -131,15 +129,10 @@ def detect_oscillation(series, lineshape_slope=None):
     design = np.column_stack([np.sin(2 * math.pi * nu * t),
                               np.cos(2 * math.pi * nu * t)])
     coef, *_ = np.linalg.lstsq(design, y0, rcond=None)
-    amplitude = float(np.hypot(coef[0], coef[1]))
-    if lineshape_slope is not None:
-        if lineshape_slope == 0:
-            raise DomainError("lineshape_slope must be nonzero")
-        amplitude /= abs(lineshape_slope)
-    return nu, amplitude
+    return nu, float(np.hypot(coef[0], coef[1]))
 
 
-def allan_deviation(series, taus=None):
+def allan_deviation(series):
     """Non-overlapping Allan deviation of the fractional frequency f_r/f0.
 
     Extra metric beyond the drift/peak-to-peak headline numbers; expects
@@ -155,10 +148,7 @@ def allan_deviation(series, taus=None):
 
     y = series.f_r / series.f0
     n = y.size
-    if taus is None:
-        ms = np.unique(np.floor(np.logspace(0, math.log10(n // 3), 20)).astype(int))
-    else:
-        ms = np.unique(np.asarray([max(int(round(tau / dt)), 1) for tau in taus]))
+    ms = np.unique(np.floor(np.logspace(0, math.log10(n // 3), 20)).astype(int))
     ms = ms[ms <= n // 3]
 
     out_t, out_a = [], []

@@ -128,7 +128,7 @@ def internal_q(q_l, q_e):
     return q_l * q_e / (q_e - q_l)
 
 
-def synthesize_sweep(config, params, state, pin, noise, q_i=None, timestamp=0.0):
+def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
     """Synthesize one VNA sweep of the tuned plant.
 
     Pin vibration is modeled as a sinusoidal mechanical oscillation much
@@ -138,9 +138,8 @@ def synthesize_sweep(config, params, state, pin, noise, q_i=None, timestamp=0.0)
     applied to the power ratio.  Deterministic for a fixed seed (Philox,
     vectorized draws).
     """
-    q_i = params.Qi0 if q_i is None else q_i
     f_r = tuned_frequency(params, state, pin)
-    q_l = loaded_q(q_i, params.Qe)
+    q_l = loaded_q(params.Qi0, params.Qe)
     f = np.linspace(config.f_start, config.f_stop, config.n_points)
 
     jitter_amp = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
@@ -178,13 +177,3 @@ def photon_number(p_in_dbm, f_r, q_l, q_e, kappa=DEFAULT_PHOTON_KAPPA):
     if not f_r > 0 or not q_l > 0 or not q_e > 0:
         raise DomainError("f_r and quality factors must be > 0")
     return kappa * _stored_energy_factor(p_in_dbm, f_r, q_l, q_e)
-
-
-def input_chain_power(source_dbm, attenuators):
-    """Power at the resonator after the cold attenuation chain (dBm)."""
-    total = 0.0
-    for a in attenuators:
-        if a < 0:
-            raise DomainError("attenuation values must be >= 0 dB")
-        total += a
-    return source_dbm - total

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pintune
 from pintune import io as pio
 from pintune.cli import main
-from pintune.config import from_dict, load_config
+from pintune.config import FIELDS, from_dict, load_config
 from pintune.errors import ValidationError
 from pintune.stability import FrequencyTimeSeries
 from pintune.transmission import SweepTrace
@@ -65,12 +65,36 @@ class TestConfig:
             ({"controller": {"sweep_points": 1}}, "controller.sweep_points: must be >= 2"),
             ({"stage": {"backlash_nm": -1.0}}, "stage: PiezoStage.backlash must be >= 0"),
             ({"stage": {"backlash_nm": float("nan")}}, "stage.backlash_nm: must be finite"),
+            ({"resonator": {"l0_nh": 1.0}}, "resonator.l0_nh: unknown field"),
+            ({"sweep": 5}, "sweep: expected an object"),
+            ({"state": {"trim_shift_mhz": -1e305}}, "state.trim_shift_mhz: must be finite"),
+            ({"sweep": {"n_points": 1601.0}}, "sweep.n_points: expected a number"),
+            # Field checks run in FIELDS order, before any object is built.
+            ({"sweep": {"n_points": 1, "span_mhz": 0}}, "sweep.span_mhz: must be > 0"),
+            ({"resonator": {"qi0": -1}, "sweep": {"duration_s": 0}},
+             "sweep.duration_s: must be > 0"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
         with pytest.raises(ValidationError) as err:
             from_dict(doc)
         assert field in str(err.value)
+
+    @pytest.mark.parametrize("section,key,rule", [
+        (section, key, rule)
+        for section, fields in FIELDS.items()
+        for key, (_, _, rule) in fields.items()
+        if rule
+    ])
+    def test_each_rule_names_its_field(self, section, key, rule):
+        # The bound itself breaks a strict rule, one past it an inclusive one;
+        # the bounds are 0, or in a unitless field, so lab and SI values agree.
+        op, bound = rule.split()
+        default = FIELDS[section][key][0]
+        bad = type(default)(float(bound) + {">": 0, ">=": -1, "<=": 1}[op])
+        with pytest.raises(ValidationError) as err:
+            from_dict({section: {key: bad}})
+        assert f"{section}.{key}: must be {rule}" in str(err.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pintune.errors import NoResonance, PintuneError
 from pintune.fitting import (
     FitResult,
-    InitialGuess,
     _jacobian,
     _residual,
     fit_resonance,
@@ -25,7 +24,6 @@ from pintune.transmission import (
     NoiseModel,
     SweepConfig,
     SweepTrace,
-    internal_q,
     loaded_q,
     s21_power,
     synthesize_sweep,
@@ -106,7 +104,7 @@ class TestFitResonance:
             tr = make_trace(6.83e9, PAPER_QL, 5e5, phi=0.2, noise=0.02, seed=seed)
             g = initial_guess(tr)
             r0 = s21_power(tr.frequencies, g.f_r, g.q_l, g.q_e, g.phi) - tr.power_ratio
-            res = fit_resonance(tr, g)
+            res = fit_resonance(tr)
             assert res.rms_residual <= math.sqrt(float(r0 @ r0) / len(r0)) + 1e-15
 
     def test_scale_invariance(self):
