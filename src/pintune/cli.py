@@ -13,7 +13,6 @@ step budget exhausted.
 """
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -30,11 +29,10 @@ from .errors import (
 )
 from .fitting import fit_resonance
 from .piezo import tune_to_target
-from .resonator import (ResonatorParams, TuningState, calibrate_pin_model, capacitance_for_frequency,
-                        frequency_slope, tuned_frequency)
+from .resonator import ResonatorParams, TuningState, calibrate_pin_model, frequency_slope, tuned_frequency
 from .stability import NoOscillation, allan_deviation, detect_oscillation, drift_rate, peak_to_peak_deviation
 from .transmission import SweepConfig, synthesize_sweep
-from .units import GHz, MHz, nH, um
+from .units import GHz, um
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,32 +42,47 @@ EXIT_UNREACHABLE = 5
 EXIT_CONVERGENCE = 6
 
 
+# The flags that set a config field, argparse dest -> (section, key); _load
+# checks each given one like a field of the config file.
+CONFIG_FLAGS = {
+    "seed": ("noise", "seed"),
+    "span_mhz": ("sweep", "span_mhz"),
+    "n_points": ("sweep", "n_points"),
+    "target_ghz": ("controller", "f_target_ghz"),
+    "tolerance_ppm": ("controller", "tolerance_ppm"),
+}
+
+
 def _load(args):
+    """The config file or the defaults, with each given CONFIG_FLAGS flag laid over it."""
     cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        cfg = from_dict({**cfg.raw, "noise": {**cfg.raw["noise"], "seed": args.seed}})
-    return cfg
+    given = {field: value for dest, field in CONFIG_FLAGS.items()
+             if (value := getattr(args, dest, None)) is not None}
+    if not given:
+        return cfg
+    doc = {section: dict(fields) for section, fields in cfg.raw.items()}
+    for (section, key), value in given.items():
+        doc[section][key] = value
+    return from_dict(doc)
 
 
 def cmd_simulate(args):
     cfg = _load(args)
     f_r = tuned_frequency(cfg.params, cfg.state, cfg.pin)
     center = args.center_ghz * GHz if args.center_ghz is not None else f_r
-    span = args.span_mhz * MHz if args.span_mhz is not None else cfg.sweep.span
-    n_points = args.n_points if args.n_points is not None else cfg.sweep.n_points
     try:
         sweep = SweepConfig(
-            f_start=center - span / 2.0,
-            f_stop=center + span / 2.0,
-            n_points=n_points,
+            f_start=center - cfg.sweep.span / 2.0,
+            f_stop=center + cfg.sweep.span / 2.0,
+            n_points=cfg.sweep.n_points,
             p_in_dbm=cfg.sweep.p_in_dbm,
         )
-    except Exception as exc:
+    except DomainError as exc:
         raise ValidationError(f"sweep: {exc}") from exc
     trace = synthesize_sweep(sweep, cfg.params, cfg.state, cfg.pin, cfg.noise)
     pio.write_trace_csv(args.out, trace)
     imin = int(np.argmin(trace.power_ratio))
-    print(f"wrote {args.out}: {n_points} points, "
+    print(f"wrote {args.out}: {sweep.n_points} points, "
           f"model f_r = {f_r / GHz:.6f} GHz, "
           f"min ratio {trace.power_ratio[imin]:.4f} "
           f"at {trace.frequencies[imin] / GHz:.6f} GHz")
@@ -79,8 +92,7 @@ def cmd_simulate(args):
 def cmd_fit(args):
     trace = pio.read_trace_csv(args.trace, p_in_dbm=args.p_in_dbm)
     result = fit_resonance(trace)  # error exit codes handled in main()
-    payload = dataclasses.asdict(result)
-    doc = pio.result_document("fit", None, None, pio.to_jsonable(payload))
+    doc = pio.result_document("fit", None, None, pio.to_jsonable(result))
     if args.out:
         pio.write_result_json(args.out, doc)
     print(f"f_r = {result.f_r / GHz:.9f} GHz   "
@@ -93,18 +105,8 @@ def cmd_fit(args):
 
 def cmd_tune(args):
     cfg = _load(args)
-    controller = cfg.controller
-    if args.target_ghz is not None or args.tolerance_ppm is not None:
-        overrides = {}
-        if args.target_ghz is not None:
-            overrides["f_target_ghz"] = args.target_ghz
-        if args.tolerance_ppm is not None:
-            overrides["tolerance_ppm"] = args.tolerance_ppm
-        cfg = from_dict({**cfg.raw, "controller": {**cfg.raw["controller"], **overrides}})
-        controller = cfg.controller
-
-    session = tune_to_target(cfg.plant(), cfg.stage, controller)
-    payload = pio.to_jsonable(dataclasses.asdict(session))
+    session = tune_to_target(cfg.plant(), cfg.stage, cfg.controller)
+    payload = pio.to_jsonable(session)
     doc = pio.result_document("tune", cfg.raw, cfg.noise.seed, payload)
     if args.out:
         pio.write_result_json(args.out, doc)
@@ -145,7 +147,7 @@ def _drift_report(args, series):
         payload["oscillation"] = None
     if args.allan:
         taus, adev = allan_deviation(series)
-        payload["allan"] = {"tau_s": pio.to_jsonable(taus), "adev": pio.to_jsonable(adev)}
+        payload["allan"] = {"tau_s": taus, "adev": adev}
     doc = pio.result_document("drift", None, None, pio.to_jsonable(payload))
     if args.out:
         pio.write_result_json(args.out, doc)
@@ -173,7 +175,7 @@ def cmd_calibrate(args):
     # Residuals at the anchors: zero up to round-off by construction of the
     # closed form.  The quality factors of this LC stand-in are irrelevant.
     f_b = args.f_baseline_ghz * GHz
-    lc = ResonatorParams(L0=nH, C=capacitance_for_frequency(f_b, nH), Qi0=1.0, Qe=1.0)
+    lc = ResonatorParams.at(f_b, Qi0=1.0, Qe=1.0)
     at_min = TuningState(d=model.d_min)
     shift = tuned_frequency(lc, at_min, model) - f_b
     slope = -frequency_slope(lc, at_min, model)

@@ -3,8 +3,9 @@ experiment (resonator, pin calibration anchors, noise, sweep defaults, stage
 and controller settings).
 
 Config files use lab-friendly units (GHz, MHz, um, nm, dBm); everything is
-converted to SI on load.  FIELDS holds each field's default, unit and rule,
-and any violation is reported as a ValidationError naming the field.
+converted to SI on load.  FIELDS holds each field's default, unit, rule and
+the argument it feeds, and any violation is reported as a ValidationError
+naming the field.
 """
 
 import copy
@@ -20,58 +21,58 @@ from .resonator import (
     ResonatorParams,
     TuningState,
     calibrate_pin_model,
-    capacitance_for_frequency,
     tuned_frequency,
 )
 from .transmission import NoiseModel
-from .units import GHz, MHz, nH, nm, um
+from .units import GHz, MHz, nm, um
 
-# section -> key -> (default, SI factor, rule); the defaults are the paper's
-# Nb resonator trimmed to 6.8278 GHz, with the pin calibrated on its tuning
-# curve.  Each field must be a number (an int if its default is), finite, and
-# in SI pass its rule; one with no rule is checked by the object it builds.
+# section -> key -> (default, SI factor, rule, argument); the defaults are the
+# paper's Nb resonator trimmed to 6.8278 GHz, with the pin calibrated on its
+# tuning curve.  Each field must be a number (an int if its default is), finite,
+# and in SI pass its rule; one with no rule is checked by the object it builds.
+# The argument is the constructor keyword it feeds (None: from_dict wires it).
 FIELDS = {
     "resonator": {
-        "f_baseline_ghz": (6.8278, GHz, "> 0"),
-        "qi0": (35000.0, 1, None),
-        "qe": (5.0e5, 1, None),
-        "phi": (0.0, 1, None),
+        "f_baseline_ghz": (6.8278, GHz, "> 0", "f_baseline"),
+        "qi0": (35000.0, 1, None, "Qi0"),
+        "qe": (5.0e5, 1, None, "Qe"),
+        "phi": (0.0, 1, None, "phi"),
     },
     "calibration": {
-        "f_baseline_ghz": (6.8278, GHz, None),
-        "f_closest_ghz": (6.8454, GHz, None),
-        "d_min_um": (40.0, um, None),
-        "peak_sensitivity_hz_per_m": (8.7e3 / 60e-9, 1, None),
+        "f_baseline_ghz": (6.8278, GHz, None, "f_baseline"),
+        "f_closest_ghz": (6.8454, GHz, None, "f_closest"),
+        "d_min_um": (40.0, um, None, "d_min"),
+        "peak_sensitivity_hz_per_m": (8.7e3 / 60e-9, 1, None, "peak_sensitivity"),
     },
     "state": {
-        "d_um": (300.0, um, None),
-        "trim_shift_mhz": (0.0, MHz, "<= 0"),
+        "d_um": (300.0, um, None, "d"),
+        "trim_shift_mhz": (0.0, MHz, "<= 0", "trim_shift"),
     },
     "noise": {
-        "sigma_rel": (0.0, 1, None),
-        "vib_amplitude_um": (0.0, um, None),
-        "seed": (20120828, 1, ">= 0"),
+        "sigma_rel": (0.0, 1, None, "sigma_rel"),
+        "vib_amplitude_um": (0.0, um, None, "vib_amplitude"),
+        "seed": (20120828, 1, ">= 0", "seed"),
     },
     "sweep": {
-        "span_mhz": (6.0, MHz, "> 0"),
-        "n_points": (1601, 1, ">= 2"),
-        "p_in_dbm": (-131.0, 1, None),
-        "duration_s": (160.0, 1, "> 0"),
+        "span_mhz": (6.0, MHz, "> 0", "span"),
+        "n_points": (1601, 1, ">= 2", "n_points"),
+        "p_in_dbm": (-131.0, 1, None, "p_in_dbm"),
+        "duration_s": (160.0, 1, "> 0", None),
     },
     "stage": {
-        "step_size_nm": (60.0, nm, None),
-        "voltage_v": (36.0, 1, None),
-        "reference_voltage_v": (36.0, 1, None),
-        "min_voltage_v": (30.0, 1, None),
-        "backlash_nm": (0.0, nm, None),
+        "step_size_nm": (60.0, nm, None, "step_size"),
+        "voltage_v": (36.0, 1, None, "voltage"),
+        "reference_voltage_v": (36.0, 1, None, "reference_voltage"),
+        "min_voltage_v": (30.0, 1, None, "min_voltage"),
+        "backlash_nm": (0.0, nm, None, "backlash"),
     },
     "controller": {
-        "f_target_ghz": (6.834683, GHz, "> 0"),
-        "tolerance_ppm": (0.3, 1, None),
-        "max_steps": (2000, 1, None),
-        "steps_per_measurement": (8, 1, None),
-        "sweep_points": (1201, 1, ">= 2"),
-        "sweep_span_mhz": (6.0, MHz, "> 0"),
+        "f_target_ghz": (6.834683, GHz, "> 0", "f_target"),
+        "tolerance_ppm": (0.3, 1, None, "tolerance_ppm"),
+        "max_steps": (2000, 1, None, "max_steps"),
+        "steps_per_measurement": (8, 1, None, "steps_per_measurement"),
+        "sweep_points": (1201, 1, ">= 2", "sweep_points"),
+        "sweep_span_mhz": (6.0, MHz, "> 0", "sweep_span"),
     },
 }
 DEFAULT_CONFIG = {section: {key: row[0] for key, row in fields.items()}
@@ -124,10 +125,11 @@ def _read(doc):
     for section, fields in FIELDS.items():
         if not isinstance(doc[section], dict):
             raise ValidationError(f"{section}: expected an object")
-        for key, (default, factor, rule) in fields.items():
+        for key, (default, factor, rule, _) in fields.items():
             value = doc[section][key]
             if isinstance(value, bool) or not isinstance(value, (type(default), int)):
-                raise ValidationError(f"{section}.{key}: expected a number, got {value!r}")
+                kind = "an integer" if isinstance(default, int) else "a number"
+                raise ValidationError(f"{section}.{key}: expected {kind}, got {value!r}")
             si = value * factor if abs(value) <= sys.float_info.max else float("inf")
             if not abs(si) <= sys.float_info.max:  # NaN, inf, or past the float range
                 raise ValidationError(f"{section}.{key}: must be finite")
@@ -144,32 +146,16 @@ def from_dict(user_doc=None):
     doc = _merge(DEFAULT_CONFIG, user_doc or {})
     v = _read(doc)
 
-    def build(section, ctor, kwargs):
+    def build(section, ctor, **extra):
+        kwargs = {arg: v[section, key] for key, (*_, arg) in FIELDS[section].items() if arg}
         try:
-            return ctor(**kwargs)
+            return ctor(**kwargs, **extra)
         except (CalibrationError, DomainError) as exc:
             raise ValidationError(f"{section}: {exc}") from exc
 
-    # Only L0*C enters the model, so L0 is fixed and C sets the baseline.
-    params = build("resonator", ResonatorParams, dict(
-        L0=nH,
-        C=capacitance_for_frequency(v["resonator", "f_baseline_ghz"], nH),
-        Qi0=v["resonator", "qi0"],
-        Qe=v["resonator", "qe"],
-        phi=v["resonator", "phi"],
-    ))
-
-    pin = build("calibration", calibrate_pin_model, dict(
-        f_baseline=v["calibration", "f_baseline_ghz"],
-        f_closest=v["calibration", "f_closest_ghz"],
-        d_min=v["calibration", "d_min_um"],
-        peak_sensitivity=v["calibration", "peak_sensitivity_hz_per_m"],
-    ))
-
-    state = build("state", TuningState, dict(
-        d=v["state", "d_um"],
-        trim_shift=v["state", "trim_shift_mhz"],
-    ))
+    params = build("resonator", ResonatorParams.at)
+    pin = build("calibration", calibrate_pin_model)
+    state = build("state", TuningState)
     if state.d < pin.d_min:
         raise ValidationError("state.d_um: below calibration.d_min_um")
     try:  # the tuning band's ends, from d_min to the start height
@@ -179,37 +165,11 @@ def from_dict(user_doc=None):
         raise ValidationError(
             f"resonator: no finite resonance with this calibration ({exc})") from None
 
-    noise = build("noise", NoiseModel, dict(
-        sigma_rel=v["noise", "sigma_rel"],
-        vib_amplitude=v["noise", "vib_amplitude_um"],
-        seed=v["noise", "seed"],
-    ))
-
-    sweep = SweepDefaults(
-        span=v["sweep", "span_mhz"],
-        n_points=v["sweep", "n_points"],
-        p_in_dbm=v["sweep", "p_in_dbm"],
-    )
-
-    stage = build("stage", PiezoStage, dict(
-        position=state.d,
-        voltage=v["stage", "voltage_v"],
-        step_size=v["stage", "step_size_nm"],
-        reference_voltage=v["stage", "reference_voltage_v"],
-        min_voltage=v["stage", "min_voltage_v"],
-        backlash=v["stage", "backlash_nm"],
-    ))
-
-    controller = build("controller", ControllerConfig, dict(
-        f_target=v["controller", "f_target_ghz"],
-        tolerance_ppm=v["controller", "tolerance_ppm"],
-        max_steps=v["controller", "max_steps"],
-        steps_per_measurement=v["controller", "steps_per_measurement"],
-        sweep_points=v["controller", "sweep_points"],
-        sweep_span=v["controller", "sweep_span_mhz"],
-        p_in_dbm=sweep.p_in_dbm,
-        duration_s=v["sweep", "duration_s"],
-    ))
+    noise = build("noise", NoiseModel)
+    sweep = build("sweep", SweepDefaults)
+    stage = build("stage", PiezoStage, position=state.d)
+    controller = build("controller", ControllerConfig,
+                       p_in_dbm=sweep.p_in_dbm, duration_s=v["sweep", "duration_s"])
 
     return ExperimentConfig(
         params=params,

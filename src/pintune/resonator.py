@@ -51,6 +51,11 @@ class ResonatorParams:
         if not abs(self.phi) < math.pi / 2:
             raise DomainError("ResonatorParams.phi must satisfy |phi| < pi/2")
 
+    @classmethod
+    def at(cls, f_baseline, Qi0, Qe, phi=0.0):
+        """The resonator with retracted-pin frequency f_baseline (Hz); L0 is 1 nH, as only L0*C matters."""
+        return cls(L0=1e-9, C=capacitance_for_frequency(f_baseline, 1e-9), Qi0=Qi0, Qe=Qe, phi=phi)
+
 
 @dataclass(frozen=True)
 class PinCouplingModel:

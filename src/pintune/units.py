@@ -2,12 +2,11 @@
 
 Internal convention everywhere in this package:
   frequency Hz, length m, inductance H, capacitance F, power dBm or W.
-The CLI layer accepts GHz / MHz / um / nm / nH and converts on entry.
+The CLI layer accepts GHz / MHz / um / nm and converts on entry.
 """
 
 GHz = 1e9
 MHz = 1e6
-nH = 1e-9
 um = 1e-6
 nm = 1e-9
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pintune
 from pintune import io as pio
-from pintune.cli import main
+from pintune.cli import CONFIG_FLAGS, build_parser, main
 from pintune.config import FIELDS, from_dict, load_config
 from pintune.errors import ValidationError
 from pintune.stability import FrequencyTimeSeries
@@ -68,11 +68,13 @@ class TestConfig:
             ({"resonator": {"l0_nh": 1.0}}, "resonator.l0_nh: unknown field"),
             ({"sweep": 5}, "sweep: expected an object"),
             ({"state": {"trim_shift_mhz": -1e305}}, "state.trim_shift_mhz: must be finite"),
-            ({"sweep": {"n_points": 1601.0}}, "sweep.n_points: expected a number"),
+            ({"sweep": {"n_points": 1601.0}}, "sweep.n_points: expected an integer, got 1601.0"),
             # Field checks run in FIELDS order, before any object is built.
             ({"sweep": {"n_points": 1, "span_mhz": 0}}, "sweep.span_mhz: must be > 0"),
             ({"resonator": {"qi0": -1}, "sweep": {"duration_s": 0}},
              "sweep.duration_s: must be > 0"),
+            # (2 pi f)**2 underflows: the resonator is built inside the section's check.
+            ({"resonator": {"f_baseline_ghz": 1e-300}}, "resonator: frequency out of range"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -83,7 +85,7 @@ class TestConfig:
     @pytest.mark.parametrize("section,key,rule", [
         (section, key, rule)
         for section, fields in FIELDS.items()
-        for key, (_, _, rule) in fields.items()
+        for key, (_, _, rule, _) in fields.items()
         if rule
     ])
     def test_each_rule_names_its_field(self, section, key, rule):
@@ -105,6 +107,28 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_config(path)
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("dest,field", CONFIG_FLAGS.items())
+    def test_flag_names_a_field(self, dest, field):
+        section, key = field
+        assert key in FIELDS.get(section, {}), f"{dest}: no FIELDS row {section}.{key}"
+        verbs = build_parser()._subparsers._group_actions[0].choices.values()
+        assert any(action.dest == dest for verb in verbs for action in verb._actions)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--span-mhz", 0], "sweep.span_mhz: must be > 0"),
+        (["simulate", "--span-mhz", "inf"], "sweep.span_mhz: must be finite"),
+        (["simulate", "--n-points", 1], "sweep.n_points: must be >= 2"),
+        (["simulate", "--seed", -1], "noise.seed: must be >= 0"),
+        (["tune", "--target-ghz", -1], "controller.f_target_ghz: must be > 0"),
+        (["tune", "--tolerance-ppm", "nan"], "controller.tolerance_ppm: must be finite"),
+    ])
+    def test_flag_is_checked_like_a_file_field(self, tmp_path, capsys, argv, message):
+        out = ["--out", tmp_path / "o.csv"] if argv[0] == "simulate" else []
+        assert run(argv + out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestTraceCsv:

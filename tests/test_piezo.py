@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pintune.errors import DomainError, MechanicalLimit, StageStalled
+from pintune import piezo
+from pintune.errors import (
+    ConvergenceFailure,
+    DomainError,
+    MechanicalLimit,
+    NonPhysicalFit,
+    NoResonance,
+    StageStalled,
+)
+from pintune.fitting import fit_resonance
 from pintune.piezo import (
     RADIUS_MAX,
     ControllerConfig,
@@ -284,6 +293,48 @@ class TestTuneToTarget:
         session = tune_to_target(plant, stage, ControllerConfig())
         assert session.outcome == "Aborted"
         assert "stalled" in session.steps[-1].note
+
+
+class TestFitFailure:
+    """_measure retries a failed fit once on a 4x wider sweep, and the session
+    aborts when that fails too."""
+
+    def test_widened_sweep_recovers(self, monkeypatch):
+        spans = []
+
+        def fails_first(trace):
+            spans.append(trace.frequencies[-1] - trace.frequencies[0])
+            if len(spans) == 1:
+                raise NoResonance("no dip")
+            return fit_resonance(trace)
+
+        monkeypatch.setattr(piezo, "fit_resonance", fails_first)
+        plant = noiseless_plant()
+        session = tune_to_target(plant, PiezoStage(position=300 * UM), ControllerConfig())
+        assert session.outcome == "Converged"
+        assert spans[1] == pytest.approx(4 * spans[0])
+        assert spans[2] == pytest.approx(spans[0])  # the next measurement is back at 1x
+        assert len(spans) == len(session.steps) + 1
+        first = session.steps[0]
+        assert first.note == "" and first.pulses > 0
+        assert first.measured_f_r == pytest.approx(plant.true_frequency(300 * UM), abs=100.0)
+
+    @pytest.mark.parametrize("exc", [NoResonance, NonPhysicalFit, ConvergenceFailure])
+    def test_second_failure_aborts(self, monkeypatch, exc):
+        spans = []
+
+        def always_fails(trace):
+            spans.append(trace.frequencies[-1] - trace.frequencies[0])
+            raise exc("fit failed")
+
+        monkeypatch.setattr(piezo, "fit_resonance", always_fails)
+        stage = PiezoStage(position=300 * UM)
+        session = tune_to_target(noiseless_plant(), stage, ControllerConfig())
+        assert session.outcome == "Aborted"
+        assert spans[1] == pytest.approx(4 * spans[0]) and len(spans) == 2
+        assert [step.note for step in session.steps] == [f"fit failed: {exc.__name__}"]
+        assert session.steps[0].pulses == 0 and session.total_pulses == 0
+        assert stage.position == 300 * UM
 
 
 class TestControllerModel:
