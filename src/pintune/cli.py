@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .config import from_dict, load_config
+from .config import FIELDS, GHz, check, from_dict, load_config, read_field
 from .errors import (
     CalibrationError,
     ConvergenceFailure,
@@ -32,7 +32,6 @@ from .piezo import tune_to_target
 from .resonator import ResonatorParams, TuningState, calibrate_pin_model, frequency_slope, tuned_frequency
 from .stability import NoOscillation, allan_deviation, detect_oscillation, drift_rate, peak_to_peak_deviation
 from .transmission import SweepConfig, synthesize_sweep
-from .units import GHz, um
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,14 +41,26 @@ EXIT_UNREACHABLE = 5
 EXIT_CONVERGENCE = 6
 
 
-# The flags that set a config field, argparse dest -> (section, key); _load
-# checks each given one like a field of the config file.
+# The flags that set a config field, argparse dest -> (section, key); each
+# given one is checked like a field of the config file.  _load lays them over
+# the config; calibrate loads none and reads its anchors by their rows alone.
 CONFIG_FLAGS = {
     "seed": ("noise", "seed"),
     "span_mhz": ("sweep", "span_mhz"),
     "n_points": ("sweep", "n_points"),
     "target_ghz": ("controller", "f_target_ghz"),
     "tolerance_ppm": ("controller", "tolerance_ppm"),
+    "f_baseline_ghz": ("calibration", "f_baseline_ghz"),
+    "f_closest_ghz": ("calibration", "f_closest_ghz"),
+    "d_min_um": ("calibration", "d_min_um"),
+    "peak_sensitivity": ("calibration", "peak_sensitivity_hz_per_m"),
+}
+# The number flags that set no config field, argparse dest -> (SI factor,
+# rule); each is checked the same way, under its flag's name.
+VALUE_FLAGS = {
+    "center_ghz": (GHz, "> 0"),
+    "f0_ghz": (GHz, "> 0"),
+    "p_in_dbm": (1, None),
 }
 
 
@@ -66,10 +77,18 @@ def _load(args):
     return from_dict(doc)
 
 
+def _value(args, dest, default=None):
+    """A VALUE_FLAGS flag's checked SI value, or default if it is not given."""
+    value = getattr(args, dest)
+    if value is None:
+        return default
+    return check("--" + dest.replace("_", "-"), value, 0.0, *VALUE_FLAGS[dest])
+
+
 def cmd_simulate(args):
     cfg = _load(args)
     f_r = tuned_frequency(cfg.params, cfg.state, cfg.pin)
-    center = args.center_ghz * GHz if args.center_ghz is not None else f_r
+    center = _value(args, "center_ghz", f_r)
     try:
         sweep = SweepConfig(
             f_start=center - cfg.sweep.span / 2.0,
@@ -90,7 +109,7 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
-    trace = pio.read_trace_csv(args.trace, p_in_dbm=args.p_in_dbm)
+    trace = pio.read_trace_csv(args.trace, p_in_dbm=_value(args, "p_in_dbm"))
     result = fit_resonance(trace)  # error exit codes handled in main()
     doc = pio.result_document("fit", None, None, pio.to_jsonable(result))
     if args.out:
@@ -122,7 +141,7 @@ def cmd_tune(args):
 
 
 def cmd_drift(args):
-    series = pio.read_series_csv(args.series, f0=None if args.f0_ghz is None else args.f0_ghz * GHz)
+    series = pio.read_series_csv(args.series, f0=_value(args, "f0_ghz"))
     try:  # finite values whose squares or ratios leave the float range
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _drift_report(args, series)
@@ -158,12 +177,10 @@ def _drift_report(args, series):
 
 
 def cmd_calibrate(args):
-    model = calibrate_pin_model(
-        f_baseline=args.f_baseline_ghz * GHz,
-        f_closest=args.f_closest_ghz * GHz,
-        d_min=args.d_min_um * um,
-        peak_sensitivity=args.peak_sensitivity,
-    )
+    # calibrate_pin_model's arguments, each named by its calibration row
+    anchors = {FIELDS[section][key][3]: read_field(section, key, getattr(args, dest))
+               for dest, (section, key) in CONFIG_FLAGS.items() if section == "calibration"}
+    model = calibrate_pin_model(**anchors)
     payload = {
         "m_max": model.m_max,
         "lambda_m": model.lam,
@@ -174,15 +191,15 @@ def cmd_calibrate(args):
         pio.write_result_json(args.out, doc)
     # Residuals at the anchors: zero up to round-off by construction of the
     # closed form.  The quality factors of this LC stand-in are irrelevant.
-    f_b = args.f_baseline_ghz * GHz
+    f_b = anchors["f_baseline"]
     lc = ResonatorParams.at(f_b, Qi0=1.0, Qe=1.0)
     at_min = TuningState(d=model.d_min)
     shift = tuned_frequency(lc, at_min, model) - f_b
     slope = -frequency_slope(lc, at_min, model)
     print(f"m_max = {model.m_max:.6f}, lambda = {model.lam * 1e6:.2f} um, "
           f"d_min = {model.d_min * 1e6:.1f} um")
-    print(f"anchor residuals: shift {shift - (args.f_closest_ghz * GHz - f_b):+.3e} Hz, "
-          f"slope {slope - args.peak_sensitivity:+.3e} Hz/m")
+    print(f"anchor residuals: shift {shift - (anchors['f_closest'] - f_b):+.3e} Hz, "
+          f"slope {slope - anchors['peak_sensitivity']:+.3e} Hz/m")
     return EXIT_OK
 
 

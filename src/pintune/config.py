@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import CalibrationError, DomainError, ValidationError
-from .piezo import ControllerConfig, PiezoStage, Plant
+from .piezo import F_RB, ControllerConfig, PiezoStage, Plant
 from .resonator import (
     PinCouplingModel,
     ResonatorParams,
@@ -24,7 +24,13 @@ from .resonator import (
     tuned_frequency,
 )
 from .transmission import NoiseModel
-from .units import GHz, MHz, nm, um
+
+# Lab units in SI: config fields and CLI flags are given in them, and every
+# model object takes SI (Hz, m, F; power in dBm).
+GHz = 1e9
+MHz = 1e6
+um = 1e-6
+nm = 1e-9
 
 # section -> key -> (default, SI factor, rule, argument); the defaults are the
 # paper's Nb resonator trimmed to 6.8278 GHz, with the pin calibrated on its
@@ -67,7 +73,7 @@ FIELDS = {
         "backlash_nm": (0.0, nm, None, "backlash"),
     },
     "controller": {
-        "f_target_ghz": (6.834683, GHz, "> 0", "f_target"),
+        "f_target_ghz": (F_RB / GHz, GHz, "> 0", "f_target"),
         "tolerance_ppm": (0.3, 1, None, "tolerance_ppm"),
         "max_steps": (2000, 1, None, "max_steps"),
         "steps_per_measurement": (8, 1, None, "steps_per_measurement"),
@@ -119,24 +125,35 @@ def _merge(base, override, prefix=""):
     return out
 
 
+def check(name, value, default, factor, rule):
+    """value * factor, if value is a number (an int if default is) that is
+    finite in SI and passes rule; otherwise a ValidationError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (type(default), int)):
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ValidationError(f"{name}: expected {kind}, got {value!r}")
+    si = value * factor if abs(value) <= sys.float_info.max else float("inf")
+    if not abs(si) <= sys.float_info.max:  # NaN, inf, or past the float range
+        raise ValidationError(f"{name}: must be finite")
+    op, _, bound = (rule or "").partition(" ")
+    if rule and not _RULES[op](si, float(bound)):
+        raise ValidationError(f"{name}: must be {rule}")
+    return si
+
+
+def read_field(section, key, value):
+    """A value of the field section.key in SI, checked by its FIELDS row."""
+    default, factor, rule, _ = FIELDS[section][key]
+    return check(f"{section}.{key}", value, default, factor, rule)
+
+
 def _read(doc):
     """Every field's SI value by (section, key), checked in FIELDS order."""
     out = {}
     for section, fields in FIELDS.items():
         if not isinstance(doc[section], dict):
             raise ValidationError(f"{section}: expected an object")
-        for key, (default, factor, rule, _) in fields.items():
-            value = doc[section][key]
-            if isinstance(value, bool) or not isinstance(value, (type(default), int)):
-                kind = "an integer" if isinstance(default, int) else "a number"
-                raise ValidationError(f"{section}.{key}: expected {kind}, got {value!r}")
-            si = value * factor if abs(value) <= sys.float_info.max else float("inf")
-            if not abs(si) <= sys.float_info.max:  # NaN, inf, or past the float range
-                raise ValidationError(f"{section}.{key}: must be finite")
-            op, _, bound = (rule or "").partition(" ")
-            if rule and not _RULES[op](si, float(bound)):
-                raise ValidationError(f"{section}.{key}: must be {rule}")
-            out[section, key] = si
+        for key in fields:
+            out[section, key] = read_field(section, key, doc[section][key])
     return out
 
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .stability import FrequencyTimeSeries
 from .transmission import SweepTrace
 
@@ -126,7 +126,7 @@ def read_trace_csv(path, p_in_dbm=None):
             p_in_dbm=p_in_dbm if p_in_dbm is not None else 0.0,
             timestamp=timestamp,
         )
-    except Exception as exc:
+    except DomainError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -148,7 +148,7 @@ def read_series_csv(path, f0=None):
             f0 = float(np.mean(freqs))
     try:
         return FrequencyTimeSeries(times, freqs, f0=f0)
-    except Exception as exc:
+    except DomainError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 

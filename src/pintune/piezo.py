@@ -39,7 +39,9 @@ from .resonator import (
     tuned_frequency,
 )
 from .transmission import NoiseModel, SweepConfig, synthesize_sweep
-from .units import F_RB
+
+# Ground-state hyperfine splitting of 87Rb (Hz), the default tuning target.
+F_RB = 6.834683e9
 
 
 # Trust-region pulse budget (More 1978; Conn, Gould & Toint, Trust-Region

@@ -38,7 +38,7 @@ class FrequencyTimeSeries:
         self.f_r = np.asarray(self.f_r, dtype=float)
         if self.timestamps.shape != self.f_r.shape:
             raise DomainError("FrequencyTimeSeries arrays must have equal length")
-        if self.timestamps.size and not np.all(np.diff(self.timestamps) > 0):
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):  # compared: a diff can overflow
             raise DomainError("FrequencyTimeSeries.timestamps must be strictly increasing")
         if not 0 < self.f0 < math.inf:
             raise DomainError("FrequencyTimeSeries.f0 must be finite and > 0")

@@ -18,7 +18,13 @@ import numpy as np
 
 from .errors import DomainError, NonPhysicalFit
 from .resonator import frequency_slope, tuned_frequency
-from .units import HBAR, dbm_to_watts
+
+HBAR = 1.054571817e-34  # J s
+
+
+def dbm_to_watts(p_dbm):
+    """Exact dBm -> W conversion, P_W = 10**((dBm - 30)/10)."""
+    return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class SweepTrace:
             raise DomainError("SweepTrace needs at least 2 points")
         if not (np.isfinite(self.frequencies).all() and np.isfinite(self.power_ratio).all()):
             raise DomainError("SweepTrace values must be finite")
-        if not (self.frequencies[0] > 0 and np.all(np.diff(self.frequencies) > 0)):
+        if not (self.frequencies[0] > 0 and np.all(self.frequencies[1:] > self.frequencies[:-1])):
             raise DomainError("SweepTrace.frequencies must be positive and strictly increasing")
         if np.any(self.power_ratio < 0):
             raise DomainError("SweepTrace.power_ratio must be >= 0")

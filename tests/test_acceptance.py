@@ -20,7 +20,7 @@ import pytest
 from pintune.cli import main
 from pintune.config import from_dict
 from pintune.fitting import fit_resonance
-from pintune.piezo import PiezoStage, frequency_sensitivity, tune_to_target
+from pintune.piezo import F_RB, PiezoStage, frequency_sensitivity, tune_to_target
 from pintune.resonator import TuningState, mutual_inductance, tuned_frequency
 from pintune.stability import FrequencyTimeSeries, drift_rate, peak_to_peak_deviation
 from pintune.transmission import (
@@ -33,7 +33,6 @@ from pintune.transmission import (
     s21_power,
     synthesize_sweep,
 )
-from pintune.units import F_RB
 
 F_BASELINE = 6.8278e9
 

@@ -30,6 +30,34 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+# calibrate's flags with the paper's anchors, flag -> value
+ANCHORS = {"--f-baseline-ghz": 6.8278, "--f-closest-ghz": 6.8454, "--d-min-um": 40,
+           "--peak-sensitivity": 1.45e11}
+
+
+def calibrate_argv(**given):
+    """calibrate with the paper's anchors, some replaced: d_min_um=400 sets --d-min-um."""
+    anchors = {**ANCHORS, **{"--" + k.replace("_", "-"): v for k, v in given.items()}}
+    return ["calibrate", *(a for pair in anchors.items() for a in pair)]
+
+
+def write_inputs(tmp_path):
+    """Valid input files, name -> path: a time series, a trace with a
+    pout_dbm column and no recorded power, and a two-column trace that fits."""
+    x = [2 * 3e4 * 1e4 * (i - 40) / 6.8e9 for i in range(81)]  # 2 Q_L (f - f_r) / f_r
+    rows = {
+        "s.csv": "time_s,f_r_hz\n" + "".join(f"{60 * i},{6.8e9 + i}\n" for i in range(10)),
+        "pout.csv": "frequency_hz,power_ratio,pout_dbm\n"
+                    + "".join(f"{6.8e9 + 1e4 * i},,{-120 - (i == 5)}\n" for i in range(11)),
+        "trace.csv": "frequency_hz,power_ratio\n"
+                     + "".join(f"{6.8e9 + 1e4 * (i - 40)},{1 - 0.5 / (1 + xi * xi)}\n"
+                               for i, xi in enumerate(x)),
+    }
+    for name, text in rows.items():
+        (tmp_path / name).write_text(text)
+    return {name: tmp_path / name for name in rows}
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = from_dict({})
@@ -109,6 +137,9 @@ class TestConfig:
             load_config(path)
 
 
+VERBS = build_parser()._subparsers._group_actions[0].choices  # verb -> its parser
+
+
 class TestConfigFlags:
     @pytest.mark.parametrize("dest,field", CONFIG_FLAGS.items())
     def test_flag_names_a_field(self, dest, field):
@@ -124,11 +155,45 @@ class TestConfigFlags:
         (["simulate", "--seed", -1], "noise.seed: must be >= 0"),
         (["tune", "--target-ghz", -1], "controller.f_target_ghz: must be > 0"),
         (["tune", "--tolerance-ppm", "nan"], "controller.tolerance_ppm: must be finite"),
+        (calibrate_argv(f_baseline_ghz=1e300, f_closest_ghz=1e300),
+         "calibration.f_baseline_ghz: must be finite"),
+        (calibrate_argv(f_closest_ghz="inf"), "calibration.f_closest_ghz: must be finite"),
+        (calibrate_argv(peak_sensitivity="inf"),
+         "calibration.peak_sensitivity_hz_per_m: must be finite"),
+        (["simulate", "--center-ghz", -1], "--center-ghz: must be > 0"),
+        (["simulate", "--center-ghz", "nan"], "--center-ghz: must be finite"),
+        (["simulate", "--center-ghz", 1e300], "--center-ghz: must be finite"),
     ])
     def test_flag_is_checked_like_a_file_field(self, tmp_path, capsys, argv, message):
         out = ["--out", tmp_path / "o.csv"] if argv[0] == "simulate" else []
         assert run(argv + out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("verb,path,flag,value,message", [
+        ("drift", "s.csv", "--f0-ghz", -1, "--f0-ghz: must be > 0"),
+        ("drift", "s.csv", "--f0-ghz", 0, "--f0-ghz: must be > 0"),
+        ("drift", "s.csv", "--f0-ghz", "nan", "--f0-ghz: must be finite"),
+        ("drift", "s.csv", "--f0-ghz", 1e300, "--f0-ghz: must be finite"),
+        ("fit", "pout.csv", "--p-in-dbm", "nan", "--p-in-dbm: must be finite"),
+        ("fit", "pout.csv", "--p-in-dbm", "inf", "--p-in-dbm: must be finite"),
+        ("fit", "trace.csv", "--p-in-dbm", "nan", "--p-in-dbm: must be finite"),
+        ("fit", "trace.csv", "--p-in-dbm", "inf", "--p-in-dbm: must be finite"),
+    ])
+    def test_flag_on_a_file_names_itself(self, tmp_path, capsys, verb, path, flag, value, message):
+        assert run([verb, write_inputs(tmp_path)[path], flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("verb,action", [
+        (verb, action) for verb, parser in VERBS.items() for action in parser._actions
+        if action.type is float], ids=lambda x: getattr(x, "dest", x))
+    def test_every_float_flag_names_itself_on_nan(self, tmp_path, capsys, verb, action):
+        inputs = write_inputs(tmp_path)
+        base = {"simulate": ["--out", tmp_path / "o.csv"], "fit": [inputs["trace.csv"]],
+                "tune": [], "drift": [inputs["s.csv"]], "calibrate": calibrate_argv()[1:]}
+        flag = action.option_strings[0]
+        assert run([verb, *base[verb], flag, "nan"]) == 2  # the last of a repeated flag wins
+        field = ".".join(CONFIG_FLAGS.get(action.dest, ()))
+        assert capsys.readouterr().err.startswith((f"error: {flag}: ", f"error: {field}: "))
 
 
 class TestTraceCsv:
@@ -190,8 +255,21 @@ class TestTraceCsv:
         with pytest.raises(ValidationError):
             pio.read_trace_csv(path, p_in_dbm=-131.0)
 
+    def test_unordered_extremes_rejected(self, tmp_path):
+        # 1.7e308 - (-1.7e308) overflows: the order check must not subtract
+        path = tmp_path / "t.csv"
+        path.write_text("frequency_hz,power_ratio\n1,1\n1.7e308,1\n-1.7e308,1\n")
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            pio.read_trace_csv(path)
+
 
 class TestSeriesCsv:
+    def test_unordered_extremes_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("time_s,f_r_hz\n1.7e308,6.8e9\n-1.7e308,6.8e9\n")
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            pio.read_series_csv(path)
+
     def test_round_trip(self, tmp_path):
         t = np.arange(10.0) * 120.0
         f = 6.8278e9 + np.arange(10.0)
@@ -434,6 +512,10 @@ class TestCalibrateCommand:
         assert doc["result"]["m_max"] == pytest.approx(0.072, abs=5e-4)
         assert doc["result"]["lambda_m"] == pytest.approx(240e-6, rel=0.03)
 
+    def test_anchors_load_no_config(self):
+        # d_min above the default state.d_um of 300 um: only the anchors' rows are read
+        assert run(calibrate_argv(d_min_um=400)) == 0
+
     def test_inverted_anchors_rejected(self, tmp_path):
         assert run([
             "calibrate", "--f-baseline-ghz", 6.8454, "--f-closest-ghz", 6.8278,
@@ -455,6 +537,16 @@ class TestDeterminism:
         run(["simulate", "--config", cfg, "--seed", 1, "--out", a])
         run(["simulate", "--config", cfg, "--seed", 2, "--out", b])
         assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in (Path(__file__).resolve().parents[1] / "src" / "pintune").glob("[!_]*.py")))
+def test_each_module_imports_alone(module):
+    # The package root imports nothing, so no other module's import can
+    # hide a cycle that importing this one alone would hit.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", f"import pintune.{module}"], env=env, check=True)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -17,6 +17,7 @@ from pintune.errors import (
 )
 from pintune.fitting import fit_resonance
 from pintune.piezo import (
+    F_RB,
     RADIUS_MAX,
     ControllerConfig,
     ControllerModel,
@@ -34,7 +35,6 @@ from pintune.resonator import (
     tuned_frequency,
 )
 from pintune.transmission import NoiseModel
-from pintune.units import F_RB
 
 F_BASELINE = 6.8278e9
 NM = 1e-9
