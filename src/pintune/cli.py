@@ -89,15 +89,12 @@ def cmd_simulate(args):
     cfg = _load(args)
     f_r = tuned_frequency(cfg.params, cfg.state, cfg.pin)
     center = _value(args, "center_ghz", f_r)
+    f_start, f_stop = center - cfg.sweep.span / 2.0, center + cfg.sweep.span / 2.0
     try:
-        sweep = SweepConfig(
-            f_start=center - cfg.sweep.span / 2.0,
-            f_stop=center + cfg.sweep.span / 2.0,
-            n_points=cfg.sweep.n_points,
-            p_in_dbm=cfg.sweep.p_in_dbm,
-        )
+        sweep = SweepConfig(f_start, f_stop, cfg.sweep.n_points, cfg.sweep.p_in_dbm)
     except DomainError as exc:
-        raise ValidationError(f"sweep: {exc}") from exc
+        raise ValidationError(f"--center-ghz, sweep.span_mhz: the sweep runs from {f_start:.6g} "
+                              f"to {f_stop:.6g} Hz; {exc}") from exc
     trace = synthesize_sweep(sweep, cfg.params, cfg.state, cfg.pin, cfg.noise)
     pio.write_trace_csv(args.out, trace)
     imin = int(np.argmin(trace.power_ratio))

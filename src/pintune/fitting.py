@@ -1,18 +1,24 @@
 """Resonance parameter extraction by damped nonlinear least squares.
 
-The dip model (see transmission.s21_power) is fit to a measured power-ratio
-trace over (f_r, Q_L, Q_e, phi).  Internally Q_L and Q_e are parameterized as
-logs to keep them positive without constraints.  The optimizer is
-Gauss-Newton with multiplicative damping (x10 on a rejected step, /10 on a
-cost decrease) and analytic residual derivatives.  A trial step is rejected
-when its cost rises, is not finite, or its Q exponents overflow.  A trial
-point costs only its residual: the Jacobian and the normal equations are
-evaluated at the start point and at accepted points alone (Moré 1978).
+The dip model (see transmission.notch_response) is fit to a measured
+power-ratio trace over theta = (f_r, ln Q_L, ln Q_e, phi); the logs keep Q_L
+and Q_e positive without constraints.  The optimizer is Gauss-Newton with
+multiplicative damping (x10 on a rejected step, /10 on a cost decrease) and
+analytic residual derivatives.  A trial step is rejected when its cost rises,
+is not finite, or its Q exponents overflow.  A trial point costs only its
+residual: the Jacobian and the normal equations are evaluated at the start
+point and at accepted points alone (Moré 1978).
+
+The Jacobian columns reuse the residual's u, D and m (see transmission),
+with dS/du = -2(a sin phi + u m)/D:
+
+    dS/d f_r = dS/du (-(u + 2 Q_L)/f_r)     dS/d ln Q_e = -(m + a**2/D)
+    dS/d ln Q_L = u dS/du - dS/d ln Q_e    dS/d phi = 2a (sin phi - u cos phi)/D
 
 A fit writes its point-sized arrays into a workspace that each thread keeps
 and reuses from fit to fit, so they are not freed and faulted in again on
 every step.  It grows to the largest trace the thread has fitted, a smaller
-trace uses prefix views of it, and threads never share one.  A trace above
+trace uses the front of it, and threads never share one.  A trace above
 KEEP_MAX_POINTS gets a workspace of its own that is not kept.
 """
 
@@ -132,72 +138,64 @@ def initial_guess(trace):
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 
 
-# A fit's point-sized arrays (lineshape terms, residual, scratch, Jacobian).
-# They take 144 bytes a point, so a kept store is at most 9.4 MB a thread and
-# one huge trace cannot pin its memory.
-_Workspace = namedtuple("_Workspace", "resp t denom c1 c2 c3 r scratch jac")
+# A fit's point-sized arrays, nine float64 rows: the residual, u, D, m, a
+# scratch row and the Jacobian's four columns.  At 72 bytes a point a kept
+# store is at most 4.7 MB a thread, and one huge trace cannot pin its memory.
+_Workspace = namedtuple("_Workspace", "r u d m scratch jac")
 KEEP_MAX_POINTS = 65536
 _kept = threading.local()
 
 
 def _workspace(n, keep=True):
-    """A workspace of C-contiguous n-point prefixes, so the ufunc and BLAS
-    paths are those of fresh arrays.  Kept, they are this thread's store,
-    grown first if it is under n points; above KEEP_MAX_POINTS or not kept,
-    they are new arrays of the call's own."""
+    """A workspace of n-point rows laid out as in a fresh (9, n) array, so the
+    ufunc and BLAS paths are those of fresh arrays.  Kept, it is carved from
+    this thread's store, grown first if it is under n points; above
+    KEEP_MAX_POINTS or not kept, it is a new array of the call's own."""
     keep = keep and n <= KEEP_MAX_POINTS
     store = getattr(_kept, "store", None) if keep else None
-    if store is None or store[2].shape[0] < n:
-        store = (np.empty((6, n), complex), np.empty((2, n)), np.empty((n, 4)))
+    if store is None or store.shape[1] < n:
+        store = np.empty((9, n))
         if keep:
             _kept.store = store
-    cplx, real, jac = store
-    return _Workspace(*cplx[:, :n], *real[:, :n], jac[:n])
+    rows = store.reshape(-1)[:9 * n].reshape(9, n)
+    return _Workspace(*rows[:5], rows[5:].T)
 
 
 def _residual(theta, f, y, ws=None):
     """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
-    the lineshape terms (Q_L, response, t, denom) that _jacobian reuses.
-    They are written into ws, or into fresh arrays without one."""
+    the lineshape terms (Q_L, u, D, m) that _jacobian reuses.  They are
+    written into ws, or into fresh arrays without one."""
     ws = ws or _workspace(f.size, keep=False)
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
-    out = (ws.resp, ws.t, ws.denom, ws.scratch)
-    resp, t, denom = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=out)
-    r = np.square(resp.real, out=ws.r)
-    r += np.square(resp.imag, out=ws.scratch)
+    r, u, d, m = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=(ws.r, ws.u, ws.d, ws.m))
     r -= y
-    return r, (q_l, resp, t, denom)
+    return r, (q_l, u, d, m)
 
 
 def _jacobian(theta, f, terms, ws=None):
-    """d r / d theta at the point whose _residual returned terms, written
-    into ws, or into fresh arrays without one."""
+    """d r / d theta at the point whose _residual returned terms, by the
+    module docstring's closed forms, into ws or into fresh arrays."""
     ws = ws or _workspace(f.size, keep=False)
-    q_l, resp, t, denom = terms
-    f_r = theta[0]
-    # dS/dp = -2 Re[conj(resp) * dt/dp].  Each complex product keeps its
-    # factor order: with fused multiply-adds it is not commutative bit for bit.
-    # dt/d f_r = t * (2i Q_L / denom) * (f / f_r^2)
-    dt_dfr = np.divide(2j * q_l, denom, out=ws.c1)
-    dt_dfr = np.multiply(t, dt_dfr, out=dt_dfr)
-    dt_dfr *= np.divide(f, f_r * f_r, out=ws.scratch)
-    # dt/d ln Q_L = t * (1 - (denom - 1) / denom); denom - 1.0 is 2i Q_L x
-    # exactly (the real part of denom is 1.0).
-    dt_dlql = np.subtract(denom, 1.0, out=ws.c2)
-    dt_dlql /= denom
-    dt_dlql = np.subtract(1.0, dt_dlql, out=dt_dlql)
-    dt_dlql = np.multiply(t, dt_dlql, out=dt_dlql)
-
-    # dt/d ln Q_e = -t and dt/d phi = i t share conj(resp) * t; complex
-    # multiplication is symmetric in sign, so both columns keep their bits.
-    rc = np.conjugate(resp, out=ws.c3)
+    q_l, u, d, m = terms
+    f_r, _, lqe, phi = theta
+    a = q_l / math.exp(lqe)
+    a_sin, a_cos = a * math.sin(phi), a * math.cos(phi)
     jac = ws.jac
-    np.multiply(np.multiply(rc, dt_dfr, out=dt_dfr).real, -2.0, out=jac[:, 0])
-    np.multiply(np.multiply(rc, dt_dlql, out=dt_dlql).real, -2.0, out=jac[:, 1])
-    rct = np.multiply(rc, t, out=rc)
-    np.multiply(rct.real, 2.0, out=jac[:, 2])
-    np.multiply(rct.imag, 2.0, out=jac[:, 3])
+    p = np.multiply(u, m, out=ws.scratch)  # p = -(dS/du)/2
+    p += a_sin
+    p /= d
+    col = np.add(u, 2.0 * q_l, out=jac[:, 0])  # f_r
+    col *= p
+    col *= 2.0 / f_r
+    col = np.divide(-a * a, d, out=jac[:, 2])  # ln Q_e
+    col -= m
+    col = np.multiply(u, p, out=jac[:, 1])  # ln Q_L
+    col *= -2.0
+    col -= jac[:, 2]
+    col = np.multiply(u, -2.0 * a_cos, out=jac[:, 3])  # phi
+    col += 2.0 * a_sin
+    col /= d
     return jac
 
 

@@ -1,12 +1,13 @@
 """Forward model of the measured transmission.
 
 Near resonance the ratio of transmitted to input power for the notch-coupled
-resonator is
+resonator is, with u = 2 Q_L (f - f_r)/f_r, a = Q_L/Q_e, D = 1 + u**2 and
+1/Q_L = 1/Q_i + 1/Q_e (Probst et al., Rev. Sci. Instrum. 86, 024706 (2015)),
 
-    P_out/P_in = |1 - (Q_L/Q_e) e^{i phi} / (1 + 2i Q_L (f - f_r)/f_r)|**2
+    S = |1 - a e^{i phi}/(1 + i u)|**2 = 1 + (a**2 - 2a cos phi - 2a u sin phi)/D
 
-with 1/Q_L = 1/Q_i + 1/Q_e.  This module evaluates that lineshape, composes
-quality factors, synthesizes noisy sweeps (including broadening from
+and m = S - 1.  This module evaluates that lineshape in real arithmetic,
+composes quality factors, synthesizes noisy sweeps (including broadening from
 mechanical vibration of the tuning pin), and does the power-chain / photon
 bookkeeping.
 """
@@ -20,6 +21,7 @@ from .errors import DomainError, NonPhysicalFit
 from .resonator import frequency_slope, tuned_frequency
 
 HBAR = 1.054571817e-34  # J s
+U_CLAMP = 1e150  # past it |m| < 3a/|u| + (a/u)**2, and S is 1 exactly for a < 1e70
 
 
 def dbm_to_watts(p_dbm):
@@ -38,8 +40,8 @@ class SweepConfig:
     p_in_dbm: float
 
     def __post_init__(self):
-        if not 0 < self.f_start < self.f_stop:
-            raise DomainError("SweepConfig needs 0 < f_start < f_stop")
+        if not 0 < self.f_start < self.f_stop < math.inf:
+            raise DomainError("SweepConfig needs 0 < f_start < f_stop < inf")
         if self.n_points < 2:
             raise DomainError("SweepConfig.n_points must be >= 2")
 
@@ -91,18 +93,23 @@ class NoiseModel:
 
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
-    """Complex notch response 1 - t with t = (Q_L/Q_e) e^{i phi} / denom and
-    denom = 1 + 2i Q_L (f - f_r)/f_r; returns (response, t, denom).
-
-    The one copy of the lineshape: no argument checks, f_r may be an array.
-    out: optional arrays of f's shape, three complex ones that receive
-    (response, t, denom) and a real one for x = (f - f_r)/f_r.
-    """
-    resp, t, denom, x = (None,) * 4 if out is None else out
-    x = np.divide(np.subtract(f, f_r, out=x), f_r, out=x)
-    denom = np.add(1.0, np.multiply(2j * q_l, x, out=denom), out=denom)
-    t = np.divide((q_l / q_e) * np.exp(1j * phi), denom, out=t)
-    return np.subtract(1.0, t, out=resp), t, denom
+    """S = 1 + m of the module docstring, in real arithmetic, and the terms
+    the fit's Jacobian reuses; returns (S, u, D, m).  The one copy of the
+    lineshape: no argument checks, f_r may be an array.  out: optional real
+    arrays of f's shape that receive (S, u, D, m)."""
+    s, u, d, m = (None,) * 4 if out is None else out
+    a = q_l / q_e
+    # x = (f - f_r)/f_r clamped so that |u| <= U_CLAMP (np.minimum and np.maximum
+    # cost less than np.clip); a 2 Q_L past the float range keeps u = 0 * inf = nan.
+    x_max = U_CLAMP / (2.0 * q_l) if q_l > 0 else math.inf
+    u = np.divide(np.subtract(f, f_r, out=u), f_r, out=u)
+    u = np.maximum(np.minimum(u, x_max, out=u), -x_max, out=u)
+    u = np.multiply(u, 2.0 * q_l, out=u)
+    d = np.add(np.multiply(u, u, out=d), 1.0, out=d)
+    m = np.multiply(u, -2.0 * a * math.sin(phi), out=m)
+    m += a * (a - 2.0 * math.cos(phi))
+    m /= d
+    return np.add(m, 1.0, out=s), u, d, m
 
 
 def s21_power(f, f_r, q_l, q_e, phi=0.0):
@@ -113,8 +120,7 @@ def s21_power(f, f_r, q_l, q_e, phi=0.0):
         raise DomainError("quality factors must be > 0")
     if not abs(phi) < math.pi / 2:
         raise DomainError("|phi| must be < pi/2")
-    resp = notch_response(np.asarray(f, dtype=float), f_r, q_l, q_e, phi)[0]
-    out = resp.real**2 + resp.imag**2
+    out = notch_response(np.ravel(f).astype(float), f_r, q_l, q_e, phi)[0].reshape(np.shape(f))
     return float(out) if out.ndim == 0 else out
 
 
@@ -158,9 +164,8 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
         gauss = np.zeros(config.n_points)
 
     # Per-point resonance displacement: each point sees its own jittered f_r.
-    resp = notch_response(f, f_r + jitter_amp * np.sin(phase), q_l, params.Qe, params.phi)[0]
-    ratio = resp.real**2 + resp.imag**2
-    ratio = ratio * (1.0 + noise.sigma_rel * gauss)
+    ratio = notch_response(f, f_r + jitter_amp * np.sin(phase), q_l, params.Qe, params.phi)[0]
+    ratio *= 1.0 + noise.sigma_rel * gauss
     np.clip(ratio, 0.0, None, out=ratio)
     return SweepTrace(f, ratio, config.p_in_dbm, timestamp=timestamp)
 

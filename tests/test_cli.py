@@ -163,6 +163,14 @@ class TestConfigFlags:
         (["simulate", "--center-ghz", -1], "--center-ghz: must be > 0"),
         (["simulate", "--center-ghz", "nan"], "--center-ghz: must be finite"),
         (["simulate", "--center-ghz", 1e300], "--center-ghz: must be finite"),
+        # a positive center whose sweep starts at or below 0 Hz, whose span
+        # rounds away, or whose stop overflows
+        (["simulate", "--center-ghz", 0.001], "--center-ghz, sweep.span_mhz: the sweep runs "
+         "from -2e+06 to 4e+06 Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
+        (["simulate", "--center-ghz", 1e299], "--center-ghz, sweep.span_mhz: the sweep runs "
+         "from 1e+308 to 1e+308 Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
+        (["simulate", "--center-ghz", 1.7e299, "--span-mhz", 1e302], "--center-ghz, sweep.span_mhz: "
+         "the sweep runs from 1.2e+308 to inf Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
     ])
     def test_flag_is_checked_like_a_file_field(self, tmp_path, capsys, argv, message):
         out = ["--out", tmp_path / "o.csv"] if argv[0] == "simulate" else []

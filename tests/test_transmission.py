@@ -72,6 +72,12 @@ class TestS21Power:
             s21_power(f_r - delta, f_r, q_l, q_e, 0.3), rel=1e-6
         )
 
+    def test_far_wing_is_exactly_one(self):
+        # |u| = 2 Q_L |f - f_r|/f_r from 1e155 to 1e303: u**2 overflows
+        # unless the kernel clamps u, and the exact limit is S = 1.
+        f = np.array([1e160, 1e300, 1.7e308])
+        assert np.all(s21_power(f, 6.83e9, 3.2e4, 5e5, 0.3) == 1.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             s21_power(6.8e9, -1.0, 3e4, 5e5)
