@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import CalibrationError, DomainError, ValidationError
+from .fitting import MIN_POINTS
 from .piezo import F_RB, ControllerConfig, PiezoStage, Plant
 from .resonator import (
     PinCouplingModel,
@@ -23,7 +24,7 @@ from .resonator import (
     calibrate_pin_model,
     tuned_frequency,
 )
-from .transmission import NoiseModel
+from .transmission import NoiseModel, SweepConfig
 
 # Lab units in SI: config fields and CLI flags are given in them, and every
 # model object takes SI (Hz, m, F; power in dBm).
@@ -77,7 +78,7 @@ FIELDS = {
         "tolerance_ppm": (0.3, 1, None, "tolerance_ppm"),
         "max_steps": (2000, 1, None, "max_steps"),
         "steps_per_measurement": (8, 1, None, "steps_per_measurement"),
-        "sweep_points": (1201, 1, ">= 2", "sweep_points"),
+        "sweep_points": (1201, 1, f">= {MIN_POINTS}", "sweep_points"),
         "sweep_span_mhz": (6.0, MHz, "> 0", "sweep_span"),
     },
 }
@@ -176,11 +177,19 @@ def from_dict(user_doc=None):
     if state.d < pin.d_min:
         raise ValidationError("state.d_um: below calibration.d_min_um")
     try:  # the tuning band's ends, from d_min to the start height
-        for d in (pin.d_min, state.d):
-            tuned_frequency(params, TuningState(d=d, trim_shift=state.trim_shift), pin)
+        ends = [tuned_frequency(params, TuningState(d=d, trim_shift=state.trim_shift), pin)
+                for d in (pin.d_min, state.d)]
     except (ArithmeticError, DomainError) as exc:
         raise ValidationError(
             f"resonator: no finite resonance with this calibration ({exc})") from None
+    span = v["controller", "sweep_span_mhz"]
+    for f in ends:  # the controller's sweep, centred on each end
+        lo, hi = f - span / 2, f + span / 2
+        try:
+            SweepConfig(lo, hi, v["controller", "sweep_points"], v["sweep", "p_in_dbm"])
+        except DomainError as exc:
+            raise ValidationError(f"controller.sweep_span_mhz: the sweep runs from {lo:.6g} "
+                                  f"to {hi:.6g} Hz; {exc}") from None
 
     noise = build("noise", NoiseModel)
     sweep = build("sweep", SweepDefaults)

@@ -15,15 +15,11 @@ with dS/du = -2(a sin phi + u m)/D:
     dS/d f_r = dS/du (-(u + 2 Q_L)/f_r)     dS/d ln Q_e = -(m + a**2/D)
     dS/d ln Q_L = u dS/du - dS/d ln Q_e    dS/d phi = 2a (sin phi - u cos phi)/D
 
-A fit writes its point-sized arrays into a workspace that each thread keeps
-and reuses from fit to fit, so they are not freed and faulted in again on
-every step.  It grows to the largest trace the thread has fitted, a smaller
-trace uses the front of it, and threads never share one.  A trace above
-KEEP_MAX_POINTS gets a workspace of its own that is not kept.
+A fit writes its point-sized arrays into one workspace of its own, reused
+across its iterations and freed with the fit.
 """
 
 import math
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -36,6 +32,7 @@ MAX_ITERATIONS = 200
 STEP_TOL = 1e-8       # relative parameter step
 COST_TOL = 1e-12      # relative cost decrease
 DAMPING_START = 1e-3
+MIN_POINTS = 16       # the shortest trace initial_guess accepts
 PHI_LIMIT = math.pi / 2 - 1e-9  # the model is undefined at |phi| = pi/2
 
 
@@ -94,8 +91,8 @@ def initial_guess(trace):
     """
     f = trace.frequencies
     y = trace.power_ratio
-    if len(y) < 16:
-        raise NoResonance("trace too short for a guess (< 16 points)")
+    if len(y) < MIN_POINTS:
+        raise NoResonance(f"trace too short for a guess (< {MIN_POINTS} points)")
 
     baseline, noise_floor = _baseline_and_noise(y)
     imin = int(np.argmin(y))
@@ -139,25 +136,13 @@ def initial_guess(trace):
 
 
 # A fit's point-sized arrays, nine float64 rows: the residual, u, D, m, a
-# scratch row and the Jacobian's four columns.  At 72 bytes a point a kept
-# store is at most 4.7 MB a thread, and one huge trace cannot pin its memory.
+# scratch row and the Jacobian's four columns.
 _Workspace = namedtuple("_Workspace", "r u d m scratch jac")
-KEEP_MAX_POINTS = 65536
-_kept = threading.local()
 
 
-def _workspace(n, keep=True):
-    """A workspace of n-point rows laid out as in a fresh (9, n) array, so the
-    ufunc and BLAS paths are those of fresh arrays.  Kept, it is carved from
-    this thread's store, grown first if it is under n points; above
-    KEEP_MAX_POINTS or not kept, it is a new array of the call's own."""
-    keep = keep and n <= KEEP_MAX_POINTS
-    store = getattr(_kept, "store", None) if keep else None
-    if store is None or store.shape[1] < n:
-        store = np.empty((9, n))
-        if keep:
-            _kept.store = store
-    rows = store.reshape(-1)[:9 * n].reshape(9, n)
+def _workspace(n):
+    """A workspace of n-point rows, laid out as one fresh (9, n) array."""
+    rows = np.empty((9, n))
     return _Workspace(*rows[:5], rows[5:].T)
 
 
@@ -165,7 +150,7 @@ def _residual(theta, f, y, ws=None):
     """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
     the lineshape terms (Q_L, u, D, m) that _jacobian reuses.  They are
     written into ws, or into fresh arrays without one."""
-    ws = ws or _workspace(f.size, keep=False)
+    ws = ws or _workspace(f.size)
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
     r, u, d, m = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=(ws.r, ws.u, ws.d, ws.m))
@@ -176,7 +161,7 @@ def _residual(theta, f, y, ws=None):
 def _jacobian(theta, f, terms, ws=None):
     """d r / d theta at the point whose _residual returned terms, by the
     module docstring's closed forms, into ws or into fresh arrays."""
-    ws = ws or _workspace(f.size, keep=False)
+    ws = ws or _workspace(f.size)
     q_l, u, d, m = terms
     f_r, _, lqe, phi = theta
     a = q_l / math.exp(lqe)

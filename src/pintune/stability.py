@@ -64,6 +64,15 @@ def peak_to_peak_deviation(series):
     return float(np.ptp(series.f_r))
 
 
+def _uniform_step(t, caller):
+    """The sampling step of timestamps t, whose steps must agree to 1e-6
+    relative; otherwise a DomainError naming the caller."""
+    dt = np.diff(t)
+    if not np.allclose(dt, dt[0], rtol=1e-6, atol=0.0):
+        raise DomainError(f"{caller} requires uniform sampling")
+    return float(dt[0])
+
+
 def _golden_section_max(func, lo, hi, xatol):
     """Maximise a unimodal func on [lo, hi] by golden-section search until the
     bracket is narrower than xatol; returns the bracket midpoint."""
@@ -95,10 +104,7 @@ def detect_oscillation(series):
     y = series.f_r
     if t.size < 64:
         raise DomainError("detect_oscillation needs at least 64 samples")
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-6, atol=0.0):
-        raise DomainError("detect_oscillation requires uniform sampling")
-    dt = float(dt[0])
+    dt = _uniform_step(t, "detect_oscillation")
 
     # Remove the least-squares line, not only the mean: a linear drift would
     # otherwise leak into the low bins and outrank a real oscillation.
@@ -141,22 +147,17 @@ def allan_deviation(series):
     t = series.timestamps
     if t.size < 9:
         raise DomainError("allan_deviation needs at least 9 samples")
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-6, atol=0.0):
-        raise DomainError("allan_deviation requires uniform sampling")
-    dt = float(dt[0])
+    dt = _uniform_step(t, "allan_deviation")
 
     y = series.f_r / series.f0
     n = y.size
     ms = np.unique(np.floor(np.logspace(0, math.log10(n // 3), 20)).astype(int))
-    ms = ms[ms <= n // 3]
+    ms = ms[ms <= n // 3]  # so there are n // m >= 3 blocks at every m
 
     out_t, out_a = [], []
     for m in ms:
         k = n // m
         block = y[: k * m].reshape(k, m).mean(axis=1)
-        if block.size < 2:
-            continue
         d = np.diff(block)
         out_t.append(m * dt)
         out_a.append(math.sqrt(0.5 * float(np.mean(d * d))))

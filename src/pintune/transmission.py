@@ -44,6 +44,10 @@ class SweepConfig:
             raise DomainError("SweepConfig needs 0 < f_start < f_stop < inf")
         if self.n_points < 2:
             raise DomainError("SweepConfig.n_points must be >= 2")
+        # np.linspace rounds each point by at most an ulp or two of f_stop, so a
+        # spacing of more than 4 keeps the grid strictly increasing.
+        if not (self.f_stop - self.f_start) / (self.n_points - 1) > 4 * math.ulp(self.f_stop):
+            raise DomainError("SweepConfig points must be spaced by more than 4 ulp of f_stop")
 
 
 @dataclass

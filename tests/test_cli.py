@@ -90,7 +90,7 @@ class TestConfig:
             ({"noise": {"sigma": 0.01}}, "noise.sigma: unknown field"),
             ({"controller": {"f_target_ghz": -1}}, "controller.f_target_ghz: must be > 0"),
             ({"controller": {"sweep_span_mhz": 0}}, "controller.sweep_span_mhz: must be > 0"),
-            ({"controller": {"sweep_points": 1}}, "controller.sweep_points: must be >= 2"),
+            ({"controller": {"sweep_points": 15}}, "controller.sweep_points: must be >= 16"),
             ({"stage": {"backlash_nm": -1.0}}, "stage: PiezoStage.backlash must be >= 0"),
             ({"stage": {"backlash_nm": float("nan")}}, "stage.backlash_nm: must be finite"),
             ({"resonator": {"l0_nh": 1.0}}, "resonator.l0_nh: unknown field"),
@@ -171,6 +171,9 @@ class TestConfigFlags:
          "from 1e+308 to 1e+308 Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
         (["simulate", "--center-ghz", 1.7e299, "--span-mhz", 1e302], "--center-ghz, sweep.span_mhz: "
          "the sweep runs from 1.2e+308 to inf Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
+        (["simulate", "--span-mhz", 1e-9], "--center-ghz, sweep.span_mhz: the sweep runs from "
+         "6.82988e+09 to 6.82988e+09 Hz; SweepConfig points must be spaced by more than 4 ulp "
+         "of f_stop"),
     ])
     def test_flag_is_checked_like_a_file_field(self, tmp_path, capsys, argv, message):
         out = ["--out", tmp_path / "o.csv"] if argv[0] == "simulate" else []
@@ -461,6 +464,20 @@ class TestTuneCommand:
 
     def test_zero_tolerance_rejected(self, tmp_path):
         assert run(["tune", "--tolerance-ppm", 0.0]) == 2
+
+    @pytest.mark.parametrize("controller,message", [
+        # initial_guess refuses a trace under fitting.MIN_POINTS
+        ({"sweep_points": 15}, "controller.sweep_points: must be >= 16"),
+        # the sweep at d_min, the band's top, is finer than the float grid
+        ({"sweep_span_mhz": 1e-9}, "controller.sweep_span_mhz: the sweep runs from 6.8454e+09 "
+         "to 6.8454e+09 Hz; SweepConfig points must be spaced by more than 4 ulp of f_stop"),
+    ])
+    def test_sweep_the_fitter_cannot_use_names_its_field(self, tmp_path, capsys, controller,
+                                                          message):
+        cfg = write_config(tmp_path, {"controller": controller})
+        assert run(["tune", "--config", cfg, "--out", tmp_path / "session.json"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "session.json").exists()
 
     def test_uncoupled_pin_unreachable(self, tmp_path):
         # Zero tuning range: the model slope is 0, so no pulse moves f_r.

@@ -23,6 +23,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,8 +234,8 @@ def test_jacobian_only_at_accepted_points(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# The fitter's point-sized arrays live in a workspace kept per thread and
-# reused from fit to fit; none of that may change a bit either.
+# Each fit writes its point-sized arrays into a workspace of its own; neither
+# the order of fits nor fits running at once may change a bit.
 
 
 def golden_outcome(entry):
@@ -250,8 +251,9 @@ def golden_outcome(entry):
 
 
 def test_goldens_bit_exact_in_any_size_order():
-    """After a 6401-point fit the kept workspace is at least that large, and
-    smaller fits run on prefix views of it."""
+    """Every golden fits to the same bits after a 6401-point fit, and from the
+    largest trace to the smallest and back: a fit carries nothing over from
+    the one before."""
     fit_resonance(golden_trace(*GOLDEN["broad-6401"][:2]))
     by_size = sorted(GOLDEN_ALL, key=lambda name: GOLDEN_ALL[name][0][4])
     for name in by_size[::-1] + by_size:
@@ -260,8 +262,8 @@ def test_goldens_bit_exact_in_any_size_order():
 
 
 def test_threads_fitting_at_once_match_the_serial_bits():
-    """Each thread fits on its own workspace: four threads on two CPUs, each
-    fitting every golden in its own order, with frequent thread switches."""
+    """Fits running at once share no arrays: four threads, each fitting every
+    golden in its own order, with frequent thread switches."""
     traces = {name: golden_trace(*entry[:2]) for name, entry in GOLDEN_ALL.items()}
     names = sorted(traces)
     results, errors = {}, []
@@ -297,16 +299,28 @@ def test_threads_fitting_at_once_match_the_serial_bits():
     assert len(results) == 4 * len(names)
 
 
-def test_fit_above_keep_bound_leaves_the_kept_workspace():
-    """A trace past KEEP_MAX_POINTS fits on a workspace of its own, so one
-    huge trace does not pin its memory in the thread's kept store."""
-    fit_resonance(golden_trace(*GOLDEN["device-1601"][:2]))
-    store = fitting._kept.store
-    size = len(store[2])
-    trace = criterion4_trace(6834683000.0, 35000.0, 500000.0, 0.1, fitting.KEEP_MAX_POINTS + 1, 7)
-    res = fit_resonance(trace)
-    assert res.converged
-    assert fitting._kept.store is store and len(store[2]) == size
+def test_a_fit_leaves_no_point_sized_memory_behind():
+    """A fit's workspace is freed with the fit: in a fresh thread, traced
+    memory after a 10,001-point fit (72 bytes a point in use, about 720 KB)
+    is back within a few KB of where it started."""
+    trace = criterion4_trace(6834683000.0, 35000.0, 500000.0, 0.1, 10001, 7)
+    outcome = {}
+
+    def fit():
+        start = tracemalloc.get_traced_memory()[0]
+        outcome["converged"] = fit_resonance(trace).converged
+        outcome["left"] = tracemalloc.get_traced_memory()[0] - start
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=fit)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive()
+    assert outcome["converged"]
+    assert outcome["left"] < 8192
 
 
 def test_standalone_residuals_do_not_alias():

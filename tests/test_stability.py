@@ -196,7 +196,7 @@ class TestDetectOscillation:
 
     def test_requires_uniform_sampling(self):
         t = np.sort(np.random.default_rng(3).uniform(0, 10, 128))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^detect_oscillation requires uniform sampling$"):
             detect_oscillation(series(t, np.full(128, F0)))
 
     def test_requires_enough_samples(self):
@@ -219,7 +219,7 @@ class TestAllanDeviation:
 
     def test_requires_uniform_sampling(self):
         t = np.sort(np.random.default_rng(3).uniform(0, 10, 128))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^allan_deviation requires uniform sampling$"):
             allan_deviation(series(t, np.full(128, F0)))
 
 

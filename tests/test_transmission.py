@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pintune.errors import DomainError, NonPhysicalFit
 from pintune.resonator import (
@@ -202,3 +204,16 @@ class TestSweepTraceInvariants:
             SweepConfig(2e9, 1e9, 100, -131.0)
         with pytest.raises(DomainError):
             SweepConfig(1e9, 2e9, 1, -131.0)
+        with pytest.raises(DomainError, match="spaced by more than 4 ulp of f_stop"):
+            SweepConfig(6.8e9 - 4 * 1600 * math.ulp(6.8e9), 6.8e9, 1601, -131.0)
+
+    @given(f_stop=st.floats(1e-300, 1e300), n_points=st.integers(2, 5000),
+           ulps=st.floats(0.5, 8.0))
+    def test_every_accepted_grid_strictly_increases(self, f_stop, n_points, ulps):
+        f_start = f_stop - ulps * math.ulp(f_stop) * (n_points - 1)
+        try:
+            sweep = SweepConfig(f_start, f_stop, n_points, -131.0)
+        except DomainError:
+            return
+        f = np.linspace(sweep.f_start, sweep.f_stop, sweep.n_points)
+        assert np.all(f[1:] > f[:-1])
