@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CalibrationError, DomainError, ValidationError
 from .fitting import MIN_POINTS
-from .piezo import F_RB, ControllerConfig, PiezoStage, Plant
+from .piezo import F_RB, RETRY_WIDEN, ControllerConfig, PiezoStage, Plant
 from .resonator import (
     PinCouplingModel,
     ResonatorParams,
@@ -182,14 +182,16 @@ def from_dict(user_doc=None):
     except (ArithmeticError, DomainError) as exc:
         raise ValidationError(
             f"resonator: no finite resonance with this calibration ({exc})") from None
-    span = v["controller", "sweep_span_mhz"]
-    for f in ends:  # the controller's sweep, centred on each end
-        lo, hi = f - span / 2, f + span / 2
-        try:
-            SweepConfig(lo, hi, v["controller", "sweep_points"], v["sweep", "p_in_dbm"])
-        except DomainError as exc:
-            raise ValidationError(f"controller.sweep_span_mhz: the sweep runs from {lo:.6g} "
-                                  f"to {hi:.6g} Hz; {exc}") from None
+    for f in ends:  # the controller's sweep and its wider retry, centred on each end
+        for widen in (1.0, RETRY_WIDEN):
+            span = v["controller", "sweep_span_mhz"] * widen
+            lo, hi = f - span / 2, f + span / 2
+            what = "sweep" if widen == 1.0 else f"{widen:g}x wider retry sweep"
+            try:
+                SweepConfig(lo, hi, v["controller", "sweep_points"], v["sweep", "p_in_dbm"])
+            except DomainError as exc:
+                raise ValidationError(f"controller.sweep_span_mhz: the {what} runs from "
+                                      f"{lo:.6g} to {hi:.6g} Hz; {exc}") from None
 
     noise = build("noise", NoiseModel)
     sweep = build("sweep", SweepDefaults)

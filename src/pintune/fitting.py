@@ -9,6 +9,20 @@ is not finite, or its Q exponents overflow.  A trial point costs only its
 residual: the Jacobian and the normal equations are evaluated at the start
 point and at accepted points alone (Moré 1978).
 
+Three rules stop a fit, and FitResult.stop names the one that did: an
+accepted step below STEP_TOL relative ("step"), a relative cost decrease
+below COST_TOL ("cost"), and, at the start point and every accepted point,
+the relative-offset criterion of Bates & Watts (Technometrics 23, 179
+(1981)) ("offset").  With g = J^T r, h = J^T J and q = g^T h^-1 g, the part
+of the residual r^T r in the tangent plane, from one undamped solve, it
+stops once the remaining improvement is negligible against the noise:
+
+    (q / p) / ((r^T r - q) / (n - p)) <= OFFSET_TOL**2,   p = 4 parameters
+
+An exhausted iteration budget is "budget".  The undamped solve matters: a
+damped step shrinks where damping is heavy, so a runaway fit would look
+converged.
+
 The Jacobian columns reuse the residual's u, D and m (see transmission),
 with dS/du = -2(a sin phi + u m)/D:
 
@@ -31,6 +45,7 @@ from .transmission import internal_q, notch_response
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-8       # relative parameter step
 COST_TOL = 1e-12      # relative cost decrease
+OFFSET_TOL = 1e-3     # Bates-Watts relative offset
 DAMPING_START = 1e-3
 MIN_POINTS = 16       # the shortest trace initial_guess accepts
 PHI_LIMIT = math.pi / 2 - 1e-9  # the model is undefined at |phi| = pi/2
@@ -59,6 +74,7 @@ class FitResult:
     rms_residual: float
     n_iterations: int
     converged: bool
+    stop: str  # the rule that ended the iterations: offset, step, cost or budget
 
 
 def _baseline_and_noise(y):
@@ -185,12 +201,23 @@ def _jacobian(theta, f, terms, ws=None):
 
 
 def _normal_equations(jac, r):
-    """Gradient J^T r, Gauss-Newton matrix J^T J, and the damping matrix: the
-    diagonal of J^T J with its non-positive entries raised to 1e-30."""
+    """Descent direction -J^T r, Gauss-Newton matrix J^T J, and the damping
+    matrix: the diagonal of J^T J with its non-positive entries raised to
+    1e-30 (a NaN stays NaN)."""
     h = jac.T @ jac
-    diag = np.diag(h).copy()
-    diag[diag <= 0] = 1e-30
-    return jac.T @ r, h, np.diag(diag)
+    diag = h.diagonal()
+    return -(jac.T @ r), h, np.diag(np.where(diag <= 0, 1e-30, diag))
+
+
+def _offset_small(descent, h, cost, n):
+    """The relative-offset test at the current point (module docstring).  An
+    undamped solve that fails, or a q outside [0, cost), is not converged."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # q may overflow
+            q = float(descent @ np.linalg.solve(h, descent))
+    except np.linalg.LinAlgError:
+        return False
+    return 0.0 <= q < cost < math.inf and (q / 4) / ((cost - q) / (n - 4)) <= OFFSET_TOL**2
 
 
 def fit_resonance(trace):
@@ -204,28 +231,29 @@ def fit_resonance(trace):
 
     f = trace.frequencies
     y = trace.power_ratio
-    theta = np.array([guess.f_r, math.log(guess.q_l), math.log(guess.q_e), guess.phi])
+    theta = (guess.f_r, math.log(guess.q_l), math.log(guess.q_e), guess.phi)
 
     # One set of buffers: a trial overwrites the current point's spent terms.
     ws = _workspace(f.size)
     r, terms = _residual(theta, f, y, ws)
     jac = _jacobian(theta, f, terms, ws)
-    g, h, damping = _normal_equations(jac, r)
+    descent, h, damping = _normal_equations(jac, r)
     cost = float(r @ r)
     lam = DAMPING_START
-    converged = False
     n_iter = 0
+    stop = "offset" if _offset_small(descent, h, cost, f.size) else None
 
-    for n_iter in range(1, MAX_ITERATIONS + 1):
+    while stop is None and n_iter < MAX_ITERATIONS:
+        n_iter += 1
         try:
-            step = np.linalg.solve(h + lam * damping, -g)
+            step = np.linalg.solve(h + lam * damping, descent).tolist()
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
 
-        theta_new = theta + step
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
-        theta_new[3] = min(max(theta_new[3], -PHI_LIMIT), PHI_LIMIT)
+        theta_new = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2],
+                     min(max(theta[3] + step[3], -PHI_LIMIT), PHI_LIMIT))
         try:  # a trial may overflow; quietly, as its non-finite cost is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
                 r_new, terms = _residual(theta_new, f, y, ws)
@@ -242,18 +270,18 @@ def fit_resonance(trace):
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             theta, r, cost = theta_new, r_new, cost_new
             jac = _jacobian(theta, f, terms, ws)
-            g, h, damping = _normal_equations(jac, r)
+            descent, h, damping = _normal_equations(jac, r)
             lam = max(lam / 10.0, 1e-15)
-            if rel_step < STEP_TOL or rel_drop < COST_TOL:
-                converged = True
-                break
+            if rel_step < STEP_TOL:
+                stop = "step"
+            elif rel_drop < COST_TOL:
+                stop = "cost"
+            elif _offset_small(descent, h, cost, f.size):
+                stop = "offset"
         else:
             lam *= 10.0
 
-    f_r = float(theta[0])
-    q_l = math.exp(theta[1])
-    q_e = math.exp(theta[2])
-    phi = float(theta[3])
+    f_r, q_l, q_e, phi = theta[0], math.exp(theta[1]), math.exp(theta[2]), theta[3]
 
     # Parameter standard errors from the local quadratic model, assuming
     # independent homoscedastic noise (indicative only).
@@ -264,6 +292,8 @@ def fit_resonance(trace):
         errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         errs = np.full(4, float("nan"))
+
+    converged, stop = stop is not None, stop or "budget"
 
     def build(conv):
         q_i = internal_q(q_l, q_e) if q_l < q_e else float("inf")
@@ -280,6 +310,7 @@ def fit_resonance(trace):
             rms_residual=math.sqrt(cost / f.size),
             n_iterations=n_iter,
             converged=conv,
+            stop=stop,
         )
 
     if not converged:

@@ -61,6 +61,8 @@ RADIUS_MAX = 16384
 # underrates.  A shortfall within two tolerances (about one step) buys
 # nothing and is dropped.
 APPROACH_SHORT = 0.05
+# A sweep whose fit fails is retried once over this many times its span.
+RETRY_WIDEN = 4.0
 
 
 @dataclass
@@ -252,10 +254,10 @@ class TuningSession:
 
 
 def _measure(plant, stage, cfg, f_center, iteration):
-    """One sweep-and-fit around f_center.  Retries once with a 4x wider span
-    before giving up."""
+    """One sweep-and-fit around f_center.  Retries once with a RETRY_WIDEN
+    times wider span before giving up."""
     last_exc = None
-    for widen in (1.0, 4.0):
+    for widen in (1.0, RETRY_WIDEN):
         span = cfg.sweep_span * widen
         sweep = SweepConfig(
             f_start=f_center - span / 2.0,

@@ -403,6 +403,7 @@ class TestFitCommand:
         doc = json.loads(result.read_text())
         fit = doc["result"]
         assert fit["converged"]
+        assert fit["stop"] == "step"  # a noiseless trace: no noise to stop against
         assert abs(fit["q_i"] / 35000 - 1) < 1e-4
         assert abs(fit["q_e"] / 5e5 - 1) < 1e-4
 
@@ -471,6 +472,9 @@ class TestTuneCommand:
         # the sweep at d_min, the band's top, is finer than the float grid
         ({"sweep_span_mhz": 1e-9}, "controller.sweep_span_mhz: the sweep runs from 6.8454e+09 "
          "to 6.8454e+09 Hz; SweepConfig points must be spaced by more than 4 ulp of f_stop"),
+        # the 1x sweep fits, but the retry after a failed fit would start below 0 Hz
+        ({"sweep_span_mhz": 3500}, "controller.sweep_span_mhz: the 4x wider retry sweep runs "
+         "from -1.546e+08 to 1.38454e+10 Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
     ])
     def test_sweep_the_fitter_cannot_use_names_its_field(self, tmp_path, capsys, controller,
                                                           message):

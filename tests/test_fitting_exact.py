@@ -17,6 +17,16 @@ within 1e-9 (1e-4 for the budget-exhausting fit, whose J^T J has a condition
 number near 1e22).  Only once those checks pass are the new bits and trace
 digests pinned, and the checks stay.  Otherwise re-record from a commit known
 to be right, never from the change under test.
+
+A change to a stopping rule moves where a converged fit stops, by design, as
+the relative-offset rule did against the step and cost rules alone.  It is
+held against the goldens it replaces (STEP_RULE_GOLDEN) and against every
+older reference kept here: the same outcome, no more iterations, the rule
+that is meant to stop each fit, every parameter within 1e-2 of the
+reference's standard error and the standard errors within 1e-3 relative.  A
+fit the new rule must not reach, such as the budget-exhausting one, stays
+bit-exact.  The same order holds: the new bits are pinned only once those
+checks pass.
 """
 
 import hashlib
@@ -31,7 +41,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pintune import fitting
-from pintune.errors import ConvergenceFailure, NoResonance
+from pintune.errors import ConvergenceFailure, NonPhysicalFit, NoResonance
 from pintune.fitting import InitialGuess, _baseline_and_noise, fit_resonance, initial_guess
 from pintune.resonator import (
     ResonatorParams,
@@ -62,45 +72,45 @@ GOLDEN = {
     "device-401": (
         (6834683000.0, 35000.0, 500000.0, -0.222029717806419, 401, 328258452),
         "f08eda6a416214aa",
-        ("0x1.9760f96a18e2ap+32", "0x1.f057d4863767dp+14", "0x1.e9be0bbadcc28p+18",
-         "-0x1.c1070eca9af95p-3", "0x1.4554bba6b34e9p-7", "0x1.9e2c60c1d12f6p+11",
-         "0x1.c8ba2873a4a5ep+9", "0x1.3ff876169fbebp+13", "0x1.71afc6a78c201p-6"),
-        6),
+        ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
+         "-0x1.c100812b5fcdep-3", "0x1.4554bbaa994bcp-7", "0x1.9e2be959fb1afp+11",
+         "0x1.c8bab46067414p+9", "0x1.3ff8a21ee67a7p+13", "0x1.71afcad4407e7p-6"),
+        3),
     "device-1601": (
         (6834683000.0, 35000.0, 500000.0, 0.43373840568325917, 1601, 955959054),
         "a9bf03484a26e248",
-        ("0x1.9760f3444dafap+32", "0x1.ffef22858bb25p+14", "0x1.e3407e85fd7a4p+18",
-         "0x1.c13bca0ea3610p-2", "0x1.443684dec32bbp-7", "0x1.7e3410df893d4p+10",
-         "0x1.cad10c173c04dp+8", "0x1.368df48b55ac1p+12", "0x1.5ccd15c5d1f07p-7"),
-        6),
+        ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
+         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397cd308p+10",
+         "0x1.cad13cd198c00p+8", "0x1.368e0585200cfp+12", "0x1.5ccd0d69f7d8ep-7"),
+        4),
     "device-6401": (
         (6834683000.0, 35000.0, 500000.0, -0.2206261194775878, 6401, 536393447),
         "f0584721f2e7c843",
-        ("0x1.9760fbf9b7afbp+32", "0x1.fdccf1525b5c6p+14", "0x1.e6dbbf9c47f2dp+18",
-         "-0x1.bfcbf01f8113ap-3", "0x1.415b5b72586e3p-7", "0x1.8479a8011a867p+9",
-         "0x1.c4c0e97ac292fp+7", "0x1.32f77e2da1e2ep+11", "0x1.632b4104ee23ep-8"),
-        5),
+        ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb6315p+9",
+         "0x1.c4c1635c934e2p+7", "0x1.32f7a4bfcb953p+11", "0x1.632b33a153634p-8"),
+        3),
     "broad-401": (
         (4228100136.274949, 18784.912940901275, 633043.3010062983, 0.278446362175662, 401, 1481135592),
         "ef7557f06c3842f7",
-        ("0x1.f8071d595fcfcp+31", "0x1.3b7ceba21b7dep+14", "0x1.4a14ee10b0bb1p+19",
-         "0x1.38c0bb151a457p-2", "0x1.48e500b7a2bf0p-7", "0x1.bf94791ede34bp+12",
-         "0x1.47267ecafa385p+10", "0x1.e71c52e18d028p+14", "0x1.9d04614b1b77dp-5"),
-        6),
+        ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
+         "0x1.38c259864dc68p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f97c80p+12",
+         "0x1.472771418acb1p+10", "0x1.e71d05e2999c7p+14", "0x1.9d042905bce26p-5"),
+        4),
     "broad-1601": (
         (7659040120.583509, 23057.581793387475, 1140880.1162411429, -0.48644385669938683, 1601, 92906558),
         "764bb77b9f2f180b",
-        ("0x1.c883ee8bc9ad3p+32", "0x1.6a34ba9fc26c2p+14", "0x1.0d4c77394f16fp+20",
-         "-0x1.12058cd4518e2p-1", "0x1.3f1fc79fa3207p-7", "0x1.cdd62c32b64acp+12",
-         "0x1.f50560a831336p+9", "0x1.0c905c613d67fp+15", "0x1.0e302315d7639p-5"),
-        9),
+        ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
+         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd7270832a64p+12",
+         "0x1.f5043f8dd7a80p+9", "0x1.0c90146650aa9p+15", "0x1.0e3017e3aee92p-5"),
+        7),
     "broad-6401": (
         (6488750664.203288, 40015.865015532974, 126838.71963366943, 0.12928980070184704, 6401, 1862978404),
         "44f7216d1c913bb1",
-        ("0x1.82c27bb9b6d8ap+32", "0x1.da9e873bf3be3p+14", "0x1.ef21683f688f7p+16",
-         "0x1.050c8e04f33b9p-3", "0x1.358bf06665a08p-7", "0x1.cb0b4e769449fp+7",
-         "0x1.e655f79685c68p+5", "0x1.6b489dd56bf18p+7", "0x1.7778933929f8cp-10"),
-        4),
+        ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e59eaed1p+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f12p+7", "0x1.777893319ea57p-10"),
+        3),
 }
 # A shallow dip (Q_i 45,500 against Q_e 8.2e6) that exhausts the budget: the
 # ConvergenceFailure carries this best-so-far result.
@@ -112,6 +122,42 @@ GOLDEN_BEST = (
      "0x1.b31382f1a76bfp+39", "0x1.c6dafc9905df8p+39", "0x1.82e3b1a1faeafp+12"),
     200)
 GOLDEN_ALL = {**GOLDEN, "best-401": GOLDEN_BEST}
+
+# The goldens of the step and cost rules alone, before the relative-offset
+# rule, by name: the fingerprint and the iteration count, recorded from the
+# fitter without that rule.
+STEP_RULE_GOLDEN = {
+    "device-401": (
+        ("0x1.9760f96a18e2ap+32", "0x1.f057d4863767dp+14", "0x1.e9be0bbadcc28p+18",
+         "-0x1.c1070eca9af95p-3", "0x1.4554bba6b34e9p-7", "0x1.9e2c60c1d12f6p+11",
+         "0x1.c8ba2873a4a5ep+9", "0x1.3ff876169fbebp+13", "0x1.71afc6a78c201p-6"),
+        6),
+    "device-1601": (
+        ("0x1.9760f3444dafap+32", "0x1.ffef22858bb25p+14", "0x1.e3407e85fd7a4p+18",
+         "0x1.c13bca0ea3610p-2", "0x1.443684dec32bbp-7", "0x1.7e3410df893d4p+10",
+         "0x1.cad10c173c04dp+8", "0x1.368df48b55ac1p+12", "0x1.5ccd15c5d1f07p-7"),
+        6),
+    "device-6401": (
+        ("0x1.9760fbf9b7afbp+32", "0x1.fdccf1525b5c6p+14", "0x1.e6dbbf9c47f2dp+18",
+         "-0x1.bfcbf01f8113ap-3", "0x1.415b5b72586e3p-7", "0x1.8479a8011a867p+9",
+         "0x1.c4c0e97ac292fp+7", "0x1.32f77e2da1e2ep+11", "0x1.632b4104ee23ep-8"),
+        5),
+    "broad-401": (
+        ("0x1.f8071d595fcfcp+31", "0x1.3b7ceba21b7dep+14", "0x1.4a14ee10b0bb1p+19",
+         "0x1.38c0bb151a457p-2", "0x1.48e500b7a2bf0p-7", "0x1.bf94791ede34bp+12",
+         "0x1.47267ecafa385p+10", "0x1.e71c52e18d028p+14", "0x1.9d04614b1b77dp-5"),
+        6),
+    "broad-1601": (
+        ("0x1.c883ee8bc9ad3p+32", "0x1.6a34ba9fc26c2p+14", "0x1.0d4c77394f16fp+20",
+         "-0x1.12058cd4518e2p-1", "0x1.3f1fc79fa3207p-7", "0x1.cdd62c32b64acp+12",
+         "0x1.f50560a831336p+9", "0x1.0c905c613d67fp+15", "0x1.0e302315d7639p-5"),
+        9),
+    "broad-6401": (
+        ("0x1.82c27bb9b6d8ap+32", "0x1.da9e873bf3be3p+14", "0x1.ef21683f688f7p+16",
+         "0x1.050c8e04f33b9p-3", "0x1.358bf06665a08p-7", "0x1.cb0b4e769449fp+7",
+         "0x1.e655f79685c68p+5", "0x1.6b489dd56bf18p+7", "0x1.7778933929f8cp-10"),
+        4),
+}
 
 # The goldens of the complex-arithmetic notch kernel the real one replaced,
 # by name: the fingerprint and the iteration count, recorded from that kernel.
@@ -166,16 +212,78 @@ def fingerprint(res):
                                           res.f_r_err, res.q_l_err, res.q_e_err, res.phi_err))
 
 
+def assert_stops_within_noise(name, reference):
+    """A converged golden that the relative-offset rule stops earlier than the
+    reference did: still converged, in no more iterations, every parameter
+    within 1e-2 of the reference's standard error and the standard errors
+    within 1e-3 relative."""
+    values, iterations = reference[name]
+    case, digest, _, _ = GOLDEN[name]
+    res = fit_resonance(golden_trace(case, digest))
+    assert res.converged and res.stop == "offset"
+    assert res.n_iterations <= iterations
+    got, want = np.array([float.fromhex(v) for v in fingerprint(res)]), np.array(
+        [float.fromhex(v) for v in values])
+    params, errs = [0, 1, 2, 3], [5, 6, 7, 8]
+    assert np.all(np.abs(got[params] - want[params]) <= 1e-2 * want[errs])
+    np.testing.assert_allclose(got[errs], want[errs], rtol=1e-3, atol=0)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
 def test_golden_within_tolerance_of_the_complex_kernel(name):
     """The real kernel rounds differently from the complex one it replaced:
-    the same iterations, and results that differ in their low bits only."""
+    the budget-exhausting fit takes the same iterations and differs in its
+    low bits only; the converged ones stop within the noise of its results."""
+    if name in GOLDEN:
+        assert_stops_within_noise(name, COMPLEX_KERNEL_GOLDEN)
+        return
     values, iterations = COMPLEX_KERNEL_GOLDEN[name]
     got, got_iterations = golden_outcome(GOLDEN_ALL[name])
     assert got_iterations == iterations
     got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
     np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
+    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_within_noise_of_the_step_rule(name):
+    """The relative-offset rule stops each converged golden before the step
+    and cost rules alone did, within the noise of where they stopped."""
+    assert_stops_within_noise(name, STEP_RULE_GOLDEN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    regime=st.sampled_from(["device", "broad"]),
+    f_r=st.floats(4e9, 8e9),
+    log_q_i=st.floats(4.0, 6.0),
+    log_q_e=st.floats(5.0, 7.0),
+    phi=st.floats(-0.5, 0.5),
+    n=st.integers(401, 1601),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(regime="device", f_r=4e9, log_q_i=4.0, log_q_e=5.0, phi=0.1, n=401, seed=7)
+def test_offset_stop_leaves_no_step_beyond_the_noise(regime, f_r, log_q_i, log_q_e, phi, n, seed):
+    """Criterion-4 traces: wherever the relative-offset rule stops a fit, one
+    more undamped Gauss-Newton step moves no parameter by more than 1e-2 of
+    its standard error."""
+    if regime == "device":
+        f_r, q_i, q_e = 6834683000.0, 35000.0, 500000.0
+    else:
+        q_i, q_e = 10**log_q_i, 10**log_q_e
+    trace = criterion4_trace(f_r, q_i, q_e, phi, n, seed)
+    try:
+        res = fit_resonance(trace)
+    except (ConvergenceFailure, NonPhysicalFit, NoResonance):
+        return
+    if res.stop != "offset":
+        return
+    theta = (res.f_r, math.log(res.q_l), math.log(res.q_e), res.phi)
+    r, terms = fitting._residual(theta, trace.frequencies, trace.power_ratio)
+    jac = fitting._jacobian(theta, trace.frequencies, terms)
+    step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
+    sigma = np.array([res.f_r_err, res.q_l_err / res.q_l, res.q_e_err / res.q_e, res.phi_err])
+    assert np.all(np.abs(step) <= 1e-2 * sigma)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -197,6 +305,13 @@ def test_golden_convergence_failure_best():
     assert best.n_iterations == iterations
 
 
+def test_best_so_far_says_the_budget_stopped_it():
+    case, digest, _, _ = GOLDEN_BEST
+    with pytest.raises(ConvergenceFailure) as info:
+        fit_resonance(golden_trace(case, digest))
+    assert info.value.best.stop == "budget"
+
+
 def test_jacobian_only_at_accepted_points(monkeypatch):
     """One Jacobian at the start point and one per accepted step: a trial
     step that is rejected costs only its residual."""
@@ -209,7 +324,7 @@ def test_jacobian_only_at_accepted_points(monkeypatch):
         return out
 
     def counted_jacobian(theta, f, terms, *args):
-        jacobians.append(theta.copy())
+        jacobians.append(theta)
         return jacobian(theta, f, terms, *args)
 
     monkeypatch.setattr(fitting, "_residual", counted_residual)

@@ -296,8 +296,8 @@ class TestTuneToTarget:
 
 
 class TestFitFailure:
-    """_measure retries a failed fit once on a 4x wider sweep, and the session
-    aborts when that fails too."""
+    """_measure retries a failed fit once on a RETRY_WIDEN times wider sweep,
+    and the session aborts when that fails too."""
 
     def test_widened_sweep_recovers(self, monkeypatch):
         spans = []
@@ -312,7 +312,7 @@ class TestFitFailure:
         plant = noiseless_plant()
         session = tune_to_target(plant, PiezoStage(position=300 * UM), ControllerConfig())
         assert session.outcome == "Converged"
-        assert spans[1] == pytest.approx(4 * spans[0])
+        assert spans[1] == pytest.approx(piezo.RETRY_WIDEN * spans[0])
         assert spans[2] == pytest.approx(spans[0])  # the next measurement is back at 1x
         assert len(spans) == len(session.steps) + 1
         first = session.steps[0]
@@ -331,7 +331,7 @@ class TestFitFailure:
         stage = PiezoStage(position=300 * UM)
         session = tune_to_target(noiseless_plant(), stage, ControllerConfig())
         assert session.outcome == "Aborted"
-        assert spans[1] == pytest.approx(4 * spans[0]) and len(spans) == 2
+        assert spans[1] == pytest.approx(piezo.RETRY_WIDEN * spans[0]) and len(spans) == 2
         assert [step.note for step in session.steps] == [f"fit failed: {exc.__name__}"]
         assert session.steps[0].pulses == 0 and session.total_pulses == 0
         assert stage.position == 300 * UM
