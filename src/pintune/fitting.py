@@ -81,21 +81,23 @@ def _baseline_and_noise(y):
     # Robust to a dip anywhere in the span (including the edges): baseline
     # from the upper quantile, noise floor from successive differences.
     # Partial sorts at the needed order statistics, with the arithmetic of
-    # np.percentile(y, 80) (linear method) and np.median, bit for bit.
+    # np.percentile(y, 80) (linear method) and np.median, bit for bit.  One
+    # kth per partition (two kths take numpy's slower path); the neighbouring
+    # order statistic is the min of the part above or the max of the part
+    # below, the same value.
     pos = (y.size - 1) * 0.8
     k = math.floor(pos)
     w = pos - k
-    part = np.partition(y, (k, k + 1))
-    a, b = float(part[k]), float(part[k + 1])
+    part = np.partition(y, k)
+    a, b = float(part[k]), float(part[k + 1:].min())
     baseline = b - (b - a) * (1 - w) if w >= 0.5 else a + (b - a) * w
 
     diffs = np.abs(np.diff(y))
     m = diffs.size // 2
-    if diffs.size % 2:
-        median = float(np.partition(diffs, m)[m])
-    else:
-        part = np.partition(diffs, (m - 1, m))
-        median = (float(part[m - 1]) + float(part[m])) / 2
+    part = np.partition(diffs, m)
+    median = float(part[m])
+    if not diffs.size % 2:
+        median = (float(part[:m].max()) + median) / 2
     noise = 1.4826 * median / math.sqrt(2.0)
     return baseline, noise
 

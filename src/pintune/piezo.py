@@ -12,9 +12,9 @@ f_r shifted by the offset of the last reading, fits the trace, and aims the
 stage at the height where that shifted belief reaches the target (a few
 percent short, so the approach stays on one side), through the closed-form
 inverse of the coupling map.  A move is capped by a trust-region radius in
-pulses: it starts at `steps_per_measurement`, doubles after a full-radius
-move whose measured df the belief predicted, and halves after a mispredicted
-move, a crossing of the target or a mechanical clamp."""
+pulses: it starts at `steps_per_measurement`, grows RADIUS_GROWTH-fold after
+a full-radius move whose measured df the belief predicted, and halves after a
+mispredicted move, a crossing of the target or a mechanical clamp."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -56,6 +56,11 @@ AGREE_SIGMA = 3.0
 # the calibrated device's whole tuning travel, and a bound on the pulses a
 # session spends on a target its belief places out of reach.
 RADIUS_MAX = 16384
+# The radius grows this many times after an agreeing full-radius move.  The
+# agreement bounds the belief's gain to [AGREE_MIN, AGREE_MAX] of the truth,
+# so an aimed move never lands farther from the target than it started,
+# however long it is; a crossing or a misprediction still halves the radius.
+RADIUS_GROWTH = 8
 # Each move aims this share of the measured error short of the target, so
 # the approach stays on one side under a step or slope the belief
 # underrates.  A shortfall within two tolerances (about one step) buys
@@ -348,7 +353,7 @@ def tune_to_target(plant, stage, cfg, model=None):
             if not agrees or err * err_last < 0:
                 radius = max(radius // 2, 1)
             elif pulses_last >= radius and radius < RADIUS_MAX:
-                radius = min(2 * radius, RADIUS_MAX)
+                radius = min(RADIUS_GROWTH * radius, RADIUS_MAX)
         offset = fit.f_r - f_belief
 
         # Aim where the offset-shifted belief reads a point a little short

@@ -361,13 +361,16 @@ def mismatched(lam_factor=1.0, step_nm=60.0, backlash_nm=0.0, start_um=300.0):
     return plant, stage, model
 
 
+MISMATCHES = [
+    {"lam_factor": 0.9}, {"lam_factor": 1.1},
+    {"step_nm": 54.0}, {"step_nm": 66.0},
+    {"backlash_nm": 5.0},
+]
+
+
 class TestModelMismatch:
     @pytest.mark.parametrize("start_um,budget", [(300.0, 30), (600.0, 40)])
-    @pytest.mark.parametrize("mismatch", [
-        {"lam_factor": 0.9}, {"lam_factor": 1.1},
-        {"step_nm": 54.0}, {"step_nm": 66.0},
-        {"backlash_nm": 5.0},
-    ])
+    @pytest.mark.parametrize("mismatch", MISMATCHES)
     def test_converges_under_mismatch(self, mismatch, start_um, budget):
         plant, stage, model = mismatched(start_um=start_um, **mismatch)
         cfg = ControllerConfig()
@@ -375,6 +378,16 @@ class TestModelMismatch:
         assert session.outcome == "Converged"
         assert abs(plant.true_frequency(stage.position) - cfg.f_target) <= session.tolerance_hz
         assert len(session.steps) <= budget
+
+    @pytest.mark.parametrize("start_um", [300.0, 600.0])
+    @pytest.mark.parametrize("mismatch", MISMATCHES)
+    def test_measurements_under_mismatch(self, mismatch, start_um):
+        # The noiseless worst cases take 9 and 16 measurements.  The budgets
+        # catch a radius that only doubles per agreeing move, which needs 14
+        # and 21; the runaway bounds above would not.
+        plant, stage, model = mismatched(start_um=start_um, **mismatch)
+        session = tune_to_target(plant, stage, ControllerConfig(), model)
+        assert len(session.steps) <= {300.0: 12, 600.0: 18}[start_um]
 
     def test_sweeps_centre_on_the_belief(self):
         plant, stage, model = mismatched(lam_factor=1.1)
@@ -420,15 +433,23 @@ class TestPulseRadius:
             if step.note:
                 assert nxt.radius == max(step.radius // 2, 1)
 
+    def test_radius_grows_eightfold_per_agreeing_move(self):
+        # Noiseless and matched, every full-radius move agrees with the belief.
+        session = tune_to_target(noiseless_plant(), PiezoStage(position=600 * UM),
+                                 ControllerConfig())
+        assert session.outcome == "Converged"
+        assert [s.radius for s in session.steps[:4]] == [8, 64, 512, 4096]
+        assert [s.pulses for s in session.steps[:4]] == [8, 64, 512, 4096]
+
     def test_radius_stops_growing_at_its_cap(self):
-        # From 2 mm the target is ~31,000 pulses away: the third move spends
-        # a full radius of RADIUS_MAX, which would otherwise double again.
+        # From 2 mm the target is ~31,000 pulses away: the second move spends
+        # a full radius of RADIUS_MAX, which would otherwise grow again.
         session = tune_to_target(noiseless_plant(), PiezoStage(position=2000 * UM),
                                  ControllerConfig(steps_per_measurement=RADIUS_MAX // 4))
         assert session.outcome == "Converged"
-        assert [s.radius for s in session.steps[:4]] == [RADIUS_MAX // 4, RADIUS_MAX // 2,
+        assert [s.radius for s in session.steps[:4]] == [RADIUS_MAX // 4, RADIUS_MAX,
                                                          RADIUS_MAX, RADIUS_MAX]
-        assert session.steps[2].pulses == RADIUS_MAX
+        assert session.steps[1].pulses == RADIUS_MAX
         assert max(s.radius for s in session.steps) == RADIUS_MAX
 
     def test_steps_log_the_truth(self):
