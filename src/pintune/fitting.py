@@ -7,7 +7,9 @@ multiplicative damping (x10 on a rejected step, /10 on a cost decrease) and
 analytic residual derivatives.  A trial step is rejected when its cost rises,
 is not finite, or its Q exponents overflow.  A trial point costs only its
 residual: the Jacobian and the normal equations are evaluated at the start
-point and at accepted points alone (Moré 1978).
+point and at accepted points alone (Moré 1978).  The damped and undamped 4x4
+solves are an unrolled Cholesky factorisation on Python floats; a pivot that
+is not positive is a failed solve, a rejected trial or an unmet offset test.
 
 Three rules stop a fit, and FitResult.stop names the one that did: an
 accepted step below STEP_TOL relative ("step"), a relative cost decrease
@@ -203,22 +205,54 @@ def _jacobian(theta, f, terms, ws=None):
 
 
 def _normal_equations(jac, r):
-    """Descent direction -J^T r, Gauss-Newton matrix J^T J, and the damping
-    matrix: the diagonal of J^T J with its non-positive entries raised to
-    1e-30 (a NaN stays NaN)."""
-    h = jac.T @ jac
-    diag = h.diagonal()
-    return -(jac.T @ r), h, np.diag(np.where(diag <= 0, 1e-30, diag))
+    """The Gauss-Newton matrix h = J^T J and the gradient g = J^T r."""
+    return jac.T @ jac, jac.T @ r
 
 
-def _offset_small(descent, h, cost, n):
+def _solve(h, g, lam=0.0):
+    """Solve (h + lam D) x = g, D being h's diagonal with its non-positive
+    entries raised to 1e-30, by an unrolled Cholesky factorisation L L^T of
+    h's upper triangle on Python floats.  Returns x and q = z.z with
+    z = L^-1 g, or None when a pivot is not > 0 (NaN included)."""
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = h.tolist()
+    g0, g1, g2, g3 = g.tolist()
+    p = a00 + lam * (a00 if a00 > 0 else 1e-30)
+    if not p > 0:
+        return None
+    l00 = math.sqrt(p)
+    l10, l20, l30 = a01 / l00, a02 / l00, a03 / l00
+    p = a11 + lam * (a11 if a11 > 0 else 1e-30) - l10 * l10
+    if not p > 0:
+        return None
+    l11 = math.sqrt(p)
+    l21, l31 = (a12 - l20 * l10) / l11, (a13 - l30 * l10) / l11
+    p = a22 + lam * (a22 if a22 > 0 else 1e-30) - l20 * l20 - l21 * l21
+    if not p > 0:
+        return None
+    l22 = math.sqrt(p)
+    l32 = (a23 - l30 * l20 - l31 * l21) / l22
+    p = a33 + lam * (a33 if a33 > 0 else 1e-30) - l30 * l30 - l31 * l31 - l32 * l32
+    if not p > 0:
+        return None
+    l33 = math.sqrt(p)
+    z0 = g0 / l00  # L z = g, then L^T x = z
+    z1 = (g1 - l10 * z0) / l11
+    z2 = (g2 - l20 * z0 - l21 * z1) / l22
+    z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    x3 = z3 / l33
+    x2 = (z2 - l32 * x3) / l22
+    x1 = (z1 - l21 * x2 - l31 * x3) / l11
+    x0 = (z0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+    return (x0, x1, x2, x3), z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+
+
+def _offset_small(h, g, cost, n):
     """The relative-offset test at the current point (module docstring).  An
     undamped solve that fails, or a q outside [0, cost), is not converged."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # q may overflow
-            q = float(descent @ np.linalg.solve(h, descent))
-    except np.linalg.LinAlgError:
+    solved = _solve(h, g)
+    if solved is None:
         return False
+    q = solved[1]
     return 0.0 <= q < cost < math.inf and (q / 4) / ((cost - q) / (n - 4)) <= OFFSET_TOL**2
 
 
@@ -239,23 +273,23 @@ def fit_resonance(trace):
     ws = _workspace(f.size)
     r, terms = _residual(theta, f, y, ws)
     jac = _jacobian(theta, f, terms, ws)
-    descent, h, damping = _normal_equations(jac, r)
+    h, g = _normal_equations(jac, r)
     cost = float(r @ r)
     lam = DAMPING_START
     n_iter = 0
-    stop = "offset" if _offset_small(descent, h, cost, f.size) else None
+    stop = "offset" if _offset_small(h, g, cost, f.size) else None
 
     while stop is None and n_iter < MAX_ITERATIONS:
         n_iter += 1
-        try:
-            step = np.linalg.solve(h + lam * damping, descent).tolist()
-        except np.linalg.LinAlgError:
+        solved = _solve(h, g, lam)
+        if solved is None:
             lam *= 10.0
             continue
+        x = solved[0]  # the step is -x
 
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
-        theta_new = (theta[0] + step[0], theta[1] + step[1], theta[2] + step[2],
-                     min(max(theta[3] + step[3], -PHI_LIMIT), PHI_LIMIT))
+        theta_new = (theta[0] - x[0], theta[1] - x[1], theta[2] - x[2],
+                     min(max(theta[3] - x[3], -PHI_LIMIT), PHI_LIMIT))
         try:  # a trial may overflow; quietly, as its non-finite cost is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
                 r_new, terms = _residual(theta_new, f, y, ws)
@@ -267,18 +301,18 @@ def fit_resonance(trace):
         # A non-finite trial cost fails this test and is rejected like a rise.
         if cost_new <= cost:
             rel_step = max(
-                abs(step[0]) / theta[0], abs(step[1]), abs(step[2]), abs(step[3])
+                abs(x[0]) / theta[0], abs(x[1]), abs(x[2]), abs(x[3])
             )
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             theta, r, cost = theta_new, r_new, cost_new
             jac = _jacobian(theta, f, terms, ws)
-            descent, h, damping = _normal_equations(jac, r)
+            h, g = _normal_equations(jac, r)
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL:
                 stop = "step"
             elif rel_drop < COST_TOL:
                 stop = "cost"
-            elif _offset_small(descent, h, cost, f.size):
+            elif _offset_small(h, g, cost, f.size):
                 stop = "offset"
         else:
             lam *= 10.0

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pintune.errors import NoResonance, PintuneError
@@ -10,6 +11,7 @@ from pintune.fitting import (
     FitResult,
     _jacobian,
     _residual,
+    _solve,
     fit_resonance,
     initial_guess,
 )
@@ -208,3 +210,101 @@ class TestGradientCheck:
                 fd = (rp - rm) / (2 * h[j])
                 scale = np.max(np.abs(fd)) + 1e-300
                 assert np.max(np.abs(jac[:, j] - fd)) / scale < 1e-6
+
+
+def damped(h, lam):
+    """h + lam D, D the diagonal of h with non-positive entries raised to 1e-30."""
+    d = h.diagonal()
+    return h + lam * np.diag(np.where(d <= 0, 1e-30, d))
+
+
+def exact_quadratic_form(a, g):
+    """g^T a^-1 g of the float entries, solved in rational arithmetic."""
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(a.tolist(), g.tolist())]
+    for c in range(4):
+        pivot = next(r for r in range(c, 4) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(4):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return float(sum(Fraction(b) * row[4] / row[i] for i, (b, row) in enumerate(zip(g.tolist(), rows))))
+
+
+class TestSolve:
+    """The unrolled 4x4 Cholesky solve behind the trial step and the offset
+    test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scales=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        lam=st.sampled_from([0.0, 1e-15, 1e-3, 10.0, 1e6]),
+    )
+    @example(seed=0, log_scales=[-10.0, 10.0, -10.0, 10.0], lam=0.0)
+    def test_solves_scaled_spd_systems(self, seed, log_scales, lam):
+        """Symmetric positive definite h = S M S, cond(M) <= 1e3 and column
+        scales S from 1e-10 to 1e10, as J^T J's columns span; g = S c."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        core = (q * 10 ** rng.uniform(0.0, 3.0, 4)) @ q.T
+        s = 10.0 ** np.array(log_scales)
+        h = s[:, None] * core * s[None, :]
+        h = (h + h.T) / 2
+        g = s * rng.standard_normal(4)
+        x, got_q = _solve(h, g, lam)
+        a, x = damped(h, lam), np.array(x)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(a @ x - g) <= 4 * eps * np.linalg.norm(a, 2) * np.linalg.norm(x)
+        assert got_q >= 0.0
+        # LAPACK's LU loses up to about 5e-8 on these graded matrices; the
+        # exact value bounds the closed form by n cond(M) eps.
+        assert got_q == pytest.approx(g @ np.linalg.solve(a, g), rel=1e-6)
+        assert got_q == pytest.approx(exact_quadratic_form(a, g), rel=4 * 4 * 1e3 * eps)
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0, -1e-40])
+    def test_non_positive_diagonal_damped_by_1e_30(self, entry):
+        """A diagonal entry <= 0 is damped by lam * 1e-30, which makes the
+        pivot positive here; the other entries are damped by themselves."""
+        h = np.diag([entry, 2.0, 4.0, 8.0])
+        g = np.array([1e-30, 2.0, 4.0, 8.0])
+        x, q = _solve(h, g, 1e3)
+        pivot = entry + 1e3 * 1e-30
+        assert x == pytest.approx([1e-30 / pivot, 2.0 / 2002.0, 4.0 / 4004.0, 8.0 / 8008.0])
+        assert q == pytest.approx(1e-60 / pivot + 4.0 / 2002.0 + 16.0 / 4004.0 + 64.0 / 8008.0)
+
+    def test_negative_diagonal_stays_negative(self):
+        assert _solve(np.diag([1.0, 1.0, 1.0, -3.0]), np.ones(4), 1e3) is None
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_zero_diagonal_undamped_fails(self, lam):
+        h = np.diag([1.0, 0.0, 1.0, 1.0])
+        assert (_solve(h, np.ones(4), lam) is None) == (lam == 0.0)
+
+    @pytest.mark.parametrize("h", [
+        np.diag([1.0, 1.0, float("nan"), 1.0]),        # NaN on the diagonal
+        np.array([[1.0, 0, 0, float("nan")], [0, 1, 0, 0], [0, 0, 1, 0], [float("nan"), 0, 0, 1]]),
+        np.array([[1.0, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),  # indefinite
+        np.array([[1.0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]),  # singular
+        -np.eye(4),
+    ], ids=["nan-diagonal", "nan-off-diagonal", "indefinite", "singular", "negative-definite"])
+    def test_not_positive_definite_returns_none(self, h):
+        assert _solve(h, np.ones(4)) is None
+
+    def test_reads_the_upper_triangle_only(self):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((6, 4))
+        h = b.T @ b
+        g = rng.standard_normal(4)
+        junk = h.copy()
+        junk[np.tril_indices(4, -1)] = np.nan
+        assert _solve(junk, g, 1e-3) == _solve(h, g, 1e-3)
+
+    def test_fit_calls_no_lapack_solve(self, monkeypatch):
+        """Both of a fit's solves are the closed form; pinv alone stays."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        res = fit_resonance(make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5))
+        assert res.converged and res.n_iterations > 0

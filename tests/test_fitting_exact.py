@@ -6,12 +6,13 @@ searches.  None of this may change a bit of a result, so these tests hold it
 against golden values and against copies of the plain implementations.
 
 The golden values were recorded with numpy 2.4.6 (OpenBLAS) on x86-64.
-Another numpy or BLAS build may round the synthesized traces or the linear
-algebra differently; the trace digests tell the two cases apart.
+Another numpy or BLAS build may round the synthesized traces, the matrix
+products or pinv differently; the trace digests tell the two cases apart.
 
 A change that rounds differently by design, as the real-arithmetic notch
-kernel did against the complex one, is held against the goldens it replaces,
-which stay in this file (COMPLEX_KERNEL_GOLDEN): the same iteration counts,
+kernel did against the complex one and the closed-form Cholesky solve against
+LAPACK's, is held against the goldens it replaces, which stay in this file
+(COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN): the same iteration counts,
 the parameters and rms residual within 1e-12 relative and the standard errors
 within 1e-9 (1e-4 for the budget-exhausting fit, whose J^T J has a condition
 number near 1e22).  Only once those checks pass are the new bits and trace
@@ -73,8 +74,8 @@ GOLDEN = {
         (6834683000.0, 35000.0, 500000.0, -0.222029717806419, 401, 328258452),
         "f08eda6a416214aa",
         ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
-         "-0x1.c100812b5fcdep-3", "0x1.4554bbaa994bcp-7", "0x1.9e2be959fb1afp+11",
-         "0x1.c8bab46067414p+9", "0x1.3ff8a21ee67a7p+13", "0x1.71afcad4407e7p-6"),
+         "-0x1.c100812b5fcdcp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959fb081p+11",
+         "0x1.c8bab460673fap+9", "0x1.3ff8a21ee67c4p+13", "0x1.71afcad440749p-6"),
         3),
     "device-1601": (
         (6834683000.0, 35000.0, 500000.0, 0.43373840568325917, 1601, 955959054),
@@ -94,8 +95,8 @@ GOLDEN = {
         (4228100136.274949, 18784.912940901275, 633043.3010062983, 0.278446362175662, 401, 1481135592),
         "ef7557f06c3842f7",
         ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
-         "0x1.38c259864dc68p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f97c80p+12",
-         "0x1.472771418acb1p+10", "0x1.e71d05e2999c7p+14", "0x1.9d042905bce26p-5"),
+         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8fd4e20p+12",
+         "0x1.472771418adfdp+10", "0x1.e71d05e299d8bp+14", "0x1.9d042905e6cb3p-5"),
         4),
     "broad-1601": (
         (7659040120.583509, 23057.581793387475, 1140880.1162411429, -0.48644385669938683, 1601, 92906558),
@@ -117,11 +118,52 @@ GOLDEN = {
 GOLDEN_BEST = (
     (4863938544.864087, 45516.302988253636, 8220044.408938354, -0.4419570972957112, 401, 1987131395),
     "a96d8052a3ce7d6d",
-    ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9fbp+26", "0x1.926dc0e7c9a4bp+27",
-     "0x1.db65a07cde250p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba30de90f6c7p+13",
-     "0x1.b31382f1a76bfp+39", "0x1.c6dafc9905df8p+39", "0x1.82e3b1a1faeafp+12"),
+    ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a7dp+27",
+     "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7baadb34b00d7p+13",
+     "0x1.b31c6ec81c08cp+39", "0x1.c6e4529666e4fp+39", "0x1.82eba280b203bp+12"),
     200)
 GOLDEN_ALL = {**GOLDEN, "best-401": GOLDEN_BEST}
+
+# The goldens of the fitter that solved its 4x4 systems with LAPACK
+# (np.linalg.solve) before the unrolled Cholesky, by name: the fingerprint
+# and the iteration count, recorded from that fitter.
+LAPACK_SOLVE_GOLDEN = {
+    "device-401": (
+        ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
+         "-0x1.c100812b5fcdep-3", "0x1.4554bbaa994bcp-7", "0x1.9e2be959fb1afp+11",
+         "0x1.c8bab46067414p+9", "0x1.3ff8a21ee67a7p+13", "0x1.71afcad4407e7p-6"),
+        3),
+    "device-1601": (
+        ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
+         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397cd308p+10",
+         "0x1.cad13cd198c00p+8", "0x1.368e0585200cfp+12", "0x1.5ccd0d69f7d8ep-7"),
+        4),
+    "device-6401": (
+        ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb6315p+9",
+         "0x1.c4c1635c934e2p+7", "0x1.32f7a4bfcb953p+11", "0x1.632b33a153634p-8"),
+        3),
+    "broad-401": (
+        ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
+         "0x1.38c259864dc68p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f97c80p+12",
+         "0x1.472771418acb1p+10", "0x1.e71d05e2999c7p+14", "0x1.9d042905bce26p-5"),
+        4),
+    "broad-1601": (
+        ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
+         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd7270832a64p+12",
+         "0x1.f5043f8dd7a80p+9", "0x1.0c90146650aa9p+15", "0x1.0e3017e3aee92p-5"),
+        7),
+    "broad-6401": (
+        ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e59eaed1p+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f12p+7", "0x1.777893319ea57p-10"),
+        3),
+    "best-401": (
+        ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9fbp+26", "0x1.926dc0e7c9a4bp+27",
+         "0x1.db65a07cde250p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba30de90f6c7p+13",
+         "0x1.b31382f1a76bfp+39", "0x1.c6dafc9905df8p+39", "0x1.82e3b1a1faeafp+12"),
+        200),
+}
 
 # The goldens of the step and cost rules alone, before the relative-offset
 # rule, by name: the fingerprint and the iteration count, recorded from the
@@ -227,6 +269,20 @@ def assert_stops_within_noise(name, reference):
     params, errs = [0, 1, 2, 3], [5, 6, 7, 8]
     assert np.all(np.abs(got[params] - want[params]) <= 1e-2 * want[errs])
     np.testing.assert_allclose(got[errs], want[errs], rtol=1e-3, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
+def test_golden_within_tolerance_of_the_lapack_solve(name):
+    """The closed-form Cholesky solve rounds differently from LAPACK's: each
+    golden takes the same iterations, with the parameters and rms residual
+    within 1e-12 relative and the standard errors within 1e-9 (1e-4 for the
+    budget-exhausting fit)."""
+    values, iterations = LAPACK_SOLVE_GOLDEN[name]
+    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
+    assert got_iterations == iterations
+    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
+    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
