@@ -277,15 +277,15 @@ class TestSolve:
         assert _solve(np.diag([1.0, 1.0, 1.0, -3.0]), np.ones(4), 1e3) is None
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
-    def test_zero_diagonal_undamped_fails(self, lam):
+    def test_zero_diagonal_solves_only_when_damped(self, lam):
         h = np.diag([1.0, 0.0, 1.0, 1.0])
         assert (_solve(h, np.ones(4), lam) is None) == (lam == 0.0)
 
     @pytest.mark.parametrize("h", [
-        np.diag([1.0, 1.0, float("nan"), 1.0]),        # NaN on the diagonal
+        np.diag([1.0, 1.0, float("nan"), 1.0]),
         np.array([[1.0, 0, 0, float("nan")], [0, 1, 0, 0], [0, 0, 1, 0], [float("nan"), 0, 0, 1]]),
-        np.array([[1.0, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),  # indefinite
-        np.array([[1.0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]),  # singular
+        np.array([[1.0, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        np.ones((4, 4)),
         -np.eye(4),
     ], ids=["nan-diagonal", "nan-off-diagonal", "indefinite", "singular", "negative-definite"])
     def test_not_positive_definite_returns_none(self, h):
