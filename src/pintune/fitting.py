@@ -37,7 +37,7 @@ across its iterations and freed with the fit.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -329,29 +329,24 @@ def fit_resonance(trace):
     except np.linalg.LinAlgError:
         errs = np.full(4, float("nan"))
 
-    converged, stop = stop is not None, stop or "budget"
-
-    def build(conv):
-        q_i = internal_q(q_l, q_e) if q_l < q_e else float("inf")
-        return FitResult(
-            f_r=f_r,
-            q_l=q_l,
-            q_e=q_e,
-            q_i=q_i,
-            phi=phi,
-            f_r_err=float(errs[0]),
-            q_l_err=q_l * float(errs[1]),
-            q_e_err=q_e * float(errs[2]),
-            phi_err=float(errs[3]),
-            rms_residual=math.sqrt(cost / f.size),
-            n_iterations=n_iter,
-            converged=conv,
-            stop=stop,
-        )
-
-    if not converged:
+    result = FitResult(
+        f_r=f_r,
+        q_l=q_l,
+        q_e=q_e,
+        q_i=internal_q(q_l, q_e) if q_l < q_e else float("inf"),
+        phi=phi,
+        f_r_err=float(errs[0]),
+        q_l_err=q_l * float(errs[1]),
+        q_e_err=q_e * float(errs[2]),
+        phi_err=float(errs[3]),
+        rms_residual=math.sqrt(cost / f.size),
+        n_iterations=n_iter,
+        converged=stop is not None,
+        stop=stop or "budget",
+    )
+    if not result.converged:
         raise ConvergenceFailure(
-            f"no convergence in {MAX_ITERATIONS} iterations", best=build(False)
+            f"no convergence in {MAX_ITERATIONS} iterations", best=result
         )
     if q_l >= q_e:
         raise NonPhysicalFit(
@@ -359,6 +354,6 @@ def fit_resonance(trace):
         )
     if not f[0] <= f_r <= f[-1]:
         raise ConvergenceFailure(
-            "fitted f_r outside the trace span", best=build(False)
+            "fitted f_r outside the trace span", best=replace(result, converged=False)
         )
-    return build(True)
+    return result

@@ -235,16 +235,19 @@ class ControllerModel:
 class TuningStep:
     index: int
     position: float             # d before actuation (m)
-    measured_f_r: float
-    error_hz: float
-    pulses: int                 # pulses issued after this measurement
-    direction: int
-    fit_rms: float
-    fit_iterations: int
+    measured_f_r: float = float("nan")   # nan when the fit failed
+    error_hz: float = float("nan")
+    pulses: int = 0             # pulses issued after this measurement
+    direction: int = 0          # 0 when the session ended on this reading
+    fit_rms: float = float("nan")
+    fit_iterations: int = 0
     note: str = ""
     true_f_r: float = float("nan")       # the twin's f_r at `position`
     predicted_f_r: float = float("nan")  # the reading the belief predicted: the sweep centre
-    radius: int = 0                      # the pulse radius in force for this move
+    # The pulse radius.  A move or a stalled step logs the radius that capped
+    # it, after this reading's update; a step that ends the session on its
+    # reading logs the one in force before that update.
+    radius: int = 0
 
 
 @dataclass
@@ -306,37 +309,28 @@ def tune_to_target(plant, stage, cfg, model=None):
 
     radius = cfg.steps_per_measurement
     offset = 0.0  # measured minus believed f_r at the last reading
-    last = None   # (believed f_r, measured f_r, its error, error, pulses) of the last move
+    last = None   # (believed f_r, fit, error, pulses) of the last move
 
     for k in range(cfg.max_steps):
-        d_before = stage.position
         f_belief = model.frequency(d)
-        f_pred = f_belief + offset
-
-        def log(fit, err, pulses=0, direction=0, note=""):
-            measured, rms, iterations = float("nan"), float("nan"), 0
-            if fit is not None:
-                measured, rms, iterations = fit.f_r, fit.rms_residual, fit.n_iterations
-            session.steps.append(TuningStep(
-                k, d_before, measured, err, pulses, direction, rms, iterations, note,
-                plant.true_frequency(d_before), f_pred, radius))
-
+        step = TuningStep(k, stage.position, true_f_r=plant.true_frequency(stage.position),
+                          predicted_f_r=f_belief + offset, radius=radius)
+        session.steps.append(step)
         try:
-            fit = _measure(plant, stage, cfg, f_pred, k)
+            fit = _measure(plant, stage, cfg, step.predicted_f_r, k)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
             session.outcome = "Aborted"
-            log(None, float("nan"), note=f"fit failed: {type(exc).__name__}")
+            step.note = f"fit failed: {type(exc).__name__}"
             return session
 
         err = fit.f_r - cfg.f_target
-        if abs(err) <= tol:
-            log(fit, err)
-            session.outcome = "Converged"
-            session.final_error_hz = err
-            return session
-        if model.pin.m_max == 0:  # no pulse can move f_r
-            log(fit, err, note="pin does not couple")
-            session.outcome = "Unreachable"
+        step.measured_f_r, step.error_hz = fit.f_r, err
+        step.fit_rms, step.fit_iterations = fit.rms_residual, fit.n_iterations
+
+        converged = abs(err) <= tol
+        if converged or model.pin.m_max == 0:  # m_max 0: no pulse can move f_r
+            session.outcome = "Converged" if converged else "Unreachable"
+            step.note = "" if converged else "pin does not couple"
             session.final_error_hz = err
             return session
 
@@ -344,10 +338,10 @@ def tune_to_target(plant, stage, cfg, model=None):
         # belief predicted, shrink after one it mispredicted or that crossed
         # the target.
         if last is not None:
-            f_last, measured_last, sigma_last, err_last, pulses_last = last
+            f_last, fit_last, err_last, pulses_last = last
             predicted = f_belief - f_last
-            moved = (fit.f_r - measured_last) * math.copysign(1.0, predicted)
-            noise = AGREE_SIGMA * math.hypot(sigma_last, fit.f_r_err)
+            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
+            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
             agrees = (AGREE_MIN * abs(predicted) - noise <= moved
                       <= AGREE_MAX * abs(predicted) + noise)
             if not agrees or err * err_last < 0:
@@ -363,26 +357,25 @@ def tune_to_target(plant, stage, cfg, model=None):
             short = 0.0
         dd = model.height_for(cfg.f_target + short - offset) - d
         pulses = max(int(round(min(abs(dd) / model.step_length, radius))), 1)
-        direction = 1 if err > 0 else -1
+        step.direction = 1 if err > 0 else -1
+        step.radius = radius
 
-        issued, note = pulses, ""
         try:
-            piezo_step(stage, direction, plant.pin.d_min, pulses)
+            piezo_step(stage, step.direction, plant.pin.d_min, pulses)
         except MechanicalLimit as exc:
-            issued, note = exc.issued, "clamped at mechanical limit"
+            pulses, step.note = exc.issued, "clamped at mechanical limit"
         except StageStalled as exc:
             session.outcome = "Aborted"
-            log(fit, err, 0, direction, note=f"stage stalled: {exc}")
+            step.note = f"stage stalled: {exc}"
             return session
 
-        log(fit, err, issued, direction, note)
-        session.total_pulses += issued
+        step.pulses = pulses
+        session.total_pulses += pulses
         session.final_error_hz = err
-        d = max(d + direction * issued * model.step_length, model.pin.d_min)
-        last = (f_belief, fit.f_r, fit.f_r_err, err, issued)
-        if note:  # clamped: shrink now, and judge no prediction on a cut move
+        d = max(d + step.direction * pulses * model.step_length, model.pin.d_min)
+        last = (f_belief, fit, err, pulses)
+        if step.note:  # clamped: shrink now, and judge no prediction on a cut move
             radius = max(radius // 2, 1)
             last = None
 
-    session.outcome = "StepBudgetExhausted"
-    return session
+    return session  # the default outcome: StepBudgetExhausted

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pintune.errors import NoResonance, PintuneError
+from pintune.errors import ConvergenceFailure, NoResonance, PintuneError
 from pintune.fitting import (
     FitResult,
     _jacobian,
@@ -146,6 +146,18 @@ class TestFitResonance:
         except PintuneError:  # NonPhysicalFit: the dip is too shallow to resolve
             return
         assert isinstance(result, FitResult)
+
+    def test_fit_beyond_the_span_carries_its_best(self):
+        # The dip's centre half a linewidth past the sweep's end: the fit
+        # stops on its own rule there, and the result comes back unconverged.
+        f_r, q_l = 6.83e9, PAPER_QL
+        f = np.linspace(f_r - 10 * f_r / q_l, f_r - 0.5 * f_r / q_l, 401)
+        rng = np.random.default_rng(1)
+        y = s21_power(f, f_r, q_l, 5e5) + 1e-4 * rng.standard_normal(f.size)
+        with pytest.raises(ConvergenceFailure, match="outside the trace span") as failure:
+            fit_resonance(SweepTrace(f, y, -131.0))
+        best = failure.value.best
+        assert best.f_r > f[-1] and not best.converged and best.stop == "offset"
 
     def test_uncertainties_cover_noise_scale(self):
         tr = make_trace(6.83e9, PAPER_QL, 5e5, n=1601, noise=0.01, seed=5)

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,23 +19,26 @@ from pintune.errors import (
 from pintune.fitting import fit_resonance
 from pintune.piezo import (
     F_RB,
+    RADIUS_GROWTH,
     RADIUS_MAX,
     ControllerConfig,
     ControllerModel,
     PiezoStage,
     Plant,
+    TuningStep,
     frequency_sensitivity,
     piezo_step,
     tune_to_target,
 )
 from pintune.resonator import (
+    PinCouplingModel,
     ResonatorParams,
     TuningState,
     calibrate_pin_model,
     capacitance_for_frequency,
     tuned_frequency,
 )
-from pintune.transmission import NoiseModel
+from pintune.transmission import NoiseModel, SweepConfig
 
 F_BASELINE = 6.8278e9
 NM = 1e-9
@@ -458,6 +462,158 @@ class TestPulseRadius:
         for step in session.steps:
             assert step.true_f_r == plant.true_frequency(step.position)
             assert abs(step.measured_f_r - step.true_f_r) < 100.0
+
+
+def replay(plant, model, cfg, start, session):
+    """The log and final error a session should have written, rebuilt from a
+    copy of its start stage.  Each reading is re-measured at the replayed
+    height on the sweep centre the belief predicts, dead-reckoned from the
+    pulses issued; a fit failure or a stall is taken from the log, as is the
+    radius a move logs, which is checked against the rule it must obey.
+
+    A step that ends the session on its reading (converged, pin does not
+    couple, fit failed) logs the radius in force before that reading's
+    update.  A move or a stalled step logs the radius after it, and a stalled
+    step its direction but 0 pulses."""
+    nan = float("nan")
+    tol = session.tolerance_hz
+    stage, d = replace(start), start.position
+    offset, radius, last_err, final = 0.0, cfg.steps_per_measurement, None, nan
+    log = []
+    for k, logged in enumerate(session.steps):
+        f_belief = model.frequency(d)
+        step = TuningStep(k, stage.position, nan, nan, 0, 0, nan, 0, "",
+                          plant.true_frequency(stage.position), f_belief + offset, radius)
+        log.append(step)
+        if logged.note.startswith("fit failed"):
+            step.note = logged.note
+            break
+        centre, span = step.predicted_f_r, cfg.sweep_span
+        sweep = SweepConfig(centre - span / 2.0, centre + span / 2.0, cfg.sweep_points,
+                            cfg.p_in_dbm)
+        fit = fit_resonance(plant.sweep(sweep, stage.position, k, k * cfg.duration_s))
+        err = fit.f_r - cfg.f_target
+        step.measured_f_r, step.error_hz = fit.f_r, err
+        step.fit_rms, step.fit_iterations = fit.rms_residual, fit.n_iterations
+        if abs(err) <= tol or model.pin.m_max == 0:
+            step.note = "" if abs(err) <= tol else "pin does not couple"
+            final = err
+            break
+        # After a move the update halves the radius on a crossing, and
+        # otherwise halves, keeps or grows it.
+        allowed = {radius}
+        if last_err is not None:
+            allowed = {max(radius // 2, 1)}
+            if err * last_err > 0:
+                allowed |= {radius, min(RADIUS_GROWTH * radius, RADIUS_MAX)}
+        assert logged.radius in allowed
+        step.radius = radius = logged.radius
+        offset = fit.f_r - f_belief
+        step.direction = 1 if err > 0 else -1
+        if logged.note.startswith("stage stalled"):
+            step.note = logged.note
+            break
+        clamped = logged.note == "clamped at mechanical limit"
+        asked = radius if clamped else logged.pulses
+        assert 1 <= asked <= radius
+        step.pulses, was_clamped = closed_form_move(stage, step.direction, plant.pin.d_min, asked)
+        assert was_clamped == clamped
+        step.note = logged.note
+        d = max(d + step.direction * step.pulses * model.step_length, model.pin.d_min)
+        last_err, final = err, err
+        if clamped:
+            radius, last_err = max(radius // 2, 1), None
+    return log, final
+
+
+def matched(start_um, **controller):
+    plant = noiseless_plant()
+    stage = PiezoStage(position=start_um * UM)
+    return plant, stage, ControllerModel.of(plant, stage), ControllerConfig(**controller)
+
+
+def uncoupled():
+    """A pin that does not couple, on a plant trimmed 1 MHz above the belief."""
+    believed = noiseless_plant()
+    d_min = believed.pin.d_min
+    believed = replace(believed, pin=PinCouplingModel(m_max=0.0, lam=d_min, d_min=d_min))
+    stage = PiezoStage(position=300 * UM)
+    model = ControllerModel.of(believed, stage)
+    plant = replace(believed, trim_shift=1e6)
+    return plant, stage, model, ControllerConfig(f_target=model.frequency(300 * UM))
+
+
+def against_the_limit():
+    """The belief puts the target below closest approach (TestPulseRadius)."""
+    plant, stage, model, _ = matched(40.0 + 10.5 * 60 * NM / UM)
+    cfg = ControllerConfig(f_target=plant.true_frequency(plant.pin.d_min) + 1e3, max_steps=4)
+    return plant, stage, model, cfg
+
+
+def third_reading_fails(monkeypatch):
+    fits = []
+
+    def fit(trace):  # the third reading's sweep and its wider retry both fail
+        fits.append(trace)
+        if len(fits) > 2:
+            raise NoResonance("no dip")
+        return fit_resonance(trace)
+
+    monkeypatch.setattr(piezo, "fit_resonance", fit)
+
+
+def third_move_stalls(monkeypatch):
+    moves = []
+
+    def step(stage, direction, d_min=0.0, pulses=1):
+        moves.append(pulses)
+        if len(moves) == 3:
+            stage.voltage = 20.0
+        return piezo_step(stage, direction, d_min, pulses)
+
+    monkeypatch.setattr(piezo, "piezo_step", step)
+
+
+# path: (session, patch, outcome, steps, the last step's (pulses, direction,
+# radius, note)).  The converged session reads across the target, so its
+# update would halve the 4096-pulse radius; the failed reading follows a
+# full-radius move, so its update would grow 64 to 512; the stalled and the
+# last budgeted moves log the grown radius, 512 and 16384 (capped).
+EXITS = {
+    "converged": (lambda: (*mismatched(lam_factor=0.9), ControllerConfig()), None,
+                  "Converged", 7, (0, 0, 4096, "")),
+    "unreachable": (lambda: matched(300.0, f_target=7.0e9), None, "Unreachable", 0, None),
+    "pin does not couple": (uncoupled, None, "Unreachable", 1, (0, 0, 8, "pin does not couple")),
+    "fit failed": (lambda: matched(600.0), third_reading_fails, "Aborted", 3,
+                   (0, 0, 64, "fit failed: NoResonance")),
+    "stage stalled": (lambda: matched(600.0), third_move_stalls, "Aborted", 3,
+                      (0, -1, 512, "stage stalled: 20 V is below the 30 V minimum")),
+    "clamped": (against_the_limit, None, "StepBudgetExhausted", 4,
+                (0, -1, 32, "clamped at mechanical limit")),
+    "step budget": (lambda: matched(600.0, max_steps=5), None, "StepBudgetExhausted", 5,
+                    (2675, -1, RADIUS_MAX, "")),
+}
+
+
+@pytest.mark.parametrize("path", list(EXITS))
+def test_one_log_record_per_exit(monkeypatch, path):
+    build, patch, outcome, n_steps, last = EXITS[path]
+    plant, stage, model, cfg = build()
+    start = replace(stage)
+    if patch:
+        patch(monkeypatch)
+    session = tune_to_target(plant, stage, cfg, model)
+    assert (session.outcome, len(session.steps)) == (outcome, n_steps)
+    if last:
+        tail = session.steps[-1]
+        assert (tail.pulses, tail.direction, tail.radius, tail.note) == last
+    log, final = replay(plant, model, cfg, start, session)
+    if not log:  # refused before any measurement
+        final = model.frequency(start.position) - cfg.f_target
+    # Every field, NaN included, as the session JSON writes it.
+    assert json.dumps([asdict(s) for s in session.steps]) == json.dumps([asdict(s) for s in log])
+    assert json.dumps(session.final_error_hz) == json.dumps(final)
+    assert session.total_pulses == sum(s.pulses for s in log)
 
 
 class TestControllerConfigValidation:
