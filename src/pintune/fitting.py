@@ -320,14 +320,17 @@ def fit_resonance(trace):
     f_r, q_l, q_e, phi = theta[0], math.exp(theta[1]), math.exp(theta[2]), theta[3]
 
     # Parameter standard errors from the local quadratic model, assuming
-    # independent homoscedastic noise (indicative only).
-    dof = max(f.size - 4, 1)
-    sigma2 = cost / dof
+    # independent homoscedastic noise (indicative only): the diagonal of
+    # sigma2 h^+, the pseudo-inverse V S^-1 U^T from h's SVD with singular
+    # values up to 1e-15 of the largest dropped, as np.linalg.pinv does.
+    sigma2 = cost / max(f.size - 4, 1)
     try:
-        cov = sigma2 * np.linalg.pinv(h)
-        errs = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        u, s, vt = (a.tolist() for a in np.linalg.svd(h, full_matrices=False))
+        inv = [1.0 / x if x > 1e-15 * s[0] else 0.0 for x in s]
+        errs = [math.sqrt(max(sigma2 * sum(vt[k][i] * (inv[k] * u[i][k]) for k in range(4)), 0.0))
+                for i in range(4)]
     except np.linalg.LinAlgError:
-        errs = np.full(4, float("nan"))
+        errs = [float("nan")] * 4
 
     result = FitResult(
         f_r=f_r,
@@ -335,10 +338,10 @@ def fit_resonance(trace):
         q_e=q_e,
         q_i=internal_q(q_l, q_e) if q_l < q_e else float("inf"),
         phi=phi,
-        f_r_err=float(errs[0]),
-        q_l_err=q_l * float(errs[1]),
-        q_e_err=q_e * float(errs[2]),
-        phi_err=float(errs[3]),
+        f_r_err=errs[0],
+        q_l_err=q_l * errs[1],
+        q_e_err=q_e * errs[2],
+        phi_err=errs[3],
         rms_residual=math.sqrt(cost / f.size),
         n_iterations=n_iter,
         converged=stop is not None,

@@ -12,9 +12,11 @@ f_r shifted by the offset of the last reading, fits the trace, and aims the
 stage at the height where that shifted belief reaches the target (a few
 percent short, so the approach stays on one side), through the closed-form
 inverse of the coupling map.  A move is capped by a trust-region radius in
-pulses: it starts at `steps_per_measurement`, grows RADIUS_GROWTH-fold after
-a full-radius move whose measured df the belief predicted, and halves after a
-mispredicted move, a crossing of the target or a mechanical clamp."""
+pulses, first the pulses whose believed df clears INFORMATIVE_BANDS noise
+bands (at least `steps_per_measurement`).  A move whose df the belief
+predicted lifts it to RADIUS_MAX if it cleared them, else grows a full radius
+RADIUS_GROWTH-fold or to that size; a mispredicted move, a crossing of the
+target or a mechanical clamp halves it."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -56,16 +58,21 @@ AGREE_SIGMA = 3.0
 # the calibrated device's whole tuning travel, and a bound on the pulses a
 # session spends on a target its belief places out of reach.
 RADIUS_MAX = 16384
-# The radius grows this many times after an agreeing full-radius move.  The
-# agreement bounds the belief's gain to [AGREE_MIN, AGREE_MAX] of the truth,
-# so an aimed move never lands farther from the target than it started,
-# however long it is; a crossing or a misprediction still halves the radius.
-RADIUS_GROWTH = 8
 # Each move aims this share of the measured error short of the target, so
 # the approach stays on one side under a step or slope the belief
 # underrates.  A shortfall within two tolerances (about one step) buys
 # nothing and is dropped.
 APPROACH_SHORT = 0.05
+# A move informs when its predicted df is this many times its agreement
+# noise: its agreement then bounds the belief's gain below
+# AGREE_MAX + 1/INFORMATIVE_BANDS = 2 / (1 - APPROACH_SHORT) of the truth, so
+# an aimed move never lands farther from the target than it started, however
+# long it is.  About 9.5.
+INFORMATIVE_BANDS = 1.0 / (2.0 / (1.0 - APPROACH_SHORT) - AGREE_MAX)
+# The radius grows this many times after an agreeing full-radius move whose
+# prediction fell short of those bands; a crossing or a misprediction still
+# halves the radius.
+RADIUS_GROWTH = 8
 # A sweep whose fit fails is retried once over this many times its span.
 RETRY_WIDEN = 4.0
 
@@ -153,7 +160,7 @@ class ControllerConfig:
     f_target: float = F_RB
     tolerance_ppm: float = 0.3
     max_steps: int = 2000           # measure-decide-actuate iterations
-    steps_per_measurement: int = 8  # starting pulse radius of a move
+    steps_per_measurement: int = 8  # the floor of the first move's pulse radius
     sweep_points: int = 1201
     sweep_span: float = 6e6         # Hz, centered on the predicted resonance
     p_in_dbm: float = -131.0
@@ -334,10 +341,18 @@ def tune_to_target(plant, stage, cfg, model=None):
             session.final_error_hz = err
             return session
 
-        # Trust-region radius: grow after a full-radius move whose df the
-        # belief predicted, shrink after one it mispredicted or that crossed
-        # the target.
-        if last is not None:
+        # Trust-region radius.  `sized` is the pulses whose believed df is
+        # INFORMATIVE_BANDS times the next move's agreement noise, or the
+        # floor when the noise or the slope is unusable.
+        per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
+                                          model.step_length)
+        sized = cfg.steps_per_measurement
+        if per_pulse > 0 and math.isfinite(fit.f_r_err):
+            bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
+            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), sized)
+        if k == 0:
+            radius = sized
+        elif last is not None:  # shrink, lift or grow it after the last move
             f_last, fit_last, err_last, pulses_last = last
             predicted = f_belief - f_last
             moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
@@ -346,8 +361,10 @@ def tune_to_target(plant, stage, cfg, model=None):
                       <= AGREE_MAX * abs(predicted) + noise)
             if not agrees or err * err_last < 0:
                 radius = max(radius // 2, 1)
-            elif pulses_last >= radius and radius < RADIUS_MAX:
-                radius = min(RADIUS_GROWTH * radius, RADIUS_MAX)
+            elif abs(predicted) >= INFORMATIVE_BANDS * noise:
+                radius = RADIUS_MAX
+            elif pulses_last >= radius:
+                radius = min(max(RADIUS_GROWTH * radius, sized), RADIUS_MAX)
         offset = fit.f_r - f_belief
 
         # Aim where the offset-shifted belief reads a point a little short
@@ -359,6 +376,7 @@ def tune_to_target(plant, stage, cfg, model=None):
         pulses = max(int(round(min(abs(dd) / model.step_length, radius))), 1)
         step.direction = 1 if err > 0 else -1
         step.radius = radius
+        session.final_error_hz = err
 
         try:
             piezo_step(stage, step.direction, plant.pin.d_min, pulses)
@@ -371,7 +389,6 @@ def tune_to_target(plant, stage, cfg, model=None):
 
         step.pulses = pulses
         session.total_pulses += pulses
-        session.final_error_hz = err
         d = max(d + step.direction * pulses * model.step_length, model.pin.d_min)
         last = (f_belief, fit, err, pulses)
         if step.note:  # clamped: shrink now, and judge no prediction on a cut move

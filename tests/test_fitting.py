@@ -313,7 +313,7 @@ class TestSolve:
         assert _solve(junk, g, 1e-3) == _solve(h, g, 1e-3)
 
     def test_fit_calls_no_lapack_solve(self, monkeypatch):
-        """Both of a fit's solves are the closed form; pinv alone stays."""
+        """Both of a fit's solves are the closed form; only the covariance's SVD calls LAPACK."""
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.solve called")
 

@@ -7,15 +7,17 @@ against golden values and against copies of the plain implementations.
 
 The golden values were recorded with numpy 2.4.6 (OpenBLAS) on x86-64.
 Another numpy or BLAS build may round the synthesized traces, the matrix
-products or pinv differently; the trace digests tell the two cases apart.
+products or the covariance's SVD differently; the trace digests tell the two
+cases apart.
 
 A change that rounds differently by design, as the real-arithmetic notch
-kernel did against the complex one and the closed-form Cholesky solve against
-LAPACK's, is held against the goldens it replaces, which stay in this file
-(COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN): the same iteration counts,
-the parameters and rms residual within 1e-12 relative and the standard errors
-within 1e-9 (1e-4 for the budget-exhausting fit, whose J^T J has a condition
-number near 1e22).  Only once those checks pass are the new bits and trace
+kernel did against the complex one, the closed-form Cholesky solve against
+LAPACK's and the covariance diagonal from h's SVD against np.linalg.pinv, is
+held against the goldens it replaces, which stay in this file
+(COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN, PINV_GOLDEN): the same iteration
+counts, the parameters and rms residual within 1e-12 relative and the
+standard errors within 1e-9 (1e-4 for the budget-exhausting fit against the
+first two, whose J^T J has a condition number near 1e22).  Only once those checks pass are the new bits and trace
 digests pinned, and the checks stay.  Otherwise re-record from a commit known
 to be right, never from the change under test.
 
@@ -89,7 +91,7 @@ GOLDEN = {
         "f0584721f2e7c843",
         ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
          "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb6315p+9",
-         "0x1.c4c1635c934e2p+7", "0x1.32f7a4bfcb953p+11", "0x1.632b33a153634p-8"),
+         "0x1.c4c1635c934e2p+7", "0x1.32f7a4bfcb953p+11", "0x1.632b33a153633p-8"),
         3),
     "broad-401": (
         (4228100136.274949, 18784.912940901275, 633043.3010062983, 0.278446362175662, 401, 1481135592),
@@ -162,6 +164,47 @@ LAPACK_SOLVE_GOLDEN = {
         ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9fbp+26", "0x1.926dc0e7c9a4bp+27",
          "0x1.db65a07cde250p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba30de90f6c7p+13",
          "0x1.b31382f1a76bfp+39", "0x1.c6dafc9905df8p+39", "0x1.82e3b1a1faeafp+12"),
+        200),
+}
+
+# The goldens of the fitter that took the covariance from np.linalg.pinv
+# before the diagonal of its SVD's pseudo-inverse on Python floats, by name:
+# the fingerprint and the iteration count, recorded from that fitter.
+PINV_GOLDEN = {
+    "device-401": (
+        ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
+         "-0x1.c100812b5fcdcp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959fb081p+11",
+         "0x1.c8bab460673fap+9", "0x1.3ff8a21ee67c4p+13", "0x1.71afcad440749p-6"),
+        3),
+    "device-1601": (
+        ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
+         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397cd308p+10",
+         "0x1.cad13cd198c00p+8", "0x1.368e0585200cfp+12", "0x1.5ccd0d69f7d8ep-7"),
+        4),
+    "device-6401": (
+        ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb6315p+9",
+         "0x1.c4c1635c934e2p+7", "0x1.32f7a4bfcb953p+11", "0x1.632b33a153634p-8"),
+        3),
+    "broad-401": (
+        ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
+         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8fd4e20p+12",
+         "0x1.472771418adfdp+10", "0x1.e71d05e299d8bp+14", "0x1.9d042905e6cb3p-5"),
+        4),
+    "broad-1601": (
+        ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
+         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd7270832a64p+12",
+         "0x1.f5043f8dd7a80p+9", "0x1.0c90146650aa9p+15", "0x1.0e3017e3aee92p-5"),
+        7),
+    "broad-6401": (
+        ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e59eaed1p+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f12p+7", "0x1.777893319ea57p-10"),
+        3),
+    "best-401": (
+        ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a7dp+27",
+         "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7baadb34b00d7p+13",
+         "0x1.b31c6ec81c08cp+39", "0x1.c6e4529666e4fp+39", "0x1.82eba280b203bp+12"),
         200),
 }
 
@@ -283,6 +326,20 @@ def test_golden_within_tolerance_of_the_lapack_solve(name):
     got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
     np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
     np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
+def test_golden_within_tolerance_of_the_pinv_covariance(name):
+    """The covariance diagonal from h's SVD rounds differently from
+    np.linalg.pinv's matrix product: each golden takes the same iterations,
+    with the parameters and rms residual within 1e-12 relative and the
+    standard errors within 1e-9."""
+    values, iterations = PINV_GOLDEN[name]
+    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
+    assert got_iterations == iterations
+    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
+    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ALL))

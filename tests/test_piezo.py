@@ -18,7 +18,11 @@ from pintune.errors import (
 )
 from pintune.fitting import fit_resonance
 from pintune.piezo import (
+    AGREE_MAX,
+    AGREE_SIGMA,
+    APPROACH_SHORT,
     F_RB,
+    INFORMATIVE_BANDS,
     RADIUS_GROWTH,
     RADIUS_MAX,
     ControllerConfig,
@@ -287,9 +291,9 @@ class TestTuneToTarget:
     def test_step_budget_exhausted(self):
         plant = noiseless_plant()
         stage = PiezoStage(position=600 * UM)
-        session = tune_to_target(plant, stage, ControllerConfig(max_steps=5))
+        session = tune_to_target(plant, stage, ControllerConfig(max_steps=4))
         assert session.outcome == "StepBudgetExhausted"
-        assert len(session.steps) == 5
+        assert len(session.steps) == 4
 
     def test_aborts_when_stage_stalled(self):
         plant = noiseless_plant()
@@ -386,12 +390,12 @@ class TestModelMismatch:
     @pytest.mark.parametrize("start_um", [300.0, 600.0])
     @pytest.mark.parametrize("mismatch", MISMATCHES)
     def test_measurements_under_mismatch(self, mismatch, start_um):
-        # The noiseless worst cases take 9 and 16 measurements.  The budgets
-        # catch a radius that only doubles per agreeing move, which needs 14
-        # and 21; the runaway bounds above would not.
+        # The noiseless worst cases take 8 and 13 measurements.  The budgets
+        # catch a radius that only grows eightfold per agreeing move, whatever
+        # the noise, which needs 9 and 16; the runaway bounds above would not.
         plant, stage, model = mismatched(start_um=start_um, **mismatch)
         session = tune_to_target(plant, stage, ControllerConfig(), model)
-        assert len(session.steps) <= {300.0: 12, 600.0: 18}[start_um]
+        assert len(session.steps) <= {300.0: 8, 600.0: 14}[start_um]
 
     def test_sweeps_centre_on_the_belief(self):
         plant, stage, model = mismatched(lam_factor=1.1)
@@ -437,13 +441,62 @@ class TestPulseRadius:
             if step.note:
                 assert nxt.radius == max(step.radius // 2, 1)
 
-    def test_radius_grows_eightfold_per_agreeing_move(self):
-        # Noiseless and matched, every full-radius move agrees with the belief.
-        session = tune_to_target(noiseless_plant(), PiezoStage(position=600 * UM),
-                                 ControllerConfig())
+    def test_informative_bands_from_agreement_and_approach(self):
+        # An agreeing move that clears the bands bounds the belief's gain
+        # where a 5%-short aim still lands no farther than it started.
+        assert INFORMATIVE_BANDS == 1.0 / (2.0 / (1.0 - APPROACH_SHORT) - AGREE_MAX)
+        assert AGREE_MAX + 1.0 / INFORMATIVE_BANDS == pytest.approx(2.0 / (1.0 - APPROACH_SHORT))
+        assert INFORMATIVE_BANDS == pytest.approx(9.5)
+
+    def test_first_radius_is_the_informative_size(self, monkeypatch):
+        session = reading_errors(monkeypatch, [100.0], max_steps=1)
+        assert session.steps[0].radius == informative_size(600 * UM, 100.0) > 8
+
+    def test_radius_grows_eightfold_per_agreeing_move(self, monkeypatch):
+        # The first move predicts the informative df for a 100-Hz reading,
+        # but the next reading's 200 Hz widens its agreement band past
+        # 1/INFORMATIVE_BANDS of it: it falls short, and the radius grows
+        # eightfold, which beats the informative size for 200 Hz.  The second
+        # move clears the bands and lifts the cap.
+        session = reading_errors(monkeypatch, [100.0, 200.0])
         assert session.outcome == "Converged"
-        assert [s.radius for s in session.steps[:4]] == [8, 64, 512, 4096]
-        assert [s.pulses for s in session.steps[:4]] == [8, 64, 512, 4096]
+        first, second, third = session.steps[:3]
+        assert second.radius == RADIUS_GROWTH * first.radius
+        assert (first.pulses, second.pulses) == (first.radius, second.radius)
+        assert third.radius == RADIUS_MAX
+
+    def test_a_noisy_session_sizes_grows_and_lifts(self):
+        # The first move falls short of the bands of its two readings, and
+        # eightfold beats the second reading's informative size.
+        session = tune_to_target(*noisy(300.0, 5)[:2], ControllerConfig())
+        assert [s.radius for s in session.steps[:3]] == [56, RADIUS_GROWTH * 56, RADIUS_MAX]
+        assert [s.pulses for s in session.steps[:2]] == [56, RADIUS_GROWTH * 56]
+
+    def test_radius_grows_to_the_informative_size(self, monkeypatch):
+        # A 2-kHz second reading falls short by far more than eightfold.
+        session = reading_errors(monkeypatch, [100.0, 2000.0], max_steps=2)
+        first, second = session.steps
+        height = 600 * UM + first.direction * first.pulses * 60 * NM  # dead-reckoned
+        assert second.radius == informative_size(height, 2000.0) > RADIUS_GROWTH * first.radius
+
+    def test_a_move_that_clears_the_bands_lifts_the_cap(self, monkeypatch):
+        # A 10-Hz second reading narrows the band under 1/INFORMATIVE_BANDS
+        # of the move.
+        session = reading_errors(monkeypatch, [100.0, 10.0], max_steps=2)
+        assert session.steps[1].radius == RADIUS_MAX
+
+    @pytest.mark.parametrize("error", [float("nan"), math.inf])
+    def test_unusable_noise_keeps_the_floor(self, monkeypatch, error):
+        session = reading_errors(monkeypatch, [error], max_steps=1)
+        assert session.steps[0].radius == 8
+
+    def test_a_flat_belief_keeps_the_floor(self):
+        # At 10 cm m**2 underflows: the believed slope is exactly zero.
+        plant = noiseless_plant()
+        stage = PiezoStage(position=0.1)
+        assert frequency_sensitivity(plant.state_at(0.1), plant.params, plant.pin) == 0.0
+        session = tune_to_target(plant, stage, ControllerConfig(max_steps=1))
+        assert session.steps[0].radius == 8
 
     def test_radius_stops_growing_at_its_cap(self):
         # From 2 mm the target is ~31,000 pulses away: the second move spends
@@ -464,6 +517,28 @@ class TestPulseRadius:
             assert abs(step.measured_f_r - step.true_f_r) < 100.0
 
 
+def informative_size(height, f_r_err):
+    """The pulses whose believed df at `height` on the noiseless plant is
+    INFORMATIVE_BANDS agreement bands of two readings of f_r_err."""
+    plant = noiseless_plant()
+    per_pulse = frequency_sensitivity(plant.state_at(height), plant.params, plant.pin)
+    return math.ceil(INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * f_r_err / per_pulse)
+
+
+def reading_errors(monkeypatch, errors, start_um=600.0, **controller):
+    """A matched noiseless session whose k-th reading reports the standard
+    error errors[k] (the last one from then on), its f_r untouched."""
+    readings = []
+
+    def fit(trace):
+        readings.append(trace)
+        return replace(fit_resonance(trace), f_r_err=errors[min(len(readings), len(errors)) - 1])
+
+    monkeypatch.setattr(piezo, "fit_resonance", fit)
+    return tune_to_target(noiseless_plant(), PiezoStage(position=start_um * UM),
+                          ControllerConfig(**controller))
+
+
 def replay(plant, model, cfg, start, session):
     """The log and final error a session should have written, rebuilt from a
     copy of its start stage.  Each reading is re-measured at the replayed
@@ -474,7 +549,8 @@ def replay(plant, model, cfg, start, session):
     A step that ends the session on its reading (converged, pin does not
     couple, fit failed) logs the radius in force before that reading's
     update.  A move or a stalled step logs the radius after it, and a stalled
-    step its direction but 0 pulses."""
+    step its direction but 0 pulses.  A stall ends the session on its own
+    reading's error."""
     nan = float("nan")
     tol = session.tolerance_hz
     stage, d = replace(start), start.position
@@ -499,17 +575,30 @@ def replay(plant, model, cfg, start, session):
             step.note = "" if abs(err) <= tol else "pin does not couple"
             final = err
             break
-        # After a move the update halves the radius on a crossing, and
-        # otherwise halves, keeps or grows it.
+        # `sized`: the pulses whose believed df clears INFORMATIVE_BANDS
+        # agreement bands of this reading, the floor when the noise or the
+        # slope is unusable.  The first reading sets the radius to it.  After
+        # a move the update halves the radius on a crossing, and otherwise
+        # halves, keeps, grows or lifts it.
+        per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
+                                          model.step_length)
+        sized = cfg.steps_per_measurement
+        if per_pulse > 0 and math.isfinite(fit.f_r_err):
+            bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
+            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), sized)
         allowed = {radius}
-        if last_err is not None:
+        if k == 0:
+            allowed = {sized}
+        elif last_err is not None:
             allowed = {max(radius // 2, 1)}
             if err * last_err > 0:
-                allowed |= {radius, min(RADIUS_GROWTH * radius, RADIUS_MAX)}
+                allowed |= {radius, min(max(RADIUS_GROWTH * radius, sized), RADIUS_MAX),
+                            RADIUS_MAX}
         assert logged.radius in allowed
         step.radius = radius = logged.radius
         offset = fit.f_r - f_belief
         step.direction = 1 if err > 0 else -1
+        final = err
         if logged.note.startswith("stage stalled"):
             step.note = logged.note
             break
@@ -520,7 +609,7 @@ def replay(plant, model, cfg, start, session):
         assert was_clamped == clamped
         step.note = logged.note
         d = max(d + step.direction * step.pulses * model.step_length, model.pin.d_min)
-        last_err, final = err, err
+        last_err = err
         if clamped:
             radius, last_err = max(radius // 2, 1), None
     return log, final
@@ -530,6 +619,14 @@ def matched(start_um, **controller):
     plant = noiseless_plant()
     stage = PiezoStage(position=start_um * UM)
     return plant, stage, ControllerModel.of(plant, stage), ControllerConfig(**controller)
+
+
+def noisy(start_um, seed):
+    """A matched session on the benchmark's noise (0.5% of the power ratio,
+    0.1-um vibration)."""
+    plant = replace(noiseless_plant(), noise=NoiseModel(0.005, 0.1 * UM, seed))
+    stage = PiezoStage(position=start_um * UM)
+    return plant, stage, ControllerModel.of(plant, stage), ControllerConfig()
 
 
 def uncoupled():
@@ -575,23 +672,26 @@ def third_move_stalls(monkeypatch):
 
 
 # path: (session, patch, outcome, steps, the last step's (pulses, direction,
-# radius, note)).  The converged session reads across the target, so its
-# update would halve the 4096-pulse radius; the failed reading follows a
-# full-radius move, so its update would grow 64 to 512; the stalled and the
-# last budgeted moves log the grown radius, 512 and 16384 (capped).
+# radius, note)).  Noiseless, the first move clears the agreement bands and
+# lifts the radius to RADIUS_MAX: the converged and the failed readings log
+# it as in force before their update, the stalled and the last budgeted
+# moves after it.  The clamped move logs half of it, after an earlier clamp.
+# The noisy session sizes its first move to the noise, grows the next
+# eightfold and then lifts the cap (TestPulseRadius).
 EXITS = {
     "converged": (lambda: (*mismatched(lam_factor=0.9), ControllerConfig()), None,
-                  "Converged", 7, (0, 0, 4096, "")),
+                  "Converged", 5, (0, 0, RADIUS_MAX, "")),
+    "noisy": (lambda: noisy(300.0, 5), None, "Converged", 7, (0, 0, RADIUS_MAX, "")),
     "unreachable": (lambda: matched(300.0, f_target=7.0e9), None, "Unreachable", 0, None),
     "pin does not couple": (uncoupled, None, "Unreachable", 1, (0, 0, 8, "pin does not couple")),
     "fit failed": (lambda: matched(600.0), third_reading_fails, "Aborted", 3,
-                   (0, 0, 64, "fit failed: NoResonance")),
+                   (0, 0, RADIUS_MAX, "fit failed: NoResonance")),
     "stage stalled": (lambda: matched(600.0), third_move_stalls, "Aborted", 3,
-                      (0, -1, 512, "stage stalled: 20 V is below the 30 V minimum")),
+                      (0, -1, RADIUS_MAX, "stage stalled: 20 V is below the 30 V minimum")),
     "clamped": (against_the_limit, None, "StepBudgetExhausted", 4,
-                (0, -1, 32, "clamped at mechanical limit")),
-    "step budget": (lambda: matched(600.0, max_steps=5), None, "StepBudgetExhausted", 5,
-                    (2675, -1, RADIUS_MAX, "")),
+                (0, -1, RADIUS_MAX // 2, "clamped at mechanical limit")),
+    "step budget": (lambda: matched(600.0, max_steps=4), None, "StepBudgetExhausted", 4,
+                    (4, -1, RADIUS_MAX, "")),
 }
 
 
@@ -607,6 +707,8 @@ def test_one_log_record_per_exit(monkeypatch, path):
     if last:
         tail = session.steps[-1]
         assert (tail.pulses, tail.direction, tail.radius, tail.note) == last
+        if not tail.note.startswith("fit failed"):  # a stall too ends on its own reading
+            assert session.final_error_hz == tail.error_hz
     log, final = replay(plant, model, cfg, start, session)
     if not log:  # refused before any measurement
         final = model.frequency(start.position) - cfg.f_target

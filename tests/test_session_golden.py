@@ -37,17 +37,17 @@ def seed_of(*key):
 # calibrated decay length, 60-nm steps, no backlash).
 SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
-        "Converged", 8, 2432, "94a212ca929e4920e414d1f2ac86d187a71ac948d0ea46f69b125cdbeb401db5"),
+        "Converged", 5, 2432, "0461af30541af6e0e1188fde77ad6e369b4ba40f4551af499db4e6fdc69a2502"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 8, 2432, "6936a922ea0c5b77a596886a204c6277b3a71e4af80334a53dec57b34ffcc1c2"),
+        "Converged", 8, 2436, "32cae3ce98cdbf47da21baedc0a009298d31011b63de002a19dc20d37ffafae4"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
-        "Converged", 8, 7432, "cfaa3570982a07adaa734db265f387f9e76dad36c5dbc0d889a868de064fe229"),
+        "Converged", 6, 7433, "eb881aaeaa6123d6d24d034abc1cb23d76176b71b938d7765cba57246cca4d3c"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
-        "Converged", 8, 7432, "2a81cb70767939a012c87693ca20f18c74a9cd24fea0f1a9d80446bcecf46148"),
+        "Converged", 5, 7432, "068a2534885fb3108f8a345212efd5ea50f24b47cb4d6390dc612e1ac7e1b9d2"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 15, 8606, "9e2372de08e0d3ede57d82888fce9023796d0f6ac573c8d3022b31cb54b2328a"),
+        "Converged", 13, 9114, "ff21295ed5bbf087e0a951c02715fc4bd585b5368383da70867fe5f5fd8737a3"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
-        "Converged", 8, 2624, "1d7768093596db6ff1e8ffc709dc4bfd9f665ff9f107c5f97853d8fa12d15bf9"),
+        "Converged", 8, 2626, "d055b671467ee0226c673dd823389544ed138ed62079915031feae6f899dfa57"),
 }
 
 
