@@ -9,10 +9,14 @@ fits, reporting the clamp.  The controller iterates measure -> fit ->
 actuate against a ControllerModel, its belief about the device, which may
 differ from the Plant it drives.  Each iteration sweeps around the belief's
 f_r shifted by the offset of the last reading, fits the trace, and aims the
-stage at the height where that shifted belief reaches the target (a few
-percent short, so the approach stays on one side), through the closed-form
-inverse of the coupling map.  A move is capped by a trust-region radius in
-pulses, first the pulses whose believed df clears INFORMATIVE_BANDS noise
+belief's df at the measured error over the gain the last informative move
+measured (its measured over its believed df; 1 until such a move agrees),
+through the closed-form inverse of the coupling map.  The aim stops short by
+|gain - 1| plus that move's agreement noise over its predicted df, at most
+APPROACH_SHORT of the error, so the approach stays on one side: the
+one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
+Control, 2nd ed. (1995), ch. 2-3.  A move is capped by a trust-region radius
+in pulses, first the pulses whose believed df clears INFORMATIVE_BANDS noise
 bands (at least `steps_per_measurement`).  A move whose df the belief
 predicted lifts it to RADIUS_MAX if it cleared them, else grows a full radius
 RADIUS_GROWTH-fold or to that size; a mispredicted move, a crossing of the
@@ -58,10 +62,12 @@ AGREE_SIGMA = 3.0
 # the calibrated device's whole tuning travel, and a bound on the pulses a
 # session spends on a target its belief places out of reach.
 RADIUS_MAX = 16384
-# Each move aims this share of the measured error short of the target, so
-# the approach stays on one side under a step or slope the belief
-# underrates.  A shortfall within two tolerances (about one step) buys
-# nothing and is dropped.
+# A move aims at most this share of the measured error short of the target,
+# so the approach stays on one side under a step or slope the belief
+# underrates.  Once an informative move has measured the gain, the share is
+# what that gain may still be off: its distance from 1 plus the move's
+# agreement noise over its predicted df.  A shortfall within two tolerances
+# (about one step) buys nothing and is dropped.
 APPROACH_SHORT = 0.05
 # A move informs when its predicted df is this many times its agreement
 # noise: its agreement then bounds the belief's gain below
@@ -255,6 +261,9 @@ class TuningStep:
     # it, after this reading's update; a step that ends the session on its
     # reading logs the one in force before that update.
     radius: int = 0
+    # The gain (measured over believed df) the move was aimed with, logged as
+    # the radius is: 1.0 until an informative move agrees.
+    gain: float = 1.0
 
 
 @dataclass
@@ -316,12 +325,13 @@ def tune_to_target(plant, stage, cfg, model=None):
 
     radius = cfg.steps_per_measurement
     offset = 0.0  # measured minus believed f_r at the last reading
+    gain, share = 1.0, APPROACH_SHORT  # measured over believed df; the aim's shortfall
     last = None   # (believed f_r, fit, error, pulses) of the last move
 
     for k in range(cfg.max_steps):
         f_belief = model.frequency(d)
         step = TuningStep(k, stage.position, true_f_r=plant.true_frequency(stage.position),
-                          predicted_f_r=f_belief + offset, radius=radius)
+                          predicted_f_r=f_belief + offset, radius=radius, gain=gain)
         session.steps.append(step)
         try:
             fit = _measure(plant, stage, cfg, step.predicted_f_r, k)
@@ -359,23 +369,27 @@ def tune_to_target(plant, stage, cfg, model=None):
             noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
             agrees = (AGREE_MIN * abs(predicted) - noise <= moved
                       <= AGREE_MAX * abs(predicted) + noise)
+            informs = abs(predicted) >= INFORMATIVE_BANDS * noise
+            if agrees and informs:  # a crossing too measures the gain
+                gain = moved / abs(predicted)
+                share = min(APPROACH_SHORT, abs(gain - 1.0) + noise / abs(predicted))
             if not agrees or err * err_last < 0:
                 radius = max(radius // 2, 1)
-            elif abs(predicted) >= INFORMATIVE_BANDS * noise:
+            elif informs:
                 radius = RADIUS_MAX
             elif pulses_last >= radius:
                 radius = min(max(RADIUS_GROWTH * radius, sized), RADIUS_MAX)
         offset = fit.f_r - f_belief
 
-        # Aim where the offset-shifted belief reads a point a little short
-        # of the target, on the side already measured.
-        short = APPROACH_SHORT * err
+        # Aim the belief's df at the error, less a shortfall on the side
+        # already measured, over the gain the last informative move measured.
+        short = share * err
         if abs(short) <= 2 * tol:
             short = 0.0
-        dd = model.height_for(cfg.f_target + short - offset) - d
+        dd = model.height_for(f_belief - (err - short) / gain) - d
         pulses = max(int(round(min(abs(dd) / model.step_length, radius))), 1)
         step.direction = 1 if err > 0 else -1
-        step.radius = radius
+        step.radius, step.gain = radius, gain
         session.final_error_hz = err
 
         try:

@@ -20,7 +20,13 @@ import pytest
 from pintune.cli import main
 from pintune.config import from_dict
 from pintune.fitting import fit_resonance
-from pintune.piezo import F_RB, PiezoStage, frequency_sensitivity, tune_to_target
+from pintune.piezo import (
+    F_RB,
+    ControllerModel,
+    PiezoStage,
+    frequency_sensitivity,
+    tune_to_target,
+)
 from pintune.resonator import TuningState, mutual_inductance, tuned_frequency
 from pintune.stability import FrequencyTimeSeries, drift_rate, peak_to_peak_deviation
 from pintune.transmission import (
@@ -144,8 +150,12 @@ def test_criterion_5b_near_target_fine_resolution(cfg):
     # Each per-pulse shift within 100 kHz of f_Rb must match the model
     # slope (curvature over <= 8 pulses accounts for ~0.2-0.4%) and be under
     # 2 x tolerance, so half a step always lands inside the 0.3 ppm window.
+    # The session starts where the belief reads f_Rb - 80 kHz: from 300 um
+    # (5a) the learned gain lands the approach inside the window with no
+    # move that starts within 100 kHz.
     plant = cfg.plant()
     stage = PiezoStage(position=300e-6)
+    stage.position = ControllerModel.of(plant, stage).height_for(F_RB - 80e3)
     session = tune_to_target(plant, stage, cfg.controller)
     near = [
         (step, abs(nxt.measured_f_r - step.measured_f_r) / step.pulses)

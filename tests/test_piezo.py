@@ -19,6 +19,7 @@ from pintune.errors import (
 from pintune.fitting import fit_resonance
 from pintune.piezo import (
     AGREE_MAX,
+    AGREE_MIN,
     AGREE_SIGMA,
     APPROACH_SHORT,
     F_RB,
@@ -290,10 +291,10 @@ class TestTuneToTarget:
 
     def test_step_budget_exhausted(self):
         plant = noiseless_plant()
-        stage = PiezoStage(position=600 * UM)
-        session = tune_to_target(plant, stage, ControllerConfig(max_steps=4))
+        stage = PiezoStage(position=600 * UM)  # converges in 3 (TestLearnedGain)
+        session = tune_to_target(plant, stage, ControllerConfig(max_steps=2))
         assert session.outcome == "StepBudgetExhausted"
-        assert len(session.steps) == 4
+        assert len(session.steps) == 2
 
     def test_aborts_when_stage_stalled(self):
         plant = noiseless_plant()
@@ -369,10 +370,16 @@ def mismatched(lam_factor=1.0, step_nm=60.0, backlash_nm=0.0, start_um=300.0):
     return plant, stage, model
 
 
+# The 17-case grid: decay length x0.9/1.0/1.1, 54/60/66-nm steps and 0/5-nm
+# backlash, less the matched case.  The five single-factor cases come first.
 MISMATCHES = [
     {"lam_factor": 0.9}, {"lam_factor": 1.1},
     {"step_nm": 54.0}, {"step_nm": 66.0},
     {"backlash_nm": 5.0},
+] + [
+    {"lam_factor": lam, "step_nm": step, "backlash_nm": backlash}
+    for lam in (0.9, 1.0, 1.1) for step in (54.0, 60.0, 66.0) for backlash in (0.0, 5.0)
+    if (lam != 1.0) + (step != 60.0) + (backlash != 0.0) > 1
 ]
 
 
@@ -390,12 +397,13 @@ class TestModelMismatch:
     @pytest.mark.parametrize("start_um", [300.0, 600.0])
     @pytest.mark.parametrize("mismatch", MISMATCHES)
     def test_measurements_under_mismatch(self, mismatch, start_um):
-        # The noiseless worst cases take 8 and 13 measurements.  The budgets
-        # catch a radius that only grows eightfold per agreeing move, whatever
-        # the noise, which needs 9 and 16; the runaway bounds above would not.
+        # The noiseless worst cases take 5 and 6 measurements.  The budgets
+        # catch an aim that ignores the gain the last informative move
+        # measured, which needs up to 8 and 17; the runaway bounds above would
+        # not.
         plant, stage, model = mismatched(start_um=start_um, **mismatch)
         session = tune_to_target(plant, stage, ControllerConfig(), model)
-        assert len(session.steps) <= {300.0: 8, 600.0: 14}[start_um]
+        assert len(session.steps) <= {300.0: 5, 600.0: 6}[start_um]
 
     def test_sweeps_centre_on_the_belief(self):
         plant, stage, model = mismatched(lam_factor=1.1)
@@ -413,6 +421,27 @@ class TestModelMismatch:
         assert session.outcome == "Converged"
         assert abs(plant.true_frequency(stage.position) - cfg.f_target) <= session.tolerance_hz
         assert len(session.steps) <= 30
+
+
+class TestLearnedGain:
+    def test_a_long_move_is_aimed_with_the_step_ratio(self):
+        # The 8-pulse first move measures the real 66-nm step against the 60
+        # believed, and the long move that follows is aimed with it.
+        plant, stage, model = mismatched(step_nm=66.0, start_um=600.0)
+        session = tune_to_target(plant, stage, ControllerConfig(), model)
+        first, long_move = session.steps[:2]
+        assert (first.pulses, first.gain) == (8, 1.0)
+        assert long_move.pulses > 1000
+        assert long_move.gain == pytest.approx(66.0 / 60.0, abs=1e-3)
+
+    @pytest.mark.parametrize("start_um", [300.0, 600.0])
+    def test_a_matched_session_converges_in_three(self, start_um):
+        plant = noiseless_plant()
+        stage = PiezoStage(position=start_um * UM)
+        cfg = ControllerConfig()
+        session = tune_to_target(plant, stage, cfg)
+        assert (session.outcome, len(session.steps)) == ("Converged", 3)
+        assert abs(plant.true_frequency(stage.position) - cfg.f_target) <= session.tolerance_hz
 
 
 class TestPulseRadius:
@@ -468,9 +497,12 @@ class TestPulseRadius:
     def test_a_noisy_session_sizes_grows_and_lifts(self):
         # The first move falls short of the bands of its two readings, and
         # eightfold beats the second reading's informative size.
+        # Neither measures the gain: the third move is the first aimed by it.
         session = tune_to_target(*noisy(300.0, 5)[:2], ControllerConfig())
         assert [s.radius for s in session.steps[:3]] == [56, RADIUS_GROWTH * 56, RADIUS_MAX]
         assert [s.pulses for s in session.steps[:2]] == [56, RADIUS_GROWTH * 56]
+        assert [s.gain for s in session.steps[:2]] == [1.0, 1.0]
+        assert session.steps[2].gain != 1.0
 
     def test_radius_grows_to_the_informative_size(self, monkeypatch):
         # A 2-kHz second reading falls short by far more than eightfold.
@@ -543,23 +575,25 @@ def replay(plant, model, cfg, start, session):
     """The log and final error a session should have written, rebuilt from a
     copy of its start stage.  Each reading is re-measured at the replayed
     height on the sweep centre the belief predicts, dead-reckoned from the
-    pulses issued; a fit failure or a stall is taken from the log, as is the
-    radius a move logs, which is checked against the rule it must obey.
+    pulses issued, and each move's radius, gain, shortfall and pulses are
+    recomputed from the readings by the rules the controller must obey; a fit
+    failure or a stall is taken from the log.
 
     A step that ends the session on its reading (converged, pin does not
-    couple, fit failed) logs the radius in force before that reading's
-    update.  A move or a stalled step logs the radius after it, and a stalled
-    step its direction but 0 pulses.  A stall ends the session on its own
-    reading's error."""
+    couple, fit failed) logs the radius and gain in force before that
+    reading's update.  A move or a stalled step logs them after it, and a
+    stalled step its direction but 0 pulses.  A stall ends the session on its
+    own reading's error."""
     nan = float("nan")
     tol = session.tolerance_hz
     stage, d = replace(start), start.position
-    offset, radius, last_err, final = 0.0, cfg.steps_per_measurement, None, nan
+    offset, radius, final = 0.0, cfg.steps_per_measurement, nan
+    gain, share, last = 1.0, APPROACH_SHORT, None
     log = []
     for k, logged in enumerate(session.steps):
         f_belief = model.frequency(d)
         step = TuningStep(k, stage.position, nan, nan, 0, 0, nan, 0, "",
-                          plant.true_frequency(stage.position), f_belief + offset, radius)
+                          plant.true_frequency(stage.position), f_belief + offset, radius, gain)
         log.append(step)
         if logged.note.startswith("fit failed"):
             step.note = logged.note
@@ -577,41 +611,51 @@ def replay(plant, model, cfg, start, session):
             break
         # `sized`: the pulses whose believed df clears INFORMATIVE_BANDS
         # agreement bands of this reading, the floor when the noise or the
-        # slope is unusable.  The first reading sets the radius to it.  After
-        # a move the update halves the radius on a crossing, and otherwise
-        # halves, keeps, grows or lifts it.
+        # slope is unusable.  The first reading sets the radius to it.  A move
+        # that agrees with its prediction and clears its own bands measures
+        # the gain, crossing or not; the radius halves on a crossing or a
+        # misprediction, and otherwise lifts, grows or stays.
         per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
                                           model.step_length)
         sized = cfg.steps_per_measurement
         if per_pulse > 0 and math.isfinite(fit.f_r_err):
             bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
             sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), sized)
-        allowed = {radius}
         if k == 0:
-            allowed = {sized}
-        elif last_err is not None:
-            allowed = {max(radius // 2, 1)}
-            if err * last_err > 0:
-                allowed |= {radius, min(max(RADIUS_GROWTH * radius, sized), RADIUS_MAX),
-                            RADIUS_MAX}
-        assert logged.radius in allowed
-        step.radius = radius = logged.radius
+            radius = sized
+        elif last is not None:
+            f_last, fit_last, err_last, pulses_last = last
+            predicted = f_belief - f_last
+            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
+            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
+            agrees = (AGREE_MIN * abs(predicted) - noise <= moved
+                      <= AGREE_MAX * abs(predicted) + noise)
+            informs = abs(predicted) >= INFORMATIVE_BANDS * noise
+            if agrees and informs:
+                gain = moved / abs(predicted)
+                share = min(APPROACH_SHORT, abs(gain - 1.0) + noise / abs(predicted))
+            if not agrees or err * err_last < 0:
+                radius = max(radius // 2, 1)
+            elif informs:
+                radius = RADIUS_MAX
+            elif pulses_last >= radius:
+                radius = min(max(RADIUS_GROWTH * radius, sized), RADIUS_MAX)
+        step.radius, step.gain = radius, gain
         offset = fit.f_r - f_belief
         step.direction = 1 if err > 0 else -1
         final = err
         if logged.note.startswith("stage stalled"):
             step.note = logged.note
             break
-        clamped = logged.note == "clamped at mechanical limit"
-        asked = radius if clamped else logged.pulses
-        assert 1 <= asked <= radius
-        step.pulses, was_clamped = closed_form_move(stage, step.direction, plant.pin.d_min, asked)
-        assert was_clamped == clamped
-        step.note = logged.note
+        short = share * err if abs(share * err) > 2 * tol else 0.0
+        aim = model.height_for(f_belief - (err - short) / gain) - d
+        asked = max(int(round(min(abs(aim) / model.step_length, radius))), 1)
+        step.pulses, clamped = closed_form_move(stage, step.direction, plant.pin.d_min, asked)
+        step.note = "clamped at mechanical limit" if clamped else ""
         d = max(d + step.direction * step.pulses * model.step_length, model.pin.d_min)
-        last_err = err
+        last = (f_belief, fit, err, step.pulses)
         if clamped:
-            radius, last_err = max(radius // 2, 1), None
+            radius, last = max(radius // 2, 1), None
     return log, final
 
 
@@ -659,12 +703,12 @@ def third_reading_fails(monkeypatch):
     monkeypatch.setattr(piezo, "fit_resonance", fit)
 
 
-def third_move_stalls(monkeypatch):
+def second_move_stalls(monkeypatch):
     moves = []
 
     def step(stage, direction, d_min=0.0, pulses=1):
         moves.append(pulses)
-        if len(moves) == 3:
+        if len(moves) == 2:
             stage.voltage = 20.0
         return piezo_step(stage, direction, d_min, pulses)
 
@@ -673,25 +717,27 @@ def third_move_stalls(monkeypatch):
 
 # path: (session, patch, outcome, steps, the last step's (pulses, direction,
 # radius, note)).  Noiseless, the first move clears the agreement bands and
-# lifts the radius to RADIUS_MAX: the converged and the failed readings log
-# it as in force before their update, the stalled and the last budgeted
-# moves after it.  The clamped move logs half of it, after an earlier clamp.
-# The noisy session sizes its first move to the noise, grows the next
-# eightfold and then lifts the cap (TestPulseRadius).
+# lifts the radius to RADIUS_MAX: the failed reading logs it as in force
+# before its update, the stalled and the last budgeted moves after it.  The
+# clamped move logs half of it, after an earlier clamp.  The converged
+# readings log a quarter of it: both sessions cross the target twice on
+# their way in, the mismatched one on its long move and the next, the noisy
+# one on two 1-pulse moves.  The noisy session sizes its first move to the
+# noise, grows the next eightfold and then lifts the cap (TestPulseRadius).
 EXITS = {
     "converged": (lambda: (*mismatched(lam_factor=0.9), ControllerConfig()), None,
-                  "Converged", 5, (0, 0, RADIUS_MAX, "")),
-    "noisy": (lambda: noisy(300.0, 5), None, "Converged", 7, (0, 0, RADIUS_MAX, "")),
+                  "Converged", 5, (0, 0, RADIUS_MAX // 4, "")),
+    "noisy": (lambda: noisy(300.0, 5), None, "Converged", 7, (0, 0, RADIUS_MAX // 4, "")),
     "unreachable": (lambda: matched(300.0, f_target=7.0e9), None, "Unreachable", 0, None),
     "pin does not couple": (uncoupled, None, "Unreachable", 1, (0, 0, 8, "pin does not couple")),
     "fit failed": (lambda: matched(600.0), third_reading_fails, "Aborted", 3,
                    (0, 0, RADIUS_MAX, "fit failed: NoResonance")),
-    "stage stalled": (lambda: matched(600.0), third_move_stalls, "Aborted", 3,
+    "stage stalled": (lambda: matched(600.0), second_move_stalls, "Aborted", 2,
                       (0, -1, RADIUS_MAX, "stage stalled: 20 V is below the 30 V minimum")),
     "clamped": (against_the_limit, None, "StepBudgetExhausted", 4,
                 (0, -1, RADIUS_MAX // 2, "clamped at mechanical limit")),
-    "step budget": (lambda: matched(600.0, max_steps=4), None, "StepBudgetExhausted", 4,
-                    (4, -1, RADIUS_MAX, "")),
+    "step budget": (lambda: matched(600.0, max_steps=2), None, "StepBudgetExhausted", 2,
+                    (7423, -1, RADIUS_MAX, "")),
 }
 
 

@@ -37,17 +37,17 @@ def seed_of(*key):
 # calibrated decay length, 60-nm steps, no backlash).
 SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
-        "Converged", 5, 2432, "0461af30541af6e0e1188fde77ad6e369b4ba40f4551af499db4e6fdc69a2502"),
+        "Converged", 4, 2432, "2cc0323ffaf248aba467b7cfd24d4d959c20a4b7407d0e2f5833f0cbd4905213"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 8, 2436, "32cae3ce98cdbf47da21baedc0a009298d31011b63de002a19dc20d37ffafae4"),
+        "Converged", 8, 2436, "5bf84f43c7737d3dc8e71f0d1ccecf8dd92e2733613ca56947f8926fcc335a81"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
-        "Converged", 6, 7433, "eb881aaeaa6123d6d24d034abc1cb23d76176b71b938d7765cba57246cca4d3c"),
+        "Converged", 4, 7432, "8fc16bc273c3377a0faa19038059deb9bd4eaaa5d1410b89470939213d6b090b"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
-        "Converged", 5, 7432, "068a2534885fb3108f8a345212efd5ea50f24b47cb4d6390dc612e1ac7e1b9d2"),
+        "Converged", 4, 7431, "8e761bb7e7d6090928aa006cd7804e8074529756617bf37dd4139d1031bf963b"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 13, 9114, "ff21295ed5bbf087e0a951c02715fc4bd585b5368383da70867fe5f5fd8737a3"),
+        "Converged", 5, 7502, "772f5684edc640cf84967456ff4f03b74707b2528507897e3e07c45725b6eef4"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
-        "Converged", 8, 2626, "d055b671467ee0226c673dd823389544ed138ed62079915031feae6f899dfa57"),
+        "Converged", 8, 2824, "c52bfdbcbdad6eeb3b0065efcc1da73027999033b0f4f1f877e049c6830edd71"),
 }
 
 
