@@ -8,8 +8,9 @@ Verbs:
   calibrate  solve the pin-coupling model from tuning-curve anchors -> JSON
 
 Exit codes: 0 success/converged, 2 validation or unwritable output, 3 no
-resonance, 4 non-physical fit, 5 unreachable target, 6 convergence failure /
-step budget exhausted.
+resonance, 4 non-physical fit, 5 unreachable target, 6 convergence failure:
+a fit out of iterations, or a tune session that ended StepBudgetExhausted or
+Aborted (a reading whose fit failed twice, or a stalled stage).
 """
 
 import argparse

@@ -18,9 +18,9 @@ one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
 Control, 2nd ed. (1995), ch. 2-3.  A move is capped by a trust-region radius
 in pulses, first the pulses whose believed df clears INFORMATIVE_BANDS noise
 bands (at least `steps_per_measurement`).  A move whose df the belief
-predicted lifts it to RADIUS_MAX if it cleared them, else grows a full radius
-RADIUS_GROWTH-fold or to that size; a mispredicted move, a crossing of the
-target or a mechanical clamp halves it."""
+predicted lifts it to RADIUS_MAX if it cleared them; a full-radius one that
+fell short raises it to that size for its own reading, if larger.  A
+mispredicted move, a crossing of the target or a mechanical clamp halves it."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -75,10 +75,6 @@ APPROACH_SHORT = 0.05
 # an aimed move never lands farther from the target than it started, however
 # long it is.  About 9.5.
 INFORMATIVE_BANDS = 1.0 / (2.0 / (1.0 - APPROACH_SHORT) - AGREE_MAX)
-# The radius grows this many times after an agreeing full-radius move whose
-# prediction fell short of those bands; a crossing or a misprediction still
-# halves the radius.
-RADIUS_GROWTH = 8
 # A sweep whose fit fails is retried once over this many times its span.
 RETRY_WIDEN = 4.0
 
@@ -362,7 +358,7 @@ def tune_to_target(plant, stage, cfg, model=None):
             sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), sized)
         if k == 0:
             radius = sized
-        elif last is not None:  # shrink, lift or grow it after the last move
+        elif last is not None:  # shrink, lift or size it after the last move
             f_last, fit_last, err_last, pulses_last = last
             predicted = f_belief - f_last
             moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
@@ -378,7 +374,7 @@ def tune_to_target(plant, stage, cfg, model=None):
             elif informs:
                 radius = RADIUS_MAX
             elif pulses_last >= radius:
-                radius = min(max(RADIUS_GROWTH * radius, sized), RADIUS_MAX)
+                radius = max(radius, sized)
         offset = fit.f_r - f_belief
 
         # Aim the belief's df at the error, less a shortfall on the side

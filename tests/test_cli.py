@@ -449,6 +449,23 @@ class TestFitCommand:
         monkeypatch.setattr(cli, "fit_resonance", boom)
         assert run(["fit", trace]) == 4
 
+    def test_convergence_failure_exit(self, tmp_path, monkeypatch, capsys):
+        from pintune import cli
+        from pintune.errors import ConvergenceFailure
+
+        trace = tmp_path / "trace.csv"
+        assert run(["simulate", "--out", trace]) == 0
+
+        def out_of_iterations(*a, **k):
+            raise ConvergenceFailure("no convergence in 200 iterations")
+
+        monkeypatch.setattr(cli, "fit_resonance", out_of_iterations)
+        capsys.readouterr()
+        assert run(["fit", trace, "--out", tmp_path / "fit.json"]) == 6
+        err = capsys.readouterr().err
+        assert err == "error: convergence failure: no convergence in 200 iterations\n"
+        assert not (tmp_path / "fit.json").exists()
+
 
 class TestTuneCommand:
     def test_converges_and_writes_log(self, tmp_path):
@@ -462,6 +479,17 @@ class TestTuneCommand:
 
     def test_unreachable_exit(self, tmp_path):
         assert run(["tune", "--target-ghz", 7.0]) == 5
+
+    @pytest.mark.parametrize("doc,outcome,note", [
+        ({"controller": {"max_steps": 1}}, "StepBudgetExhausted", ""),
+        ({"stage": {"voltage_v": 20}}, "Aborted", "stage stalled: 20 V is below the 30 V minimum"),
+    ], ids=["step budget", "stalled stage"])
+    def test_unconverged_session_exits_6(self, tmp_path, doc, outcome, note):
+        out = tmp_path / "session.json"
+        assert run(["tune", "--config", write_config(tmp_path, doc), "--out", out]) == 6
+        session = json.loads(out.read_text())["result"]
+        assert session["outcome"] == outcome
+        assert [step["note"] for step in session["steps"]] == [note]
 
     def test_zero_tolerance_rejected(self, tmp_path):
         assert run(["tune", "--tolerance-ppm", 0.0]) == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pintune import fitting
 from pintune.errors import ConvergenceFailure, NoResonance, PintuneError
 from pintune.fitting import (
     FitResult,
@@ -320,3 +321,25 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "solve", refuse)
         res = fit_resonance(make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5))
         assert res.converged and res.n_iterations > 0
+
+    def test_a_failed_damped_solve_raises_the_damping(self, monkeypatch):
+        """A trial whose damped solve fails spends an iteration, and the next
+        one is damped ten times harder; the fit still ends on a stopping rule
+        at the undisturbed optimum."""
+        trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
+        undisturbed = fit_resonance(trace)
+        damped_calls = []
+
+        def first_damped_fails(h, g, lam=0.0):
+            if lam > 0:
+                damped_calls.append(lam)
+                if len(damped_calls) == 1:
+                    return None
+            return _solve(h, g, lam)
+
+        monkeypatch.setattr(fitting, "_solve", first_damped_fails)
+        res = fit_resonance(trace)
+        assert damped_calls[1] == 10.0 * damped_calls[0]
+        assert res.stop != "budget"
+        assert res.n_iterations > undisturbed.n_iterations
+        assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err

@@ -24,7 +24,6 @@ from pintune.piezo import (
     APPROACH_SHORT,
     F_RB,
     INFORMATIVE_BANDS,
-    RADIUS_GROWTH,
     RADIUS_MAX,
     ControllerConfig,
     ControllerModel,
@@ -481,35 +480,29 @@ class TestPulseRadius:
         session = reading_errors(monkeypatch, [100.0], max_steps=1)
         assert session.steps[0].radius == informative_size(600 * UM, 100.0) > 8
 
-    def test_radius_grows_eightfold_per_agreeing_move(self, monkeypatch):
-        # The first move predicts the informative df for a 100-Hz reading,
-        # but the next reading's 200 Hz widens its agreement band past
-        # 1/INFORMATIVE_BANDS of it: it falls short, and the radius grows
-        # eightfold, which beats the informative size for 200 Hz.  The second
-        # move clears the bands and lifts the cap.
-        session = reading_errors(monkeypatch, [100.0, 200.0])
-        assert session.outcome == "Converged"
-        first, second, third = session.steps[:3]
-        assert second.radius == RADIUS_GROWTH * first.radius
-        assert (first.pulses, second.pulses) == (first.radius, second.radius)
-        assert third.radius == RADIUS_MAX
-
-    def test_a_noisy_session_sizes_grows_and_lifts(self):
-        # The first move falls short of the bands of its two readings, and
-        # eightfold beats the second reading's informative size.
-        # Neither measures the gain: the third move is the first aimed by it.
+    def test_a_noisy_session_sizes_and_lifts(self):
+        # The first move falls short of the bands of its two readings, so the
+        # radius becomes the second reading's informative size.  The second
+        # move clears the bands, measures the gain and lifts the cap: the
+        # third move is the first aimed by the gain.
         session = tune_to_target(*noisy(300.0, 5)[:2], ControllerConfig())
-        assert [s.radius for s in session.steps[:3]] == [56, RADIUS_GROWTH * 56, RADIUS_MAX]
-        assert [s.pulses for s in session.steps[:2]] == [56, RADIUS_GROWTH * 56]
+        assert [s.radius for s in session.steps[:3]] == [56, 57, RADIUS_MAX]
+        assert [s.pulses for s in session.steps[:2]] == [56, 57]
         assert [s.gain for s in session.steps[:2]] == [1.0, 1.0]
         assert session.steps[2].gain != 1.0
 
-    def test_radius_grows_to_the_informative_size(self, monkeypatch):
-        # A 2-kHz second reading falls short by far more than eightfold.
-        session = reading_errors(monkeypatch, [100.0, 2000.0], max_steps=2)
+    @pytest.mark.parametrize("error", [200.0, 2000.0])
+    def test_radius_grows_to_the_informative_size(self, monkeypatch, error):
+        # The first move spends the informative radius for a 100-Hz reading,
+        # but the next reading's larger error widens its agreement band past
+        # 1/INFORMATIVE_BANDS of it: the move agrees and falls short, and the
+        # radius becomes the informative size for that reading.
+        session = reading_errors(monkeypatch, [100.0, error], max_steps=2)
         first, second = session.steps
+        assert first.pulses == first.radius == informative_size(600 * UM, 100.0)
+        assert first.error_hz * second.error_hz > 0  # no crossing
         height = 600 * UM + first.direction * first.pulses * 60 * NM  # dead-reckoned
-        assert second.radius == informative_size(height, 2000.0) > RADIUS_GROWTH * first.radius
+        assert second.radius == informative_size(height, error) > first.radius
 
     def test_a_move_that_clears_the_bands_lifts_the_cap(self, monkeypatch):
         # A 10-Hz second reading narrows the band under 1/INFORMATIVE_BANDS
@@ -531,8 +524,8 @@ class TestPulseRadius:
         assert session.steps[0].radius == 8
 
     def test_radius_stops_growing_at_its_cap(self):
-        # From 2 mm the target is ~31,000 pulses away: the second move spends
-        # a full radius of RADIUS_MAX, which would otherwise grow again.
+        # From 2 mm the target is ~31,000 pulses away: the first move lifts
+        # the radius to RADIUS_MAX, and the second spends all of it.
         session = tune_to_target(noiseless_plant(), PiezoStage(position=2000 * UM),
                                  ControllerConfig(steps_per_measurement=RADIUS_MAX // 4))
         assert session.outcome == "Converged"
@@ -614,7 +607,8 @@ def replay(plant, model, cfg, start, session):
         # slope is unusable.  The first reading sets the radius to it.  A move
         # that agrees with its prediction and clears its own bands measures
         # the gain, crossing or not; the radius halves on a crossing or a
-        # misprediction, and otherwise lifts, grows or stays.
+        # misprediction, and otherwise lifts, takes `sized` if larger after a
+        # full-radius move, or stays.
         per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
                                           model.step_length)
         sized = cfg.steps_per_measurement
@@ -639,7 +633,7 @@ def replay(plant, model, cfg, start, session):
             elif informs:
                 radius = RADIUS_MAX
             elif pulses_last >= radius:
-                radius = min(max(RADIUS_GROWTH * radius, sized), RADIUS_MAX)
+                radius = max(radius, sized)
         step.radius, step.gain = radius, gain
         offset = fit.f_r - f_belief
         step.direction = 1 if err > 0 else -1
@@ -722,8 +716,8 @@ def second_move_stalls(monkeypatch):
 # clamped move logs half of it, after an earlier clamp.  The converged
 # readings log a quarter of it: both sessions cross the target twice on
 # their way in, the mismatched one on its long move and the next, the noisy
-# one on two 1-pulse moves.  The noisy session sizes its first move to the
-# noise, grows the next eightfold and then lifts the cap (TestPulseRadius).
+# one on two 1-pulse moves.  The noisy session sizes its first two moves to
+# the noise of their readings and then lifts the cap (TestPulseRadius).
 EXITS = {
     "converged": (lambda: (*mismatched(lam_factor=0.9), ControllerConfig()), None,
                   "Converged", 5, (0, 0, RADIUS_MAX // 4, "")),
