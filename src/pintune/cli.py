@@ -10,7 +10,7 @@ Verbs:
 Exit codes: 0 success/converged, 2 validation or unwritable output, 3 no
 resonance, 4 non-physical fit, 5 unreachable target, 6 convergence failure:
 a fit out of iterations, or a tune session that ended StepBudgetExhausted or
-Aborted (a reading whose fit failed twice, or a stalled stage).
+Aborted (a reading whose fit failed twice).
 """
 
 import argparse
@@ -131,6 +131,8 @@ def cmd_tune(args):
           f"{len(session.steps)} measurements, {session.total_pulses} pulses, "
           f"final error {session.final_error_hz:+.1f} Hz "
           f"(tolerance {session.tolerance_hz:.1f} Hz)")
+    if session.steps and session.steps[-1].note:
+        print(f"last step: {session.steps[-1].note}")
     if session.outcome == "Converged":
         return EXIT_OK
     if session.outcome == "Unreachable":

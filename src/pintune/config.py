@@ -77,7 +77,6 @@ FIELDS = {
         "f_target_ghz": (F_RB / GHz, GHz, "> 0", "f_target"),
         "tolerance_ppm": (0.3, 1, None, "tolerance_ppm"),
         "max_steps": (2000, 1, None, "max_steps"),
-        "steps_per_measurement": (8, 1, None, "steps_per_measurement"),
         "sweep_points": (1201, 1, f">= {MIN_POINTS}", "sweep_points"),
         "sweep_span_mhz": (6.0, MHz, "> 0", "sweep_span"),
     },
@@ -196,6 +195,8 @@ def from_dict(user_doc=None):
     noise = build("noise", NoiseModel)
     sweep = build("sweep", SweepDefaults)
     stage = build("stage", PiezoStage, position=state.d)
+    if stage.voltage < stage.min_voltage:  # a stage that can never move
+        raise ValidationError("stage.voltage_v: below stage.min_voltage_v")
     controller = build("controller", ControllerConfig,
                        p_in_dbm=sweep.p_in_dbm, duration_s=v["sweep", "duration_s"])
 

@@ -17,10 +17,10 @@ APPROACH_SHORT of the error, so the approach stays on one side: the
 one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
 Control, 2nd ed. (1995), ch. 2-3.  A move is capped by a trust-region radius
 in pulses, first the pulses whose believed df clears INFORMATIVE_BANDS noise
-bands (at least `steps_per_measurement`).  A move whose df the belief
-predicted lifts it to RADIUS_MAX if it cleared them; a full-radius one that
-fell short raises it to that size for its own reading, if larger.  A
-mispredicted move, a crossing of the target or a mechanical clamp halves it."""
+bands (at least one).  A move whose df the belief predicted lifts it to
+RADIUS_MAX if it cleared them; a full-radius one that fell short raises it to
+that size for its own reading, if larger.  A mispredicted move, a crossing of
+the target or a mechanical clamp halves it."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -162,7 +162,6 @@ class ControllerConfig:
     f_target: float = F_RB
     tolerance_ppm: float = 0.3
     max_steps: int = 2000           # measure-decide-actuate iterations
-    steps_per_measurement: int = 8  # the floor of the first move's pulse radius
     sweep_points: int = 1201
     sweep_span: float = 6e6         # Hz, centered on the predicted resonance
     p_in_dbm: float = -131.0
@@ -173,8 +172,6 @@ class ControllerConfig:
             raise DomainError("ControllerConfig.tolerance_ppm must be > 0")
         if not self.max_steps > 0:
             raise DomainError("ControllerConfig.max_steps must be > 0")
-        if not self.steps_per_measurement > 0:
-            raise DomainError("ControllerConfig.steps_per_measurement must be > 0")
 
 
 @dataclass
@@ -319,7 +316,7 @@ def tune_to_target(plant, stage, cfg, model=None):
         session.final_error_hz = model.frequency(d) - cfg.f_target
         return session
 
-    radius = cfg.steps_per_measurement
+    radius = 1
     offset = 0.0  # measured minus believed f_r at the last reading
     gain, share = 1.0, APPROACH_SHORT  # measured over believed df; the aim's shortfall
     last = None   # (believed f_r, fit, error, pulses) of the last move
@@ -348,14 +345,14 @@ def tune_to_target(plant, stage, cfg, model=None):
             return session
 
         # Trust-region radius.  `sized` is the pulses whose believed df is
-        # INFORMATIVE_BANDS times the next move's agreement noise, or the
-        # floor when the noise or the slope is unusable.
+        # INFORMATIVE_BANDS times the next move's agreement noise, or one
+        # when the noise or the slope is unusable.
         per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
                                           model.step_length)
-        sized = cfg.steps_per_measurement
+        sized = 1
         if per_pulse > 0 and math.isfinite(fit.f_r_err):
             bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
-            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), sized)
+            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
         if k == 0:
             radius = sized
         elif last is not None:  # shrink, lift or size it after the last move

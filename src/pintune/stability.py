@@ -49,8 +49,6 @@ def drift_rate(series):
     t = series.timestamps
     if t.size < 3:
         raise DomainError("drift_rate needs at least 3 samples")
-    if t[-1] <= t[0]:
-        raise DomainError("drift_rate needs a non-degenerate time span")
     # center both axes first; raw values (seconds x GHz) are badly scaled
     slope_per_s = np.polyfit(t - t.mean(), series.f_r - series.f_r.mean(), 1)[0]
     slope_per_hr = slope_per_s * 3600.0  # numpy scalars, so an overflow follows np.errstate

@@ -148,8 +148,9 @@ def test_criterion_5a_closed_loop_convergence(cfg):
 
 def test_criterion_5b_near_target_fine_resolution(cfg):
     # Each per-pulse shift within 100 kHz of f_Rb must match the model
-    # slope (curvature over <= 8 pulses accounts for ~0.2-0.4%) and be under
-    # 2 x tolerance, so half a step always lands inside the 0.3 ppm window.
+    # slope (curvature over its 1- and 23-pulse moves accounts for up to
+    # ~0.6%) and be under 2 x tolerance, so half a step always lands inside
+    # the 0.3 ppm window.
     # The session starts where the belief reads f_Rb - 80 kHz: from 300 um
     # (5a) the learned gain lands the approach inside the window with no
     # move that starts within 100 kHz.

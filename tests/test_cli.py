@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import pintune
 from pintune import io as pio
+from pintune import piezo
 from pintune.cli import CONFIG_FLAGS, build_parser, main
 from pintune.config import FIELDS, from_dict, load_config
-from pintune.errors import ValidationError
+from pintune.errors import NoResonance, ValidationError
 from pintune.stability import FrequencyTimeSeries
 from pintune.transmission import SweepTrace
 
@@ -103,6 +104,9 @@ class TestConfig:
              "sweep.duration_s: must be > 0"),
             # (2 pi f)**2 underflows: the resonator is built inside the section's check.
             ({"resonator": {"f_baseline_ghz": 1e-300}}, "resonator: frequency out of range"),
+            # A retired field is unknown like any other.
+            ({"controller": {"steps_per_measurement": 8}},
+             "controller.steps_per_measurement: unknown field"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -480,16 +484,33 @@ class TestTuneCommand:
     def test_unreachable_exit(self, tmp_path):
         assert run(["tune", "--target-ghz", 7.0]) == 5
 
-    @pytest.mark.parametrize("doc,outcome,note", [
-        ({"controller": {"max_steps": 1}}, "StepBudgetExhausted", ""),
-        ({"stage": {"voltage_v": 20}}, "Aborted", "stage stalled: 20 V is below the 30 V minimum"),
-    ], ids=["step budget", "stalled stage"])
-    def test_unconverged_session_exits_6(self, tmp_path, doc, outcome, note):
+    @pytest.mark.parametrize("doc,fits_fail,outcome,note", [
+        ({"controller": {"max_steps": 1}}, False, "StepBudgetExhausted", ""),
+        ({}, True, "Aborted", "fit failed: NoResonance"),
+    ], ids=["step budget", "fit failed"])
+    def test_unconverged_session_exits_6(self, tmp_path, monkeypatch, capsys, doc, fits_fail,
+                                         outcome, note):
+        def no_dip(trace):  # the first reading's sweep and its wider retry
+            raise NoResonance("no dip")
+
+        if fits_fail:
+            monkeypatch.setattr(piezo, "fit_resonance", no_dip)
         out = tmp_path / "session.json"
         assert run(["tune", "--config", write_config(tmp_path, doc), "--out", out]) == 6
         session = json.loads(out.read_text())["result"]
         assert session["outcome"] == outcome
         assert [step["note"] for step in session["steps"]] == [note]
+        # Why the session ended is printed after its outcome, when the log says.
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"outcome: {outcome}, 1 measurements")
+        assert lines[1:] == ([f"last step: {note}"] if note else [])
+
+    def test_a_stage_that_cannot_move_exits_2(self, tmp_path, capsys):
+        # A drive below the stall voltage is refused on load, before any sweep.
+        cfg = write_config(tmp_path, {"stage": {"voltage_v": 20}})
+        assert run(["tune", "--config", cfg, "--out", tmp_path / "session.json"]) == 2
+        assert capsys.readouterr().err == "error: stage.voltage_v: below stage.min_voltage_v\n"
+        assert not (tmp_path / "session.json").exists()
 
     def test_zero_tolerance_rejected(self, tmp_path):
         assert run(["tune", "--tolerance-ppm", 0.0]) == 2
@@ -545,6 +566,20 @@ class TestDriftCommand:
         out = tmp_path / "report.json"
         assert run(["drift", src, "--out", out]) == 0
         assert json.loads(out.read_text())["result"]["rate_ppb_per_hr"] == 0.0
+
+    def test_allan_payload(self, tmp_path):
+        # f_r alternates by +-100 Hz every 60 s: blocks of an even length
+        # average to f0, and blocks of 3 alternate by +-100/3 Hz.
+        t = 60.0 * np.arange(12)
+        f = 6.8278e9 + 100.0 * (-1.0) ** np.arange(12)
+        src = tmp_path / "series.csv"
+        pio.write_series_csv(src, FrequencyTimeSeries(t, f, 6.8278e9))
+        out = tmp_path / "report.json"
+        assert run(["drift", src, "--allan", "--out", out]) == 0
+        allan = json.loads(out.read_text())["result"]["allan"]
+        assert allan["tau_s"] == [60.0, 120.0, 180.0, 240.0]
+        one = 2.0 ** 0.5 * 100.0 / 6.8278e9
+        assert allan["adev"] == pytest.approx([one, 0.0, one / 3.0, 0.0], rel=1e-6, abs=1e-15)
 
     def test_bad_metadata_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -424,14 +424,14 @@ class TestModelMismatch:
 
 class TestLearnedGain:
     def test_a_long_move_is_aimed_with_the_step_ratio(self):
-        # The 8-pulse first move measures the real 66-nm step against the 60
+        # The one-pulse first move measures the real 66-nm step against the 60
         # believed, and the long move that follows is aimed with it.
         plant, stage, model = mismatched(step_nm=66.0, start_um=600.0)
         session = tune_to_target(plant, stage, ControllerConfig(), model)
         first, long_move = session.steps[:2]
-        assert (first.pulses, first.gain) == (8, 1.0)
+        assert (first.pulses, first.gain) == (1, 1.0)
         assert long_move.pulses > 1000
-        assert long_move.gain == pytest.approx(66.0 / 60.0, abs=1e-3)
+        assert long_move.gain == pytest.approx(66.0 / 60.0, abs=1e-4)
 
     @pytest.mark.parametrize("start_um", [300.0, 600.0])
     def test_a_matched_session_converges_in_three(self, start_um):
@@ -444,13 +444,14 @@ class TestLearnedGain:
 
 
 class TestPulseRadius:
-    def test_radius_starts_at_steps_per_measurement_and_grows(self):
+    def test_radius_starts_at_one_pulse_and_grows(self):
+        # Noiseless, the first reading's informative size rounds up to the
+        # one pulse that piezo_step requires.
         plant = noiseless_plant()
-        session = tune_to_target(plant, PiezoStage(position=600 * UM),
-                                 ControllerConfig(steps_per_measurement=4))
+        session = tune_to_target(plant, PiezoStage(position=600 * UM), ControllerConfig())
         assert session.outcome == "Converged"
         radii = [s.radius for s in session.steps]
-        assert radii[0] == 4 and session.steps[0].pulses == 4
+        assert radii[0] == 1 and session.steps[0].pulses == 1
         assert max(radii) >= 1024
         assert all(s.pulses <= s.radius for s in session.steps)
 
@@ -513,7 +514,7 @@ class TestPulseRadius:
     @pytest.mark.parametrize("error", [float("nan"), math.inf])
     def test_unusable_noise_keeps_the_floor(self, monkeypatch, error):
         session = reading_errors(monkeypatch, [error], max_steps=1)
-        assert session.steps[0].radius == 8
+        assert session.steps[0].radius == 1
 
     def test_a_flat_belief_keeps_the_floor(self):
         # At 10 cm m**2 underflows: the believed slope is exactly zero.
@@ -521,16 +522,15 @@ class TestPulseRadius:
         stage = PiezoStage(position=0.1)
         assert frequency_sensitivity(plant.state_at(0.1), plant.params, plant.pin) == 0.0
         session = tune_to_target(plant, stage, ControllerConfig(max_steps=1))
-        assert session.steps[0].radius == 8
+        assert session.steps[0].radius == 1
 
     def test_radius_stops_growing_at_its_cap(self):
-        # From 2 mm the target is ~31,000 pulses away: the first move lifts
-        # the radius to RADIUS_MAX, and the second spends all of it.
+        # From 2 mm the target is ~31,000 pulses away: the first, one-pulse
+        # move lifts the radius to RADIUS_MAX, and the second spends all of it.
         session = tune_to_target(noiseless_plant(), PiezoStage(position=2000 * UM),
-                                 ControllerConfig(steps_per_measurement=RADIUS_MAX // 4))
+                                 ControllerConfig())
         assert session.outcome == "Converged"
-        assert [s.radius for s in session.steps[:4]] == [RADIUS_MAX // 4, RADIUS_MAX,
-                                                         RADIUS_MAX, RADIUS_MAX]
+        assert [s.radius for s in session.steps[:4]] == [1, RADIUS_MAX, RADIUS_MAX, RADIUS_MAX]
         assert session.steps[1].pulses == RADIUS_MAX
         assert max(s.radius for s in session.steps) == RADIUS_MAX
 
@@ -580,7 +580,7 @@ def replay(plant, model, cfg, start, session):
     nan = float("nan")
     tol = session.tolerance_hz
     stage, d = replace(start), start.position
-    offset, radius, final = 0.0, cfg.steps_per_measurement, nan
+    offset, radius, final = 0.0, 1, nan
     gain, share, last = 1.0, APPROACH_SHORT, None
     log = []
     for k, logged in enumerate(session.steps):
@@ -603,18 +603,18 @@ def replay(plant, model, cfg, start, session):
             final = err
             break
         # `sized`: the pulses whose believed df clears INFORMATIVE_BANDS
-        # agreement bands of this reading, the floor when the noise or the
-        # slope is unusable.  The first reading sets the radius to it.  A move
+        # agreement bands of this reading, one when the noise or the slope is
+        # unusable.  The first reading sets the radius to it.  A move
         # that agrees with its prediction and clears its own bands measures
         # the gain, crossing or not; the radius halves on a crossing or a
         # misprediction, and otherwise lifts, takes `sized` if larger after a
         # full-radius move, or stays.
         per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
                                           model.step_length)
-        sized = cfg.steps_per_measurement
+        sized = 1
         if per_pulse > 0 and math.isfinite(fit.f_r_err):
             bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
-            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), sized)
+            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
         if k == 0:
             radius = sized
         elif last is not None:
@@ -723,7 +723,7 @@ EXITS = {
                   "Converged", 5, (0, 0, RADIUS_MAX // 4, "")),
     "noisy": (lambda: noisy(300.0, 5), None, "Converged", 7, (0, 0, RADIUS_MAX // 4, "")),
     "unreachable": (lambda: matched(300.0, f_target=7.0e9), None, "Unreachable", 0, None),
-    "pin does not couple": (uncoupled, None, "Unreachable", 1, (0, 0, 8, "pin does not couple")),
+    "pin does not couple": (uncoupled, None, "Unreachable", 1, (0, 0, 1, "pin does not couple")),
     "fit failed": (lambda: matched(600.0), third_reading_fails, "Aborted", 3,
                    (0, 0, RADIUS_MAX, "fit failed: NoResonance")),
     "stage stalled": (lambda: matched(600.0), second_move_stalls, "Aborted", 2,
@@ -731,7 +731,7 @@ EXITS = {
     "clamped": (against_the_limit, None, "StepBudgetExhausted", 4,
                 (0, -1, RADIUS_MAX // 2, "clamped at mechanical limit")),
     "step budget": (lambda: matched(600.0, max_steps=2), None, "StepBudgetExhausted", 2,
-                    (7423, -1, RADIUS_MAX, "")),
+                    (7430, -1, RADIUS_MAX, "")),
 }
 
 
