@@ -109,9 +109,8 @@ def cmd_simulate(args):
 def cmd_fit(args):
     trace = pio.read_trace_csv(args.trace, p_in_dbm=_value(args, "p_in_dbm"))
     result = fit_resonance(trace)  # error exit codes handled in main()
-    doc = pio.result_document("fit", None, None, pio.to_jsonable(result))
     if args.out:
-        pio.write_result_json(args.out, doc)
+        pio.write_result_json(args.out, "fit", result)
     print(f"f_r = {result.f_r / GHz:.9f} GHz   "
           f"Q_L = {result.q_l:.0f}   Q_e = {result.q_e:.0f}   "
           f"Q_i = {result.q_i:.0f}   phi = {result.phi:+.4f} rad   "
@@ -123,10 +122,8 @@ def cmd_fit(args):
 def cmd_tune(args):
     cfg = _load(args)
     session = tune_to_target(cfg.plant(), cfg.stage, cfg.controller)
-    payload = pio.to_jsonable(session)
-    doc = pio.result_document("tune", cfg.raw, cfg.noise.seed, payload)
     if args.out:
-        pio.write_result_json(args.out, doc)
+        pio.write_result_json(args.out, "tune", session, cfg.raw, cfg.noise.seed)
     print(f"outcome: {session.outcome}, "
           f"{len(session.steps)} measurements, {session.total_pulses} pulses, "
           f"final error {session.final_error_hz:+.1f} Hz "
@@ -147,6 +144,8 @@ def cmd_drift(args):
             return _drift_report(args, series)
     except ArithmeticError as exc:
         raise ValidationError(f"{args.series}: values outside the float range ({exc})") from None
+    except DomainError as exc:  # too few or unevenly spaced samples
+        raise ValidationError(f"{args.series}: {exc}") from exc
 
 
 def _drift_report(args, series):
@@ -167,9 +166,8 @@ def _drift_report(args, series):
     if args.allan:
         taus, adev = allan_deviation(series)
         payload["allan"] = {"tau_s": taus, "adev": adev}
-    doc = pio.result_document("drift", None, None, pio.to_jsonable(payload))
     if args.out:
-        pio.write_result_json(args.out, doc)
+        pio.write_result_json(args.out, "drift", payload)
     print(f"drift: {slope_hr:+.3f} Hz/hr ({ppb_hr:+.3f} ppb/hr), "
           f"peak-to-peak {payload['peak_to_peak_hz']:.1f} Hz over "
           f"{(series.timestamps[-1] - series.timestamps[0]) / 3600.0:.1f} h")
@@ -186,9 +184,8 @@ def cmd_calibrate(args):
         "lambda_m": model.lam,
         "d_min_m": model.d_min,
     }
-    doc = pio.result_document("calibrate", None, None, pio.to_jsonable(payload))
     if args.out:
-        pio.write_result_json(args.out, doc)
+        pio.write_result_json(args.out, "calibrate", payload)
     # Residuals at the anchors: zero up to round-off by construction of the
     # closed form.  The quality factors of this LC stand-in are irrelevant.
     f_b = anchors["f_baseline"]

@@ -141,10 +141,8 @@ def initial_guess(trace):
         width = right - left
     elif left is not None:
         width = 2.0 * (f_r - left)
-    elif right is not None:
+    else:  # one side crosses: the points at or above the baseline are above half depth
         width = 2.0 * (right - f_r)
-    else:
-        width = (f[-1] - f[0]) / 2.0
     width = max(width, (f[-1] - f[0]) / (len(f) - 1))
 
     q_l = f_r / width

@@ -26,17 +26,20 @@ TRACE_HEADER_3COL = "frequency_hz,power_ratio,pout_dbm"
 SERIES_HEADER = "time_s,f_r_hz"
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _write_table(path, meta, header, columns):
+    """Write the CSV that `_read_table` parses: `# key = value` metadata lines,
+    the header, then one row per point, 17 significant digits per value."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(f"# {key} = {value:.17g}\n" for key, value in meta.items())
+        fh.write(header + "\n")
+        # Python floats: they format faster than np.float64, to the same text
+        fh.writelines(row.format(*values) for values in zip(*(c.tolist() for c in columns)))
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w") as fh:
-        fh.write(f"# p_in_dbm = {_fmt(trace.p_in_dbm)}\n")
-        fh.write(f"# timestamp_s = {_fmt(trace.timestamp)}\n")
-        fh.write(TRACE_HEADER + "\n")
-        for f, r in zip(trace.frequencies, trace.power_ratio):
-            fh.write(f"{_fmt(f)},{_fmt(r)}\n")
+    _write_table(path, {"p_in_dbm": trace.p_in_dbm, "timestamp_s": trace.timestamp},
+                 TRACE_HEADER, (trace.frequencies, trace.power_ratio))
 
 
 def _check_finite(path, linenos, *columns):
@@ -131,11 +134,7 @@ def read_trace_csv(path, p_in_dbm=None):
 
 
 def write_series_csv(path, series):
-    with open(path, "w") as fh:
-        fh.write(f"# f0_hz = {_fmt(series.f0)}\n")
-        fh.write(SERIES_HEADER + "\n")
-        for t, f in zip(series.timestamps, series.f_r):
-            fh.write(f"{_fmt(t)},{_fmt(f)}\n")
+    _write_table(path, {"f0_hz": series.f0}, SERIES_HEADER, (series.timestamps, series.f_r))
 
 
 def read_series_csv(path, f0=None):
@@ -152,22 +151,19 @@ def read_series_csv(path, f0=None):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def result_document(command, config_raw, seed, payload):
-    """Assemble the provenance-carrying JSON document for a command's output.
+def write_result_json(path, command, payload, config=None, seed=None):
+    """Write a command's result as its provenance-carrying JSON document.
 
     Deliberately contains no wall-clock data so identical runs produce
     bit-identical files.
     """
-    return {
+    doc = {
         "toolkit_version": __version__,
         "command": command,
         "seed": seed,
-        "config": config_raw,
-        "result": payload,
+        "config": config,
+        "result": to_jsonable(payload),
     }
-
-
-def write_result_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

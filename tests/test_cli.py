@@ -25,6 +25,12 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def child_env():
+    """The environment for a child interpreter that imports pintune from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -107,6 +113,15 @@ class TestConfig:
             # A retired field is unknown like any other.
             ({"controller": {"steps_per_measurement": 8}},
              "controller.steps_per_measurement: unknown field"),
+            # Ranges that the built object checks, under its section's name.
+            ({"noise": {"vib_amplitude_um": -1}}, "noise: NoiseModel.vib_amplitude must be >= 0"),
+            ({"stage": {"step_size_nm": 0}}, "stage: PiezoStage.step_size must be > 0"),
+            ({"state": {"d_um": 0}}, "state: TuningState.d must be > 0"),
+            ({"resonator": {"qi0": 3.5e304}}, "resonator: ResonatorParams.Qi0 * Qe must be finite"),
+            # At d_min the screened L times C underflows to 0, and f_r = 1/(2 pi sqrt(LC)).
+            ({"resonator": {"f_baseline_ghz": 2e144},
+              "calibration": {"f_baseline_ghz": 1, "f_closest_ghz": 1e8}},
+             "resonator: no finite resonance with this calibration (float division by zero)"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -178,6 +193,11 @@ class TestConfigFlags:
         (["simulate", "--span-mhz", 1e-9], "--center-ghz, sweep.span_mhz: the sweep runs from "
          "6.82988e+09 to 6.82988e+09 Hz; SweepConfig points must be spaced by more than 4 ulp "
          "of f_stop"),
+        # anchors that only calibrate_pin_model checks
+        (calibrate_argv(d_min_um=0), "calibration: d_min must be > 0"),
+        (calibrate_argv(f_baseline_ghz=0), "calibration: anchor frequencies must be > 0"),
+        (calibrate_argv(f_baseline_ghz=1e-200, f_closest_ghz=1e200),  # the anchor ratio underflows
+         "calibration: anchors imply m_max >= 1 (unscreenable)"),
     ])
     def test_flag_is_checked_like_a_file_field(self, tmp_path, capsys, argv, message):
         out = ["--out", tmp_path / "o.csv"] if argv[0] == "simulate" else []
@@ -363,8 +383,16 @@ def test_series_csv_round_trip_bit_exact(t, f_r, f0):
     assert back.f0 == f0
 
 
-def test_result_document_carries_package_version():
-    assert pio.result_document("fit", None, None, {})["toolkit_version"] == pintune.__version__
+def test_result_json_carries_package_version(tmp_path):
+    path = tmp_path / "r.json"
+    pio.write_result_json(path, "fit", {})
+    assert json.loads(path.read_text())["toolkit_version"] == pintune.__version__
+
+
+def test_numpy_scalars_become_plain_numbers():
+    values = pio.to_jsonable([np.int64(3), np.float32(0.5)])
+    assert values == [3, 0.5]
+    assert [type(v) for v in values] == [int, float]
 
 
 class TestSimulateCommand:
@@ -587,10 +615,22 @@ class TestDriftCommand:
         assert run(["drift", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad '# f0_hz =' metadata\n"
 
-    def test_two_point_series_rejected(self, tmp_path):
+    def test_two_point_series_rejected(self, tmp_path, capsys):
         src = tmp_path / "series.csv"
         src.write_text("time_s,f_r_hz\n0.0,6.8e9\n120.0,6.8e9\n")
         assert run(["drift", src]) == 2
+        assert capsys.readouterr().err == f"error: {src}: drift_rate needs at least 3 samples\n"
+
+    def test_blank_line_is_skipped(self, tmp_path, capsys):
+        src = write_inputs(tmp_path)["s.csv"]
+        rows = src.read_text().splitlines(keepends=True)
+        gap = tmp_path / "gap.csv"
+        gap.write_text("".join(rows[:4] + ["\n"] + rows[4:]))
+        reports = []
+        for path in (src, gap):
+            assert run(["drift", path, "--allan", "--out", tmp_path / "r.json"]) == 0
+            reports.append((capsys.readouterr(), (tmp_path / "r.json").read_bytes()))
+        assert reports[0] == reports[1]
 
 
 class TestCalibrateCommand:
@@ -608,11 +648,46 @@ class TestCalibrateCommand:
         # d_min above the default state.d_um of 300 um: only the anchors' rows are read
         assert run(calibrate_argv(d_min_um=400)) == 0
 
+    def test_module_entry_point(self, capsys):
+        assert run(calibrate_argv()) == 0
+        child = subprocess.run([sys.executable, "-m", "pintune.cli", *map(str, calibrate_argv())],
+                               env=child_env(), capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (0, capsys.readouterr().out, "")
+
     def test_inverted_anchors_rejected(self, tmp_path):
         assert run([
             "calibrate", "--f-baseline-ghz", 6.8454, "--f-closest-ghz", 6.8278,
             "--d-min-um", 40, "--peak-sensitivity", 1.45e11,
         ]) == 2
+
+
+# A dip at 1e-300 Hz whose half-depth width spans 2e299 Hz
+DIP_AT_1E_MINUS_300 = ("frequency_hz,power_ratio\n1e-300,0.1\n"
+                       + "".join(f"{i}e299,1\n" for i in range(1, 17)))
+UNEVEN = "time_s,f_r_hz\n" + "".join(f"{60 * i + 20 * (i == 8)},6.8e9\n" for i in range(9))
+
+
+@pytest.mark.parametrize("argv,text,code,message", [
+    (["tune", "--config"], "[]", 2, "config file {path}: top level must be an object"),
+    (["fit"], "frequency_hz,power_ratio\n6.8e9,0.9\n6.9e9,abc\n", 2, "{path}:3: non-numeric value"),
+    (["fit"], "freq,power_ratio\n6.8e9,0.9\n6.9e9,0.9\n", 2,
+     "{path}:1: expected header 'frequency_hz,power_ratio', got 'freq,power_ratio'"),
+    (["fit"], "frequency_hz,power_ratio\n6.8e9,0.9\n", 2, "{path}: SweepTrace needs at least 2 points"),
+    (["fit"], "frequency_hz,power_ratio,pout_dbm\n6.8e9,,-141\n6.9e9,,-131\n", 2,
+     "{path}: pout_dbm column requires a recorded input power"),
+    (["fit"], DIP_AT_1E_MINUS_300, 3, "no resonance: dip too wide for its frequency (Q_L underflows)"),
+    (["drift", "--allan"], "time_s,f_r_hz\n0,6.8e9\n60,6.8e9\n120,6.8e9\n180,6.8e9\n", 2,
+     "{path}: allan_deviation needs at least 9 samples"),
+    (["drift", "--allan"], UNEVEN, 2, "{path}: allan_deviation requires uniform sampling"),
+    (["drift"], "time_s,f_r_hz\n0,1e308\n60,-1e308\n120,1e308\n", 2,
+     "{path}: values outside the float range (overflow encountered in subtract)"),
+], ids=["config top level", "non-numeric", "header", "one row", "pout without power",
+        "Q_L underflow", "allan short", "allan uneven", "float range"])
+def test_bad_input_file_exit(tmp_path, capsys, argv, text, code, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run([*argv, path]) == code
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 class TestDeterminism:
@@ -636,14 +711,11 @@ class TestDeterminism:
 def test_each_module_imports_alone(module):
     # The package root imports nothing, so no other module's import can
     # hide a cycle that importing this one alone would hit.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", f"import pintune.{module}"], env=env, check=True)
+    subprocess.run([sys.executable, "-c", f"import pintune.{module}"], env=child_env(), check=True)
 
 
 def test_cli_import_leaves_scipy_out():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, pintune.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]"

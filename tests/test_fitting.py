@@ -343,3 +343,29 @@ class TestSolve:
         assert res.stop != "budget"
         assert res.n_iterations > undisturbed.n_iterations
         assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
+
+    def test_a_failed_undamped_solve_is_not_converged(self, monkeypatch):
+        """The offset test reads a failed undamped solve as not converged, so
+        a fit that would stop on it ends on another rule, at the same optimum."""
+        trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
+        undisturbed = fit_resonance(trace)
+        assert undisturbed.stop == "offset"
+        monkeypatch.setattr(fitting, "_solve", lambda h, g, lam=0.0: _solve(h, g, lam) if lam else None)
+        res = fit_resonance(trace)
+        assert res.stop in ("step", "cost")
+        assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
+
+    def test_a_failed_covariance_reports_nan_errors(self, monkeypatch):
+        """An SVD that does not converge leaves the fit and its NaN errors."""
+        trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
+        undisturbed = fit_resonance(trace)
+
+        def no_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        res = fit_resonance(trace)
+        assert (res.f_r, res.q_l, res.q_e, res.phi) == (
+            undisturbed.f_r, undisturbed.q_l, undisturbed.q_e, undisturbed.phi)
+        errs = (res.f_r_err, res.q_l_err, res.q_e_err, res.phi_err)
+        assert all(math.isnan(e) for e in errs)

@@ -40,9 +40,18 @@ from pintune.resonator import (
     TuningState,
     calibrate_pin_model,
     capacitance_for_frequency,
+    screened_inductance,
     tuned_frequency,
 )
-from pintune.transmission import NoiseModel, SweepConfig
+from pintune.stability import FrequencyTimeSeries, peak_to_peak_deviation
+from pintune.transmission import (
+    NoiseModel,
+    SweepConfig,
+    internal_q,
+    loaded_q,
+    photon_number,
+    s21_power,
+)
 
 F_BASELINE = 6.8278e9
 NM = 1e-9
@@ -116,6 +125,16 @@ class TestPiezoStep:
         assert clamp.value.issued == 10
         assert stage.position == pytest.approx(40 * UM + 30 * NM, rel=1e-12)
         assert stage.last_direction == -1
+
+    def test_round_off_in_the_count(self):
+        # Floor division counts 352 pulses to the floor, 40e-6 * (1 - 1e-9),
+        # but the 352nd lands below it in floats, so it is not issued, as in
+        # the pulse walk.
+        stage = PiezoStage(position=6.111999996e-05)
+        with pytest.raises(MechanicalLimit) as clamp:
+            piezo_step(stage, -1, d_min=40e-6, pulses=400)
+        assert clamp.value.issued == 351
+        assert stage.position == 4.005999996e-05
 
     @pytest.mark.parametrize("backlash", [-1 * NM, float("nan")])
     def test_backlash_must_be_non_negative(self, backlash):
@@ -766,3 +785,52 @@ class TestControllerConfigValidation:
     def test_bad_max_steps(self):
         with pytest.raises(DomainError):
             ControllerConfig(max_steps=0)
+
+
+def below_d_min_after_reversal():
+    """A stage 10 um below a 20 um d_min whose backlash eats a whole pulse."""
+    stage = PiezoStage(position=10 * UM, backlash=60 * NM, last_direction=-1)
+    return piezo_step(stage, +1, d_min=20 * UM)
+
+
+# Guards on input from outside the program that no CLI input reaches:
+# (call, error, message).
+API_GUARDS = {
+    "stage position": (lambda: PiezoStage(position=0.0), DomainError,
+                       "PiezoStage.position must be > 0"),
+    "no pulses": (lambda: piezo_step(PiezoStage(position=300 * UM), -1, pulses=0), DomainError,
+                  "pulses must be >= 1"),
+    "upward from below d_min": (below_d_min_after_reversal, MechanicalLimit,
+                                "step would push the pin below d_min"),
+    "negative step": (lambda: frequency_sensitivity(TuningState(d=300 * UM),
+                                                    ResonatorParams.at(F_BASELINE, 3.5e4, 5e5),
+                                                    PinCouplingModel(0.07, 240 * UM, 40 * UM), -NM),
+                      DomainError, "step_length must be >= 0"),
+    "believed step": (lambda: ControllerModel(ResonatorParams.at(F_BASELINE, 3.5e4, 5e5),
+                                              PinCouplingModel(0.07, 240 * UM, 40 * UM), 0.0),
+                      DomainError, "ControllerModel.step_length must be > 0"),
+    "pin d_min": (lambda: PinCouplingModel(0.07, 240 * UM, 0.0), DomainError,
+                  "PinCouplingModel.d_min must be finite and > 0"),
+    "capacitance frequency": (lambda: capacitance_for_frequency(0.0, 1e-9), DomainError,
+                              "frequency must be > 0"),
+    "capacitance inductance": (lambda: capacitance_for_frequency(F_BASELINE, 0.0), DomainError,
+                               "inductance must be > 0"),
+    "screened L0": (lambda: screened_inductance(0.0, 0.0), DomainError, "L0 must be > 0"),
+    "s21 Q": (lambda: s21_power(F_BASELINE, F_BASELINE, 0.0, 5e5), DomainError,
+              "quality factors must be > 0"),
+    "loaded Q": (lambda: loaded_q(0.0, 5e5), DomainError, "quality factors must be > 0"),
+    "internal Q": (lambda: internal_q(0.0, 5e5), DomainError, "quality factors must be > 0"),
+    "photon Q": (lambda: photon_number(-131.0, F_BASELINE, 0.0, 5e5), DomainError,
+                 "f_r and quality factors must be > 0"),
+    "empty series": (lambda: peak_to_peak_deviation(FrequencyTimeSeries([], [], F_BASELINE)),
+                     DomainError, "series is empty"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", API_GUARDS.values(), ids=API_GUARDS.keys())
+def test_api_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+    if error is MechanicalLimit:  # the backlash leaves the first pulse below the floor
+        assert err.value.issued == 0
