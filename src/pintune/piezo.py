@@ -15,12 +15,10 @@ through the closed-form inverse of the coupling map.  The aim stops short by
 |gain - 1| plus that move's agreement noise over its predicted df, at most
 APPROACH_SHORT of the error, so the approach stays on one side: the
 one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
-Control, 2nd ed. (1995), ch. 2-3.  A move is capped by a trust-region radius
-in pulses, first the pulses whose believed df clears INFORMATIVE_BANDS noise
-bands (at least one).  A move whose df the belief predicted lifts it to
-RADIUS_MAX if it cleared them; a full-radius one that fell short raises it to
-that size for its own reading, if larger.  A mispredicted move, a crossing of
-the target or a mechanical clamp halves it."""
+Control, 2nd ed. (1995), ch. 2-3.  Until a move has measured the gain, each
+move is a probe: at most the pulses whose believed df clears
+INFORMATIVE_BANDS noise bands of its reading (at least one).  After that
+only RADIUS_MAX caps a move."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -40,6 +38,7 @@ from .resonator import (
     ResonatorParams,
     TuningState,
     baseline_frequency,
+    d_min_floor,
     frequency_slope,
     resonance_frequency,
     tuned_frequency,
@@ -50,17 +49,17 @@ from .transmission import NoiseModel, SweepConfig, synthesize_sweep
 F_RB = 6.834683e9
 
 
-# Trust-region pulse budget (More 1978; Conn, Gould & Toint, Trust-Region
-# Methods, SIAM 2000).  A move agrees with the belief when its measured df is
-# between AGREE_MIN and AGREE_MAX times the predicted df, give or take
-# AGREE_SIGMA combined fit standard errors.  Inside that band an aimed move
-# still shrinks the error, however far it goes.
+# A move agrees with the belief when its measured df is between AGREE_MIN and
+# AGREE_MAX times the predicted df, give or take AGREE_SIGMA combined fit
+# standard errors.  Inside that band an aimed move still shrinks the error,
+# however far it goes.
 AGREE_MIN = 0.5
 AGREE_MAX = 2.0
 AGREE_SIGMA = 3.0
-# The radius stops growing at 16384 pulses, about 1 mm at 60 nm: more than
-# the calibrated device's whole tuning travel, and a bound on the pulses a
-# session spends on a target its belief places out of reach.
+# Once a move has measured the gain, the pulse radius is 16384 pulses, about
+# 1 mm at 60 nm: more than the calibrated device's whole tuning travel, and a
+# bound on the pulses a session spends on a target its belief places out of
+# reach.
 RADIUS_MAX = 16384
 # A move aims at most this share of the measured error short of the target,
 # so the approach stays on one side under a step or slope the belief
@@ -115,8 +114,8 @@ def piezo_step(stage, direction, d_min=0.0, pulses=1):
     The move is computed in closed form: on a reversal the first pulse loses
     the backlash, the rest travel a full step, and the stage lands at
     position + direction * (first + (n - 1) * step).  A landing below d_min
-    within the 1e-9 relative tolerance of `mutual_inductance` snaps to d_min.
-    If fewer than `pulses` pulses fit above d_min, the stage takes those that
+    but not below `d_min_floor(d_min)` snaps to d_min.  If fewer than
+    `pulses` pulses land at or above that floor, the stage takes those that
     do and MechanicalLimit is raised with their count in `issued`."""
     if direction not in (-1, 1):
         raise DomainError("direction must be +1 or -1")
@@ -130,7 +129,7 @@ def piezo_step(stage, direction, d_min=0.0, pulses=1):
     first = step
     if stage.last_direction not in (0, direction):
         first = max(step - stage.backlash, 0.0)
-    floor = d_min * (1.0 - 1e-9)
+    floor = d_min_floor(d_min)
     n = pulses
     if direction < 0:  # the pulses that land at or above the floor
         room = stage.position - first - floor  # left after the first pulse
@@ -139,7 +138,9 @@ def piezo_step(stage, direction, d_min=0.0, pulses=1):
         elif room < (pulses - 1) * step:
             n = 1 + int(room // step)
         while n and stage.position - (first + (n - 1) * step) < floor:
-            n -= 1  # round-off in the count
+            n -= 1  # round-off in the count, either way
+        while n < pulses and stage.position - (first + n * step) >= floor:
+            n += 1
     elif stage.position + first < floor:
         n = 0
     if n:
@@ -250,9 +251,10 @@ class TuningStep:
     note: str = ""
     true_f_r: float = float("nan")       # the twin's f_r at `position`
     predicted_f_r: float = float("nan")  # the reading the belief predicted: the sweep centre
-    # The pulse radius.  A move or a stalled step logs the radius that capped
-    # it, after this reading's update; a step that ends the session on its
-    # reading logs the one in force before that update.
+    # The pulse radius: the reading's probe size until a move has measured
+    # the gain, RADIUS_MAX after.  A move or a stalled step logs the radius
+    # that capped it, after this reading's update; a step that ends the
+    # session on its reading logs the one in force before that update.
     radius: int = 0
     # The gain (measured over believed df) the move was aimed with, logged as
     # the radius is: 1.0 until an informative move agrees.
@@ -316,10 +318,10 @@ def tune_to_target(plant, stage, cfg, model=None):
         session.final_error_hz = model.frequency(d) - cfg.f_target
         return session
 
-    radius = 1
+    radius, trusted = 1, False  # trusted once a move has measured the gain
     offset = 0.0  # measured minus believed f_r at the last reading
     gain, share = 1.0, APPROACH_SHORT  # measured over believed df; the aim's shortfall
-    last = None   # (believed f_r, fit, error, pulses) of the last move
+    last = None   # (believed f_r, fit) of the last move
 
     for k in range(cfg.max_steps):
         f_belief = model.frequency(d)
@@ -344,8 +346,18 @@ def tune_to_target(plant, stage, cfg, model=None):
             session.final_error_hz = err
             return session
 
-        # Trust-region radius.  `sized` is the pulses whose believed df is
-        # INFORMATIVE_BANDS times the next move's agreement noise, or one
+        if last is not None:  # judge the last move against its prediction
+            f_last, fit_last = last
+            predicted = f_belief - f_last
+            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
+            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
+            agrees = (AGREE_MIN * abs(predicted) - noise <= moved
+                      <= AGREE_MAX * abs(predicted) + noise)
+            if agrees and abs(predicted) >= INFORMATIVE_BANDS * noise:  # crossing or not
+                gain, trusted = moved / abs(predicted), True
+                share = min(APPROACH_SHORT, abs(gain - 1.0) + noise / abs(predicted))
+        # The pulse radius.  A probe, `sized`, is the pulses whose believed df
+        # is INFORMATIVE_BANDS times the next move's agreement noise, or one
         # when the noise or the slope is unusable.
         per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
                                           model.step_length)
@@ -353,25 +365,7 @@ def tune_to_target(plant, stage, cfg, model=None):
         if per_pulse > 0 and math.isfinite(fit.f_r_err):
             bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
             sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
-        if k == 0:
-            radius = sized
-        elif last is not None:  # shrink, lift or size it after the last move
-            f_last, fit_last, err_last, pulses_last = last
-            predicted = f_belief - f_last
-            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
-            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
-            agrees = (AGREE_MIN * abs(predicted) - noise <= moved
-                      <= AGREE_MAX * abs(predicted) + noise)
-            informs = abs(predicted) >= INFORMATIVE_BANDS * noise
-            if agrees and informs:  # a crossing too measures the gain
-                gain = moved / abs(predicted)
-                share = min(APPROACH_SHORT, abs(gain - 1.0) + noise / abs(predicted))
-            if not agrees or err * err_last < 0:
-                radius = max(radius // 2, 1)
-            elif informs:
-                radius = RADIUS_MAX
-            elif pulses_last >= radius:
-                radius = max(radius, sized)
+        radius = RADIUS_MAX if trusted else sized
         offset = fit.f_r - f_belief
 
         # Aim the belief's df at the error, less a shortfall on the side
@@ -397,9 +391,6 @@ def tune_to_target(plant, stage, cfg, model=None):
         step.pulses = pulses
         session.total_pulses += pulses
         d = max(d + step.direction * pulses * model.step_length, model.pin.d_min)
-        last = (f_belief, fit, err, pulses)
-        if step.note:  # clamped: shrink now, and judge no prediction on a cut move
-            radius = max(radius // 2, 1)
-            last = None
+        last = None if step.note else (f_belief, fit)  # judge no prediction on a cut move
 
     return session  # the default outcome: StepBudgetExhausted

@@ -129,10 +129,15 @@ def screened_inductance(L0, M):
     return L0 * (1.0 - (M * M) / (L0 * L0))
 
 
+def d_min_floor(d_min):
+    """The lowest pin height taken as closest approach d_min: 1e-9 relative
+    below it, to tolerate float round-off at the boundary (40*1e-6 vs 40e-6)."""
+    return d_min * (1.0 - 1e-9)
+
+
 def mutual_inductance(d, model):
     """Coupling ratio m = M/L0 at pin separation d (dimensionless)."""
-    # tolerate float round-off at the boundary (e.g. 40*1e-6 vs 40e-6)
-    if d < model.d_min * (1.0 - 1e-9):
+    if d < d_min_floor(model.d_min):
         raise DomainError("d < d_min: pin would touch the resonator")
     d = max(d, model.d_min)
     return model.m_max * math.exp(-(d - model.d_min) / model.lam)

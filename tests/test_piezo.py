@@ -40,6 +40,7 @@ from pintune.resonator import (
     TuningState,
     calibrate_pin_model,
     capacitance_for_frequency,
+    d_min_floor,
     screened_inductance,
     tuned_frequency,
 )
@@ -136,6 +137,43 @@ class TestPiezoStep:
         assert clamp.value.issued == 351
         assert stage.position == 4.005999996e-05
 
+    def test_a_last_pulse_onto_the_floor_is_issued(self):
+        # Floor division counts one pulse to the floor here (the room rounds
+        # to 0.99999999999993 steps), but the second lands on it, as in the
+        # pulse walk, and snaps to d_min.
+        stage = PiezoStage(position=40.11999996 * UM)
+        with pytest.raises(MechanicalLimit) as clamp:
+            piezo_step(stage, -1, d_min=40 * UM, pulses=5)
+        assert clamp.value.issued == 2
+        assert stage.position == 40 * UM
+
+    def test_a_clamp_stops_at_the_last_pulse_that_fits(self):
+        # Starts k steps above the floor, give or take 2 ulp, where round-off
+        # decides whether the k-th pulse fits.  By the closed form's landing,
+        # every issued pulse lands at or above the floor and one more would
+        # land below it.  (The pulse walk sums its pulses in another order and
+        # may disagree here by one pulse either way.)
+        d_min = 40 * UM
+        floor = d_min_floor(d_min)
+        step = PiezoStage(position=d_min).step_length
+        for k in range(1, 1501):
+            start = floor + k * step
+            for _ in range(2):
+                start = math.nextafter(start, 0.0)
+            for _ in range(5):
+                def landing(n):
+                    return start - (step + (n - 1) * step)
+
+                stage = PiezoStage(position=start)
+                with pytest.raises(MechanicalLimit) as clamp:
+                    piezo_step(stage, -1, d_min, k + 2)
+                n = clamp.value.issued
+                assert n in (k - 1, k)
+                assert n == 0 or landing(n) >= floor
+                assert landing(n + 1) < floor
+                assert stage.position == (max(landing(n), d_min) if n else start)
+                start = math.nextafter(start, 1.0)
+
     @pytest.mark.parametrize("backlash", [-1 * NM, float("nan")])
     def test_backlash_must_be_non_negative(self, backlash):
         with pytest.raises(DomainError, match="backlash"):
@@ -162,7 +200,7 @@ def reference_walk(stage, direction, d_min, pulses):
             move = max(move - stage.backlash, 0.0)
         term = direction * move - carry
         new = stage.position + term
-        if new < d_min * (1.0 - 1e-9):
+        if new < d_min_floor(d_min):
             return issued, True
         carry = (new - stage.position) - term
         stage.position = max(new, d_min)
@@ -474,20 +512,28 @@ class TestPulseRadius:
         assert max(radii) >= 1024
         assert all(s.pulses <= s.radius for s in session.steps)
 
-    def test_radius_halves_on_a_clamp(self):
-        # The belief puts the target below its closest approach, so every
-        # move runs into the real stage's limit.  The start is off the step
-        # grid, so the last pulse that fits stops half a step above d_min.
-        plant = noiseless_plant()
-        stage = PiezoStage(position=40 * UM + 10.5 * 60 * NM)
-        cfg = ControllerConfig(f_target=plant.true_frequency(plant.pin.d_min) + 1e3,
-                               max_steps=6)
-        session = tune_to_target(plant, stage, cfg)
-        clamped = [s for s in session.steps if s.note == "clamped at mechanical limit"]
-        assert clamped
-        for step, nxt in zip(session.steps, session.steps[1:]):
-            if step.note:
-                assert nxt.radius == max(step.radius // 2, 1)
+    @pytest.mark.parametrize("start_steps, trusted_from", [(40.5, 2), (20.5, None)],
+                             ids=["room", "clamped"])
+    def test_probes_until_a_move_measures_the_gain(self, monkeypatch, start_steps,
+                                                   trusted_from):
+        # The one rule: each move is capped at its reading's informative size
+        # until a move measures the gain, and at RADIUS_MAX from then on; a
+        # clamp changes neither.  The target lies past closest approach and
+        # the start half a step off the grid, so the session ends clamped
+        # half a step above d_min.  The first move's 5000-Hz follow-up reading
+        # is too noisy for it to inform.  The second move informs when it
+        # has room; from 20.5 steps it is clamped, and a cut move measures
+        # nothing.
+        errors = [1000.0, 5000.0, 1000.0]
+        f_high = noiseless_plant().true_frequency(40 * UM)
+        session = reading_errors(monkeypatch, errors, 40.0 + start_steps * 60 * NM / UM,
+                                 f_target=f_high + 1e3, max_steps=6)
+        assert sum(s.note == "clamped at mechanical limit" for s in session.steps) >= 3
+        for k, step in enumerate(session.steps):
+            if trusted_from is not None and k >= trusted_from:
+                assert step.radius == RADIUS_MAX
+            else:
+                assert step.radius == informative_size(step.position, errors[min(k, 2)])
 
     def test_informative_bands_from_agreement_and_approach(self):
         # An agreeing move that clears the bands bounds the belief's gain
@@ -599,7 +645,7 @@ def replay(plant, model, cfg, start, session):
     nan = float("nan")
     tol = session.tolerance_hz
     stage, d = replace(start), start.position
-    offset, radius, final = 0.0, 1, nan
+    offset, radius, trusted, final = 0.0, 1, False, nan
     gain, share, last = 1.0, APPROACH_SHORT, None
     log = []
     for k, logged in enumerate(session.steps):
@@ -621,38 +667,27 @@ def replay(plant, model, cfg, start, session):
             step.note = "" if abs(err) <= tol else "pin does not couple"
             final = err
             break
-        # `sized`: the pulses whose believed df clears INFORMATIVE_BANDS
-        # agreement bands of this reading, one when the noise or the slope is
-        # unusable.  The first reading sets the radius to it.  A move
-        # that agrees with its prediction and clears its own bands measures
-        # the gain, crossing or not; the radius halves on a crossing or a
-        # misprediction, and otherwise lifts, takes `sized` if larger after a
-        # full-radius move, or stays.
+        # A move that was not clamped, agrees with its prediction and clears
+        # its own agreement bands measures the gain, crossing or not.  Until
+        # one has, the radius is `sized`: the pulses whose believed df clears
+        # INFORMATIVE_BANDS agreement bands of this reading, one when the
+        # noise or the slope is unusable.  From then on it is RADIUS_MAX.
+        if last is not None:
+            f_last, fit_last = last
+            predicted = f_belief - f_last
+            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
+            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
+            if (AGREE_MIN * abs(predicted) - noise <= moved <= AGREE_MAX * abs(predicted) + noise
+                    and abs(predicted) >= INFORMATIVE_BANDS * noise):
+                gain, trusted = moved / abs(predicted), True
+                share = min(APPROACH_SHORT, abs(gain - 1.0) + noise / abs(predicted))
         per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
                                           model.step_length)
         sized = 1
         if per_pulse > 0 and math.isfinite(fit.f_r_err):
             bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
             sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
-        if k == 0:
-            radius = sized
-        elif last is not None:
-            f_last, fit_last, err_last, pulses_last = last
-            predicted = f_belief - f_last
-            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
-            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
-            agrees = (AGREE_MIN * abs(predicted) - noise <= moved
-                      <= AGREE_MAX * abs(predicted) + noise)
-            informs = abs(predicted) >= INFORMATIVE_BANDS * noise
-            if agrees and informs:
-                gain = moved / abs(predicted)
-                share = min(APPROACH_SHORT, abs(gain - 1.0) + noise / abs(predicted))
-            if not agrees or err * err_last < 0:
-                radius = max(radius // 2, 1)
-            elif informs:
-                radius = RADIUS_MAX
-            elif pulses_last >= radius:
-                radius = max(radius, sized)
+        radius = RADIUS_MAX if trusted else sized
         step.radius, step.gain = radius, gain
         offset = fit.f_r - f_belief
         step.direction = 1 if err > 0 else -1
@@ -666,9 +701,7 @@ def replay(plant, model, cfg, start, session):
         step.pulses, clamped = closed_form_move(stage, step.direction, plant.pin.d_min, asked)
         step.note = "clamped at mechanical limit" if clamped else ""
         d = max(d + step.direction * step.pulses * model.step_length, model.pin.d_min)
-        last = (f_belief, fit, err, step.pulses)
-        if clamped:
-            radius, last = max(radius // 2, 1), None
+        last = None if clamped else (f_belief, fit)
     return log, final
 
 
@@ -729,18 +762,16 @@ def second_move_stalls(monkeypatch):
 
 
 # path: (session, patch, outcome, steps, the last step's (pulses, direction,
-# radius, note)).  Noiseless, the first move clears the agreement bands and
-# lifts the radius to RADIUS_MAX: the failed reading logs it as in force
-# before its update, the stalled and the last budgeted moves after it.  The
-# clamped move logs half of it, after an earlier clamp.  The converged
-# readings log a quarter of it: both sessions cross the target twice on
-# their way in, the mismatched one on its long move and the next, the noisy
-# one on two 1-pulse moves.  The noisy session sizes its first two moves to
-# the noise of their readings and then lifts the cap (TestPulseRadius).
+# radius, note)).  Noiseless, the first move clears its agreement bands and
+# measures the gain, and from then on RADIUS_MAX is the radius: the failed
+# and the converged readings log it as in force before their update, the
+# stalled, clamped and last budgeted moves after it.  A crossing or a clamp
+# leaves it.  The noisy session sizes its first two moves to the noise of
+# their readings before the second measures the gain (TestPulseRadius).
 EXITS = {
     "converged": (lambda: (*mismatched(lam_factor=0.9), ControllerConfig()), None,
-                  "Converged", 5, (0, 0, RADIUS_MAX // 4, "")),
-    "noisy": (lambda: noisy(300.0, 5), None, "Converged", 7, (0, 0, RADIUS_MAX // 4, "")),
+                  "Converged", 5, (0, 0, RADIUS_MAX, "")),
+    "noisy": (lambda: noisy(300.0, 5), None, "Converged", 7, (0, 0, RADIUS_MAX, "")),
     "unreachable": (lambda: matched(300.0, f_target=7.0e9), None, "Unreachable", 0, None),
     "pin does not couple": (uncoupled, None, "Unreachable", 1, (0, 0, 1, "pin does not couple")),
     "fit failed": (lambda: matched(600.0), third_reading_fails, "Aborted", 3,
@@ -748,7 +779,7 @@ EXITS = {
     "stage stalled": (lambda: matched(600.0), second_move_stalls, "Aborted", 2,
                       (0, -1, RADIUS_MAX, "stage stalled: 20 V is below the 30 V minimum")),
     "clamped": (against_the_limit, None, "StepBudgetExhausted", 4,
-                (0, -1, RADIUS_MAX // 2, "clamped at mechanical limit")),
+                (0, -1, RADIUS_MAX, "clamped at mechanical limit")),
     "step budget": (lambda: matched(600.0, max_steps=2), None, "StepBudgetExhausted", 2,
                     (7430, -1, RADIUS_MAX, "")),
 }

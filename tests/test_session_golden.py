@@ -39,15 +39,15 @@ SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
         "Converged", 4, 2432, "2cc0323ffaf248aba467b7cfd24d4d959c20a4b7407d0e2f5833f0cbd4905213"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 8, 2436, "5bf84f43c7737d3dc8e71f0d1ccecf8dd92e2733613ca56947f8926fcc335a81"),
+        "Converged", 8, 2436, "bdf405f365f47feb93e954a6d06ff5be66743aeb4d2a35e5aac01b890094873f"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
         "Converged", 4, 7432, "8fc16bc273c3377a0faa19038059deb9bd4eaaa5d1410b89470939213d6b090b"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
         "Converged", 4, 7431, "8e761bb7e7d6090928aa006cd7804e8074529756617bf37dd4139d1031bf963b"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 5, 7502, "772f5684edc640cf84967456ff4f03b74707b2528507897e3e07c45725b6eef4"),
+        "Converged", 5, 7502, "820ee844f967c27fa3e43483ffebdd7749db3b477810d86ef9b11a1a70ec2ba7"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
-        "Converged", 8, 2824, "c52bfdbcbdad6eeb3b0065efcc1da73027999033b0f4f1f877e049c6830edd71"),
+        "Converged", 8, 2824, "6d7d0a662636e8388c5c4f6361a339806825365dff52444fd87c5f41057af4b4"),
 }
 
 

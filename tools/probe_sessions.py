@@ -1,0 +1,173 @@
+"""Tune-session probes: fixed sets of closed-loop sessions whose tallies show
+what a change to the controller does to its outcomes and measurement counts.
+
+Each probe prints one line: its sessions per outcome, the false `Converged`
+(a `Converged` session whose twin's true f_r at the final pin height is
+outside the tolerance), the total and largest number of measurements, and two
+sha256 digests (first 16 hex digits) over its sessions in order: `outcomes`
+of each session's outcome and measurement count, `logs` of its result JSON
+as `pintune tune` writes it.  A change that keeps every outcome and session
+length keeps `outcomes`; one that keeps every logged field keeps `logs`.
+
+The probes, all on the package's default config unless stated:
+  matched_300, matched_600  the benchmark noise (sigma_rel 0.005, 0.1-um
+      vibration) from 300 or 600 um, noise seeds SeedSequence([171, h, j]),
+      j < 300.
+  mismatch_grid  the plant's decay length x0.9/1.0/1.1 of the belief's,
+      54/60/66-nm steps against the 60 believed, 0/5-nm backlash: every
+      combination but the matched one (17 cases, numbered in that order),
+      20 sessions per case and height (300, 600 um) at the benchmark noise,
+      noise seeds SeedSequence([181, case, h, j]).
+  noiseless_grid  the matched case and the 17 mismatched ones, one
+      noise-free session per case and height.
+  loud  10x the benchmark noise (sigma_rel 0.05, 1-um vibration), 200
+      sessions from 300 um with noise seeds SeedSequence([11, 1, i]) and 200
+      from 600 um with SeedSequence([12, 1, i]).
+  near_top, near_top_noisy, near_top_66nm  targets f_high - k*700 Hz,
+      k = -2..11, where f_high is the true f_r at closest approach, from 45,
+      120 and 400 um: noise-free; at the benchmark noise with seeds
+      4000-4009; and the same with a 66-nm plant step against 60 believed.
+  recipe (only with --recipe)  the benchmark noise, 10,000 sessions from 300
+      um with noise seeds SeedSequence([21, 1, i]) and 10,000 from 600 um
+      with SeedSequence([22, 1, i]).
+
+Usage, from the repository root:
+    python tools/probe_sessions.py [--recipe] [--each]
+--each also prints one line per session (probe, index, outcome,
+measurements, false), for a diff between two trees.  It runs the pintune of
+its own tree (the src/ beside tools/) and needs numpy.  Without --recipe
+the probes take about a minute on one core, the recipe about another.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from pintune import config  # noqa: E402
+from pintune import io as pio  # noqa: E402
+from pintune.piezo import ControllerModel, tune_to_target  # noqa: E402
+
+NOISY = {"noise": {"sigma_rel": 0.005, "vib_amplitude_um": 0.1}}
+LOUD = {"noise": {"sigma_rel": 0.05, "vib_amplitude_um": 1.0}}
+OUTCOMES = ("Converged", "Unreachable", "StepBudgetExhausted", "Aborted")
+# (decay-length factor, plant step nm, backlash nm), the matched case first.
+CASES = [(lam, step, back) for lam in (0.9, 1.0, 1.1) for step in (54.0, 60.0, 66.0)
+         for back in (0.0, 5.0)]
+CASES.remove((1.0, 60.0, 0.0))
+CASES.insert(0, (1.0, 60.0, 0.0))
+
+
+def seed_of(*key):
+    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
+
+
+def run(cfg, start_um, seed=None, case=(1.0, 60.0, 0.0), f_target=None):
+    """One session; returns (session, plant, stage).  The controller believes
+    the config's own plant and 60-nm stage; the plant may differ by `case`."""
+    believed = cfg.plant()
+    stage = replace(cfg.stage, position=start_um * 1e-6)
+    model = ControllerModel.of(believed, stage)
+    lam, step_nm, backlash_nm = case
+    plant = replace(believed, pin=replace(believed.pin, lam=believed.pin.lam * lam))
+    if seed is not None:
+        plant = replace(plant, noise=replace(cfg.noise, seed=seed))
+    stage = replace(stage, step_size=step_nm * 1e-9, backlash=backlash_nm * 1e-9)
+    controller = cfg.controller if f_target is None else replace(cfg.controller, f_target=f_target)
+    return tune_to_target(plant, stage, controller, model), plant, stage
+
+
+def matched(height):
+    cfg = config.from_dict(NOISY)
+    for j in range(300):
+        yield run(cfg, height, seed_of(171, height, j))
+
+
+def mismatch_grid():
+    cfg = config.from_dict(NOISY)
+    for n, case in enumerate(CASES[1:]):
+        for height in (300, 600):
+            for j in range(20):
+                yield run(cfg, height, seed_of(181, n, height, j), case)
+
+
+def noiseless_grid():
+    cfg = config.from_dict({})
+    for case in CASES:
+        for height in (300, 600):
+            yield run(cfg, height, case=case)
+
+
+def tune_sessions(overrides, first_seed, count):
+    cfg = config.from_dict(overrides)
+    for key, height in ((first_seed, 300), (first_seed + 1, 600)):
+        for i in range(count):
+            yield run(cfg, height, seed_of(key, 1, i))
+
+
+def near_top(overrides, seeds, step_nm=60.0):
+    cfg = config.from_dict(overrides)
+    plant = cfg.plant()
+    f_high = plant.true_frequency(plant.pin.d_min)
+    for seed in seeds:
+        for height in (45, 120, 400):
+            for k in range(-2, 12):
+                yield run(cfg, height, seed, (1.0, step_nm, 0.0), f_high - k * 700.0)
+
+
+PROBES = {
+    "matched_300": lambda: matched(300),
+    "matched_600": lambda: matched(600),
+    "mismatch_grid": mismatch_grid,
+    "noiseless_grid": noiseless_grid,
+    "loud": lambda: tune_sessions(LOUD, 11, 200),
+    "near_top": lambda: near_top({}, [None]),
+    "near_top_noisy": lambda: near_top(NOISY, range(4000, 4010)),
+    "near_top_66nm": lambda: near_top(NOISY, range(4000, 4010), 66.0),
+    "recipe": lambda: tune_sessions(NOISY, 21, 10_000),
+}
+
+
+def is_false(session, plant, stage):
+    true_error = plant.true_frequency(stage.position) - session.f_target
+    return session.outcome == "Converged" and not abs(true_error) <= session.tolerance_hz
+
+
+def probe(name, each=False):
+    """Run one probe; returns its one-line tally."""
+    outcomes, logs = hashlib.sha256(), hashlib.sha256()
+    tally, false, lengths = Counter(), 0, []
+    for i, (session, plant, stage) in enumerate(PROBES[name]()):
+        n, wrong = len(session.steps), is_false(session, plant, stage)
+        tally[session.outcome] += 1
+        false += wrong
+        lengths.append(n)
+        outcomes.update(f"{session.outcome} {n}\n".encode())
+        logs.update(json.dumps(pio.to_jsonable(session), sort_keys=True).encode() + b"\n")
+        if each:
+            print(f"{name} {i} {session.outcome} {n} {'false' if wrong else 'true'}")
+    counts = " ".join(f"{o} {tally[o]}" for o in OUTCOMES)
+    return (f"{name}: sessions {len(lengths)}, {counts}, false {false}, "
+            f"measurements {sum(lengths)} (max {max(lengths)}), "
+            f"outcomes {outcomes.hexdigest()[:16]}, logs {logs.hexdigest()[:16]}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--recipe", action="store_true",
+                        help="also run the 20,000-session tune_sessions recipe")
+    parser.add_argument("--each", action="store_true", help="print one line per session")
+    args = parser.parse_args(argv)
+    for name in [n for n in PROBES if n != "recipe" or args.recipe]:
+        print(probe(name, args.each), flush=True)
+
+
+if __name__ == "__main__":
+    main()
