@@ -28,7 +28,8 @@ class NoResonance(PintuneError):
 
 
 class NonPhysicalFit(PintuneError):
-    """Fit converged to Q_L >= Q_e, implying infinite or negative Q_i."""
+    """Fit converged to Q_L >= Q_e, implying infinite or negative Q_i, or to
+    a Q_L that underflows to 0."""
 
 
 class ConvergenceFailure(PintuneError):

@@ -31,6 +31,15 @@ with dS/du = -2(a sin phi + u m)/D:
     dS/d f_r = dS/du (-(u + 2 Q_L)/f_r)     dS/d ln Q_e = -(m + a**2/D)
     dS/d ln Q_L = u dS/du - dS/d ln Q_e    dS/d phi = 2a (sin phi - u cos phi)/D
 
+A fit starts from initial_guess's point: the dip's f_r, Q_L from the
+half-depth width, Q_e from the depth and phi = 0.  Given a lineshape it
+already knows (`start`, the last reading's in a tune session), it starts from
+that instead, with the start's f_r only inside the window of half the
+guessed linewidth, f_r / (2 Q_L) of the guess, around the guessed dip, and
+the guessed f_r outside it.  It keeps that fit only when it converged, is
+physical and its f_r lies in the window; otherwise it fits again from the
+guess, exactly as without a start.
+
 A fit writes its point-sized arrays into one workspace of its own, reused
 across its iterations and freed with the fit.
 """
@@ -79,28 +88,30 @@ class FitResult:
     stop: str  # the rule that ended the iterations: offset, step, cost or budget
 
 
+def median(x):
+    """np.median of a non-empty 1-D array, bit for bit, from one partial sort
+    (np.median's own would load numpy.ma).  One kth per partition (two kths
+    take numpy's slower path); the lower middle value of an even count is the
+    max of the part below, the same value."""
+    m = x.size // 2
+    part = np.partition(x, m)
+    mid = float(part[m])
+    return mid if x.size % 2 else (float(part[:m].max()) + mid) / 2
+
+
 def _baseline_and_noise(y):
     # Robust to a dip anywhere in the span (including the edges): baseline
     # from the upper quantile, noise floor from successive differences.
-    # Partial sorts at the needed order statistics, with the arithmetic of
-    # np.percentile(y, 80) (linear method) and np.median, bit for bit.  One
-    # kth per partition (two kths take numpy's slower path); the neighbouring
-    # order statistic is the min of the part above or the max of the part
-    # below, the same value.
+    # A partial sort at the 80th-percentile order statistic, with the
+    # arithmetic of np.percentile(y, 80) (linear method) bit for bit; its
+    # upper neighbour is the min of the part above.
     pos = (y.size - 1) * 0.8
     k = math.floor(pos)
     w = pos - k
     part = np.partition(y, k)
     a, b = float(part[k]), float(part[k + 1:].min())
     baseline = b - (b - a) * (1 - w) if w >= 0.5 else a + (b - a) * w
-
-    diffs = np.abs(np.diff(y))
-    m = diffs.size // 2
-    part = np.partition(diffs, m)
-    median = float(part[m])
-    if not diffs.size % 2:
-        median = (float(part[:m].max()) + median) / 2
-    noise = 1.4826 * median / math.sqrt(2.0)
+    noise = 1.4826 * median(np.abs(np.diff(y))) / math.sqrt(2.0)
     return baseline, noise
 
 
@@ -254,19 +265,38 @@ def _offset_small(h, g, cost, n):
     return 0.0 <= q < cost < math.inf and (q / 4) / ((cost - q) / (n - 4)) <= OFFSET_TOL**2
 
 
-def fit_resonance(trace):
+def fit_resonance(trace, start=None):
     """Fit the dip model to a trace; returns a FitResult.
 
+    start: an InitialGuess of a lineshape already known, such as the last
+    fit's on the same resonator, or None.  The fit then starts from it
+    instead of initial_guess's point, taking its f_r only when that lies
+    within the window, half the guessed linewidth around the guessed dip,
+    and keeps its result only when that converged, is physical and lies in
+    the window; otherwise it fits again from the guess, as without start.
+
     Raises NoResonance (no usable dip), ConvergenceFailure (iteration budget
-    exhausted; carries best-so-far), or NonPhysicalFit (Q_L >= Q_e at the
-    optimum).
+    exhausted; carries best-so-far), or NonPhysicalFit (Q_L >= Q_e or
+    Q_L <= 0 at the optimum).
     """
     guess = initial_guess(trace)
-
     f = trace.frequencies
     y = trace.power_ratio
-    theta = (guess.f_r, math.log(guess.q_l), math.log(guess.q_e), guess.phi)
+    if start is not None:
+        window = guess.f_r / (2.0 * guess.q_l)
+        f_r = start.f_r if abs(start.f_r - guess.f_r) <= window else guess.f_r
+        try:
+            result = _fit(f, y, (f_r, math.log(start.q_l), math.log(start.q_e), start.phi))
+            if abs(result.f_r - guess.f_r) <= window:
+                return result
+        except (ConvergenceFailure, NonPhysicalFit):
+            pass
+    return _fit(f, y, (guess.f_r, math.log(guess.q_l), math.log(guess.q_e), guess.phi))
 
+
+def _fit(f, y, theta):
+    """The damped Gauss-Newton fit from theta = (f_r, ln Q_L, ln Q_e, phi)
+    and its FitResult, raising as fit_resonance does."""
     # One set of buffers: a trial overwrites the current point's spent terms.
     ws = _workspace(f.size)
     r, terms = _residual(theta, f, y, ws)
@@ -334,7 +364,7 @@ def fit_resonance(trace):
         f_r=f_r,
         q_l=q_l,
         q_e=q_e,
-        q_i=internal_q(q_l, q_e) if q_l < q_e else float("inf"),
+        q_i=internal_q(q_l, q_e) if 0 < q_l < q_e else float("inf"),
         phi=phi,
         f_r_err=errs[0],
         q_l_err=q_l * errs[1],
@@ -349,9 +379,9 @@ def fit_resonance(trace):
         raise ConvergenceFailure(
             f"no convergence in {MAX_ITERATIONS} iterations", best=result
         )
-    if q_l >= q_e:
+    if not 0 < q_l < q_e:  # Q_L underflows to 0 on a trace far off the model's baseline
         raise NonPhysicalFit(
-            f"fit landed at Q_L = {q_l:.4g} >= Q_e = {q_e:.4g}"
+            f"fit landed at Q_L = {q_l:.4g} outside (0, Q_e = {q_e:.4g})"
         )
     if not f[0] <= f_r <= f[-1]:
         raise ConvergenceFailure(

@@ -18,7 +18,13 @@ one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
 Control, 2nd ed. (1995), ch. 2-3.  Until a move has measured the gain, each
 move is a probe: at most the pulses whose believed df clears
 INFORMATIVE_BANDS noise bands of its reading (at least one).  After that
-only RADIUS_MAX caps a move."""
+only RADIUS_MAX caps a move.
+
+The pin only screens the inductance, so Q_L, Q_e and phi do not change with
+its height: each reading's fit starts from the lineshape the session already
+knows, the last fit's (the belief's own before the first), at the sweep
+centre (see fitting.fit_resonance for the window that guards it).  The wider
+retry of a failed fit starts from its own guess."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -32,7 +38,7 @@ from .errors import (
     NoResonance,
     StageStalled,
 )
-from .fitting import fit_resonance
+from .fitting import InitialGuess, fit_resonance
 from .resonator import (
     PinCouplingModel,
     ResonatorParams,
@@ -43,7 +49,7 @@ from .resonator import (
     resonance_frequency,
     tuned_frequency,
 )
-from .transmission import NoiseModel, SweepConfig, synthesize_sweep
+from .transmission import NoiseModel, SweepConfig, loaded_q, synthesize_sweep
 
 # Ground-state hyperfine splitting of 87Rb (Hz), the default tuning target.
 F_RB = 6.834683e9
@@ -272,11 +278,12 @@ class TuningSession:
     steps: List[TuningStep] = field(default_factory=list)
 
 
-def _measure(plant, stage, cfg, f_center, iteration):
-    """One sweep-and-fit around f_center.  Retries once with a RETRY_WIDEN
-    times wider span before giving up."""
+def _measure(plant, stage, cfg, f_center, iteration, shape):
+    """One sweep-and-fit around f_center, its fit started from the lineshape
+    shape = (Q_L, Q_e, phi) at f_center.  Retries once with a RETRY_WIDEN
+    times wider span, fit from its own guess, before giving up."""
     last_exc = None
-    for widen in (1.0, RETRY_WIDEN):
+    for widen, start in ((1.0, InitialGuess(f_center, *shape)), (RETRY_WIDEN, None)):
         span = cfg.sweep_span * widen
         sweep = SweepConfig(
             f_start=f_center - span / 2.0,
@@ -286,7 +293,7 @@ def _measure(plant, stage, cfg, f_center, iteration):
         )
         trace = plant.sweep(sweep, stage.position, iteration, iteration * cfg.duration_s)
         try:
-            return fit_resonance(trace)
+            return fit_resonance(trace, start)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
             last_exc = exc
     raise last_exc
@@ -322,6 +329,8 @@ def tune_to_target(plant, stage, cfg, model=None):
     offset = 0.0  # measured minus believed f_r at the last reading
     gain, share = 1.0, APPROACH_SHORT  # measured over believed df; the aim's shortfall
     last = None   # (believed f_r, fit) of the last move
+    # The lineshape (Q_L, Q_e, phi) the session knows: the belief's, then each fit's.
+    shape = (loaded_q(model.params.Qi0, model.params.Qe), model.params.Qe, model.params.phi)
 
     for k in range(cfg.max_steps):
         f_belief = model.frequency(d)
@@ -329,11 +338,12 @@ def tune_to_target(plant, stage, cfg, model=None):
                           predicted_f_r=f_belief + offset, radius=radius, gain=gain)
         session.steps.append(step)
         try:
-            fit = _measure(plant, stage, cfg, step.predicted_f_r, k)
+            fit = _measure(plant, stage, cfg, step.predicted_f_r, k, shape)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
             session.outcome = "Aborted"
             step.note = f"fit failed: {type(exc).__name__}"
             return session
+        shape = (fit.q_l, fit.q_e, fit.phi)
 
         err = fit.f_r - cfg.f_target
         step.measured_f_r, step.error_hz = fit.f_r, err

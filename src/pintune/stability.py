@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PintuneError
+from .fitting import median
 
 # Spectral peak must exceed this multiple of the median bin power to count as
 # an oscillation rather than a noise excursion.
@@ -112,7 +113,7 @@ def detect_oscillation(series):
     power = np.abs(np.fft.rfft(y0)) ** 2
     power[0] = 0.0
     k = int(np.argmax(power))
-    floor = float(np.median(power[1:]))
+    floor = median(power[1:])
     if floor <= 0.0 or power[k] < PEAK_TO_MEDIAN_THRESHOLD * floor:
         raise NoOscillation("no spectral peak above the noise floor")
 
@@ -149,8 +150,10 @@ def allan_deviation(series):
 
     y = series.f_r / series.f0
     n = y.size
-    ms = np.unique(np.floor(np.logspace(0, math.log10(n // 3), 20)).astype(int))
-    ms = ms[ms <= n // 3]  # so there are n // m >= 3 blocks at every m
+    # Each block length once (a set: np.unique would load numpy.ma), none
+    # above n // 3, so there are n // m >= 3 blocks at every m.
+    ms = sorted({m for m in np.floor(np.logspace(0, math.log10(n // 3), 20)).astype(int).tolist()
+                 if m <= n // 3})
 
     out_t, out_a = [], []
     for m in ms:

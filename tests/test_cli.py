@@ -18,7 +18,7 @@ from pintune.cli import CONFIG_FLAGS, build_parser, main
 from pintune.config import FIELDS, from_dict, load_config
 from pintune.errors import NoResonance, ValidationError
 from pintune.stability import FrequencyTimeSeries
-from pintune.transmission import SweepTrace
+from pintune.transmission import SweepTrace, s21_power
 
 
 def run(argv):
@@ -468,6 +468,16 @@ class TestFitCommand:
         path.write_text("frequency_hz,power_ratio\n" + rows)
         assert run(["fit", path]) == 3
 
+    def test_q_l_underflow_is_non_physical(self, tmp_path, capsys):
+        # A valid trace 1.5x off the model's unit baseline: the fit runs ln Q_L
+        # down until Q_L underflows to 0, a non-physical fit, not a bad input.
+        f = np.linspace(6.8e9 - 3e6, 6.8e9 + 3e6, 401)
+        y = 1.5 * s21_power(f, 6.8015e9, 3000.0, 45000.0, -0.4)
+        path = tmp_path / "off_baseline.csv"
+        pio.write_trace_csv(path, SweepTrace(f, y, -131.0))
+        assert run(["fit", path]) == 4
+        assert capsys.readouterr().err.startswith("error: non-physical fit: fit landed at Q_L = 0 ")
+
     def test_non_physical_exit(self, tmp_path, monkeypatch):
         from pintune import cli
         from pintune.errors import NonPhysicalFit
@@ -518,7 +528,7 @@ class TestTuneCommand:
     ], ids=["step budget", "fit failed"])
     def test_unconverged_session_exits_6(self, tmp_path, monkeypatch, capsys, doc, fits_fail,
                                          outcome, note):
-        def no_dip(trace):  # the first reading's sweep and its wider retry
+        def no_dip(trace, start=None):  # the first reading's sweep and its wider retry
             raise NoResonance("no dip")
 
         if fits_fail:
@@ -712,6 +722,20 @@ def test_each_module_imports_alone(module):
     # The package root imports nothing, so no other module's import can
     # hide a cycle that importing this one alone would hit.
     subprocess.run([sys.executable, "-c", f"import pintune.{module}"], env=child_env(), check=True)
+
+
+def test_drift_leaves_numpy_ma_out(tmp_path):
+    # np.median and np.unique import numpy.ma, about 10 ms of a fresh process.
+    # 128 samples, so detect_oscillation runs as well as allan_deviation.
+    t = 120.0 * np.arange(128)
+    series = tmp_path / "series.csv"
+    pio.write_series_csv(series, FrequencyTimeSeries(t, 6.8278e9 + 100.0 * np.sin(t / 900.0),
+                                                     6.8278e9))
+    probe = ("import sys; from pintune.cli import main; "
+             f"main(['drift', {str(series)!r}, '--allan']); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_out():

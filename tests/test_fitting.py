@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pintune import fitting
-from pintune.errors import ConvergenceFailure, NoResonance, PintuneError
+from pintune.errors import ConvergenceFailure, NonPhysicalFit, NoResonance, PintuneError
 from pintune.fitting import (
     FitResult,
+    InitialGuess,
     _jacobian,
     _residual,
     _solve,
@@ -166,6 +168,71 @@ class TestFitResonance:
         # 1 sigma errors should be finite and small relative to the values
         assert 0 < res.f_r_err < 0.1 * res.f_r / res.q_l
         assert 0 < res.q_l_err < 0.1 * res.q_l
+
+
+def device_reading(seed):
+    """One 1,201-point reading of the paper's device on the benchmark's 0.5%
+    noise, about a 6 MHz span around f_Rb, as a tune session takes it."""
+    return make_trace(6.834683e9, PAPER_QL, 5e5, phi=0.1, n=1201, noise=0.005, seed=seed)
+
+
+def window(trace):
+    """Half the guessed linewidth: how far a start's f_r and a warm fit's may
+    lie from the guessed dip."""
+    guess = initial_guess(trace)
+    return guess.f_r, guess.f_r / (2.0 * guess.q_l)
+
+
+class TestWarmStart:
+    """fit_resonance(trace, start) starts from a lineshape already known and
+    keeps that fit only inside the window; otherwise it is the cold fit."""
+
+    def test_warm_fit_lands_on_the_cold_fit_in_fewer_iterations(self):
+        # Each reading starts from the last reading's lineshape at the sweep
+        # centre, as a tune session does.
+        last = fit_resonance(device_reading(0))
+        saved = 0
+        for seed in range(1, 21):
+            trace = device_reading(seed)
+            cold = fit_resonance(trace)
+            warm = fit_resonance(trace, InitialGuess(6.834683e9, last.q_l, last.q_e, last.phi))
+            assert abs(warm.f_r - cold.f_r) <= 0.01 * cold.f_r_err
+            assert warm.n_iterations <= cold.n_iterations
+            saved += cold.n_iterations - warm.n_iterations
+            last = warm
+        assert saved >= 20
+
+    def test_start_outside_the_window_starts_at_the_guessed_dip(self):
+        # With the guess's own lineshape, the warm fit is then the cold one.
+        trace = device_reading(1)
+        guess = initial_guess(trace)
+        f_dip, half = window(trace)
+        start = replace(guess, f_r=f_dip + 1.01 * half)
+        assert fit_resonance(trace, start) == fit_resonance(trace)
+
+    @pytest.mark.parametrize("rejected", ["ConvergenceFailure", "NonPhysicalFit", "outside"])
+    def test_a_rejected_warm_fit_gives_the_cold_fit(self, monkeypatch, rejected):
+        trace = device_reading(2)
+        cold = fit_resonance(trace)
+        f_dip, half = window(trace)
+        starts = []
+
+        def warm_fails(f, y, theta):
+            starts.append(theta)
+            result = fit(f, y, theta)
+            if len(starts) > 1:  # the cold fit
+                return result
+            if rejected == "ConvergenceFailure":
+                raise ConvergenceFailure("no convergence", best=result)
+            if rejected == "NonPhysicalFit":
+                raise NonPhysicalFit("Q_L >= Q_e")
+            return replace(result, f_r=f_dip - 1.01 * half)
+
+        fit = fitting._fit
+        monkeypatch.setattr(fitting, "_fit", warm_fails)
+        start = InitialGuess(6.834683e9, cold.q_l, cold.q_e, cold.phi)
+        assert fit_resonance(trace, start) == cold
+        assert [theta[0] for theta in starts] == [6.834683e9, f_dip]
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,7 +16,7 @@ from pintune.errors import (
     NoResonance,
     StageStalled,
 )
-from pintune.fitting import fit_resonance
+from pintune.fitting import InitialGuess, fit_resonance
 from pintune.piezo import (
     AGREE_MAX,
     AGREE_MIN,
@@ -367,11 +367,11 @@ class TestFitFailure:
     def test_widened_sweep_recovers(self, monkeypatch):
         spans = []
 
-        def fails_first(trace):
+        def fails_first(trace, start=None):
             spans.append(trace.frequencies[-1] - trace.frequencies[0])
             if len(spans) == 1:
                 raise NoResonance("no dip")
-            return fit_resonance(trace)
+            return fit_resonance(trace, start)
 
         monkeypatch.setattr(piezo, "fit_resonance", fails_first)
         plant = noiseless_plant()
@@ -388,7 +388,7 @@ class TestFitFailure:
     def test_second_failure_aborts(self, monkeypatch, exc):
         spans = []
 
-        def always_fails(trace):
+        def always_fails(trace, start=None):
             spans.append(trace.frequencies[-1] - trace.frequencies[0])
             raise exc("fit failed")
 
@@ -620,9 +620,10 @@ def reading_errors(monkeypatch, errors, start_um=600.0, **controller):
     error errors[k] (the last one from then on), its f_r untouched."""
     readings = []
 
-    def fit(trace):
+    def fit(trace, start=None):
         readings.append(trace)
-        return replace(fit_resonance(trace), f_r_err=errors[min(len(readings), len(errors)) - 1])
+        return replace(fit_resonance(trace, start),
+                       f_r_err=errors[min(len(readings), len(errors)) - 1])
 
     monkeypatch.setattr(piezo, "fit_resonance", fit)
     return tune_to_target(noiseless_plant(), PiezoStage(position=start_um * UM),
@@ -633,9 +634,11 @@ def replay(plant, model, cfg, start, session):
     """The log and final error a session should have written, rebuilt from a
     copy of its start stage.  Each reading is re-measured at the replayed
     height on the sweep centre the belief predicts, dead-reckoned from the
-    pulses issued, and each move's radius, gain, shortfall and pulses are
-    recomputed from the readings by the rules the controller must obey; a fit
-    failure or a stall is taken from the log.
+    pulses issued, its fit started from the lineshape (Q_L, Q_e, phi) of the
+    last reading's fit (the belief's own before the first), and each move's
+    radius, gain, shortfall and pulses are recomputed from the readings by
+    the rules the controller must obey; a fit failure or a stall is taken
+    from the log.
 
     A step that ends the session on its reading (converged, pin does not
     couple, fit failed) logs the radius and gain in force before that
@@ -647,6 +650,7 @@ def replay(plant, model, cfg, start, session):
     stage, d = replace(start), start.position
     offset, radius, trusted, final = 0.0, 1, False, nan
     gain, share, last = 1.0, APPROACH_SHORT, None
+    shape = (loaded_q(model.params.Qi0, model.params.Qe), model.params.Qe, model.params.phi)
     log = []
     for k, logged in enumerate(session.steps):
         f_belief = model.frequency(d)
@@ -659,7 +663,9 @@ def replay(plant, model, cfg, start, session):
         centre, span = step.predicted_f_r, cfg.sweep_span
         sweep = SweepConfig(centre - span / 2.0, centre + span / 2.0, cfg.sweep_points,
                             cfg.p_in_dbm)
-        fit = fit_resonance(plant.sweep(sweep, stage.position, k, k * cfg.duration_s))
+        fit = fit_resonance(plant.sweep(sweep, stage.position, k, k * cfg.duration_s),
+                            InitialGuess(centre, *shape))
+        shape = (fit.q_l, fit.q_e, fit.phi)
         err = fit.f_r - cfg.f_target
         step.measured_f_r, step.error_hz = fit.f_r, err
         step.fit_rms, step.fit_iterations = fit.rms_residual, fit.n_iterations
@@ -740,11 +746,11 @@ def against_the_limit():
 def third_reading_fails(monkeypatch):
     fits = []
 
-    def fit(trace):  # the third reading's sweep and its wider retry both fail
+    def fit(trace, start=None):  # the third reading's sweep and its wider retry both fail
         fits.append(trace)
         if len(fits) > 2:
             raise NoResonance("no dip")
-        return fit_resonance(trace)
+        return fit_resonance(trace, start)
 
     monkeypatch.setattr(piezo, "fit_resonance", fit)
 

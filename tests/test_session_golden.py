@@ -37,17 +37,17 @@ def seed_of(*key):
 # calibrated decay length, 60-nm steps, no backlash).
 SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
-        "Converged", 4, 2432, "2cc0323ffaf248aba467b7cfd24d4d959c20a4b7407d0e2f5833f0cbd4905213"),
+        "Converged", 4, 2432, "2eb8d83a414f6ab69c0be737ad09325bfe750ba223034a923a1bcac8b18125f3"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 8, 2436, "bdf405f365f47feb93e954a6d06ff5be66743aeb4d2a35e5aac01b890094873f"),
+        "Converged", 8, 2436, "939943a4a5f32405b0a2f67ec57ff8fb1139fa88aaeefc91218b18d2b38af18d"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
-        "Converged", 4, 7432, "8fc16bc273c3377a0faa19038059deb9bd4eaaa5d1410b89470939213d6b090b"),
+        "Converged", 4, 7432, "4cdb5b566cf4c952c9666db6d44785d6aab1a9989a0d26f2337ac94167d32b3a"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
-        "Converged", 4, 7431, "8e761bb7e7d6090928aa006cd7804e8074529756617bf37dd4139d1031bf963b"),
+        "Converged", 4, 7431, "f33db83939173b3fbda1008cba0fb46f61c1602870c094c60e1ea9d37aa8e128"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 5, 7502, "820ee844f967c27fa3e43483ffebdd7749db3b477810d86ef9b11a1a70ec2ba7"),
+        "Converged", 5, 7502, "8d78acbe25b06c075f07e1c20bb9be4fb8435fe4eb6a78ccf9c68a1fd137f93d"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
-        "Converged", 8, 2824, "6d7d0a662636e8388c5c4f6361a339806825365dff52444fd87c5f41057af4b4"),
+        "Converged", 8, 2824, "27e9aeb5294290b9404017b8db1e94a4c883b49d5a92fdb93eaace71531052d5"),
 }
 
 

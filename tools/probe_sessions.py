@@ -3,11 +3,13 @@ what a change to the controller does to its outcomes and measurement counts.
 
 Each probe prints one line: its sessions per outcome, the false `Converged`
 (a `Converged` session whose twin's true f_r at the final pin height is
-outside the tolerance), the total and largest number of measurements, and two
-sha256 digests (first 16 hex digits) over its sessions in order: `outcomes`
-of each session's outcome and measurement count, `logs` of its result JSON
-as `pintune tune` writes it.  A change that keeps every outcome and session
-length keeps `outcomes`; one that keeps every logged field keeps `logs`.
+outside the tolerance), the total and largest number of measurements, the
+total Gauss-Newton iterations of the readings' fits (`fit_iterations`), and
+two sha256 digests (first 16 hex digits) over its sessions in order:
+`outcomes` of each session's outcome and measurement count, `logs` of its
+result JSON as `pintune tune` writes it.  A change that keeps every outcome
+and session length keeps `outcomes`; one that keeps every logged field keeps
+`logs`.
 
 The probes, all on the package's default config unless stated:
   matched_300, matched_600  the benchmark noise (sigma_rel 0.005, 0.1-um
@@ -143,19 +145,20 @@ def is_false(session, plant, stage):
 def probe(name, each=False):
     """Run one probe; returns its one-line tally."""
     outcomes, logs = hashlib.sha256(), hashlib.sha256()
-    tally, false, lengths = Counter(), 0, []
+    tally, false, lengths, iterations = Counter(), 0, [], 0
     for i, (session, plant, stage) in enumerate(PROBES[name]()):
         n, wrong = len(session.steps), is_false(session, plant, stage)
         tally[session.outcome] += 1
         false += wrong
         lengths.append(n)
+        iterations += sum(step.fit_iterations for step in session.steps)
         outcomes.update(f"{session.outcome} {n}\n".encode())
         logs.update(json.dumps(pio.to_jsonable(session), sort_keys=True).encode() + b"\n")
         if each:
             print(f"{name} {i} {session.outcome} {n} {'false' if wrong else 'true'}")
     counts = " ".join(f"{o} {tally[o]}" for o in OUTCOMES)
     return (f"{name}: sessions {len(lengths)}, {counts}, false {false}, "
-            f"measurements {sum(lengths)} (max {max(lengths)}), "
+            f"measurements {sum(lengths)} (max {max(lengths)}), fit_iterations {iterations}, "
             f"outcomes {outcomes.hexdigest()[:16]}, logs {logs.hexdigest()[:16]}")
 
 
