@@ -213,11 +213,6 @@ def _jacobian(theta, f, terms, ws=None):
     return jac
 
 
-def _normal_equations(jac, r):
-    """The Gauss-Newton matrix h = J^T J and the gradient g = J^T r."""
-    return jac.T @ jac, jac.T @ r
-
-
 def _solve(h, g, lam=0.0):
     """Solve (h + lam D) x = g, D being h's diagonal with its non-positive
     entries raised to 1e-30, by an unrolled Cholesky factorisation L L^T of
@@ -301,7 +296,7 @@ def _fit(f, y, theta):
     ws = _workspace(f.size)
     r, terms = _residual(theta, f, y, ws)
     jac = _jacobian(theta, f, terms, ws)
-    h, g = _normal_equations(jac, r)
+    h, g = jac.T @ jac, jac.T @ r
     cost = float(r @ r)
     lam = DAMPING_START
     n_iter = 0
@@ -334,7 +329,7 @@ def _fit(f, y, theta):
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             theta, r, cost = theta_new, r_new, cost_new
             jac = _jacobian(theta, f, terms, ws)
-            h, g = _normal_equations(jac, r)
+            h, g = jac.T @ jac, jac.T @ r
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL:
                 stop = "step"

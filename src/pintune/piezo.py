@@ -5,16 +5,17 @@ with drive voltage (60 nm at the 36 V reference) and the stage stalls below a
 minimum voltage.  `piezo_step` issues a whole move as one call: it lands the
 pulse train in closed form, snaps a landing within 1e-9 relative below d_min
 to d_min, and stops a move that runs out of room at the last pulse that
-fits, reporting the clamp.  The controller iterates measure -> fit ->
-actuate against a ControllerModel, its belief about the device, which may
-differ from the Plant it drives.  Each iteration sweeps around the belief's
-f_r shifted by the offset of the last reading, fits the trace, and aims the
-belief's df at the measured error over the gain the last informative move
-measured (its measured over its believed df; 1 until such a move agrees),
-through the closed-form inverse of the coupling map.  The aim stops short by
-|gain - 1| plus that move's agreement noise over its predicted df, at most
-APPROACH_SHORT of the error, so the approach stays on one side: the
-one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
+fits, reporting the clamp.  The controller tunes against a ControllerModel,
+its belief about the device, which may differ from the Plant it drives.  Each
+iteration sweeps around the belief's f_r shifted by the offset of the last
+reading, fits the trace, and acts on the session's copy of the belief:
+`update` learns from the reading, `aim` gives the next move, `moved` records
+it.  The aim puts the belief's df at the measured error over the gain the
+last informative move measured (its measured over its believed df; 1 until
+such a move agrees), through the closed-form inverse of the coupling map, and
+stops short by |gain - 1| plus that move's agreement noise over its predicted
+df, at most APPROACH_SHORT of the error, so the approach stays on one side:
+the one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
 Control, 2nd ed. (1995), ch. 2-3.  Until a move has measured the gain, each
 move is a probe: at most the pulses whose believed df clears
 INFORMATIVE_BANDS noise bands of its reading (at least one).  After that
@@ -205,10 +206,12 @@ class Plant:
                                 noise, timestamp=timestamp)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ControllerModel:
     """What the controller believes about the device: its resonator, its
-    pin coupling, its trim and the stage's travel per pulse."""
+    pin coupling, its trim and the stage's travel per pulse.  A session tunes
+    a copy, whose plain attributes (not fields: `replace` starts them fresh,
+    equality ignores them) hold what the session has learned."""
 
     params: ResonatorParams
     pin: PinCouplingModel
@@ -218,6 +221,13 @@ class ControllerModel:
     def __post_init__(self):
         if not self.step_length > 0:
             raise DomainError("ControllerModel.step_length must be > 0")
+        self.height = math.nan  # the dead-reckoned pin height, set as a session starts
+        self.radius, self.trusted = 1, False  # trusted once a move has measured the gain
+        self.offset = 0.0  # measured minus believed f_r at the last reading
+        self.gain, self.share = 1.0, APPROACH_SHORT  # measured over believed df; the aim's shortfall
+        self.last = None  # (believed f_r, fit) of the last move
+        # The lineshape (Q_L, Q_e, phi) the session knows: the belief's, then each fit's.
+        self.shape = (loaded_q(self.params.Qi0, self.params.Qe), self.params.Qe, self.params.phi)
 
     @classmethod
     def of(cls, plant, stage):
@@ -242,6 +252,44 @@ class ControllerModel:
         if m2 >= self.pin.m_max ** 2:
             return self.pin.d_min
         return self.pin.d_min + 0.5 * self.pin.lam * math.log(self.pin.m_max ** 2 / m2)
+
+    def update(self, fit, f_belief):
+        """Learn from a reading `fit` where the belief reads f_belief: judge the
+        last move, size the radius, keep the offset, lineshape and this move."""
+        if self.last is not None:  # judge the last move against its prediction
+            f_last, fit_last = self.last
+            predicted = f_belief - f_last
+            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
+            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
+            if (AGREE_MIN * abs(predicted) - noise <= moved <= AGREE_MAX * abs(predicted) + noise
+                    and abs(predicted) >= INFORMATIVE_BANDS * noise):  # crossing or not
+                self.gain, self.trusted = moved / abs(predicted), True
+                self.share = min(APPROACH_SHORT, abs(self.gain - 1.0) + noise / abs(predicted))
+        # The pulse radius.  A probe, `sized`, is the pulses whose believed df
+        # is INFORMATIVE_BANDS times the next move's agreement noise, or one
+        # when the noise or the slope is unusable.
+        per_pulse = frequency_sensitivity(self.state_at(self.height), self.params, self.pin,
+                                          self.step_length)
+        sized = 1
+        if per_pulse > 0 and math.isfinite(fit.f_r_err):
+            bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
+            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
+        self.radius = RADIUS_MAX if self.trusted else sized
+        self.offset = fit.f_r - f_belief
+        self.shape = (fit.q_l, fit.q_e, fit.phi)
+        self.last = (f_belief, fit)
+
+    def aim(self, err, f_belief, tol):
+        """The pulses, within the radius, that aim the belief's df at the error
+        err, less a shortfall on the side already measured, over the gain."""
+        short = self.share * err if abs(self.share * err) > 2 * tol else 0.0
+        dd = self.height_for(f_belief - (err - short) / self.gain) - self.height
+        return max(int(round(min(abs(dd) / self.step_length, self.radius))), 1)
+
+    def moved(self, direction, pulses, clamped):
+        """Dead-reckon the move issued; a clamped move is cut, so judge none."""
+        self.height = max(self.height + direction * pulses * self.step_length, self.pin.d_min)
+        self.last = None if clamped else self.last
 
 
 @dataclass
@@ -304,46 +352,38 @@ def tune_to_target(plant, stage, cfg, model=None):
 
     The controller sees the plant only through sweeps; everything else (the
     pin height it dead-reckons from the pulses it issued, the sweep centre,
-    the reach check, the moves) comes from `model`, the ControllerModel it
-    believes, by default the plant's own.
+    the reach check, the moves) comes from its own copy of `model`, the
+    ControllerModel it believes (the plant's own by default).
 
     Returns a TuningSession with the full step-by-step log.  The session ends
     Converged (|f_r - f_target| within tolerance), Unreachable (target outside
     the achievable band, or a pin that does not couple), StepBudgetExhausted,
     or Aborted (repeated fit failure or a stalled stage).
     """
-    if model is None:
-        model = ControllerModel.of(plant, stage)
+    model = ControllerModel.of(plant, stage) if model is None else replace(model)
+    model.height = stage.position
     tol = cfg.tolerance_ppm * 1e-6 * cfg.f_target
     session = TuningSession(f_target=cfg.f_target, tolerance_hz=tol)
 
-    d = stage.position  # the believed pin height
-    f_low = baseline_frequency(model.params, model.state_at(d))
+    f_low = baseline_frequency(model.params, model.state_at(model.height))
     f_high = model.frequency(model.pin.d_min)
     if not (f_low - tol < cfg.f_target <= f_high + tol):
         session.outcome = "Unreachable"
-        session.final_error_hz = model.frequency(d) - cfg.f_target
+        session.final_error_hz = model.frequency(model.height) - cfg.f_target
         return session
 
-    radius, trusted = 1, False  # trusted once a move has measured the gain
-    offset = 0.0  # measured minus believed f_r at the last reading
-    gain, share = 1.0, APPROACH_SHORT  # measured over believed df; the aim's shortfall
-    last = None   # (believed f_r, fit) of the last move
-    # The lineshape (Q_L, Q_e, phi) the session knows: the belief's, then each fit's.
-    shape = (loaded_q(model.params.Qi0, model.params.Qe), model.params.Qe, model.params.phi)
-
     for k in range(cfg.max_steps):
-        f_belief = model.frequency(d)
+        f_belief = model.frequency(model.height)
         step = TuningStep(k, stage.position, true_f_r=plant.true_frequency(stage.position),
-                          predicted_f_r=f_belief + offset, radius=radius, gain=gain)
+                          predicted_f_r=f_belief + model.offset, radius=model.radius,
+                          gain=model.gain)
         session.steps.append(step)
         try:
-            fit = _measure(plant, stage, cfg, step.predicted_f_r, k, shape)
+            fit = _measure(plant, stage, cfg, step.predicted_f_r, k, model.shape)
         except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
             session.outcome = "Aborted"
             step.note = f"fit failed: {type(exc).__name__}"
             return session
-        shape = (fit.q_l, fit.q_e, fit.phi)
 
         err = fit.f_r - cfg.f_target
         step.measured_f_r, step.error_hz = fit.f_r, err
@@ -356,37 +396,10 @@ def tune_to_target(plant, stage, cfg, model=None):
             session.final_error_hz = err
             return session
 
-        if last is not None:  # judge the last move against its prediction
-            f_last, fit_last = last
-            predicted = f_belief - f_last
-            moved = (fit.f_r - fit_last.f_r) * math.copysign(1.0, predicted)
-            noise = AGREE_SIGMA * math.hypot(fit_last.f_r_err, fit.f_r_err)
-            agrees = (AGREE_MIN * abs(predicted) - noise <= moved
-                      <= AGREE_MAX * abs(predicted) + noise)
-            if agrees and abs(predicted) >= INFORMATIVE_BANDS * noise:  # crossing or not
-                gain, trusted = moved / abs(predicted), True
-                share = min(APPROACH_SHORT, abs(gain - 1.0) + noise / abs(predicted))
-        # The pulse radius.  A probe, `sized`, is the pulses whose believed df
-        # is INFORMATIVE_BANDS times the next move's agreement noise, or one
-        # when the noise or the slope is unusable.
-        per_pulse = frequency_sensitivity(model.state_at(d), model.params, model.pin,
-                                          model.step_length)
-        sized = 1
-        if per_pulse > 0 and math.isfinite(fit.f_r_err):
-            bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
-            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
-        radius = RADIUS_MAX if trusted else sized
-        offset = fit.f_r - f_belief
-
-        # Aim the belief's df at the error, less a shortfall on the side
-        # already measured, over the gain the last informative move measured.
-        short = share * err
-        if abs(short) <= 2 * tol:
-            short = 0.0
-        dd = model.height_for(f_belief - (err - short) / gain) - d
-        pulses = max(int(round(min(abs(dd) / model.step_length, radius))), 1)
+        model.update(fit, f_belief)
+        pulses = model.aim(err, f_belief, tol)
         step.direction = 1 if err > 0 else -1
-        step.radius, step.gain = radius, gain
+        step.radius, step.gain = model.radius, model.gain
         session.final_error_hz = err
 
         try:
@@ -400,7 +413,6 @@ def tune_to_target(plant, stage, cfg, model=None):
 
         step.pulses = pulses
         session.total_pulses += pulses
-        d = max(d + step.direction * pulses * model.step_length, model.pin.d_min)
-        last = None if step.note else (f_belief, fit)  # judge no prediction on a cut move
+        model.moved(step.direction, pulses, clamped=bool(step.note))
 
     return session  # the default outcome: StepBudgetExhausted

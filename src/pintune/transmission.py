@@ -116,18 +116,6 @@ def notch_response(f, f_r, q_l, q_e, phi, out=None):
     return np.add(m, 1.0, out=s), u, d, m
 
 
-def s21_power(f, f_r, q_l, q_e, phi=0.0):
-    """Transmitted power ratio at frequency f (scalar or array)."""
-    if not f_r > 0:
-        raise DomainError("f_r must be > 0")
-    if not q_l > 0 or not q_e > 0:
-        raise DomainError("quality factors must be > 0")
-    if not abs(phi) < math.pi / 2:
-        raise DomainError("|phi| must be < pi/2")
-    out = notch_response(np.ravel(f).astype(float), f_r, q_l, q_e, phi)[0].reshape(np.shape(f))
-    return float(out) if out.ndim == 0 else out
-
-
 def loaded_q(q_i, q_e):
     """Harmonic composition 1/Q_L = 1/Q_i + 1/Q_e."""
     if not q_i > 0 or not q_e > 0:

@@ -18,7 +18,7 @@ from pintune.cli import CONFIG_FLAGS, build_parser, main
 from pintune.config import FIELDS, from_dict, load_config
 from pintune.errors import NoResonance, ValidationError
 from pintune.stability import FrequencyTimeSeries
-from pintune.transmission import SweepTrace, s21_power
+from pintune.transmission import SweepTrace, notch_response
 
 
 def run(argv):
@@ -472,7 +472,7 @@ class TestFitCommand:
         # A valid trace 1.5x off the model's unit baseline: the fit runs ln Q_L
         # down until Q_L underflows to 0, a non-physical fit, not a bad input.
         f = np.linspace(6.8e9 - 3e6, 6.8e9 + 3e6, 401)
-        y = 1.5 * s21_power(f, 6.8015e9, 3000.0, 45000.0, -0.4)
+        y = 1.5 * notch_response(f, 6.8015e9, 3000.0, 45000.0, -0.4)[0]
         path = tmp_path / "off_baseline.csv"
         pio.write_trace_csv(path, SweepTrace(f, y, -131.0))
         assert run(["fit", path]) == 4

@@ -30,7 +30,7 @@ from pintune.transmission import (
     SweepConfig,
     SweepTrace,
     loaded_q,
-    s21_power,
+    notch_response,
     synthesize_sweep,
 )
 
@@ -38,7 +38,7 @@ from pintune.transmission import (
 def make_trace(f_r, q_l, q_e, phi=0.0, n=801, span_linewidths=10, noise=None, seed=0):
     lw = f_r / q_l
     f = np.linspace(f_r - span_linewidths * lw / 2, f_r + span_linewidths * lw / 2, n)
-    y = s21_power(f, f_r, q_l, q_e, phi)
+    y = notch_response(f, f_r, q_l, q_e, phi)[0]
     if noise:
         rng = np.random.default_rng(seed)
         y = np.clip(y * (1 + noise * rng.standard_normal(n)), 0, None)
@@ -65,7 +65,7 @@ class TestInitialGuess:
         f_r = 6.8278e9
         lw = f_r / PAPER_QL
         f = np.linspace(f_r, f_r + 10 * lw, 801)  # dip exactly at span edge
-        tr = SweepTrace(f, s21_power(f, f_r, PAPER_QL, 5e5), -131.0)
+        tr = SweepTrace(f, notch_response(f, f_r, PAPER_QL, 5e5, 0.0)[0], -131.0)
         g = initial_guess(tr)
         assert g.at_edge
         assert g.f_r == f[np.argmin(tr.power_ratio)]
@@ -108,7 +108,7 @@ class TestFitResonance:
         for seed in range(10):
             tr = make_trace(6.83e9, PAPER_QL, 5e5, phi=0.2, noise=0.02, seed=seed)
             g = initial_guess(tr)
-            r0 = s21_power(tr.frequencies, g.f_r, g.q_l, g.q_e, g.phi) - tr.power_ratio
+            r0 = notch_response(tr.frequencies, g.f_r, g.q_l, g.q_e, g.phi)[0] - tr.power_ratio
             res = fit_resonance(tr)
             assert res.rms_residual <= math.sqrt(float(r0 @ r0) / len(r0)) + 1e-15
 
@@ -156,7 +156,7 @@ class TestFitResonance:
         f_r, q_l = 6.83e9, PAPER_QL
         f = np.linspace(f_r - 10 * f_r / q_l, f_r - 0.5 * f_r / q_l, 401)
         rng = np.random.default_rng(1)
-        y = s21_power(f, f_r, q_l, 5e5) + 1e-4 * rng.standard_normal(f.size)
+        y = notch_response(f, f_r, q_l, 5e5, 0.0)[0] + 1e-4 * rng.standard_normal(f.size)
         with pytest.raises(ConvergenceFailure, match="outside the trace span") as failure:
             fit_resonance(SweepTrace(f, y, -131.0))
         best = failure.value.best

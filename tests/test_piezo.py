@@ -16,7 +16,7 @@ from pintune.errors import (
     NoResonance,
     StageStalled,
 )
-from pintune.fitting import InitialGuess, fit_resonance
+from pintune.fitting import FitResult, InitialGuess, fit_resonance
 from pintune.piezo import (
     AGREE_MAX,
     AGREE_MIN,
@@ -51,7 +51,6 @@ from pintune.transmission import (
     internal_q,
     loaded_q,
     photon_number,
-    s21_power,
 )
 
 F_BASELINE = 6.8278e9
@@ -414,6 +413,106 @@ class TestControllerModel:
         model = ControllerModel.of(noiseless_plant(), PiezoStage(position=300 * UM))
         assert model.height_for(F_BASELINE) == math.inf
         assert model.height_for(6.9e9) == model.pin.d_min
+
+
+def reading(f_r, f_r_err=10.0, shape=(3.2e4, 5e5, 0.1)):
+    """A hand-built converged fit of f_r with standard error f_r_err."""
+    q_l, q_e, phi = shape
+    return FitResult(f_r, q_l, q_e, internal_q(q_l, q_e), phi, f_r_err, 1.0, 1.0, 1e-3,
+                     1e-3, 3, True, "offset")
+
+
+def belief(start_um=600.0):
+    """The noiseless plant's own belief, its height set as a session sets it."""
+    model = ControllerModel.of(noiseless_plant(), PiezoStage(position=start_um * UM))
+    model.height = start_um * UM
+    return model
+
+
+def judged(gain, pulses=100, clamped=False):
+    """A belief after a first reading, a move of `pulses` toward the
+    resonator, and a second reading whose df is `gain` times the predicted."""
+    model = belief()
+    f_first = model.frequency(model.height)
+    model.update(reading(f_first), f_first)
+    model.moved(-1, pulses, clamped)
+    f_belief = model.frequency(model.height)
+    model.update(reading(f_first + gain * (f_belief - f_first)), f_belief)
+    return model, f_belief - f_first
+
+
+class TestBelief:
+    def test_starts_fresh(self):
+        model = belief()
+        assert (model.radius, model.trusted, model.offset, model.gain, model.share,
+                model.last) == (1, False, 0.0, 1.0, APPROACH_SHORT, None)
+        assert model.shape == (loaded_q(35000, 5e5), 5e5, 0.0)
+        model.update(reading(F_RB), model.frequency(model.height))
+        fresh = replace(model)  # equality compares the four fields only
+        assert fresh == model and fresh.offset == 0.0 and model.offset != 0.0
+        assert math.isnan(fresh.height)
+
+    def test_an_agreeing_informative_move_sets_the_gain(self):
+        model, predicted = judged(1.02)
+        noise = AGREE_SIGMA * math.hypot(10.0, 10.0)
+        assert abs(predicted) >= INFORMATIVE_BANDS * noise
+        assert model.trusted and model.radius == RADIUS_MAX
+        assert model.gain == pytest.approx(1.02, rel=1e-9)
+        assert model.share == pytest.approx(0.02 + noise / abs(predicted), rel=1e-6)
+        assert model.share < APPROACH_SHORT
+
+    @pytest.mark.parametrize("gain,pulses", [(AGREE_MAX * 1.1, 100), (AGREE_MIN * 0.9, 100),
+                                             (1.0, 2)])
+    def test_a_disagreeing_or_uninformative_move_learns_nothing(self, gain, pulses):
+        model, _ = judged(gain, pulses)
+        assert (model.trusted, model.gain, model.share) == (False, 1.0, APPROACH_SHORT)
+
+    @pytest.mark.parametrize("f_r_err", [5.0, 20.0])
+    def test_a_readings_sigma_sizes_the_radius(self, f_r_err):
+        model = belief()
+        f_belief = model.frequency(model.height)
+        fit = reading(f_belief + 1e3, f_r_err, (3.1e4, 4e5, -0.1))
+        model.update(fit, f_belief)
+        assert model.radius == informative_size(600 * UM, f_r_err)
+        assert model.offset == 1e3 and model.shape == (3.1e4, 4e5, -0.1)
+        assert model.last == (f_belief, fit)
+        model.update(reading(f_belief, math.nan), f_belief)
+        assert model.radius == 1
+
+    def test_a_clamped_move_leaves_nothing_to_judge(self):
+        model, _ = judged(1.0, clamped=True)
+        assert (model.trusted, model.gain) == (False, 1.0)
+        assert judged(1.0)[0].trusted
+        model.moved(-1, 10**7, clamped=True)
+        assert model.height == model.pin.d_min
+
+    def test_aim_is_capped_by_the_radius(self):
+        model = belief()
+        f_belief = model.frequency(model.height)
+        model.update(reading(f_belief), f_belief)
+        assert model.aim(1e6, f_belief, 2e3) == model.radius > 1
+        assert model.aim(-1.0, f_belief, 2e3) == 1  # at least one pulse
+
+    @pytest.mark.parametrize("tols,kept", [(1.9, False), (2.5, True)])
+    def test_aim_drops_a_shortfall_within_two_tolerances(self, tols, kept):
+        model = belief()
+        f_belief = model.frequency(model.height)
+        model.update(reading(f_belief), f_belief)
+        model.radius, tol = RADIUS_MAX, 2e3
+        err = tols * tol / APPROACH_SHORT  # a shortfall of `tols` tolerances
+        aimed = err - APPROACH_SHORT * err if kept else err
+        expected = abs(model.height_for(f_belief - aimed) - model.height) / model.step_length
+        assert model.aim(err, f_belief, tol) == round(expected) > 100
+
+    def test_a_session_leaves_the_callers_model_as_it_was(self):
+        plant, stage, model = mismatched(lam_factor=0.9)
+        first = tune_to_target(plant, replace(stage), ControllerConfig(), model)
+        assert first.outcome == "Converged" and len(first.steps) > 2
+        assert math.isnan(model.height) and model.last is None
+        assert (model.radius, model.trusted, model.offset, model.gain) == (1, False, 0.0, 1.0)
+        second = tune_to_target(plant, replace(stage), ControllerConfig(), model)
+        assert json.dumps([asdict(s) for s in first.steps]) == json.dumps(
+            [asdict(s) for s in second.steps])
 
 
 def mismatched(lam_factor=1.0, step_nm=60.0, backlash_nm=0.0, start_um=300.0):
@@ -853,8 +952,6 @@ API_GUARDS = {
     "capacitance inductance": (lambda: capacitance_for_frequency(F_BASELINE, 0.0), DomainError,
                                "inductance must be > 0"),
     "screened L0": (lambda: screened_inductance(0.0, 0.0), DomainError, "L0 must be > 0"),
-    "s21 Q": (lambda: s21_power(F_BASELINE, F_BASELINE, 0.0, 5e5), DomainError,
-              "quality factors must be > 0"),
     "loaded Q": (lambda: loaded_q(0.0, 5e5), DomainError, "quality factors must be > 0"),
     "internal Q": (lambda: internal_q(0.0, 5e5), DomainError, "quality factors must be > 0"),
     "photon Q": (lambda: photon_number(-131.0, F_BASELINE, 0.0, 5e5), DomainError,

@@ -65,3 +65,29 @@ def test_session_is_bit_identical(key):
     text = json.dumps(pio.to_jsonable(session), sort_keys=True)
     assert (session.outcome, len(session.steps), session.total_pulses,
             hashlib.sha256(text.encode()).hexdigest()) == SESSIONS[key]
+
+
+# The noiseless grid of tools/probe_sessions.py: the default (noise-free)
+# config, one session per case and start height (300, then 600 um), the
+# matched case first and then the 17 mismatches in this order.  The first 16
+# hex digits of the digest are the probe's `logs` digest.
+GRID_CASES = [(1.0, 60.0, 0.0)] + [
+    (lam, step, back) for lam in (0.9, 1.0, 1.1) for step in (54.0, 60.0, 66.0)
+    for back in (0.0, 5.0) if (lam, step, back) != (1.0, 60.0, 0.0)
+]
+GRID_LOGS = "d85b3c3caaa95116cb877e087ee6e9c64949160c4ae6c93abe5dff8917e90256"
+
+
+def test_noiseless_grid_is_bit_identical():
+    cfg = config.from_dict({})
+    believed = cfg.plant()
+    logs = hashlib.sha256()
+    for lam, step_nm, backlash_nm in GRID_CASES:
+        for start_um in (300, 600):
+            stage = replace(cfg.stage, position=start_um * 1e-6)
+            model = ControllerModel.of(believed, stage)
+            plant = replace(believed, pin=replace(believed.pin, lam=believed.pin.lam * lam))
+            stage = replace(stage, step_size=step_nm * 1e-9, backlash=backlash_nm * 1e-9)
+            session = tune_to_target(plant, stage, cfg.controller, model)
+            logs.update(json.dumps(pio.to_jsonable(session), sort_keys=True).encode() + b"\n")
+    assert logs.hexdigest() == GRID_LOGS

@@ -3,9 +3,11 @@ what a change to the controller does to its outcomes and measurement counts.
 
 Each probe prints one line: its sessions per outcome, the false `Converged`
 (a `Converged` session whose twin's true f_r at the final pin height is
-outside the tolerance), the total and largest number of measurements, the
-total Gauss-Newton iterations of the readings' fits (`fit_iterations`), and
-two sha256 digests (first 16 hex digits) over its sessions in order:
+outside the tolerance), the total, median, 90th-percentile and largest number
+of measurements per session, the total Gauss-Newton iterations of the
+readings' fits (`fit_iterations`), its `Aborted` sessions counted by the note
+of their last step, and two sha256 digests (first 16 hex digits) over its
+sessions in order:
 `outcomes` of each session's outcome and measurement count, `logs` of its
 result JSON as `pintune tune` writes it.  A change that keeps every outcome
 and session length keeps `outcomes`; one that keeps every logged field keeps
@@ -29,6 +31,12 @@ The probes, all on the package's default config unless stated:
       k = -2..11, where f_high is the true f_r at closest approach, from 45,
       120 and 400 um: noise-free; at the benchmark noise with seeds
       4000-4009; and the same with a 66-nm plant step against 60 believed.
+  wide, wide_noisy  400 plants well outside the mismatch grid, with
+      `max_steps` 200: noise-free, and at the benchmark noise with seeds
+      SeedSequence([191, i]).  Case i draws, from np.random.default_rng([191])
+      in turn, the decay-length factor from U(0.6, 1.6), the plant step from
+      U(40, 90) nm and, when (i // 4) % 2 is 1, the backlash from U(0, 20) nm
+      (0 otherwise); it starts from (150, 300, 600, 900)[i % 4] um.
   recipe (only with --recipe)  the benchmark noise, 10,000 sessions from 300
       um with noise seeds SeedSequence([21, 1, i]) and 10,000 from 600 um
       with SeedSequence([22, 1, i]).
@@ -38,7 +46,8 @@ Usage, from the repository root:
 --each also prints one line per session (probe, index, outcome,
 measurements, false), for a diff between two trees.  It runs the pintune of
 its own tree (the src/ beside tools/) and needs numpy.  Without --recipe
-the probes take about a minute on one core, the recipe about another.
+the probes take about 2.5 minutes on one core (the two wide probes 1.5 of
+them), the recipe about another 1.3.
 """
 
 import argparse
@@ -124,6 +133,16 @@ def near_top(overrides, seeds, step_nm=60.0):
                 yield run(cfg, height, seed, (1.0, step_nm, 0.0), f_high - k * 700.0)
 
 
+def wide(overrides, noisy):
+    cfg = config.from_dict({**overrides, "controller": {"max_steps": 200}})
+    rng = np.random.default_rng([191])
+    for i in range(400):
+        lam, step_nm = rng.uniform(0.6, 1.6), rng.uniform(40.0, 90.0)
+        backlash_nm = rng.uniform(0.0, 20.0) if (i // 4) % 2 else 0.0
+        seed = seed_of(191, i) if noisy else None
+        yield run(cfg, (150, 300, 600, 900)[i % 4], seed, (lam, step_nm, backlash_nm))
+
+
 PROBES = {
     "matched_300": lambda: matched(300),
     "matched_600": lambda: matched(600),
@@ -133,6 +152,8 @@ PROBES = {
     "near_top": lambda: near_top({}, [None]),
     "near_top_noisy": lambda: near_top(NOISY, range(4000, 4010)),
     "near_top_66nm": lambda: near_top(NOISY, range(4000, 4010), 66.0),
+    "wide": lambda: wide({}, False),
+    "wide_noisy": lambda: wide(NOISY, True),
     "recipe": lambda: tune_sessions(NOISY, 21, 10_000),
 }
 
@@ -145,10 +166,12 @@ def is_false(session, plant, stage):
 def probe(name, each=False):
     """Run one probe; returns its one-line tally."""
     outcomes, logs = hashlib.sha256(), hashlib.sha256()
-    tally, false, lengths, iterations = Counter(), 0, [], 0
+    tally, aborted, false, lengths, iterations = Counter(), Counter(), 0, [], 0
     for i, (session, plant, stage) in enumerate(PROBES[name]()):
         n, wrong = len(session.steps), is_false(session, plant, stage)
         tally[session.outcome] += 1
+        if session.outcome == "Aborted":
+            aborted[session.steps[-1].note] += 1
         false += wrong
         lengths.append(n)
         iterations += sum(step.fit_iterations for step in session.steps)
@@ -157,8 +180,11 @@ def probe(name, each=False):
         if each:
             print(f"{name} {i} {session.outcome} {n} {'false' if wrong else 'true'}")
     counts = " ".join(f"{o} {tally[o]}" for o in OUTCOMES)
+    p50, p90 = np.percentile(lengths, [50, 90])
+    notes = "; ".join(f"{note} {n}" for note, n in sorted(aborted.items())) or "none"
     return (f"{name}: sessions {len(lengths)}, {counts}, false {false}, "
-            f"measurements {sum(lengths)} (max {max(lengths)}), fit_iterations {iterations}, "
+            f"measurements {sum(lengths)} (median {p50:g}, p90 {p90:g}, max {max(lengths)}), "
+            f"fit_iterations {iterations}, aborted by note ({notes}), "
             f"outcomes {outcomes.hexdigest()[:16]}, logs {logs.hexdigest()[:16]}")
 
 
