@@ -93,10 +93,15 @@ def median(x):
     (np.median's own would load numpy.ma).  One kth per partition (two kths
     take numpy's slower path); the lower middle value of an even count is the
     max of the part below, the same value."""
+    return _median_in_place(x.copy())
+
+
+def _median_in_place(x):
+    # median(x), partially sorting the scratch array x itself.
     m = x.size // 2
-    part = np.partition(x, m)
-    mid = float(part[m])
-    return mid if x.size % 2 else (float(part[:m].max()) + mid) / 2
+    x.partition(m)
+    mid = float(x[m])
+    return mid if x.size % 2 else (float(x[:m].max()) + mid) / 2
 
 
 def _baseline_and_noise(y):
@@ -111,7 +116,8 @@ def _baseline_and_noise(y):
     part = np.partition(y, k)
     a, b = float(part[k]), float(part[k + 1:].min())
     baseline = b - (b - a) * (1 - w) if w >= 0.5 else a + (b - a) * w
-    noise = 1.4826 * median(np.abs(np.diff(y))) / math.sqrt(2.0)
+    steps = np.diff(y)
+    noise = 1.4826 * _median_in_place(np.abs(steps, out=steps)) / math.sqrt(2.0)
     return baseline, noise
 
 

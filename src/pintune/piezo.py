@@ -201,7 +201,8 @@ class Plant:
     def sweep(self, sweep, d, iteration, timestamp):
         """The trace of one sweep at pin height d; iteration k draws its own
         noise seed."""
-        noise = replace(self.noise, seed=self.noise.seed + iteration)
+        noise = NoiseModel(self.noise.sigma_rel, self.noise.vib_amplitude,
+                           self.noise.seed + iteration)
         return synthesize_sweep(sweep, self.params, self.state_at(d), self.pin,
                                 noise, timestamp=timestamp)
 

@@ -54,7 +54,12 @@ class SweepConfig:
 class SweepTrace:
     """One measured or synthesized sweep: frequency axis (Hz, strictly
     increasing), power ratio P_out/P_in, input power, and the logical time
-    offset from session start."""
+    offset from session start.
+
+    The constructor checks every invariant: equal shapes, at least 2 points,
+    finite values, a positive strictly increasing axis and a ratio >= 0.
+    `synthesize_sweep` holds all but finiteness by construction and builds
+    its trace without them."""
 
     frequencies: np.ndarray
     power_ratio: np.ndarray
@@ -90,10 +95,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_rel < 0:
-            raise DomainError("NoiseModel.sigma_rel must be >= 0")
-        if self.vib_amplitude < 0:
-            raise DomainError("NoiseModel.vib_amplitude must be >= 0")
+        if not 0 <= self.sigma_rel < math.inf:
+            raise DomainError("NoiseModel.sigma_rel must be >= 0 and finite")
+        if not 0 <= self.vib_amplitude < math.inf:
+            raise DomainError("NoiseModel.vib_amplitude must be >= 0 and finite")
 
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
@@ -141,25 +146,40 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
     |df/dd| * vib_amplitude.  Multiplicative Gaussian noise sigma_rel is then
     applied to the power ratio.  Deterministic for a fixed seed (Philox,
     vectorized draws).
+
+    The trace skips `SweepTrace`'s checks that hold by construction: the
+    axis is `config`'s linspace (2 or more points, positive, finite and
+    strictly increasing, as `SweepConfig` ensures) and the clip keeps the
+    ratio >= 0.  Only a ratio made non-finite by the noise model (an
+    overflowing sigma_rel or jitter) is checked; it raises DomainError.
     """
     f_r = tuned_frequency(params, state, pin)
     q_l = loaded_q(params.Qi0, params.Qe)
     f = np.linspace(config.f_start, config.f_stop, config.n_points)
 
     jitter_amp = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
-    if jitter_amp > 0 or noise.sigma_rel > 0:
+    if jitter_amp != 0 or noise.sigma_rel > 0:  # a nan jitter_amp fails the finite check below
         rng = np.random.Generator(np.random.Philox(noise.seed))
-        phase = rng.uniform(0.0, 2.0 * math.pi, config.n_points)
-        gauss = rng.standard_normal(config.n_points)
+        centre = rng.uniform(0.0, 2.0 * math.pi, config.n_points)
+        gain = rng.standard_normal(config.n_points)
+        # Per-point resonance displacement: each point sees its own jittered
+        # f_r, f_r + jitter_amp sin(phase), formed in the draws' own arrays.
+        np.sin(centre, out=centre)
+        centre *= jitter_amp
+        centre += f_r
+        ratio = notch_response(f, centre, q_l, params.Qe, params.phi)[0]
+        gain *= noise.sigma_rel
+        gain += 1.0
+        ratio *= gain
     else:
-        phase = np.zeros(config.n_points)
-        gauss = np.zeros(config.n_points)
-
-    # Per-point resonance displacement: each point sees its own jittered f_r.
-    ratio = notch_response(f, f_r + jitter_amp * np.sin(phase), q_l, params.Qe, params.phi)[0]
-    ratio *= 1.0 + noise.sigma_rel * gauss
-    np.clip(ratio, 0.0, None, out=ratio)
-    return SweepTrace(f, ratio, config.p_in_dbm, timestamp=timestamp)
+        ratio = notch_response(f, f_r, q_l, params.Qe, params.phi)[0]
+    np.clip(ratio, 0.0, None, out=ratio)  # +0.0 for -0.0, which np.maximum may keep
+    if not np.isfinite(ratio).all():
+        raise DomainError("SweepTrace values must be finite")
+    trace = object.__new__(SweepTrace)
+    trace.frequencies, trace.power_ratio, trace.p_in_dbm, trace.timestamp = (
+        f, ratio, config.p_in_dbm, timestamp)
+    return trace
 
 
 def _stored_energy_factor(p_in_dbm, f_r, q_l, q_e):

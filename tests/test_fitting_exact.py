@@ -292,6 +292,26 @@ def golden_trace(case, digest):
     return trace
 
 
+# A trace of the tune loop's kind: the benchmark noise (sigma_rel 0.005) on a
+# pin vibrating by 0.1 um at 154 um, near the f_Rb target, where the slope
+# makes a jitter of about 5.7 kHz.  The traces above all sit at d = 0.05 m,
+# where the jitter is 0, so this digest is the one that pins the jittered
+# synthesis: (pin height, points, span, sigma_rel, vibration, noise seed).
+VIBRATING_PIN_TRACE = ((154e-6, 1201, 6e6, 0.005, 0.1e-6, 2718), "799954cc6c2f08d4")
+
+
+def test_vibrating_pin_trace_golden():
+    (d, n, span, sigma_rel, vib, seed), digest = VIBRATING_PIN_TRACE
+    params = ResonatorParams.at(6.8278e9, 35000.0, 5e5, phi=0.2)
+    state = TuningState(d=d)
+    f_true = tuned_frequency(params, state, PIN)
+    sweep = SweepConfig(f_true - span / 2, f_true + span / 2, n, -131.0)
+    trace = synthesize_sweep(sweep, params, state, PIN, NoiseModel(sigma_rel, vib, seed))
+    assert hashlib.sha256(trace.power_ratio.tobytes()).hexdigest()[:16] == digest
+    still = synthesize_sweep(sweep, params, state, PIN, NoiseModel(sigma_rel, 0.0, seed))
+    assert not np.array_equal(trace.power_ratio, still.power_ratio)
+
+
 def fingerprint(res):
     return tuple(float(v).hex() for v in (res.f_r, res.q_l, res.q_e, res.phi, res.rms_residual,
                                           res.f_r_err, res.q_l_err, res.q_e_err, res.phi_err))

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pintune.errors import DomainError, NonPhysicalFit
 from pintune.resonator import (
+    PinCouplingModel,
     ResonatorParams,
     TuningState,
     calibrate_pin_model,
     capacitance_for_frequency,
     frequency_slope,
+    tuned_frequency,
 )
 from pintune.transmission import (
     NoiseModel,
@@ -128,8 +130,6 @@ class TestSynthesizeSweep:
     def test_zero_noise_matches_lineshape(self):
         params, pin = paper_plant()
         state = TuningState(d=200e-6)
-        from pintune.resonator import tuned_frequency
-
         f_r = tuned_frequency(params, state, pin)
         cfg = self.sweep(f_r)
         tr = synthesize_sweep(cfg, params, state, pin, NoiseModel(0.0, 0.0, 99))
@@ -157,6 +157,47 @@ class TestSynthesizeSweep:
         assert jitter == pytest.approx(101.5e3, rel=0.02)
         lw = 6.8454e9 / loaded_q(35000, 5e5)
         assert lw == pytest.approx(209e3, rel=0.01)
+
+    @given(span=st.floats(1e3, 1e9), n=st.integers(2, 3000),
+           sigma_rel=st.just(0.0) | st.floats(1e-6, 10.0),
+           vib=st.just(0.0) | st.floats(1e-12, 1e-5),
+           seed=st.integers(0, 2**64 - 1))
+    @example(span=6e6, n=1201, sigma_rel=0.0, vib=0.0, seed=0)  # noise-free
+    @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.0, seed=1)  # noise only
+    @example(span=6e6, n=1201, sigma_rel=0.0, vib=0.1e-6, seed=2)  # vibration only
+    def test_synthesized_trace_passes_the_constructor_checks(self, span, n, sigma_rel, vib, seed):
+        # synthesize_sweep skips SweepTrace's checks that hold by construction.
+        params, pin = paper_plant()
+        state = TuningState(d=154e-6)
+        f_r = tuned_frequency(params, state, pin)
+        t = synthesize_sweep(SweepConfig(f_r - span / 2, f_r + span / 2, n, -131.0),
+                             params, state, pin, NoiseModel(sigma_rel, vib, seed), timestamp=7.0)
+        SweepTrace(t.frequencies, t.power_ratio, t.p_in_dbm, t.timestamp)
+        assert t.frequencies.dtype == t.power_ratio.dtype == np.float64
+
+    @pytest.mark.parametrize("sigma_rel,vib,lam", [
+        (1e308, 0.0, None),  # the noise factor overflows
+        (0.0, 1e300, None),  # the jitter amplitude overflows
+        (0.0, 0.0, 1e-320),  # the slope overflows: jitter 0 * inf is nan
+    ])
+    def test_an_overflowing_noise_model_is_refused(self, sigma_rel, vib, lam):
+        params, pin = paper_plant()
+        if lam is not None:
+            pin = PinCouplingModel(0.5, lam, pin.d_min)
+        state = TuningState(d=pin.d_min)
+        f_r = tuned_frequency(params, state, pin)
+        sweep = SweepConfig(f_r - 1e6, f_r + 1e6, 101, -131.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match="SweepTrace values must be finite"):
+            synthesize_sweep(sweep, params, state, pin, NoiseModel(sigma_rel, vib, 5))
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["sigma_rel", "vib_amplitude"])
+    def test_non_finite_is_refused_naming_the_field(self, name, value):
+        with pytest.raises(DomainError, match=f"NoiseModel.{name} must be >= 0 and finite"):
+            NoiseModel(**{name: value})
 
 
 class TestPhotonNumber:
