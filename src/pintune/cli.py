@@ -16,9 +16,8 @@ Aborted (a reading whose fit failed twice).
 import argparse
 import sys
 
-import numpy as np
-
 from . import io as pio
+from ._lazy import numpy as np
 from .config import FIELDS, GHz, check, from_dict, load_config, read_field
 from .errors import (
     CalibrationError,

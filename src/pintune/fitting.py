@@ -48,8 +48,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import ConvergenceFailure, NonPhysicalFit, NoResonance
 from .transmission import internal_q, notch_response
 

@@ -14,9 +14,8 @@ import dataclasses
 import json
 import math
 
-import numpy as np
-
 from . import __version__
+from ._lazy import numpy as np
 from .errors import DomainError, ValidationError
 from .stability import FrequencyTimeSeries
 from .transmission import SweepTrace
@@ -170,13 +169,11 @@ def write_result_json(path, command, payload, config=None, seed=None):
 
 
 def to_jsonable(obj):
-    """Dataclasses / numpy values -> plain JSON types."""
+    """Dataclasses / numpy values -> plain JSON types, NaN and infinities -> null."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python values
+        return to_jsonable(obj.tolist())
     if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
         return None  # JSON has no NaN/Inf
     if isinstance(obj, dict):

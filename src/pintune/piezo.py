@@ -29,7 +29,6 @@ retry of a failed fit starts from its own guess."""
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List
 
 from .errors import (
     ConvergenceFailure,
@@ -324,7 +323,7 @@ class TuningSession:
                                            # StepBudgetExhausted | Aborted
     final_error_hz: float = float("nan")
     total_pulses: int = 0
-    steps: List[TuningStep] = field(default_factory=list)
+    steps: list[TuningStep] = field(default_factory=list)
 
 
 def _measure(plant, stage, cfg, f_center, iteration, shape):

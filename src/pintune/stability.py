@@ -8,11 +8,12 @@ A spectral peak finder flags periodic modulation (pin vibration shows up as a
 few-kHz oscillation in the transmitted signal).
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import DomainError, PintuneError
 from .fitting import median
 

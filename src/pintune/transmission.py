@@ -12,11 +12,12 @@ mechanical vibration of the tuning pin), and does the power-chain / photon
 bookkeeping.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import DomainError, NonPhysicalFit
 from .resonator import frequency_slope, tuned_frequency
 

@@ -26,9 +26,10 @@ def run(argv):
 
 
 def child_env():
-    """The environment for a child interpreter that imports pintune from src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    """The environment for a child interpreter that imports the pintune this
+    process imported: src/ in the tier-1 run, site-packages when installed."""
+    root = str(Path(pintune.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -395,6 +396,22 @@ def test_numpy_scalars_become_plain_numbers():
     assert [type(v) for v in values] == [int, float]
 
 
+def test_result_json_is_strict_json_for_every_numpy_value(tmp_path):
+    payload = {"flag": np.bool_(True), "count": np.int64(3), "single": np.float32(0.5),
+               "nan": np.float64("nan"), "inf": np.float64("inf"),
+               "grid": np.array([[1.0, np.nan], [2.0, 3.0]])}
+    path = tmp_path / "r.json"
+    pio.write_result_json(path, "fit", payload)
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    result = json.loads(path.read_text(), parse_constant=refuse)["result"]
+    assert result == {"flag": True, "count": 3, "single": 0.5, "nan": None, "inf": None,
+                      "grid": [[1.0, None], [2.0, 3.0]]}
+    assert [type(result[k]) for k in ("flag", "count", "single")] == [bool, int, float]
+
+
 class TestSimulateCommand:
     def test_default_run(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -736,6 +753,40 @@ def test_drift_leaves_numpy_ma_out(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
                          check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+# Runs main on the arguments in a fresh interpreter, then prints its exit code
+# and whether numpy was executed.  The module is registered under "numpy" from
+# pintune's import on; executing it imports numpy's own submodules.
+NUMPY_PROBE = """import sys
+from pintune.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, any(name.startswith("numpy.") for name in sys.modules))"""
+
+
+@pytest.mark.parametrize("case, code, loads", [
+    ("calibrate", 0, False),
+    ("calibrate_inverted", 2, False),
+    ("help", 0, False),
+    ("tune_bad_config", 2, False),
+    ("fit", 0, True),
+])
+def test_numpy_loads_on_first_use(tmp_path, case, code, loads):
+    argv = {
+        "calibrate": calibrate_argv(),
+        "calibrate_inverted": calibrate_argv(f_baseline_ghz=6.8454, f_closest_ghz=6.8278),
+        "help": ["--help"],
+        "tune_bad_config": ["tune", "--config", write_config(tmp_path, {"controller": {"sweep_points": 3}})],
+        "fit": ["fit", tmp_path / "trace.csv"],
+    }[case]
+    if case == "fit":
+        assert run(["simulate", "--out", tmp_path / "trace.csv"]) == 0
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"{code} {loads}"
 
 
 def test_cli_import_leaves_scipy_out():
