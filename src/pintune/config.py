@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CalibrationError, DomainError, ValidationError
 from .fitting import MIN_POINTS
-from .piezo import F_RB, RETRY_WIDEN, ControllerConfig, PiezoStage, Plant
+from .piezo import F_RB, ControllerConfig, PiezoStage, Plant, reading_sweeps
 from .resonator import (
     PinCouplingModel,
     ResonatorParams,
@@ -24,7 +24,7 @@ from .resonator import (
     calibrate_pin_model,
     tuned_frequency,
 )
-from .transmission import NoiseModel, SweepConfig
+from .transmission import NoiseModel
 
 # Lab units in SI: config fields and CLI flags are given in them, and every
 # model object takes SI (Hz, m, F; power in dBm).
@@ -181,16 +181,6 @@ def from_dict(user_doc=None):
     except (ArithmeticError, DomainError) as exc:
         raise ValidationError(
             f"resonator: no finite resonance with this calibration ({exc})") from None
-    for f in ends:  # the controller's sweep and its wider retry, centred on each end
-        for widen in (1.0, RETRY_WIDEN):
-            span = v["controller", "sweep_span_mhz"] * widen
-            lo, hi = f - span / 2, f + span / 2
-            what = "sweep" if widen == 1.0 else f"{widen:g}x wider retry sweep"
-            try:
-                SweepConfig(lo, hi, v["controller", "sweep_points"], v["sweep", "p_in_dbm"])
-            except DomainError as exc:
-                raise ValidationError(f"controller.sweep_span_mhz: the {what} runs from "
-                                      f"{lo:.6g} to {hi:.6g} Hz; {exc}") from None
 
     noise = build("noise", NoiseModel)
     sweep = build("sweep", SweepDefaults)
@@ -199,6 +189,11 @@ def from_dict(user_doc=None):
         raise ValidationError("stage.voltage_v: below stage.min_voltage_v")
     controller = build("controller", ControllerConfig,
                        p_in_dbm=sweep.p_in_dbm, duration_s=v["sweep", "duration_s"])
+    for f in ends:  # every sweep of a reading centred on each end of the band
+        try:
+            list(reading_sweeps(controller, f))
+        except DomainError as exc:
+            raise ValidationError(f"controller.sweep_span_mhz: {exc}") from None
 
     return ExperimentConfig(
         params=params,

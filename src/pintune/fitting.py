@@ -180,11 +180,10 @@ def _workspace(n):
     return _Workspace(*rows[:5], rows[5:].T)
 
 
-def _residual(theta, f, y, ws=None):
+def _residual(theta, f, y, ws):
     """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
-    the lineshape terms (Q_L, u, D, m) that _jacobian reuses.  They are
-    written into ws, or into fresh arrays without one."""
-    ws = ws or _workspace(f.size)
+    the lineshape terms (Q_L, u, D, m) that _jacobian reuses, written into
+    the workspace ws."""
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
     r, u, d, m = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=(ws.r, ws.u, ws.d, ws.m))
@@ -192,10 +191,9 @@ def _residual(theta, f, y, ws=None):
     return r, (q_l, u, d, m)
 
 
-def _jacobian(theta, f, terms, ws=None):
+def _jacobian(theta, terms, ws):
     """d r / d theta at the point whose _residual returned terms, by the
-    module docstring's closed forms, into ws or into fresh arrays."""
-    ws = ws or _workspace(f.size)
+    module docstring's closed forms, into the workspace ws."""
     q_l, u, d, m = terms
     f_r, _, lqe, phi = theta
     a = q_l / math.exp(lqe)
@@ -300,7 +298,7 @@ def _fit(f, y, theta):
     # One set of buffers: a trial overwrites the current point's spent terms.
     ws = _workspace(f.size)
     r, terms = _residual(theta, f, y, ws)
-    jac = _jacobian(theta, f, terms, ws)
+    jac = _jacobian(theta, terms, ws)
     h, g = jac.T @ jac, jac.T @ r
     cost = float(r @ r)
     lam = DAMPING_START
@@ -333,7 +331,7 @@ def _fit(f, y, theta):
             )
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             theta, r, cost = theta_new, r_new, cost_new
-            jac = _jacobian(theta, f, terms, ws)
+            jac = _jacobian(theta, terms, ws)
             h, g = jac.T @ jac, jac.T @ r
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL:

@@ -14,12 +14,16 @@ it.  The aim puts the belief's df at the measured error over the gain the
 last informative move measured (its measured over its believed df; 1 until
 such a move agrees), through the closed-form inverse of the coupling map, and
 stops short by |gain - 1| plus that move's agreement noise over its predicted
-df, at most APPROACH_SHORT of the error, so the approach stays on one side:
-the one-sample certainty-equivalence step of Astrom & Wittenmark, Adaptive
-Control, 2nd ed. (1995), ch. 2-3.  Until a move has measured the gain, each
-move is a probe: at most the pulses whose believed df clears
-INFORMATIVE_BANDS noise bands of its reading (at least one).  After that
-only RADIUS_MAX caps a move.
+df, at most APPROACH_SHORT of the error: the one-sample certainty-equivalence
+step of Astrom & Wittenmark, Adaptive Control, 2nd ed. (1995), ch. 2-3.  A
+move stays on its side while its own gain is below the gain it was aimed
+with over (1 - that shortfall): on the matched plant, and for moves short
+against the pin's decay length.  Under a step or decay-length mismatch a
+long move's gain outgrows a short one's on the exponential coupling, and it
+may cross the target, but never lands farther from it than it started (see
+INFORMATIVE_BANDS).  Until a move has measured the gain, each move is a
+probe: at most the pulses whose believed df clears INFORMATIVE_BANDS noise
+bands of its reading (at least one).  After that only RADIUS_MAX caps a move.
 
 The pin only screens the inductance, so Q_L, Q_e and phi do not change with
 its height: each reading's fit starts from the lineshape the session already
@@ -68,8 +72,9 @@ AGREE_SIGMA = 3.0
 # reach.
 RADIUS_MAX = 16384
 # A move aims at most this share of the measured error short of the target,
-# so the approach stays on one side under a step or slope the belief
-# underrates.  Once an informative move has measured the gain, the share is
+# so it stays on its side unless its own gain outgrows the measured one by
+# more than 1 / (1 - share), as a long move's may under a step or decay-length
+# mismatch.  Once an informative move has measured the gain, the share is
 # what that gain may still be off: its distance from 1 plus the move's
 # agreement noise over its predicted df.  A shortfall within two tolerances
 # (about one step) buys nothing and is dropped.
@@ -326,19 +331,26 @@ class TuningSession:
     steps: list[TuningStep] = field(default_factory=list)
 
 
-def _measure(plant, stage, cfg, f_center, iteration, shape):
-    """One sweep-and-fit around f_center, its fit started from the lineshape
-    shape = (Q_L, Q_e, phi) at f_center.  Retries once with a RETRY_WIDEN
-    times wider span, fit from its own guess, before giving up."""
-    last_exc = None
-    for widen, start in ((1.0, InitialGuess(f_center, *shape)), (RETRY_WIDEN, None)):
+def reading_sweeps(cfg, f_center):
+    """The sweeps of one reading around f_center, each built when asked for:
+    cfg.sweep_span, then a failed fit's retry over RETRY_WIDEN times it.  One
+    that SweepConfig refuses raises DomainError naming it and its ends."""
+    for widen in (1.0, RETRY_WIDEN):
         span = cfg.sweep_span * widen
-        sweep = SweepConfig(
-            f_start=f_center - span / 2.0,
-            f_stop=f_center + span / 2.0,
-            n_points=cfg.sweep_points,
-            p_in_dbm=cfg.p_in_dbm,
-        )
+        lo, hi = f_center - span / 2.0, f_center + span / 2.0
+        try:
+            sweep = SweepConfig(lo, hi, cfg.sweep_points, cfg.p_in_dbm)
+        except DomainError as exc:
+            what = "sweep" if widen == 1.0 else f"{widen:g}x wider retry sweep"
+            raise DomainError(f"the {what} runs from {lo:.6g} to {hi:.6g} Hz; {exc}") from None
+        yield sweep
+
+
+def _measure(plant, stage, cfg, f_center, iteration, shape):
+    """One reading around f_center: the first sweep's fit starts from shape =
+    (Q_L, Q_e, phi) at f_center, the retry's from its own guess."""
+    last_exc = None
+    for sweep, start in zip(reading_sweeps(cfg, f_center), (InitialGuess(f_center, *shape), None)):
         trace = plant.sweep(sweep, stage.position, iteration, iteration * cfg.duration_s)
         try:
             return fit_resonance(trace, start)

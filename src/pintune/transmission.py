@@ -25,11 +25,6 @@ HBAR = 1.054571817e-34  # J s
 U_CLAMP = 1e150  # past it |m| < 3a/|u| + (a/u)**2, and S is 1 exactly for a < 1e70
 
 
-def dbm_to_watts(p_dbm):
-    """Exact dBm -> W conversion, P_W = 10**((dBm - 30)/10)."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Frequency sweep settings: span [f_start, f_stop] in Hz, point count,
@@ -185,9 +180,9 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
 
 def _stored_energy_factor(p_in_dbm, f_r, q_l, q_e):
     # (Q_L^2/Q_e) * P_in / (hbar * omega_r^2), the convention-free part of
-    # the photon number.
+    # the photon number, with P_in = 10**((dBm - 30)/10) W.
     omega = 2.0 * math.pi * f_r
-    return (q_l * q_l / q_e) * dbm_to_watts(p_in_dbm) / (HBAR * omega * omega)
+    return (q_l * q_l / q_e) * 10.0 ** ((p_in_dbm - 30.0) / 10.0) / (HBAR * omega * omega)
 
 
 # kappa is fixed so that -131 dBm at 6.828 GHz with Q_L = 32,710 and

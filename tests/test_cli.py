@@ -123,6 +123,12 @@ class TestConfig:
             ({"resonator": {"f_baseline_ghz": 2e144},
               "calibration": {"f_baseline_ghz": 1, "f_closest_ghz": 1e8}},
              "resonator: no finite resonance with this calibration (float division by zero)"),
+            # Objects are built in FIELDS order, and the controller's sweeps are
+            # checked once it is built: an earlier section's fault comes first.
+            ({"noise": {"sigma_rel": -1}, "controller": {"sweep_span_mhz": 3500}},
+             "noise: NoiseModel.sigma_rel must be >= 0 and finite"),
+            ({"stage": {"voltage_v": 20}, "controller": {"sweep_span_mhz": 3500}},
+             "stage.voltage_v: below stage.min_voltage_v"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -586,6 +592,26 @@ class TestTuneCommand:
         assert run(["tune", "--config", cfg, "--out", tmp_path / "session.json"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "session.json").exists()
+
+    def test_the_load_check_and_the_session_share_one_retry(self, monkeypatch):
+        # A span whose 4x retry fits the float range but whose 8x one does not.
+        monkeypatch.setattr(piezo, "RETRY_WIDEN", 8.0)
+        with pytest.raises(ValidationError) as err:
+            from_dict({"controller": {"sweep_span_mhz": 2000}})
+        assert str(err.value) == (
+            "controller.sweep_span_mhz: the 8x wider retry sweep runs from -1.1546e+09 to "
+            "1.48454e+10 Hz; SweepConfig needs 0 < f_start < f_stop < inf")
+        spans = []
+
+        def fails_first(trace, start=None):
+            spans.append(trace.frequencies[-1] - trace.frequencies[0])
+            raise NoResonance("no dip")
+
+        monkeypatch.setattr(piezo, "fit_resonance", fails_first)
+        cfg = from_dict({})
+        session = piezo.tune_to_target(cfg.plant(), cfg.stage, cfg.controller)
+        assert session.outcome == "Aborted" and len(spans) == 2
+        assert spans[1] == pytest.approx(8.0 * spans[0])
 
     def test_uncoupled_pin_unreachable(self, tmp_path):
         # Zero tuning range: the model slope is 0, so no pulse moves f_r.

@@ -15,6 +15,7 @@ from pintune.fitting import (
     _jacobian,
     _residual,
     _solve,
+    _workspace,
     fit_resonance,
     initial_guess,
 )
@@ -277,16 +278,17 @@ class TestGradientCheck:
                     rng.uniform(-0.5, 0.5),
                 ]
             )
-            _, terms = _residual(theta, f, y)
-            jac = _jacobian(theta, f, terms)
+            ws = _workspace(f.size)
+            _, terms = _residual(theta, f, y, ws)
+            jac = _jacobian(theta, terms, ws)
             # steps sized for truncation error: f_r varies on the linewidth
             # scale, not its absolute scale
             steps = (10.0, 1e-6, 1e-6, 1e-6)
             for j in range(4):
                 h = np.zeros(4)
                 h[j] = steps[j]
-                rp, _ = _residual(theta + h, f, y)
-                rm, _ = _residual(theta - h, f, y)
+                rp, _ = _residual(theta + h, f, y, _workspace(f.size))
+                rm, _ = _residual(theta - h, f, y, _workspace(f.size))
                 fd = (rp - rm) / (2 * h[j])
                 scale = np.max(np.abs(fd)) + 1e-300
                 assert np.max(np.abs(jac[:, j] - fd)) / scale < 1e-6

@@ -412,8 +412,9 @@ def test_offset_stop_leaves_no_step_beyond_the_noise(regime, f_r, log_q_i, log_q
     if res.stop != "offset":
         return
     theta = (res.f_r, math.log(res.q_l), math.log(res.q_e), res.phi)
-    r, terms = fitting._residual(theta, trace.frequencies, trace.power_ratio)
-    jac = fitting._jacobian(theta, trace.frequencies, terms)
+    ws = fitting._workspace(trace.frequencies.size)
+    r, terms = fitting._residual(theta, trace.frequencies, trace.power_ratio, ws)
+    jac = fitting._jacobian(theta, terms, ws)
     step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
     sigma = np.array([res.f_r_err, res.q_l_err / res.q_l, res.q_e_err / res.q_e, res.phi_err])
     assert np.all(np.abs(step) <= 1e-2 * sigma)
@@ -456,9 +457,9 @@ def test_jacobian_only_at_accepted_points(monkeypatch):
         costs.append(float(out[0] @ out[0]))
         return out
 
-    def counted_jacobian(theta, f, terms, *args):
+    def counted_jacobian(theta, terms, *args):
         jacobians.append(theta)
-        return jacobian(theta, f, terms, *args)
+        return jacobian(theta, terms, *args)
 
     monkeypatch.setattr(fitting, "_residual", counted_residual)
     monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
@@ -572,18 +573,19 @@ def test_a_fit_leaves_no_point_sized_memory_behind():
 
 
 def test_standalone_residuals_do_not_alias():
-    """Without a workspace, _residual and _jacobian return fresh arrays."""
+    """In two workspaces, _residual and _jacobian write separate arrays."""
     case, digest, _, _ = GOLDEN["device-401"]
     trace = golden_trace(case, digest)
     f, y = trace.frequencies, trace.power_ratio
     g = initial_guess(trace)
     theta = np.array([g.f_r, math.log(g.q_l), math.log(g.q_e), g.phi])
-    first, terms = fitting._residual(theta, f, y)
+    ws, ws_other = fitting._workspace(f.size), fitting._workspace(f.size)
+    first, terms = fitting._residual(theta, f, y, ws)
     kept = first.copy()
-    second, other = fitting._residual(theta + [1e3, 0.0, 0.0, 0.1], f, y)
-    arrays = [first, *terms[1:], fitting._jacobian(theta, f, terms)]
+    second, other = fitting._residual(theta + [1e3, 0.0, 0.0, 0.1], f, y, ws_other)
+    arrays = [first, *terms[1:], fitting._jacobian(theta, terms, ws)]
     for a in arrays:
-        for b in [second, *other[1:], fitting._jacobian(theta, f, other)]:
+        for b in [second, *other[1:], fitting._jacobian(theta, other, ws_other)]:
             assert not np.shares_memory(a, b)
     np.testing.assert_array_equal(first, kept)
 
@@ -691,8 +693,9 @@ def test_real_kernel_matches_the_complex_one(f_r, log_q_l, log_coupling, phi, lo
     theta = np.array([f_r, log_q_l * math.log(10), (log_q_l + log_coupling) * math.log(10), phi])
     span = 10**log_span * f_r / math.exp(theta[1])
     f = np.linspace(f_r + (offset - 0.5) * span, f_r + (offset + 0.5) * span, n)
-    s, terms = fitting._residual(theta, f, np.zeros(n))
-    jac = fitting._jacobian(theta, f, terms)
+    ws = fitting._workspace(n)
+    s, terms = fitting._residual(theta, f, np.zeros(n), ws)
+    jac = fitting._jacobian(theta, terms, ws)
     s_ref, jac_ref = reference_notch(theta, f)
     q_l, eps = math.exp(theta[1]), np.finfo(float).eps
     a = q_l / math.exp(theta[2])

@@ -400,6 +400,19 @@ class TestFitFailure:
         assert session.steps[0].pulses == 0 and session.total_pulses == 0
         assert stage.position == 300 * UM
 
+    def test_an_unusable_retry_names_its_sweep(self, monkeypatch):
+        def always_fails(trace, start=None):
+            raise NoResonance("no dip")
+
+        monkeypatch.setattr(piezo, "fit_resonance", always_fails)
+        plant = noiseless_plant()
+        f = plant.true_frequency(300 * UM)  # the first reading's centre
+        with pytest.raises(DomainError) as err:
+            tune_to_target(plant, PiezoStage(position=300 * UM), ControllerConfig(sweep_span=3.5e9))
+        assert str(err.value) == (
+            f"the 4x wider retry sweep runs from {f - 7e9:.6g} to {f + 7e9:.6g} Hz; "
+            "SweepConfig needs 0 < f_start < f_stop < inf")
+
 
 class TestControllerModel:
     @pytest.mark.parametrize("trim", [0.0, -5e6])

@@ -4,8 +4,10 @@ what a change to the controller does to its outcomes and measurement counts.
 Each probe prints one line: its sessions per outcome, the false `Converged`
 (a `Converged` session whose twin's true f_r at the final pin height is
 outside the tolerance), the total, median, 90th-percentile and largest number
-of measurements per session, the total Gauss-Newton iterations of the
-readings' fits (`fit_iterations`), its `Aborted` sessions counted by the note
+of measurements per session, the `retries` (the wider sweeps taken after a
+failed fit: the calls to `pintune.piezo.synthesize_sweep` during the probe
+less its measurements), the total Gauss-Newton iterations of the readings'
+fits (`fit_iterations`), its `Aborted` sessions counted by the note
 of their last step, and two sha256 digests (first 16 hex digits) over its
 sessions in order:
 `outcomes` of each session's outcome and measurement count, `logs` of its
@@ -64,6 +66,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pintune import config  # noqa: E402
 from pintune import io as pio  # noqa: E402
+from pintune import piezo  # noqa: E402
 from pintune.piezo import ControllerModel, tune_to_target  # noqa: E402
 
 NOISY = {"noise": {"sigma_rel": 0.005, "vib_amplitude_um": 0.1}}
@@ -167,24 +170,36 @@ def probe(name, each=False):
     """Run one probe; returns its one-line tally."""
     outcomes, logs = hashlib.sha256(), hashlib.sha256()
     tally, aborted, false, lengths, iterations = Counter(), Counter(), 0, [], 0
-    for i, (session, plant, stage) in enumerate(PROBES[name]()):
-        n, wrong = len(session.steps), is_false(session, plant, stage)
-        tally[session.outcome] += 1
-        if session.outcome == "Aborted":
-            aborted[session.steps[-1].note] += 1
-        false += wrong
-        lengths.append(n)
-        iterations += sum(step.fit_iterations for step in session.steps)
-        outcomes.update(f"{session.outcome} {n}\n".encode())
-        logs.update(json.dumps(pio.to_jsonable(session), sort_keys=True).encode() + b"\n")
-        if each:
-            print(f"{name} {i} {session.outcome} {n} {'false' if wrong else 'true'}")
+    sweeps, synthesize = 0, piezo.synthesize_sweep
+
+    def counted(*args, **kwargs):
+        nonlocal sweeps
+        sweeps += 1
+        return synthesize(*args, **kwargs)
+
+    piezo.synthesize_sweep = counted  # every sweep a session takes
+    try:
+        for i, (session, plant, stage) in enumerate(PROBES[name]()):
+            n, wrong = len(session.steps), is_false(session, plant, stage)
+            tally[session.outcome] += 1
+            if session.outcome == "Aborted":
+                aborted[session.steps[-1].note] += 1
+            false += wrong
+            lengths.append(n)
+            iterations += sum(step.fit_iterations for step in session.steps)
+            outcomes.update(f"{session.outcome} {n}\n".encode())
+            logs.update(json.dumps(pio.to_jsonable(session), sort_keys=True).encode() + b"\n")
+            if each:
+                print(f"{name} {i} {session.outcome} {n} {'false' if wrong else 'true'}")
+    finally:
+        piezo.synthesize_sweep = synthesize
     counts = " ".join(f"{o} {tally[o]}" for o in OUTCOMES)
     p50, p90 = np.percentile(lengths, [50, 90])
     notes = "; ".join(f"{note} {n}" for note, n in sorted(aborted.items())) or "none"
     return (f"{name}: sessions {len(lengths)}, {counts}, false {false}, "
             f"measurements {sum(lengths)} (median {p50:g}, p90 {p90:g}, max {max(lengths)}), "
-            f"fit_iterations {iterations}, aborted by note ({notes}), "
+            f"retries {sweeps - sum(lengths)}, fit_iterations {iterations}, "
+            f"aborted by note ({notes}), "
             f"outcomes {outcomes.hexdigest()[:16]}, logs {logs.hexdigest()[:16]}")
 
 
