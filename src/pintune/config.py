@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 from .errors import CalibrationError, DomainError, ValidationError
 from .fitting import MIN_POINTS
-from .piezo import F_RB, ControllerConfig, PiezoStage, Plant, reading_sweeps
-from .resonator import (
-    PinCouplingModel,
-    ResonatorParams,
-    TuningState,
-    calibrate_pin_model,
-    tuned_frequency,
-)
+from .piezo import F_RB, ControllerConfig, ControllerModel, PiezoStage, Plant, reading_sweeps
+from .resonator import PinCouplingModel, ResonatorParams, TuningState, calibrate_pin_model
 from .transmission import NoiseModel
 
 # Lab units in SI: config fields and CLI flags are given in them, and every
@@ -175,12 +169,6 @@ def from_dict(user_doc=None):
     state = build("state", TuningState)
     if state.d < pin.d_min:
         raise ValidationError("state.d_um: below calibration.d_min_um")
-    try:  # the tuning band's ends, from d_min to the start height
-        ends = [tuned_frequency(params, TuningState(d=d, trim_shift=state.trim_shift), pin)
-                for d in (pin.d_min, state.d)]
-    except (ArithmeticError, DomainError) as exc:
-        raise ValidationError(
-            f"resonator: no finite resonance with this calibration ({exc})") from None
 
     noise = build("noise", NoiseModel)
     sweep = build("sweep", SweepDefaults)
@@ -189,7 +177,12 @@ def from_dict(user_doc=None):
         raise ValidationError("stage.voltage_v: below stage.min_voltage_v")
     controller = build("controller", ControllerConfig,
                        p_in_dbm=sweep.p_in_dbm, duration_s=v["sweep", "duration_s"])
-    for f in ends:  # every sweep of a reading centred on each end of the band
+    try:  # the band the session's belief tunes over, as tune_to_target asks it
+        f_low, f_high = ControllerModel(params, pin, stage.step_length, state.trim_shift).band()
+    except (ArithmeticError, DomainError) as exc:
+        raise ValidationError(
+            f"resonator: no finite resonance with this calibration ({exc})") from None
+    for f in (f_high, f_low):  # every sweep of a reading centred on each end of the band
         try:
             list(reading_sweeps(controller, f))
         except DomainError as exc:

@@ -245,6 +245,12 @@ class ControllerModel:
     def frequency(self, d):
         return tuned_frequency(self.params, self.state_at(d), self.pin)
 
+    def band(self):
+        """The tuning band (f_low, f_high): the retracted-pin baseline with the
+        trim, and the resonance at closest approach d_min."""
+        return (baseline_frequency(self.params, self.state_at(self.pin.d_min)),
+                self.frequency(self.pin.d_min))
+
     def height_for(self, f):
         """The pin height at which the belief reads f: the closed-form inverse
         of f = f0 / sqrt(1 - m(d)**2) + trim.  A frequency at or below the
@@ -377,8 +383,7 @@ def tune_to_target(plant, stage, cfg, model=None):
     tol = cfg.tolerance_ppm * 1e-6 * cfg.f_target
     session = TuningSession(f_target=cfg.f_target, tolerance_hz=tol)
 
-    f_low = baseline_frequency(model.params, model.state_at(model.height))
-    f_high = model.frequency(model.pin.d_min)
+    f_low, f_high = model.band()
     if not (f_low - tol < cfg.f_target <= f_high + tol):
         session.outcome = "Unreachable"
         session.final_error_hz = model.frequency(model.height) - cfg.f_target

@@ -95,6 +95,8 @@ class NoiseModel:
             raise DomainError("NoiseModel.sigma_rel must be >= 0 and finite")
         if not 0 <= self.vib_amplitude < math.inf:
             raise DomainError("NoiseModel.vib_amplitude must be >= 0 and finite")
+        if not self.seed >= 0:  # Philox takes no negative seed
+            raise DomainError("NoiseModel.seed must be >= 0")
 
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
@@ -141,37 +143,37 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
     displaced by an arcsine-distributed offset of amplitude
     |df/dd| * vib_amplitude.  Multiplicative Gaussian noise sigma_rel is then
     applied to the power ratio.  Deterministic for a fixed seed (Philox,
-    vectorized draws).
+    vectorized draws, scaled by zero without noise).
 
     The trace skips `SweepTrace`'s checks that hold by construction: the
     axis is `config`'s linspace (2 or more points, positive, finite and
     strictly increasing, as `SweepConfig` ensures) and the clip keeps the
-    ratio >= 0.  Only a ratio made non-finite by the noise model (an
-    overflowing sigma_rel or jitter) is checked; it raises DomainError.
+    ratio >= 0.  A noise model that overflows raises DomainError naming
+    vib_amplitude (checked before any draw) or sigma_rel.
     """
     f_r = tuned_frequency(params, state, pin)
     q_l = loaded_q(params.Qi0, params.Qe)
     f = np.linspace(config.f_start, config.f_stop, config.n_points)
 
     jitter_amp = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
-    if jitter_amp != 0 or noise.sigma_rel > 0:  # a nan jitter_amp fails the finite check below
-        rng = np.random.Generator(np.random.Philox(noise.seed))
-        centre = rng.uniform(0.0, 2.0 * math.pi, config.n_points)
-        gain = rng.standard_normal(config.n_points)
-        # Per-point resonance displacement: each point sees its own jittered
-        # f_r, f_r + jitter_amp sin(phase), formed in the draws' own arrays.
-        np.sin(centre, out=centre)
-        centre *= jitter_amp
-        centre += f_r
-        ratio = notch_response(f, centre, q_l, params.Qe, params.phi)[0]
+    if not math.isfinite(jitter_amp):
+        raise DomainError("NoiseModel.vib_amplitude times |df/dd| must be finite")
+    rng = np.random.Generator(np.random.Philox(noise.seed))
+    centre = rng.uniform(0.0, 2.0 * math.pi, config.n_points)
+    gain = rng.standard_normal(config.n_points)
+    # Per-point resonance displacement: each point sees its own jittered
+    # f_r, f_r + jitter_amp sin(phase), formed in the draws' own arrays.
+    np.sin(centre, out=centre)
+    centre *= jitter_amp
+    centre += f_r
+    ratio = notch_response(f, centre, q_l, params.Qe, params.phi)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         gain *= noise.sigma_rel
         gain += 1.0
         ratio *= gain
-    else:
-        ratio = notch_response(f, f_r, q_l, params.Qe, params.phi)[0]
     np.clip(ratio, 0.0, None, out=ratio)  # +0.0 for -0.0, which np.maximum may keep
     if not np.isfinite(ratio).all():
-        raise DomainError("SweepTrace values must be finite")
+        raise DomainError("NoiseModel.sigma_rel times the noise draws must be finite")
     trace = object.__new__(SweepTrace)
     trace.frequencies, trace.power_ratio, trace.p_in_dbm, trace.timestamp = (
         f, ratio, config.p_in_dbm, timestamp)

@@ -129,12 +129,29 @@ class TestConfig:
              "noise: NoiseModel.sigma_rel must be >= 0 and finite"),
             ({"stage": {"voltage_v": 20}, "controller": {"sweep_span_mhz": 3500}},
              "stage.voltage_v: below stage.min_voltage_v"),
+            # The band is asked of the built belief, after the controller too.
+            ({"resonator": {"f_baseline_ghz": 2e144},
+              "calibration": {"f_baseline_ghz": 1, "f_closest_ghz": 1e8}, "noise": {"sigma_rel": -1}},
+             "noise: NoiseModel.sigma_rel must be >= 0 and finite"),
+            # From d_min the band still runs down to the retracted-pin baseline,
+            # where the retry sweep starts below 0 Hz.
+            ({"state": {"d_um": 40}, "controller": {"sweep_span_mhz": 3420}},
+             "controller.sweep_span_mhz: the 4x wider retry sweep runs from -1.22e+07 to "
+             "1.36678e+10 Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
         with pytest.raises(ValidationError) as err:
             from_dict(doc)
         assert field in str(err.value)
+
+    def test_the_load_check_asks_the_sessions_belief_for_its_band(self, monkeypatch):
+        beliefs, band = [], piezo.ControllerModel.band
+        monkeypatch.setattr(piezo.ControllerModel, "band",
+                            lambda model: beliefs.append(model) or band(model))
+        cfg = from_dict({"state": {"d_um": 120, "trim_shift_mhz": -3},
+                         "stage": {"voltage_v": 40, "step_size_nm": 55}})
+        assert beliefs == [piezo.ControllerModel.of(cfg.plant(), cfg.stage)]
 
     @pytest.mark.parametrize("section,key,rule", [
         (section, key, rule)
@@ -440,6 +457,22 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, {"noise": {"seed": -1, "sigma_rel": sigma_rel}})
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "t.csv"]) == 2
         assert "noise.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["simulate", "tune"])
+    @pytest.mark.parametrize("doc,message", [
+        ({"noise": {"sigma_rel": 1e308}},
+         "NoiseModel.sigma_rel times the noise draws must be finite"),
+        ({"state": {"d_um": 40}, "noise": {"vib_amplitude_um": 1e304}},
+         "NoiseModel.vib_amplitude times |df/dd| must be finite"),
+    ], ids=["sigma_rel", "vib_amplitude"])
+    def test_an_overflowing_noise_model_names_its_field(self, tmp_path, capsys, verb, doc,
+                                                         message):
+        # One error line and no numpy RuntimeWarning, even with warnings as errors.
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([verb, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "o.csv"

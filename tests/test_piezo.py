@@ -38,6 +38,7 @@ from pintune.resonator import (
     PinCouplingModel,
     ResonatorParams,
     TuningState,
+    baseline_frequency,
     calibrate_pin_model,
     capacitance_for_frequency,
     d_min_floor,
@@ -307,6 +308,20 @@ class TestTuneToTarget:
         session = tune_to_target(plant, stage, ControllerConfig(f_target=6.82e9))
         assert session.outcome == "Unreachable"
 
+    @pytest.mark.parametrize("trim", [0.0, -5e6])
+    @pytest.mark.parametrize("end", ["f_low", "f_high"])
+    def test_the_band_and_its_tolerance_bound_the_reach(self, end, trim):
+        # f_target is Unreachable 1 Hz past f_high + tol or f_low - tol, with
+        # tol = 0.3 ppm of f_target; 1 Hz inside, the session takes a reading.
+        plant = replace(noiseless_plant(), trim_shift=trim)
+        stage = PiezoStage(position=300 * UM)
+        f_low, f_high = ControllerModel.of(plant, stage).band()
+        edge, out = (f_high / (1 - 0.3e-6), 1.0) if end == "f_high" else (f_low / (1 + 0.3e-6), -1.0)
+        outside, inside = (tune_to_target(plant, replace(stage), ControllerConfig(f, max_steps=1))
+                           for f in (edge + out, edge - out))
+        assert (outside.outcome, len(outside.steps)) == ("Unreachable", 0)
+        assert (inside.outcome, len(inside.steps)) == ("StepBudgetExhausted", 1)
+
     @pytest.mark.parametrize("start_um", [45.0, 150.0, 600.0])
     def test_converges_from_across_the_range(self, start_um):
         plant = noiseless_plant()
@@ -421,6 +436,15 @@ class TestControllerModel:
         plant = replace(noiseless_plant(), trim_shift=trim)
         model = ControllerModel.of(plant, PiezoStage(position=300 * UM))
         assert model.height_for(model.frequency(d_um * UM)) == pytest.approx(d_um * UM, rel=1e-6)
+
+    @pytest.mark.parametrize("trim", [0.0, -5e6])
+    def test_band_runs_from_the_baseline_to_closest_approach(self, trim):
+        model = ControllerModel.of(replace(noiseless_plant(), trim_shift=trim),
+                                   PiezoStage(position=300 * UM))
+        d_min = model.pin.d_min
+        assert model.band() == (baseline_frequency(model.params, model.state_at(d_min)),
+                                model.frequency(d_min))
+        assert model.band() == pytest.approx((F_BASELINE + trim, 6.8454e9 + trim), abs=1.0)
 
     def test_height_for_outside_the_band(self):
         model = ControllerModel.of(noiseless_plant(), PiezoStage(position=300 * UM))

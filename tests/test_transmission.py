@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,15 +182,20 @@ class TestSynthesizeSweep:
         (0.0, 0.0, 1e-320),  # the slope overflows: jitter 0 * inf is nan
     ])
     def test_an_overflowing_noise_model_is_refused(self, sigma_rel, vib, lam):
+        # The DomainError names the field, and numpy warns of nothing on the way.
         params, pin = paper_plant()
         if lam is not None:
             pin = PinCouplingModel(0.5, lam, pin.d_min)
         state = TuningState(d=pin.d_min)
         f_r = tuned_frequency(params, state, pin)
         sweep = SweepConfig(f_r - 1e6, f_r + 1e6, 101, -131.0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DomainError, match="SweepTrace values must be finite"):
-            synthesize_sweep(sweep, params, state, pin, NoiseModel(sigma_rel, vib, 5))
+        message = ("NoiseModel.sigma_rel times the noise draws must be finite" if sigma_rel
+                   else "NoiseModel.vib_amplitude times |df/dd| must be finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                synthesize_sweep(sweep, params, state, pin, NoiseModel(sigma_rel, vib, 5))
+        assert str(err.value) == message
 
 
 class TestNoiseModel:
@@ -198,6 +204,12 @@ class TestNoiseModel:
     def test_non_finite_is_refused_naming_the_field(self, name, value):
         with pytest.raises(DomainError, match=f"NoiseModel.{name} must be >= 0 and finite"):
             NoiseModel(**{name: value})
+
+    def test_a_negative_seed_is_refused(self):
+        # Every sweep seeds Philox, which takes no negative seed.
+        with pytest.raises(DomainError, match="NoiseModel.seed must be >= 0"):
+            NoiseModel(seed=-1)
+        assert NoiseModel(seed=0).seed == 0
 
 
 class TestPhotonNumber:
