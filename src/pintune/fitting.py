@@ -7,9 +7,21 @@ multiplicative damping (x10 on a rejected step, /10 on a cost decrease) and
 analytic residual derivatives.  A trial step is rejected when its cost rises,
 is not finite, or its Q exponents overflow.  A trial point costs only its
 residual: the Jacobian and the normal equations are evaluated at the start
-point and at accepted points alone (Moré 1978).  The damped and undamped 4x4
-solves are an unrolled Cholesky factorisation on Python floats; a pivot that
-is not positive is a failed solve, a rejected trial or an unmet offset test.
+point and at accepted points alone (Moré 1978).  One unrolled Cholesky
+factorisation on Python floats serves the damped and undamped 4x4 solves and
+the covariance; a pivot that is not positive is a failed solve, a rejected
+trial or an unmet offset test.
+
+The standard errors come from diag(h^-1), the column sums of squares of
+L^-1 for the final h = L L^T, when every pivot l_kk**2 keeps PIVOT_SHARE of
+its diagonal entry h_kk.  Cholesky's error on a graded h depends on h scaled
+to a unit diagonal, not on h's own condition number (Demmel & Veselić, SIAM
+J. Matrix Anal. Appl. 13, 1204 (1992)): it grows about as eps / share, and on
+criterion-4 fits was within 1.2e-13 relative of the exact inverse at shares
+above 1e-2 (every device-regime fit) and 5e-9 at 1.5e-8.  Below PIVOT_SHARE
+h is near-singular, as on a budget-exhausting shallow dip (a share of 5e-12),
+and the errors come from the pseudo-inverse by LAPACK's SVD, truncated as
+np.linalg.pinv truncates, or are NaN if the SVD fails.
 
 Three rules stop a fit, and FitResult.stop names the one that did: an
 accepted step below STEP_TOL relative ("step"), a relative cost decrease
@@ -59,6 +71,7 @@ OFFSET_TOL = 1e-3     # Bates-Watts relative offset
 DAMPING_START = 1e-3
 MIN_POINTS = 16       # the shortest trace initial_guess accepts
 PHI_LIMIT = math.pi / 2 - 1e-9  # the model is undefined at |phi| = pi/2
+PIVOT_SHARE = 1e-8    # covariance by Cholesky above it (module docstring)
 
 
 @dataclass
@@ -216,13 +229,13 @@ def _jacobian(theta, terms, ws):
     return jac
 
 
-def _solve(h, g, lam=0.0):
-    """Solve (h + lam D) x = g, D being h's diagonal with its non-positive
-    entries raised to 1e-30, by an unrolled Cholesky factorisation L L^T of
-    h's upper triangle on Python floats.  Returns x and q = z.z with
-    z = L^-1 g, or None when a pivot is not > 0 (NaN included)."""
+def _cholesky(h, lam=0.0):
+    """The factor L of h + lam D = L L^T, D being h's diagonal with its
+    non-positive entries raised to 1e-30, by an unrolled Cholesky
+    factorisation of h's upper triangle on Python floats: L's lower triangle
+    by rows, (l00, l10, l11, l20, l21, l22, l30, l31, l32, l33), or None when
+    a pivot is not > 0 (NaN included)."""
     (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = h.tolist()
-    g0, g1, g2, g3 = g.tolist()
     p = a00 + lam * (a00 if a00 > 0 else 1e-30)
     if not p > 0:
         return None
@@ -241,7 +254,17 @@ def _solve(h, g, lam=0.0):
     p = a33 + lam * (a33 if a33 > 0 else 1e-30) - l30 * l30 - l31 * l31 - l32 * l32
     if not p > 0:
         return None
-    l33 = math.sqrt(p)
+    return l00, l10, l11, l20, l21, l22, l30, l31, l32, math.sqrt(p)
+
+
+def _solve(h, g, lam=0.0):
+    """Solve (h + lam D) x = g with _cholesky's factor L.  Returns x and
+    q = z.z with z = L^-1 g, or None when the factorisation fails."""
+    l = _cholesky(h, lam)
+    if l is None:
+        return None
+    l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
+    g0, g1, g2, g3 = g.tolist()
     z0 = g0 / l00  # L z = g, then L^T x = z
     z1 = (g1 - l10 * z0) / l11
     z2 = (g2 - l20 * z0 - l21 * z1) / l22
@@ -251,6 +274,33 @@ def _solve(h, g, lam=0.0):
     x1 = (z1 - l21 * x2 - l31 * x3) / l11
     x0 = (z0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
     return (x0, x1, x2, x3), z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+
+
+def _inverse_diagonal(h):
+    """diag(h^-1), each entry the sum of squares of a column of L^-1, L being
+    _cholesky(h)'s factor; or None unless every pivot l_kk**2 is above
+    PIVOT_SHARE of its diagonal entry h_kk."""
+    l = _cholesky(h)
+    a00, a11, a22, a33 = h.diagonal().tolist()
+    if l is None or not (l[0] * l[0] > PIVOT_SHARE * a00 and l[2] * l[2] > PIVOT_SHARE * a11
+                         and l[5] * l[5] > PIVOT_SHARE * a22 and l[9] * l[9] > PIVOT_SHARE * a33):
+        return None
+    l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
+    # Column k of L^-1 solves L z = e_k, from its diagonal entry 1/l_kk down.
+    z0 = 1.0 / l00
+    z1 = -l10 * z0 / l11
+    z2 = -(l20 * z0 + l21 * z1) / l22
+    z3 = -(l30 * z0 + l31 * z1 + l32 * z2) / l33
+    d0 = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+    z1 = 1.0 / l11
+    z2 = -l21 * z1 / l22
+    z3 = -(l31 * z1 + l32 * z2) / l33
+    d1 = z1 * z1 + z2 * z2 + z3 * z3
+    z2 = 1.0 / l22
+    z3 = -l32 * z2 / l33
+    d2 = z2 * z2 + z3 * z3
+    z3 = 1.0 / l33
+    return d0, d1, d2, z3 * z3
 
 
 def _offset_small(h, g, cost, n):
@@ -347,16 +397,23 @@ def _fit(f, y, theta):
 
     # Parameter standard errors from the local quadratic model, assuming
     # independent homoscedastic noise (indicative only): the diagonal of
-    # sigma2 h^+, the pseudo-inverse V S^-1 U^T from h's SVD with singular
-    # values up to 1e-15 of the largest dropped, as np.linalg.pinv does.
+    # sigma2 h^-1 from h's Cholesky factor when every pivot keeps PIVOT_SHARE
+    # of its diagonal entry (module docstring).  Otherwise h is near-singular
+    # and the diagonal is sigma2 h^+'s, the pseudo-inverse V S^-1 U^T from
+    # h's SVD with singular values up to 1e-15 of the largest dropped, as
+    # np.linalg.pinv does.
     sigma2 = cost / max(f.size - 4, 1)
-    try:
-        u, s, vt = (a.tolist() for a in np.linalg.svd(h, full_matrices=False))
-        inv = [1.0 / x if x > 1e-15 * s[0] else 0.0 for x in s]
-        errs = [math.sqrt(max(sigma2 * sum(vt[k][i] * (inv[k] * u[i][k]) for k in range(4)), 0.0))
-                for i in range(4)]
-    except np.linalg.LinAlgError:
-        errs = [float("nan")] * 4
+    diag = _inverse_diagonal(h)
+    if diag is not None:
+        errs = [math.sqrt(sigma2 * v) for v in diag]
+    else:
+        try:
+            u, s, vt = (a.tolist() for a in np.linalg.svd(h, full_matrices=False))
+            inv = [1.0 / x if x > 1e-15 * s[0] else 0.0 for x in s]
+            errs = [math.sqrt(max(sigma2 * sum(vt[k][i] * (inv[k] * u[i][k]) for k in range(4)), 0.0))
+                    for i in range(4)]
+        except np.linalg.LinAlgError:
+            errs = [float("nan")] * 4
 
     result = FitResult(
         f_r=f_r,

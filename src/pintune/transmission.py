@@ -102,15 +102,20 @@ class NoiseModel:
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
     """S = 1 + m of the module docstring, in real arithmetic, and the terms
     the fit's Jacobian reuses; returns (S, u, D, m).  The one copy of the
-    lineshape: no argument checks, f_r may be an array.  out: optional real
-    arrays of f's shape that receive (S, u, D, m)."""
+    lineshape: no argument checks, f is an increasing array and f_r a float
+    or an array.  out: optional real arrays of f's shape that receive
+    (S, u, D, m)."""
     s, u, d, m = (None,) * 4 if out is None else out
     a = q_l / q_e
     # x = (f - f_r)/f_r clamped so that |u| <= U_CLAMP (np.minimum and np.maximum
     # cost less than np.clip); a 2 Q_L past the float range keeps u = 0 * inf = nan.
+    # At a float f_r, x is monotone along f, rounding included, so when both
+    # ends are within the clamp every point is and the clamp is skipped; an
+    # end that is NaN (f_r = 0, NaN or infinite) fails the test.
     x_max = U_CLAMP / (2.0 * q_l) if q_l > 0 else math.inf
     u = np.divide(np.subtract(f, f_r, out=u), f_r, out=u)
-    u = np.maximum(np.minimum(u, x_max, out=u), -x_max, out=u)
+    if not (isinstance(f_r, float) and abs(u.item(0)) <= x_max and abs(u.item(-1)) <= x_max):
+        u = np.maximum(np.minimum(u, x_max, out=u), -x_max, out=u)
     u = np.multiply(u, 2.0 * q_l, out=u)
     d = np.add(np.multiply(u, u, out=d), 1.0, out=d)
     m = np.multiply(u, -2.0 * a * math.sin(phi), out=m)

@@ -6,20 +6,27 @@ searches.  None of this may change a bit of a result, so these tests hold it
 against golden values and against copies of the plain implementations.
 
 The golden values were recorded with numpy 2.4.6 (OpenBLAS) on x86-64.
-Another numpy or BLAS build may round the synthesized traces, the matrix
-products or the covariance's SVD differently; the trace digests tell the two
-cases apart.
+Another numpy or BLAS build may round the synthesized traces or the matrix
+products differently, and with them the budget-exhausting fit's covariance,
+the one golden that takes LAPACK's SVD; the trace digests tell the two cases
+apart.  The six converged fits take their standard errors from the Cholesky
+factor of J^T J on Python floats: every pivot keeps far more than
+fitting.PIVOT_SHARE of its diagonal entry.  The budget-exhausting fit's J^T J
+is near-singular (a pivot share of 5e-12), so its errors come from the SVD's
+truncated pseudo-inverse.
 
 A change that rounds differently by design, as the real-arithmetic notch
 kernel did against the complex one, the closed-form Cholesky solve against
-LAPACK's and the covariance diagonal from h's SVD against np.linalg.pinv, is
-held against the goldens it replaces, which stay in this file
-(COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN, PINV_GOLDEN): the same iteration
-counts, the parameters and rms residual within 1e-12 relative and the
-standard errors within 1e-9 (1e-4 for the budget-exhausting fit against the
-first two, whose J^T J has a condition number near 1e22).  Only once those checks pass are the new bits and trace
-digests pinned, and the checks stay.  Otherwise re-record from a commit known
-to be right, never from the change under test.
+LAPACK's, the covariance diagonal from h's SVD against np.linalg.pinv and the
+Cholesky diagonal of h^-1 against the SVD's, is held against the goldens it
+replaces, which stay in this file (COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN,
+PINV_GOLDEN, SVD_COVARIANCE_GOLDEN): the same iteration counts, the
+parameters and rms residual within 1e-12 relative (bit for bit against the
+last) and the standard errors within 1e-9 (1e-4 for the budget-exhausting fit
+against the first two, whose J^T J is near-singular).  Only once those checks
+pass are the new bits and trace digests pinned, and the checks stay.
+Otherwise re-record from a commit known to be right, never from the change
+under test.
 
 A change to a stopping rule moves where a converged fit stops, by design, as
 the relative-offset rule did against the step and cost rules alone.  It is
@@ -76,43 +83,43 @@ GOLDEN = {
         (6834683000.0, 35000.0, 500000.0, -0.222029717806419, 401, 328258452),
         "f08eda6a416214aa",
         ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
-         "-0x1.c100812b5fcdcp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959fb081p+11",
-         "0x1.c8bab460673fap+9", "0x1.3ff8a21ee67c4p+13", "0x1.71afcad440749p-6"),
+         "-0x1.c100812b5fcdcp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959804b7p+11",
+         "0x1.c8bab460673abp+9", "0x1.3ff8a21ee66f4p+13", "0x1.71afcad40ed22p-6"),
         3),
     "device-1601": (
         (6834683000.0, 35000.0, 500000.0, 0.43373840568325917, 1601, 955959054),
         "a9bf03484a26e248",
         ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
-         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397cd308p+10",
-         "0x1.cad13cd198c00p+8", "0x1.368e0585200cfp+12", "0x1.5ccd0d69f7d8ep-7"),
+         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397afc13p+10",
+         "0x1.cad13cd1992ebp+8", "0x1.368e058520684p+12", "0x1.5ccd0d69f99f5p-7"),
         4),
     "device-6401": (
         (6834683000.0, 35000.0, 500000.0, -0.2206261194775878, 6401, 536393447),
         "f0584721f2e7c843",
         ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
-         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb6315p+9",
-         "0x1.c4c1635c934e2p+7", "0x1.32f7a4bfcb953p+11", "0x1.632b33a153633p-8"),
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb9f88p+9",
+         "0x1.c4c1635c937ddp+7", "0x1.32f7a4bfcbbc1p+11", "0x1.632b33a16bc3cp-8"),
         3),
     "broad-401": (
         (4228100136.274949, 18784.912940901275, 633043.3010062983, 0.278446362175662, 401, 1481135592),
         "ef7557f06c3842f7",
         ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
-         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8fd4e20p+12",
-         "0x1.472771418adfdp+10", "0x1.e71d05e299d8bp+14", "0x1.9d042905e6cb3p-5"),
+         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f75517p+12",
+         "0x1.472771418aeb6p+10", "0x1.e71d05e299d64p+14", "0x1.9d042905bd5e7p-5"),
         4),
     "broad-1601": (
         (7659040120.583509, 23057.581793387475, 1140880.1162411429, -0.48644385669938683, 1601, 92906558),
         "764bb77b9f2f180b",
         ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
-         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd7270832a64p+12",
-         "0x1.f5043f8dd7a80p+9", "0x1.0c90146650aa9p+15", "0x1.0e3017e3aee92p-5"),
+         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd72707c9f8fp+12",
+         "0x1.f5043f8dd7a0cp+9", "0x1.0c901466508afp+15", "0x1.0e3017e38e753p-5"),
         7),
     "broad-6401": (
         (6488750664.203288, 40015.865015532974, 126838.71963366943, 0.12928980070184704, 6401, 1862978404),
         "44f7216d1c913bb1",
         ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
-         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e59eaed1p+7",
-         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f12p+7", "0x1.777893319ea57p-10"),
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e599536cp+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9efdp+7", "0x1.777893317b030p-10"),
         3),
 }
 # A shallow dip (Q_i 45,500 against Q_e 8.2e6) that exhausts the budget: the
@@ -206,6 +213,43 @@ PINV_GOLDEN = {
          "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7baadb34b00d7p+13",
          "0x1.b31c6ec81c08cp+39", "0x1.c6e4529666e4fp+39", "0x1.82eba280b203bp+12"),
         200),
+}
+
+# The goldens of the fitter that took every covariance from h's SVD, before
+# the Cholesky diagonal of h^-1, by name: the fingerprint and the iteration
+# count of the six converged fits, recorded from that fitter.  The
+# budget-exhausting fit's h is near-singular and still takes the SVD.
+SVD_COVARIANCE_GOLDEN = {
+    "device-401": (
+        ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
+         "-0x1.c100812b5fcdcp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959fb081p+11",
+         "0x1.c8bab460673fap+9", "0x1.3ff8a21ee67c4p+13", "0x1.71afcad440749p-6"),
+        3),
+    "device-1601": (
+        ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
+         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397cd308p+10",
+         "0x1.cad13cd198c00p+8", "0x1.368e0585200cfp+12", "0x1.5ccd0d69f7d8ep-7"),
+        4),
+    "device-6401": (
+        ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb6315p+9",
+         "0x1.c4c1635c934e2p+7", "0x1.32f7a4bfcb953p+11", "0x1.632b33a153633p-8"),
+        3),
+    "broad-401": (
+        ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
+         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8fd4e20p+12",
+         "0x1.472771418adfdp+10", "0x1.e71d05e299d8bp+14", "0x1.9d042905e6cb3p-5"),
+        4),
+    "broad-1601": (
+        ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
+         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd7270832a64p+12",
+         "0x1.f5043f8dd7a80p+9", "0x1.0c90146650aa9p+15", "0x1.0e3017e3aee92p-5"),
+        7),
+    "broad-6401": (
+        ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e59eaed1p+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f12p+7", "0x1.777893319ea57p-10"),
+        3),
 }
 
 # The goldens of the step and cost rules alone, before the relative-offset
@@ -360,6 +404,20 @@ def test_golden_within_tolerance_of_the_pinv_covariance(name):
     got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
     np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
     np.testing.assert_allclose(got[5:], want[5:], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_within_tolerance_of_the_svd_covariance(name):
+    """The Cholesky diagonal of h^-1 rounds differently from the SVD
+    pseudo-inverse's: each converged golden takes the same iterations, with
+    the parameters and rms residual bit for bit and the standard errors within
+    1e-9 relative."""
+    values, iterations = SVD_COVARIANCE_GOLDEN[name]
+    got, got_iterations = golden_outcome(GOLDEN[name])
+    assert got_iterations == iterations
+    assert got[:5] == values[:5]
+    got, want = ([float.fromhex(v) for v in vs[5:]] for vs in (got, values))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ALL))

@@ -6,13 +6,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from pintune import piezo
+from pintune import fitting, piezo
 
 PROBE_TOOL = Path(__file__).resolve().parents[1] / "tools" / "probe_sessions.py"
 NOISELESS_GRID = (
     "noiseless_grid: sessions 36, Converged 36 Unreachable 0 StepBudgetExhausted 0 Aborted 0, "
     "false 0, measurements 180 (median 5, p90 6, max 6), retries 4, fit_iterations 657, "
-    "aborted by note (none), outcomes 584704392f62ba59, logs d85b3c3caaa95116")
+    "all_fit_iterations 2257, aborted by note (none), outcomes 584704392f62ba59, "
+    "logs d85b3c3caaa95116")
 
 
 def test_the_noiseless_grid_probe_prints_its_tally(monkeypatch):
@@ -20,6 +21,7 @@ def test_the_noiseless_grid_probe_prints_its_tally(monkeypatch):
     spec = importlib.util.spec_from_file_location("probe_sessions", PROBE_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    synthesize = piezo.synthesize_sweep
+    synthesize, solve = piezo.synthesize_sweep, fitting._solve
     assert tool.probe("noiseless_grid") == NOISELESS_GRID
-    assert piezo.synthesize_sweep is synthesize  # the sweep counter is taken off again
+    assert piezo.synthesize_sweep is synthesize  # the counters are taken off again
+    assert fitting._solve is solve

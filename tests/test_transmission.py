@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pintune.errors import DomainError, NonPhysicalFit
@@ -17,6 +17,7 @@ from pintune.resonator import (
     tuned_frequency,
 )
 from pintune.transmission import (
+    U_CLAMP,
     NoiseModel,
     SweepConfig,
     SweepTrace,
@@ -42,6 +43,16 @@ def paper_plant():
 def s21(f, f_r, q_l, q_e, phi=0.0):
     """The lineshape S at the points f (an array)."""
     return notch_response(np.asarray(f, dtype=float), f_r, q_l, q_e, phi)[0]
+
+
+def always_clamped(f, f_r, q_l, q_e, phi):
+    """notch_response's arithmetic, op for op, with the clamp always applied."""
+    a = q_l / q_e
+    x_max = U_CLAMP / (2.0 * q_l) if q_l > 0 else math.inf
+    u = np.maximum(np.minimum((f - f_r) / f_r, x_max), -x_max) * (2.0 * q_l)
+    d = u * u + 1.0
+    m = (u * (-2.0 * a * math.sin(phi)) + a * (a - 2.0 * math.cos(phi))) / d
+    return m + 1.0, u, d, m
 
 
 class TestS21Power:
@@ -81,6 +92,57 @@ class TestS21Power:
         # unless the kernel clamps u, and the exact limit is S = 1.
         f = np.array([1e160, 1e300, 1.7e308])
         assert np.all(s21(f, 6.83e9, 3.2e4, 5e5, 0.3) == 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f_r=st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                           -5e-324, 2.2250738585072014e-308, -6.83e9]),
+        log_q_l=st.floats(-3.0, 300.0),
+        straddle=st.booleans(),
+        ends=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        n=st.integers(1, 40),
+        grid=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+        phi=st.floats(-1.5, 1.5),
+    )
+    @example(f_r=6.83e9, log_q_l=4.5, straddle=False, ends=(0.0, 0.0), n=1,
+             grid=[6.82e9, 6.83e9, 6.84e9], phi=0.3)
+    @example(f_r=6.83e9, log_q_l=140.0, straddle=True, ends=(-1.0, 1.0), n=5, grid=[0.0], phi=0.3)
+    def test_a_skipped_clamp_is_bit_exact(self, f_r, log_q_l, straddle, ends, n, grid, phi):
+        """At a float f_r on an increasing grid the kernel skips the clamp when
+        both ends are within it: it returns the bits of an array centre, which
+        always clamps, and raises what that raises.  Grids straddle the clamp
+        at +-U_CLAMP / (2 Q_L) or are drawn anywhere."""
+        q_l = 10.0**log_q_l
+        if straddle:  # (f - f_r)/f_r from ends[0] to ends[1] times the clamp
+            centre = f_r if math.isfinite(f_r) and f_r != 0 else 6.83e9
+            with np.errstate(all="ignore"):
+                f = np.sort(centre + centre * (U_CLAMP / (2.0 * q_l)) * np.linspace(*sorted(ends), n))
+        else:
+            f = np.sort(np.array(grid))
+        assume(np.isfinite(f).all())
+
+        def outcome(kernel, centre):
+            try:
+                return [a.tobytes() for a in kernel(f, centre, q_l, 10.0 * q_l, phi)]
+            except RuntimeWarning as exc:  # an overflow or division by zero, raised
+                return repr(exc)
+
+        for state in ({}, {"all": "ignore"}):
+            with np.errstate(**state):
+                want = outcome(always_clamped, f_r)
+                assert outcome(notch_response, f_r) == want
+                assert outcome(notch_response, np.full(f.shape, f_r)) == want
+
+    def test_an_array_centre_keeps_the_clamp(self):
+        # Both ends at their own centre, the middle point's centre near 0: its
+        # x is about 7e12, past the clamp of 5e9, and only the clamp keeps
+        # u**2 finite.
+        f = np.array([6.83e9, 6.83e9 + 1.0, 6.83e9 + 2.0])
+        centre = np.array([6.83e9, 1e-3, 6.83e9 + 2.0])
+        got = notch_response(f, centre, 1e140, 1e141, 0.3)
+        assert got[1][1] == U_CLAMP
+        assert [a.tobytes() for a in got] == [
+            a.tobytes() for a in always_clamped(f, centre, 1e140, 1e141, 0.3)]
 
     def test_a_scalar_is_refused(self):
         # The kernel writes in place, so it takes arrays only.

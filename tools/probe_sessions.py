@@ -7,9 +7,11 @@ outside the tolerance), the total, median, 90th-percentile and largest number
 of measurements per session, the `retries` (the wider sweeps taken after a
 failed fit: the calls to `pintune.piezo.synthesize_sweep` during the probe
 less its measurements), the total Gauss-Newton iterations of the readings'
-fits (`fit_iterations`), its `Aborted` sessions counted by the note
-of their last step, and two sha256 digests (first 16 hex digits) over its
-sessions in order:
+kept fits (`fit_iterations`) and of every fit the probe ran
+(`all_fit_iterations`: warm fits that were fitted again from the guess and
+fits that failed count too, one damped solve per iteration), its `Aborted`
+sessions counted by the note of their last step, and two sha256 digests
+(first 16 hex digits) over its sessions in order:
 `outcomes` of each session's outcome and measurement count, `logs` of its
 result JSON as `pintune tune` writes it.  A change that keeps every outcome
 and session length keeps `outcomes`; one that keeps every logged field keeps
@@ -65,8 +67,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pintune import config  # noqa: E402
+from pintune import fitting, piezo  # noqa: E402
 from pintune import io as pio  # noqa: E402
-from pintune import piezo  # noqa: E402
 from pintune.piezo import ControllerModel, tune_to_target  # noqa: E402
 
 NOISY = {"noise": {"sigma_rel": 0.005, "vib_amplitude_um": 0.1}}
@@ -171,13 +173,20 @@ def probe(name, each=False):
     outcomes, logs = hashlib.sha256(), hashlib.sha256()
     tally, aborted, false, lengths, iterations = Counter(), Counter(), 0, [], 0
     sweeps, synthesize = 0, piezo.synthesize_sweep
+    all_iterations, solve = 0, fitting._solve
 
     def counted(*args, **kwargs):
         nonlocal sweeps
         sweeps += 1
         return synthesize(*args, **kwargs)
 
+    def counted_solve(h, g, lam=0.0):
+        nonlocal all_iterations
+        all_iterations += lam > 0  # the damped solve, once per iteration
+        return solve(h, g, lam)
+
     piezo.synthesize_sweep = counted  # every sweep a session takes
+    fitting._solve = counted_solve  # every fit those sweeps take
     try:
         for i, (session, plant, stage) in enumerate(PROBES[name]()):
             n, wrong = len(session.steps), is_false(session, plant, stage)
@@ -193,12 +202,14 @@ def probe(name, each=False):
                 print(f"{name} {i} {session.outcome} {n} {'false' if wrong else 'true'}")
     finally:
         piezo.synthesize_sweep = synthesize
+        fitting._solve = solve
     counts = " ".join(f"{o} {tally[o]}" for o in OUTCOMES)
     p50, p90 = np.percentile(lengths, [50, 90])
     notes = "; ".join(f"{note} {n}" for note, n in sorted(aborted.items())) or "none"
     return (f"{name}: sessions {len(lengths)}, {counts}, false {false}, "
             f"measurements {sum(lengths)} (median {p50:g}, p90 {p90:g}, max {max(lengths)}), "
             f"retries {sweeps - sum(lengths)}, fit_iterations {iterations}, "
+            f"all_fit_iterations {all_iterations}, "
             f"aborted by note ({notes}), "
             f"outcomes {outcomes.hexdigest()[:16]}, logs {logs.hexdigest()[:16]}")
 
