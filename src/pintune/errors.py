@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto distinct exit codes; see cli.py.
+The CLI maps these onto distinct exit codes; see cli.py.  A tune reading
+fails on any FitFailure.
 """
 
 
@@ -23,16 +24,20 @@ class CalibrationError(PintuneError):
     """Calibration anchors are mutually inconsistent."""
 
 
-class NoResonance(PintuneError):
+class FitFailure(PintuneError):
+    """A fit gave no result: NoResonance, NonPhysicalFit or ConvergenceFailure."""
+
+
+class NoResonance(FitFailure):
     """No discernible dip in the trace (depth below the noise floor)."""
 
 
-class NonPhysicalFit(PintuneError):
+class NonPhysicalFit(FitFailure):
     """Fit converged to Q_L >= Q_e, implying infinite or negative Q_i, or to
     a Q_L that underflows to 0."""
 
 
-class ConvergenceFailure(PintuneError):
+class ConvergenceFailure(FitFailure):
     """Optimizer did not converge within the iteration budget.
 
     Carries the best-so-far result in `best`.

@@ -12,7 +12,11 @@ factorisation on Python floats serves the damped and undamped 4x4 solves and
 the covariance; a pivot that is not positive is a failed solve, a rejected
 trial or an unmet offset test.
 
-The standard errors come from diag(h^-1), the column sums of squares of
+A fit reaches its verdict before it pays for standard errors: one that
+converged to a Q_L outside (0, Q_e) raises NonPhysicalFit, which carries no
+result, and computes none.  Every other fit, returned or carried as a
+ConvergenceFailure's best, computes them once, in _standard_errors, whose
+route depends on the pivot share: diag(h^-1), the column sums of squares of
 L^-1 for the final h = L L^T, when every pivot l_kk**2 keeps PIVOT_SHARE of
 its diagonal entry h_kk.  Cholesky's error on a graded h depends on h scaled
 to a unit diagonal, not on h's own condition number (Demmel & Veselić, SIAM
@@ -58,10 +62,10 @@ across its iterations and freed with the fit.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._lazy import numpy as np
-from .errors import ConvergenceFailure, NonPhysicalFit, NoResonance
+from .errors import ConvergenceFailure, FitFailure, NonPhysicalFit, NoResonance
 from .transmission import internal_q, notch_response
 
 MAX_ITERATIONS = 200
@@ -303,6 +307,24 @@ def _inverse_diagonal(h):
     return d0, d1, d2, z3 * z3
 
 
+def _standard_errors(h, sigma2):
+    """The standard errors of theta at h from the local quadratic model,
+    assuming independent noise of variance sigma2 (indicative only): the
+    square roots of sigma2 diag(h^-1) by _inverse_diagonal, or else of sigma2
+    diag(h^+), the SVD's pseudo-inverse V S^-1 U^T truncated as
+    np.linalg.pinv truncates (module docstring); NaN if the SVD fails."""
+    diag = _inverse_diagonal(h)
+    if diag is not None:
+        return [math.sqrt(sigma2 * v) for v in diag]
+    try:
+        u, s, vt = (a.tolist() for a in np.linalg.svd(h, full_matrices=False))
+    except np.linalg.LinAlgError:
+        return [float("nan")] * 4
+    inv = [1.0 / x if x > 1e-15 * s[0] else 0.0 for x in s]
+    return [math.sqrt(max(sigma2 * sum(vt[k][i] * (inv[k] * u[i][k]) for k in range(4)), 0.0))
+            for i in range(4)]
+
+
 def _offset_small(h, g, cost, n):
     """The relative-offset test at the current point (module docstring).  An
     undamped solve that fails, or a q outside [0, cost), is not converged."""
@@ -323,9 +345,9 @@ def fit_resonance(trace, start=None):
     and keeps its result only when that converged, is physical and lies in
     the window; otherwise it fits again from the guess, as without start.
 
-    Raises NoResonance (no usable dip), ConvergenceFailure (iteration budget
-    exhausted; carries best-so-far), or NonPhysicalFit (Q_L >= Q_e or
-    Q_L <= 0 at the optimum).
+    Raises a FitFailure: NoResonance (no usable dip), NonPhysicalFit
+    (converged to Q_L >= Q_e or Q_L <= 0), or ConvergenceFailure (budget
+    exhausted or f_r outside the span; carries the best-so-far result).
     """
     guess = initial_guess(trace)
     f = trace.frequencies
@@ -337,7 +359,7 @@ def fit_resonance(trace, start=None):
             result = _fit(f, y, (f_r, math.log(start.q_l), math.log(start.q_e), start.phi))
             if abs(result.f_r - guess.f_r) <= window:
                 return result
-        except (ConvergenceFailure, NonPhysicalFit):
+        except FitFailure:
             pass
     return _fit(f, y, (guess.f_r, math.log(guess.q_l), math.log(guess.q_e), guess.phi))
 
@@ -394,27 +416,10 @@ def _fit(f, y, theta):
             lam *= 10.0
 
     f_r, q_l, q_e, phi = theta[0], math.exp(theta[1]), math.exp(theta[2]), theta[3]
-
-    # Parameter standard errors from the local quadratic model, assuming
-    # independent homoscedastic noise (indicative only): the diagonal of
-    # sigma2 h^-1 from h's Cholesky factor when every pivot keeps PIVOT_SHARE
-    # of its diagonal entry (module docstring).  Otherwise h is near-singular
-    # and the diagonal is sigma2 h^+'s, the pseudo-inverse V S^-1 U^T from
-    # h's SVD with singular values up to 1e-15 of the largest dropped, as
-    # np.linalg.pinv does.
-    sigma2 = cost / max(f.size - 4, 1)
-    diag = _inverse_diagonal(h)
-    if diag is not None:
-        errs = [math.sqrt(sigma2 * v) for v in diag]
-    else:
-        try:
-            u, s, vt = (a.tolist() for a in np.linalg.svd(h, full_matrices=False))
-            inv = [1.0 / x if x > 1e-15 * s[0] else 0.0 for x in s]
-            errs = [math.sqrt(max(sigma2 * sum(vt[k][i] * (inv[k] * u[i][k]) for k in range(4)), 0.0))
-                    for i in range(4)]
-        except np.linalg.LinAlgError:
-            errs = [float("nan")] * 4
-
+    converged = stop is not None
+    if converged and not 0 < q_l < q_e:  # Q_L underflows to 0 on a trace far off the model's baseline
+        raise NonPhysicalFit(f"fit landed at Q_L = {q_l:.4g} outside (0, Q_e = {q_e:.4g})")
+    errs = _standard_errors(h, cost / max(f.size - 4, 1))
     result = FitResult(
         f_r=f_r,
         q_l=q_l,
@@ -427,19 +432,12 @@ def _fit(f, y, theta):
         phi_err=errs[3],
         rms_residual=math.sqrt(cost / f.size),
         n_iterations=n_iter,
-        converged=stop is not None,
+        converged=converged and bool(f[0] <= f_r <= f[-1]),
         stop=stop or "budget",
     )
     if not result.converged:
         raise ConvergenceFailure(
-            f"no convergence in {MAX_ITERATIONS} iterations", best=result
-        )
-    if not 0 < q_l < q_e:  # Q_L underflows to 0 on a trace far off the model's baseline
-        raise NonPhysicalFit(
-            f"fit landed at Q_L = {q_l:.4g} outside (0, Q_e = {q_e:.4g})"
-        )
-    if not f[0] <= f_r <= f[-1]:
-        raise ConvergenceFailure(
-            "fitted f_r outside the trace span", best=replace(result, converged=False)
+            "fitted f_r outside the trace span" if converged
+            else f"no convergence in {MAX_ITERATIONS} iterations", best=result
         )
     return result

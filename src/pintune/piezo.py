@@ -28,20 +28,14 @@ bands of its reading (at least one).  After that only RADIUS_MAX caps a move.
 The pin only screens the inductance, so Q_L, Q_e and phi do not change with
 its height: each reading's fit starts from the lineshape the session already
 knows, the last fit's (the belief's own before the first), at the sweep
-centre (see fitting.fit_resonance for the window that guards it).  The wider
-retry of a failed fit starts from its own guess."""
+centre (see fitting.fit_resonance for the window that guards it).  A fit
+fails on any FitFailure; the wider retry of a failed fit starts from its own
+guess, and a reading fails when both fits do."""
 
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import (
-    ConvergenceFailure,
-    DomainError,
-    MechanicalLimit,
-    NonPhysicalFit,
-    NoResonance,
-    StageStalled,
-)
+from .errors import DomainError, FitFailure, MechanicalLimit, StageStalled
 from .fitting import InitialGuess, fit_resonance
 from .resonator import (
     PinCouplingModel,
@@ -354,13 +348,14 @@ def reading_sweeps(cfg, f_center):
 
 def _measure(plant, stage, cfg, f_center, iteration, shape):
     """One reading around f_center: the first sweep's fit starts from shape =
-    (Q_L, Q_e, phi) at f_center, the retry's from its own guess."""
+    (Q_L, Q_e, phi) at f_center, the retry's from its own guess.  Raises the
+    retry's FitFailure when both fits fail."""
     last_exc = None
     for sweep, start in zip(reading_sweeps(cfg, f_center), (InitialGuess(f_center, *shape), None)):
         trace = plant.sweep(sweep, stage.position, iteration, iteration * cfg.duration_s)
         try:
             return fit_resonance(trace, start)
-        except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
+        except FitFailure as exc:
             last_exc = exc
     raise last_exc
 
@@ -376,7 +371,7 @@ def tune_to_target(plant, stage, cfg, model=None):
     Returns a TuningSession with the full step-by-step log.  The session ends
     Converged (|f_r - f_target| within tolerance), Unreachable (target outside
     the achievable band, or a pin that does not couple), StepBudgetExhausted,
-    or Aborted (repeated fit failure or a stalled stage).
+    or Aborted (a reading whose fits both failed, or a stalled stage).
     """
     model = ControllerModel.of(plant, stage) if model is None else replace(model)
     model.height = stage.position
@@ -397,7 +392,7 @@ def tune_to_target(plant, stage, cfg, model=None):
         session.steps.append(step)
         try:
             fit = _measure(plant, stage, cfg, step.predicted_f_r, k, model.shape)
-        except (NoResonance, NonPhysicalFit, ConvergenceFailure) as exc:
+        except FitFailure as exc:
             session.outcome = "Aborted"
             step.note = f"fit failed: {type(exc).__name__}"
             return session

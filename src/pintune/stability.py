@@ -40,6 +40,8 @@ class FrequencyTimeSeries:
         self.f_r = np.asarray(self.f_r, dtype=float)
         if self.timestamps.shape != self.f_r.shape:
             raise DomainError("FrequencyTimeSeries arrays must have equal length")
+        if not (np.isfinite(self.timestamps).all() and np.isfinite(self.f_r).all()):
+            raise DomainError("FrequencyTimeSeries values must be finite")
         if not np.all(self.timestamps[1:] > self.timestamps[:-1]):  # compared: a diff can overflow
             raise DomainError("FrequencyTimeSeries.timestamps must be strictly increasing")
         if not 0 < self.f0 < math.inf:

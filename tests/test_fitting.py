@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pintune import fitting
-from pintune.errors import ConvergenceFailure, NonPhysicalFit, NoResonance, PintuneError
+from pintune.errors import ConvergenceFailure, FitFailure, NonPhysicalFit, NoResonance, PintuneError
 from pintune.fitting import (
     FitResult,
     InitialGuess,
@@ -66,6 +66,12 @@ def criterion4_trace(f_r, q_i, q_e, phi, n, seed):
 # with a pivot share of 5e-12, so its covariance takes the SVD route.
 NEAR_SINGULAR_CASE = (4863938544.864087, 45516.302988253636, 8220044.408938354,
                       -0.4419570972957112, 401, 1987131395)
+
+# A shallow broad-range dip (Q_i 25,900 against Q_e 7.5e6), case 212 of the
+# fit_batch recipe's rng [7, 2]: the fit converges to Q_L within 0.1% of Q_e
+# and is refused as NonPhysicalFit.
+NON_PHYSICAL_CASE = (7554729840.915373, 25890.17713456213, 7480988.525101284,
+                     0.3076317838246856, 401, 2015905097)
 
 
 class TestInitialGuess:
@@ -182,6 +188,21 @@ class TestFitResonance:
         best = failure.value.best
         assert best.f_r > f[-1] and not best.converged and best.stop == "offset"
 
+    def test_converged_is_a_plain_bool(self):
+        """On a returned fit, a warm one, and the best of a fit out of its
+        budget and of one beyond its span (whose span test is numpy's)."""
+        trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
+        results = [fit_resonance(trace), fit_resonance(trace, initial_guess(trace))]
+        f_r = 6.83e9
+        f = np.linspace(f_r - 10 * f_r / PAPER_QL, f_r - 0.5 * f_r / PAPER_QL, 401)
+        beyond = notch_response(f, f_r, PAPER_QL, 5e5, 0.0)[0]
+        for failing in (criterion4_trace(*NEAR_SINGULAR_CASE), SweepTrace(f, beyond, -131.0)):
+            with pytest.raises(ConvergenceFailure) as failure:
+                fit_resonance(failing)
+            results.append(failure.value.best)
+        assert [type(res.converged) for res in results] == [bool] * 4
+        assert [res.converged for res in results] == [True, True, False, False]
+
     def test_uncertainties_cover_noise_scale(self):
         tr = make_trace(6.83e9, PAPER_QL, 5e5, n=1601, noise=0.01, seed=5)
         res = fit_resonance(tr)
@@ -230,7 +251,7 @@ class TestWarmStart:
         start = replace(guess, f_r=f_dip + 1.01 * half)
         assert fit_resonance(trace, start) == fit_resonance(trace)
 
-    @pytest.mark.parametrize("rejected", ["ConvergenceFailure", "NonPhysicalFit", "outside"])
+    @pytest.mark.parametrize("rejected", ["ConvergenceFailure", "NonPhysicalFit", "FitFailure", "outside"])
     def test_a_rejected_warm_fit_gives_the_cold_fit(self, monkeypatch, rejected):
         trace = device_reading(2)
         cold = fit_resonance(trace)
@@ -246,6 +267,8 @@ class TestWarmStart:
                 raise ConvergenceFailure("no convergence", best=result)
             if rejected == "NonPhysicalFit":
                 raise NonPhysicalFit("Q_L >= Q_e")
+            if rejected == "FitFailure":  # a kind the fallback does not name
+                raise type("UnnamedFitFailure", (FitFailure,), {})("no result")
             return replace(result, f_r=f_dip - 1.01 * half)
 
         fit = fitting._fit
@@ -504,6 +527,27 @@ class TestSolve:
         res = fit_resonance(trace)
         assert res.stop in ("step", "cost")
         assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
+
+    def test_a_refused_fit_computes_no_standard_errors(self, monkeypatch):
+        """A converged fit with Q_L outside (0, Q_e) raises NonPhysicalFit,
+        which carries no result, before either covariance route runs; a fit
+        out of its budget carries its best, and pays for both routes once."""
+        calls = []
+
+        def spy(name, func):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(fitting, "_inverse_diagonal", spy("cholesky", _inverse_diagonal))
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+        with pytest.raises(NonPhysicalFit):
+            fit_resonance(criterion4_trace(*NON_PHYSICAL_CASE))
+        assert calls == []
+        with pytest.raises(ConvergenceFailure):
+            fit_resonance(criterion4_trace(*NEAR_SINGULAR_CASE))
+        assert calls == ["cholesky", "svd"]
 
     def test_a_failed_covariance_reports_nan_errors(self, monkeypatch):
         """An SVD that does not converge, on a near-singular h that takes the

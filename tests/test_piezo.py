@@ -11,6 +11,7 @@ from pintune import piezo
 from pintune.errors import (
     ConvergenceFailure,
     DomainError,
+    FitFailure,
     MechanicalLimit,
     NonPhysicalFit,
     NoResonance,
@@ -374,6 +375,11 @@ class TestTuneToTarget:
         assert "stalled" in session.steps[-1].note
 
 
+class UnnamedFitFailure(FitFailure):
+    """A kind of failed fit that piezo does not name: a reading fails on any
+    FitFailure."""
+
+
 class TestFitFailure:
     """_measure retries a failed fit once on a RETRY_WIDEN times wider sweep,
     and the session aborts when that fails too."""
@@ -398,7 +404,7 @@ class TestFitFailure:
         assert first.note == "" and first.pulses > 0
         assert first.measured_f_r == pytest.approx(plant.true_frequency(300 * UM), abs=100.0)
 
-    @pytest.mark.parametrize("exc", [NoResonance, NonPhysicalFit, ConvergenceFailure])
+    @pytest.mark.parametrize("exc", [NoResonance, NonPhysicalFit, ConvergenceFailure, UnnamedFitFailure])
     def test_second_failure_aborts(self, monkeypatch, exc):
         spans = []
 

@@ -231,3 +231,12 @@ class TestSeriesInvariants:
     def test_non_increasing_timestamps(self):
         with pytest.raises(DomainError):
             FrequencyTimeSeries(np.array([0.0, 0.0, 1.0]), np.full(3, F0), F0)
+
+    @pytest.mark.parametrize("column", ["timestamps", "f_r"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_samples(self, column, bad):
+        # The last sample: an infinite last timestamp is strictly increasing.
+        values = {"timestamps": np.arange(4.0), "f_r": np.full(4, F0)}
+        values[column][-1] = bad
+        with pytest.raises(DomainError, match="^FrequencyTimeSeries values must be finite$"):
+            FrequencyTimeSeries(values["timestamps"], values["f_r"], F0)
