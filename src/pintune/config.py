@@ -20,6 +20,10 @@ from .piezo import F_RB, ControllerConfig, ControllerModel, PiezoStage, Plant, r
 from .resonator import PinCouplingModel, ResonatorParams, TuningState, calibrate_pin_model
 from .transmission import NoiseModel
 
+# The most points a sweep may take: a VNA sweep takes at most about 1e5, and
+# one tune reading at 1e6 already holds about 0.15 GB.
+MAX_POINTS = 10**6
+
 # Lab units in SI: config fields and CLI flags are given in them, and every
 # model object takes SI (Hz, m, F; power in dBm).
 GHz = 1e9
@@ -30,7 +34,8 @@ nm = 1e-9
 # section -> key -> (default, SI factor, rule, argument); the defaults are the
 # paper's Nb resonator trimmed to 6.8278 GHz, with the pin calibrated on its
 # tuning curve.  Each field must be a number (an int if its default is), finite,
-# and in SI pass its rule; one with no rule is checked by the object it builds.
+# and in SI pass its rule, one bound or two joined by ", "; one with no rule is
+# checked by the object it builds.
 # The argument is the constructor keyword it feeds (None: from_dict wires it).
 FIELDS = {
     "resonator": {
@@ -56,7 +61,7 @@ FIELDS = {
     },
     "sweep": {
         "span_mhz": (6.0, MHz, "> 0", "span"),
-        "n_points": (1601, 1, ">= 2", "n_points"),
+        "n_points": (1601, 1, f">= 2, <= {MAX_POINTS}", "n_points"),
         "p_in_dbm": (-131.0, 1, None, "p_in_dbm"),
         "duration_s": (160.0, 1, "> 0", None),
     },
@@ -71,7 +76,7 @@ FIELDS = {
         "f_target_ghz": (F_RB / GHz, GHz, "> 0", "f_target"),
         "tolerance_ppm": (0.3, 1, None, "tolerance_ppm"),
         "max_steps": (2000, 1, None, "max_steps"),
-        "sweep_points": (1201, 1, f">= {MIN_POINTS}", "sweep_points"),
+        "sweep_points": (1201, 1, f">= {MIN_POINTS}, <= {MAX_POINTS}", "sweep_points"),
         "sweep_span_mhz": (6.0, MHz, "> 0", "sweep_span"),
     },
 }
@@ -121,16 +126,18 @@ def _merge(base, override, prefix=""):
 
 def check(name, value, default, factor, rule):
     """value * factor, if value is a number (an int if default is) that is
-    finite in SI and passes rule; otherwise a ValidationError naming `name`."""
+    finite in SI and passes each bound of rule; otherwise a ValidationError
+    naming `name` and the first bound it breaks."""
     if isinstance(value, bool) or not isinstance(value, (type(default), int)):
         kind = "an integer" if isinstance(default, int) else "a number"
         raise ValidationError(f"{name}: expected {kind}, got {value!r}")
     si = value * factor if abs(value) <= sys.float_info.max else float("inf")
     if not abs(si) <= sys.float_info.max:  # NaN, inf, or past the float range
         raise ValidationError(f"{name}: must be finite")
-    op, _, bound = (rule or "").partition(" ")
-    if rule and not _RULES[op](si, float(bound)):
-        raise ValidationError(f"{name}: must be {rule}")
+    for bound in rule.split(", ") if rule else ():
+        op, _, limit = bound.partition(" ")
+        if not _RULES[op](si, float(limit)):
+            raise ValidationError(f"{name}: must be {bound}")
     return si
 
 

@@ -148,7 +148,9 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
     displaced by an arcsine-distributed offset of amplitude
     |df/dd| * vib_amplitude.  Multiplicative Gaussian noise sigma_rel is then
     applied to the power ratio.  Deterministic for a fixed seed (Philox,
-    vectorized draws, scaled by zero without noise).
+    vectorized draws, Gaussian ones scaled by zero without noise).  A
+    sweep without vibration draws the same phases but takes the lineshape at
+    the one f_r, with no np.sin, in the bits the per-point form gives.
 
     The trace skips `SweepTrace`'s checks that hold by construction: the
     axis is `config`'s linspace (2 or more points, positive, finite and
@@ -164,13 +166,16 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
     if not math.isfinite(jitter_amp):
         raise DomainError("NoiseModel.vib_amplitude times |df/dd| must be finite")
     rng = np.random.Generator(np.random.Philox(noise.seed))
-    centre = rng.uniform(0.0, 2.0 * math.pi, config.n_points)
-    gain = rng.standard_normal(config.n_points)
-    # Per-point resonance displacement: each point sees its own jittered
-    # f_r, f_r + jitter_amp sin(phase), formed in the draws' own arrays.
-    np.sin(centre, out=centre)
-    centre *= jitter_amp
-    centre += f_r
+    centre = rng.uniform(0.0, 2.0 * math.pi, config.n_points)  # drawn even unused,
+    gain = rng.standard_normal(config.n_points)  # as these follow it in the stream
+    if jitter_amp:
+        # Per-point resonance displacement: each point sees its own jittered
+        # f_r, f_r + jitter_amp sin(phase), formed in the draws' own arrays.
+        np.sin(centre, out=centre)
+        centre *= jitter_amp
+        centre += f_r
+    else:  # f_r + 0 sin(phase) is f_r, and the kernel's float path keeps its bits
+        centre = f_r
     ratio = notch_response(f, centre, q_l, params.Qe, params.phi)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         gain *= noise.sigma_rel

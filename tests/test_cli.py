@@ -138,6 +138,11 @@ class TestConfig:
             ({"state": {"d_um": 40}, "controller": {"sweep_span_mhz": 3420}},
              "controller.sweep_span_mhz: the 4x wider retry sweep runs from -1.22e+07 to "
              "1.36678e+10 Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
+            # Counts past the bound are refused before any array is allocated;
+            # a huge one names itself, not the span it overflows.
+            ({"sweep": {"n_points": 10**11}}, "sweep.n_points: must be <= 1000000"),
+            ({"controller": {"sweep_points": 10**11}}, "controller.sweep_points: must be <= 1000000"),
+            ({"controller": {"sweep_points": 10**20}}, "controller.sweep_points: must be <= 1000000"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -154,14 +159,16 @@ class TestConfig:
         assert beliefs == [piezo.ControllerModel.of(cfg.plant(), cfg.stage)]
 
     @pytest.mark.parametrize("section,key,rule", [
-        (section, key, rule)
+        (section, key, bound)
         for section, fields in FIELDS.items()
         for key, (_, _, rule, _) in fields.items()
         if rule
+        for bound in rule.split(", ")
     ])
     def test_each_rule_names_its_field(self, section, key, rule):
-        # The bound itself breaks a strict rule, one past it an inclusive one;
-        # the bounds are 0, or in a unitless field, so lab and SI values agree.
+        # Each bound of a rule is tested alone.  The bound itself breaks a
+        # strict one, one past it an inclusive one; the bounds are 0, or in a
+        # unitless field, so lab and SI values agree.
         op, bound = rule.split()
         default = FIELDS[section][key][0]
         bad = type(default)(float(bound) + {">": 0, ">=": -1, "<=": 1}[op])
@@ -222,6 +229,8 @@ class TestConfigFlags:
         (calibrate_argv(f_baseline_ghz=0), "calibration: anchor frequencies must be > 0"),
         (calibrate_argv(f_baseline_ghz=1e-200, f_closest_ghz=1e200),  # the anchor ratio underflows
          "calibration: anchors imply m_max >= 1 (unscreenable)"),
+        # a count no VNA sweep takes, refused before any array is allocated
+        (["simulate", "--n-points", 10**11], "sweep.n_points: must be <= 1000000"),
     ])
     def test_flag_is_checked_like_a_file_field(self, tmp_path, capsys, argv, message):
         out = ["--out", tmp_path / "o.csv"] if argv[0] == "simulate" else []
@@ -618,6 +627,8 @@ class TestTuneCommand:
         # the 1x sweep fits, but the retry after a failed fit would start below 0 Hz
         ({"sweep_span_mhz": 3500}, "controller.sweep_span_mhz: the 4x wider retry sweep runs "
          "from -1.546e+08 to 1.38454e+10 Hz; SweepConfig needs 0 < f_start < f_stop < inf"),
+        # a count no VNA sweep takes, refused before any array is allocated
+        ({"sweep_points": 10**11}, "controller.sweep_points: must be <= 1000000"),
     ])
     def test_sweep_the_fitter_cannot_use_names_its_field(self, tmp_path, capsys, controller,
                                                           message):

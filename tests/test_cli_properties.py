@@ -4,9 +4,9 @@ README table, never in a traceback.
 
 Configs start from the defaults and replace up to three fields with scaled
 numbers or with arbitrary JSON values, and may add an unknown field.  Point counts
-are drawn below 4,000 and the step budget below 40: a sweep of 10**12 points
-is a memory limit, not a validation case, and a session that cannot
-converge would otherwise run its default 2,000 measurements.
+are drawn below 4,000 or past `config.MAX_POINTS`, which the load check refuses,
+and the step budget below 40: a session that cannot converge would otherwise
+run its default 2,000 measurements.
 """
 
 import json
@@ -20,11 +20,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pintune.cli import main
-from pintune.config import DEFAULT_CONFIG
+from pintune.config import DEFAULT_CONFIG, MAX_POINTS
 
 EXIT_CODES = {0, 2, 3, 4, 5, 6}  # the README's exit-code table
-BOUNDED = {("sweep", "n_points"): 4000, ("controller", "sweep_points"): 4000,
-           ("controller", "max_steps"): 40}
+POINT_COUNTS = st.integers(-3, 4000) | st.integers(MAX_POINTS + 1, 10**25)
+BOUNDED = {("sweep", "n_points"): POINT_COUNTS, ("controller", "sweep_points"): POINT_COUNTS,
+           ("controller", "max_steps"): st.integers(-3, 40)}
 
 any_json = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4),
@@ -41,7 +42,7 @@ def configs(draw):
     for section, key in draw(st.lists(st.sampled_from(FIELDS), max_size=3, unique=True)):
         default = DEFAULT_CONFIG[section][key]
         if (section, key) in BOUNDED:
-            value = draw(st.integers(-3, BOUNDED[section, key]))
+            value = draw(BOUNDED[section, key])
         elif draw(st.booleans()):
             value = default * draw(factors)
             value = int(value) if isinstance(default, int) and abs(value) < 1e18 else value

@@ -191,14 +191,58 @@ class TestSynthesizeSweep:
         return SweepConfig(f_r - 5 * lw, f_r + 5 * lw, n, -131.0)
 
     def test_zero_noise_matches_lineshape(self):
+        # Without vibration the trace is the lineshape at f_r, times 1 + sigma z
+        # for the Gaussian draws that follow the n phase draws in the stream.
         params, pin = paper_plant()
         state = TuningState(d=200e-6)
         f_r = tuned_frequency(params, state, pin)
         cfg = self.sweep(f_r)
-        tr = synthesize_sweep(cfg, params, state, pin, NoiseModel(0.0, 0.0, 99))
         q_l = loaded_q(params.Qi0, params.Qe)
-        expected = notch_response(tr.frequencies, f_r, q_l, params.Qe, params.phi)[0]
-        np.testing.assert_array_equal(tr.power_ratio, expected)
+        for sigma_rel in (0.0, 0.01):
+            tr = synthesize_sweep(cfg, params, state, pin, NoiseModel(sigma_rel, 0.0, 99))
+            rng = np.random.Generator(np.random.Philox(99))
+            rng.uniform(size=cfg.n_points)
+            z = rng.standard_normal(cfg.n_points)
+            expected = notch_response(tr.frequencies, f_r, q_l, params.Qe, params.phi)[0]
+            np.testing.assert_array_equal(tr.power_ratio, expected * (1.0 + sigma_rel * z))
+
+    @staticmethod
+    def per_point_form(config, params, state, pin, noise):
+        """The reference sweep in its per-point form: every point has its own
+        centre f_r + jitter sin(phase), even at zero jitter; the lineshape
+        there, times 1 + sigma z, clipped at 0."""
+        f_r = tuned_frequency(params, state, pin)
+        jitter = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
+        f = np.linspace(config.f_start, config.f_stop, config.n_points)
+        rng = np.random.Generator(np.random.Philox(noise.seed))
+        centre = f_r + jitter * np.sin(rng.uniform(0.0, 2.0 * math.pi, config.n_points))
+        z = rng.standard_normal(config.n_points)
+        lineshape = notch_response(f, centre, loaded_q(params.Qi0, params.Qe), params.Qe, params.phi)[0]
+        return np.clip(lineshape * (1.0 + noise.sigma_rel * z), 0.0, None)
+
+    @settings(deadline=None)
+    @given(span=st.floats(1e3, 1e9), n=st.integers(2, 3000),
+           sigma_rel=st.just(0.0) | st.floats(1e-6, 10.0),
+           vib=st.just(0.0) | st.floats(1e-12, 1e-5),
+           coupled=st.booleans(), d=st.floats(40e-6, 2e-3),
+           seed=st.integers(0, 2**64 - 1))
+    @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=1)
+    @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.1e-6, coupled=False, d=40e-6, seed=2)
+    @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.1e-6, coupled=True, d=40e-6, seed=3)
+    def test_a_sweep_without_jitter_keeps_the_per_point_bits(self, span, n, sigma_rel, vib,
+                                                             coupled, d, seed):
+        # Without vibration, or with a pin that does not couple (m_max 0), the
+        # lineshape is taken at the one f_r; the trace keeps the bits of the
+        # per-point form, and so does a jittered one.
+        params, pin = paper_plant()
+        if not coupled:
+            pin = PinCouplingModel(0.0, pin.lam, pin.d_min)
+        state = TuningState(d=d)
+        f_r = tuned_frequency(params, state, pin)
+        args = (SweepConfig(f_r - span / 2, f_r + span / 2, n, -131.0), params, state, pin,
+                NoiseModel(sigma_rel, vib, seed))
+        got = synthesize_sweep(*args).power_ratio
+        assert got.tobytes() == self.per_point_form(*args).tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         params, pin = paper_plant()

@@ -48,16 +48,19 @@ The probes, all on the package's default config unless stated:
 Usage, from the repository root:
     python tools/probe_sessions.py [--recipe] [--each]
 --each also prints one line per session (probe, index, outcome,
-measurements, false), for a diff between two trees.  It runs the pintune of
-its own tree (the src/ beside tools/) and needs numpy.  Without --recipe
-the probes take about 2.5 minutes on one core (the two wide probes 1.5 of
-them), the recipe about another 1.3.
+measurements, false), for a diff between two trees.  Each probe's wall
+time goes to stderr as `<probe>: <seconds> s`, so stdout stays the same
+from run to run.  It runs the pintune of its own tree (the src/ beside
+tools/) and needs numpy.  Without --recipe the probes take about 2.5
+minutes on one core (the two wide probes 1.5 of them), the recipe about
+another 1.3.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -221,7 +224,9 @@ def main(argv=None):
     parser.add_argument("--each", action="store_true", help="print one line per session")
     args = parser.parse_args(argv)
     for name in [n for n in PROBES if n != "recipe" or args.recipe]:
+        start = time.perf_counter()
         print(probe(name, args.each), flush=True)
+        print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":
