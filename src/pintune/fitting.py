@@ -132,7 +132,7 @@ def _baseline_and_noise(y):
     part = np.partition(y, k)
     a, b = float(part[k]), float(part[k + 1:].min())
     baseline = b - (b - a) * (1 - w) if w >= 0.5 else a + (b - a) * w
-    steps = np.diff(y)
+    steps = np.subtract(y[1:], y[:-1])  # np.diff(y)'s own ufunc call
     noise = 1.4826 * _median_in_place(np.abs(steps, out=steps)) / math.sqrt(2.0)
     return baseline, noise
 
@@ -148,40 +148,42 @@ def initial_guess(trace):
         raise NoResonance(f"trace too short for a guess (< {MIN_POINTS} points)")
 
     baseline, noise_floor = _baseline_and_noise(y)
-    imin = int(np.argmin(y))
-    depth = baseline - y[imin]
+    imin = int(y.argmin())
+    y_min = y.item(imin)
+    depth = baseline - y_min
     if depth < 3.0 * max(noise_floor, 1e-12):
         raise NoResonance("dip depth below 3x the noise floor")
 
     at_edge = imin < 2 or imin > len(y) - 3
-    f_r = float(f[imin])
+    f_r = f.item(imin)
 
     # Full width at half depth: the first point at or above half depth on
-    # either side of the minimum, interpolated against its inner neighbour.
+    # either side of the minimum, interpolated against its inner neighbour,
+    # in Python floats (numpy scalars would do the same IEEE operations).
     half_level = baseline - depth / 2.0
     left = right = None
-    above = np.flatnonzero(y[:imin] >= half_level)
+    above = (y[:imin] >= half_level).nonzero()[0]
     if above.size:
-        j = above[-1]
-        frac = (half_level - y[j + 1]) / (y[j] - y[j + 1])
-        left = f[j + 1] + frac * (f[j] - f[j + 1])
-    above = np.flatnonzero(y[imin + 1:] >= half_level)
+        j = above.item(-1)
+        frac = (half_level - y.item(j + 1)) / (y.item(j) - y.item(j + 1))
+        left = f.item(j + 1) + frac * (f.item(j) - f.item(j + 1))
+    above = (y[imin + 1:] >= half_level).nonzero()[0]
     if above.size:
-        j = imin + 1 + above[0]
-        frac = (half_level - y[j - 1]) / (y[j] - y[j - 1])
-        right = f[j - 1] + frac * (f[j] - f[j - 1])
+        j = imin + 1 + above.item(0)
+        frac = (half_level - y.item(j - 1)) / (y.item(j) - y.item(j - 1))
+        right = f.item(j - 1) + frac * (f.item(j) - f.item(j - 1))
     if left is not None and right is not None:
         width = right - left
     elif left is not None:
         width = 2.0 * (f_r - left)
     else:  # one side crosses: the points at or above the baseline are above half depth
         width = 2.0 * (right - f_r)
-    width = max(width, (f[-1] - f[0]) / (len(f) - 1))
+    width = max(width, (f.item(-1) - f.item(0)) / (len(f) - 1))
 
     q_l = f_r / width
     if not q_l > 0:
         raise NoResonance("dip too wide for its frequency (Q_L underflows)")
-    min_ratio = min(max(y[imin] / baseline, 0.0), 1.0 - 1e-9)
+    min_ratio = min(max(y_min / baseline, 0.0), 1.0 - 1e-9)
     q_e = q_l / (1.0 - math.sqrt(min_ratio))
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 

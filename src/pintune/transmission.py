@@ -148,41 +148,50 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
     displaced by an arcsine-distributed offset of amplitude
     |df/dd| * vib_amplitude.  Multiplicative Gaussian noise sigma_rel is then
     applied to the power ratio.  Deterministic for a fixed seed (Philox,
-    vectorized draws, Gaussian ones scaled by zero without noise).  A
-    sweep without vibration draws the same phases but takes the lineshape at
-    the one f_r, with no np.sin, in the bits the per-point form gives.
+    vectorized draws, Gaussian ones scaled by zero without noise).  A sweep
+    without vibration skips its phase draws, advancing Philox's counter past
+    them, and takes the lineshape at the one f_r, with no np.sin, in the
+    bits the per-point form gives.
 
     The trace skips `SweepTrace`'s checks that hold by construction: the
-    axis is `config`'s linspace (2 or more points, positive, finite and
-    strictly increasing, as `SweepConfig` ensures) and the clip keeps the
-    ratio >= 0.  A noise model that overflows raises DomainError naming
-    vib_amplitude (checked before any draw) or sigma_rel.
+    axis is `config`'s, by np.linspace's arithmetic (2 or more points,
+    positive, finite and strictly increasing, as `SweepConfig` ensures) and
+    the clamp at +0.0 keeps the ratio >= 0.  A noise model that overflows
+    raises DomainError naming vib_amplitude (checked before any draw) or
+    sigma_rel.
     """
     f_r = tuned_frequency(params, state, pin)
     q_l = loaded_q(params.Qi0, params.Qe)
-    f = np.linspace(config.f_start, config.f_stop, config.n_points)
+    n = config.n_points
+    f = np.arange(n, dtype=float)  # np.linspace's own arithmetic, op for op
+    f *= (config.f_stop - config.f_start) / (n - 1)
+    f += config.f_start
+    f[-1] = config.f_stop
 
     jitter_amp = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
     if not math.isfinite(jitter_amp):
         raise DomainError("NoiseModel.vib_amplitude times |df/dd| must be finite")
     rng = np.random.Generator(np.random.Philox(noise.seed))
-    centre = rng.uniform(0.0, 2.0 * math.pi, config.n_points)  # drawn even unused,
-    gain = rng.standard_normal(config.n_points)  # as these follow it in the stream
     if jitter_amp:
         # Per-point resonance displacement: each point sees its own jittered
-        # f_r, f_r + jitter_amp sin(phase), formed in the draws' own arrays.
+        # f_r, f_r + jitter_amp sin(phase), with uniform(0, 2 pi)'s phases.
+        centre = rng.random(n)
+        centre *= 2.0 * math.pi
         np.sin(centre, out=centre)
         centre *= jitter_amp
         centre += f_r
     else:  # f_r + 0 sin(phase) is f_r, and the kernel's float path keeps its bits
+        rng.bit_generator.advance(n // 4)  # past the n phase draws: Philox
+        rng.random(n % 4)  # gives four 64-bit outputs per counter step
         centre = f_r
+    gain = rng.standard_normal(n)
     ratio = notch_response(f, centre, q_l, params.Qe, params.phi)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         gain *= noise.sigma_rel
         gain += 1.0
         ratio *= gain
-    np.clip(ratio, 0.0, None, out=ratio)  # +0.0 for -0.0, which np.maximum may keep
-    if not np.isfinite(ratio).all():
+    np.maximum(ratio, 0.0, out=ratio)  # np.clip(ratio, 0.0, None)'s ufunc; +0.0 for -0.0
+    if not math.isfinite(ratio.max()):  # only NaN or +inf can be left, and max keeps both
         raise DomainError("NoiseModel.sigma_rel times the noise draws must be finite")
     trace = object.__new__(SweepTrace)
     trace.frequencies, trace.power_ratio, trace.p_in_dbm, trace.timestamp = (

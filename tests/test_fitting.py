@@ -102,6 +102,92 @@ class TestInitialGuess:
             initial_guess(SweepTrace(f, np.ones_like(f), -131.0))
 
 
+def reference_guess(trace):
+    """initial_guess in its earlier form, op for op: np.percentile's
+    arithmetic on np.partition, np.diff, np.flatnonzero and numpy-scalar
+    crossing and depth arithmetic."""
+    f, y = trace.frequencies, trace.power_ratio
+    if len(y) < fitting.MIN_POINTS:
+        raise NoResonance(f"trace too short for a guess (< {fitting.MIN_POINTS} points)")
+    pos = (y.size - 1) * 0.8
+    k = math.floor(pos)
+    w = pos - k
+    part = np.partition(y, k)
+    a, b = float(part[k]), float(part[k + 1:].min())
+    baseline = b - (b - a) * (1 - w) if w >= 0.5 else a + (b - a) * w
+    noise_floor = 1.4826 * fitting.median(np.abs(np.diff(y))) / math.sqrt(2.0)
+    imin = int(np.argmin(y))
+    depth = baseline - y[imin]
+    if depth < 3.0 * max(noise_floor, 1e-12):
+        raise NoResonance("dip depth below 3x the noise floor")
+    at_edge = imin < 2 or imin > len(y) - 3
+    f_r = float(f[imin])
+    half_level = baseline - depth / 2.0
+    left = right = None
+    above = np.flatnonzero(y[:imin] >= half_level)
+    if above.size:
+        j = above[-1]
+        frac = (half_level - y[j + 1]) / (y[j] - y[j + 1])
+        left = f[j + 1] + frac * (f[j] - f[j + 1])
+    above = np.flatnonzero(y[imin + 1:] >= half_level)
+    if above.size:
+        j = imin + 1 + above[0]
+        frac = (half_level - y[j - 1]) / (y[j] - y[j - 1])
+        right = f[j - 1] + frac * (f[j] - f[j - 1])
+    if left is not None and right is not None:
+        width = right - left
+    elif left is not None:
+        width = 2.0 * (f_r - left)
+    else:
+        width = 2.0 * (right - f_r)
+    width = max(width, (f[-1] - f[0]) / (len(f) - 1))
+    q_l = f_r / width
+    if not q_l > 0:
+        raise NoResonance("dip too wide for its frequency (Q_L underflows)")
+    min_ratio = min(max(y[imin] / baseline, 0.0), 1.0 - 1e-9)
+    q_e = q_l / (1.0 - math.sqrt(min_ratio))
+    return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
+
+
+def guess_or_error(guess, trace):
+    """The guess's fields as exact hex strings, or its exception and message."""
+    try:
+        g = guess(trace)
+    except PintuneError as exc:
+        return type(exc), str(exc)
+    return [float(g.f_r).hex(), float(g.q_l).hex(), float(g.q_e).hex(), float(g.phi).hex(), g.at_edge]
+
+
+class TestInitialGuessBits:
+    @settings(deadline=None)
+    @given(n=st.integers(15, 400), centre=st.floats(-0.1, 1.1), half_width=st.floats(0.3, 800.0),
+           depth=st.just(0.0) | st.floats(1e-4, 1.2), noise=st.just(0.0) | st.floats(1e-4, 0.3),
+           f_start=st.floats(1e6, 1e10), seed=st.integers(0, 2**32 - 1))
+    # The dip at the first, last, second (at the edge) and third-from-last (not)
+    # point; one-sided crossings to the right, then to the left; a flat trace
+    # (NoResonance) and a 15-point one (too short).
+    @example(n=101, centre=0.0, half_width=3.0, depth=0.8, noise=0.0, f_start=6.8e9, seed=0)
+    @example(n=101, centre=1.0, half_width=3.0, depth=0.8, noise=0.01, f_start=6.8e9, seed=1)
+    @example(n=101, centre=0.01, half_width=3.0, depth=0.8, noise=0.0, f_start=6.8e9, seed=0)
+    @example(n=101, centre=0.98, half_width=3.0, depth=0.8, noise=0.0, f_start=6.8e9, seed=0)
+    @example(n=101, centre=0.02, half_width=40.0, depth=0.9, noise=0.0, f_start=6.8e9, seed=0)
+    @example(n=101, centre=0.98, half_width=40.0, depth=0.9, noise=0.0, f_start=6.8e9, seed=0)
+    @example(n=101, centre=0.5, half_width=3.0, depth=0.0, noise=0.0, f_start=6.8e9, seed=0)
+    @example(n=15, centre=0.5, half_width=2.0, depth=0.8, noise=0.0, f_start=6.8e9, seed=0)
+    def test_guess_keeps_the_earlier_bits(self, n, centre, half_width, depth, noise, f_start, seed):
+        # A Lorentzian dip of the given depth and half width (in points),
+        # centred at a fraction of the span (outside it too), with
+        # multiplicative noise clipped at 0: the guess is bit for bit the
+        # earlier form's, fields and at_edge, or the same exception and message.
+        i = np.arange(n, dtype=float)
+        y = 1.0 - depth / (1.0 + ((i - centre * (n - 1)) / half_width) ** 2)
+        if noise:
+            y *= 1.0 + noise * np.random.default_rng(seed).standard_normal(n)
+        f = np.linspace(f_start, 1.001 * f_start, n)
+        trace = SweepTrace(f, np.clip(y, 0.0, None), -131.0)
+        assert guess_or_error(initial_guess, trace) == guess_or_error(reference_guess, trace)
+
+
 class TestFitResonance:
     def test_noiseless_round_trip_paper_values(self):
         f_r = 6.834683e9

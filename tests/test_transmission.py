@@ -210,7 +210,7 @@ class TestSynthesizeSweep:
     def per_point_form(config, params, state, pin, noise):
         """The reference sweep in its per-point form: every point has its own
         centre f_r + jitter sin(phase), even at zero jitter; the lineshape
-        there, times 1 + sigma z, clipped at 0."""
+        there, times 1 + sigma z, clipped at 0.  Returns the axis and the ratio."""
         f_r = tuned_frequency(params, state, pin)
         jitter = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
         f = np.linspace(config.f_start, config.f_stop, config.n_points)
@@ -218,7 +218,7 @@ class TestSynthesizeSweep:
         centre = f_r + jitter * np.sin(rng.uniform(0.0, 2.0 * math.pi, config.n_points))
         z = rng.standard_normal(config.n_points)
         lineshape = notch_response(f, centre, loaded_q(params.Qi0, params.Qe), params.Qe, params.phi)[0]
-        return np.clip(lineshape * (1.0 + noise.sigma_rel * z), 0.0, None)
+        return f, np.clip(lineshape * (1.0 + noise.sigma_rel * z), 0.0, None)
 
     @settings(deadline=None)
     @given(span=st.floats(1e3, 1e9), n=st.integers(2, 3000),
@@ -229,11 +229,18 @@ class TestSynthesizeSweep:
     @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=1)
     @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.1e-6, coupled=False, d=40e-6, seed=2)
     @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.1e-6, coupled=True, d=40e-6, seed=3)
+    # The jitter-free branch skips the n phase draws by n // 4 Philox counter
+    # steps and n % 4 draws: one n of each residue mod 4.
+    @example(span=6e6, n=2, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=4)
+    @example(span=6e6, n=3, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=5)
+    @example(span=6e6, n=4, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=6)
+    @example(span=6e6, n=5, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=7)
     def test_a_sweep_without_jitter_keeps_the_per_point_bits(self, span, n, sigma_rel, vib,
                                                              coupled, d, seed):
         # Without vibration, or with a pin that does not couple (m_max 0), the
         # lineshape is taken at the one f_r; the trace keeps the bits of the
-        # per-point form, and so does a jittered one.
+        # per-point form, and so does a jittered one.  The axis is
+        # np.linspace's, byte for byte.
         params, pin = paper_plant()
         if not coupled:
             pin = PinCouplingModel(0.0, pin.lam, pin.d_min)
@@ -241,8 +248,10 @@ class TestSynthesizeSweep:
         f_r = tuned_frequency(params, state, pin)
         args = (SweepConfig(f_r - span / 2, f_r + span / 2, n, -131.0), params, state, pin,
                 NoiseModel(sigma_rel, vib, seed))
-        got = synthesize_sweep(*args).power_ratio
-        assert got.tobytes() == self.per_point_form(*args).tobytes()
+        got = synthesize_sweep(*args)
+        f, ratio = self.per_point_form(*args)
+        assert got.frequencies.tobytes() == f.tobytes()
+        assert got.power_ratio.tobytes() == ratio.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         params, pin = paper_plant()
@@ -367,10 +376,12 @@ class TestSweepTraceInvariants:
     @given(f_stop=st.floats(1e-300, 1e300), n_points=st.integers(2, 5000),
            ulps=st.floats(0.5, 8.0))
     def test_every_accepted_grid_strictly_increases(self, f_stop, n_points, ulps):
+        # The axis synthesize_sweep builds for any sweep SweepConfig accepts.
         f_start = f_stop - ulps * math.ulp(f_stop) * (n_points - 1)
         try:
             sweep = SweepConfig(f_start, f_stop, n_points, -131.0)
         except DomainError:
             return
-        f = np.linspace(sweep.f_start, sweep.f_stop, sweep.n_points)
+        params, pin = paper_plant()
+        f = synthesize_sweep(sweep, params, TuningState(d=154e-6), pin, NoiseModel()).frequencies
         assert np.all(f[1:] > f[:-1])
