@@ -15,17 +15,15 @@ trial or an unmet offset test.
 A fit reaches its verdict before it pays for standard errors: one that
 converged to a Q_L outside (0, Q_e) raises NonPhysicalFit, which carries no
 result, and computes none.  Every other fit, returned or carried as a
-ConvergenceFailure's best, computes them once, in _standard_errors, whose
-route depends on the pivot share: diag(h^-1), the column sums of squares of
-L^-1 for the final h = L L^T, when every pivot l_kk**2 keeps PIVOT_SHARE of
-its diagonal entry h_kk.  Cholesky's error on a graded h depends on h scaled
-to a unit diagonal, not on h's own condition number (Demmel & Veselić, SIAM
-J. Matrix Anal. Appl. 13, 1204 (1992)): it grows about as eps / share, and on
-criterion-4 fits was within 1.2e-13 relative of the exact inverse at shares
-above 1e-2 (every device-regime fit) and 5e-9 at 1.5e-8.  Below PIVOT_SHARE
-h is near-singular, as on a budget-exhausting shallow dip (a share of 5e-12),
-and the errors come from the pseudo-inverse by LAPACK's SVD, truncated as
-np.linalg.pinv truncates, or are NaN if the SVD fails.
+ConvergenceFailure's best, computes them once, in _standard_errors:
+diag(h^-1), the column sums of squares of L^-1 for the final h = L L^T, or
+NaN when h is not positive definite (a zero J^T J included).  Cholesky's
+error on a graded h grows about as eps / share, share being the least ratio
+of a pivot l_kk**2 to its diagonal entry h_kk, whatever h's own condition
+number (Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).  On
+criterion-4 fits the diagonal was within 1.2e-13 relative of the exact
+inverse at shares above 1e-2 (every device-regime fit) and 5e-9 at 1.5e-8,
+and the standard errors within 2% above 1e-14 and 15% at 3e-16.
 
 Three rules stop a fit, and FitResult.stop names the one that did: an
 accepted step below STEP_TOL relative ("step"), a relative cost decrease
@@ -75,7 +73,6 @@ OFFSET_TOL = 1e-3     # Bates-Watts relative offset
 DAMPING_START = 1e-3
 MIN_POINTS = 16       # the shortest trace initial_guess accepts
 PHI_LIMIT = math.pi / 2 - 1e-9  # the model is undefined at |phi| = pi/2
-PIVOT_SHARE = 1e-8    # covariance by Cholesky above it (module docstring)
 
 
 @dataclass
@@ -89,6 +86,9 @@ class InitialGuess:
 
 @dataclass
 class FitResult:
+    """A fit's parameters, their standard errors and how it ended.  The *_err
+    fields are NaN when J^T J is not positive definite at the fitted point."""
+
     f_r: float
     q_l: float
     q_e: float
@@ -284,12 +284,9 @@ def _solve(h, g, lam=0.0):
 
 def _inverse_diagonal(h):
     """diag(h^-1), each entry the sum of squares of a column of L^-1, L being
-    _cholesky(h)'s factor; or None unless every pivot l_kk**2 is above
-    PIVOT_SHARE of its diagonal entry h_kk."""
+    _cholesky(h)'s factor; or None when h is not positive definite."""
     l = _cholesky(h)
-    a00, a11, a22, a33 = h.diagonal().tolist()
-    if l is None or not (l[0] * l[0] > PIVOT_SHARE * a00 and l[2] * l[2] > PIVOT_SHARE * a11
-                         and l[5] * l[5] > PIVOT_SHARE * a22 and l[9] * l[9] > PIVOT_SHARE * a33):
+    if l is None:
         return None
     l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
     # Column k of L^-1 solves L z = e_k, from its diagonal entry 1/l_kk down.
@@ -312,19 +309,12 @@ def _inverse_diagonal(h):
 def _standard_errors(h, sigma2):
     """The standard errors of theta at h from the local quadratic model,
     assuming independent noise of variance sigma2 (indicative only): the
-    square roots of sigma2 diag(h^-1) by _inverse_diagonal, or else of sigma2
-    diag(h^+), the SVD's pseudo-inverse V S^-1 U^T truncated as
-    np.linalg.pinv truncates (module docstring); NaN if the SVD fails."""
+    square roots of sigma2 diag(h^-1) by _inverse_diagonal, or NaN for all
+    four when h is not positive definite (module docstring)."""
     diag = _inverse_diagonal(h)
-    if diag is not None:
-        return [math.sqrt(sigma2 * v) for v in diag]
-    try:
-        u, s, vt = (a.tolist() for a in np.linalg.svd(h, full_matrices=False))
-    except np.linalg.LinAlgError:
+    if diag is None:
         return [float("nan")] * 4
-    inv = [1.0 / x if x > 1e-15 * s[0] else 0.0 for x in s]
-    return [math.sqrt(max(sigma2 * sum(vt[k][i] * (inv[k] * u[i][k]) for k in range(4)), 0.0))
-            for i in range(4)]
+    return [math.sqrt(sigma2 * v) for v in diag]
 
 
 def _offset_small(h, g, cost, n):

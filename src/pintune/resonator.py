@@ -172,7 +172,10 @@ def calibrate_pin_model(f_baseline, f_closest, d_min, peak_sensitivity):
     if m2 == 0.0:
         # Zero shift: no coupling at any distance; decay length is moot.
         return PinCouplingModel(m_max=0.0, lam=d_min, d_min=d_min)
-    lam = f_baseline * m2 / (peak_sensitivity * (1.0 - m2) ** 1.5)
+    denominator = peak_sensitivity * (1.0 - m2) ** 1.5  # may underflow to 0
+    lam = f_baseline * m2 / denominator if denominator > 0 else math.inf
+    if not 0 < lam < math.inf:
+        raise CalibrationError("anchors imply a decay length that is not finite and > 0")
     return PinCouplingModel(m_max=math.sqrt(m2), lam=lam, d_min=d_min)
 
 

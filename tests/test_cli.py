@@ -143,6 +143,12 @@ class TestConfig:
             ({"sweep": {"n_points": 10**11}}, "sweep.n_points: must be <= 1000000"),
             ({"controller": {"sweep_points": 10**11}}, "controller.sweep_points: must be <= 1000000"),
             ({"controller": {"sweep_points": 10**20}}, "controller.sweep_points: must be <= 1000000"),
+            # The anchors' decay length underflows its slope term, or overflows.
+            ({"calibration": {"f_baseline_ghz": 1, "f_closest_ghz": 1e5,
+                              "peak_sensitivity_hz_per_m": 1e-310}},
+             "calibration: anchors imply a decay length that is not finite and > 0"),
+            ({"calibration": {"peak_sensitivity_hz_per_m": 1e-320}},
+             "calibration: anchors imply a decay length that is not finite and > 0"),
         ],
     )
     def test_invariant_violations_name_the_field(self, doc, field):
@@ -231,6 +237,11 @@ class TestConfigFlags:
          "calibration: anchors imply m_max >= 1 (unscreenable)"),
         # a count no VNA sweep takes, refused before any array is allocated
         (["simulate", "--n-points", 10**11], "sweep.n_points: must be <= 1000000"),
+        # a decay length whose slope term underflows to 0, and one that overflows
+        (calibrate_argv(f_baseline_ghz=1, f_closest_ghz=1e5, peak_sensitivity=1e-310),
+         "calibration: anchors imply a decay length that is not finite and > 0"),
+        (calibrate_argv(peak_sensitivity=1e-320),
+         "calibration: anchors imply a decay length that is not finite and > 0"),
     ])
     def test_flag_is_checked_like_a_file_field(self, tmp_path, capsys, argv, message):
         out = ["--out", tmp_path / "o.csv"] if argv[0] == "simulate" else []

@@ -7,24 +7,27 @@ against golden values and against copies of the plain implementations.
 
 The golden values were recorded with numpy 2.4.6 (OpenBLAS) on x86-64.
 Another numpy or BLAS build may round the synthesized traces or the matrix
-products differently, and with them the budget-exhausting fit's covariance,
-the one golden that takes LAPACK's SVD; the trace digests tell the two cases
-apart.  The six converged fits take their standard errors from the Cholesky
-factor of J^T J on Python floats: every pivot keeps far more than
-fitting.PIVOT_SHARE of its diagonal entry.  The budget-exhausting fit's J^T J
-is near-singular (a pivot share of 5e-12), so its errors come from the SVD's
-truncated pseudo-inverse.
+products differently; the trace digests tell the two cases apart.  Every fit
+takes its standard errors from the Cholesky factor of J^T J on Python floats,
+with no LAPACK call, and reports them as NaN when J^T J is not positive
+definite at the fitted point.  The six converged fits' pivots keep far more
+than 1e-8 of their diagonal entries; the budget-exhausting fit's J^T J is
+near-singular (a pivot share of 4.9e-12), and its errors are within 1e-5
+relative of the exact inverse's.
 
 A change that rounds differently by design, as the real-arithmetic notch
 kernel did against the complex one, the closed-form Cholesky solve against
-LAPACK's, the covariance diagonal from h's SVD against np.linalg.pinv and the
-Cholesky diagonal of h^-1 against the SVD's, is held against the goldens it
-replaces, which stay in this file (COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN,
-PINV_GOLDEN, SVD_COVARIANCE_GOLDEN): the same iteration counts, the
+LAPACK's, the covariance diagonal from h's SVD against np.linalg.pinv, the
+Cholesky diagonal of h^-1 against the SVD's and, on the near-singular
+budget-exhausting fit, against the truncated SVD pseudo-inverse, is held
+against the goldens it replaces, which stay in this file
+(COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN, PINV_GOLDEN,
+SVD_COVARIANCE_GOLDEN, TRUNCATED_SVD_GOLDEN): the same iteration counts, the
 parameters and rms residual within 1e-12 relative (bit for bit against the
-last) and the standard errors within 1e-9 (1e-4 for the budget-exhausting fit
-against the first two, whose J^T J is near-singular).  Only once those checks
-pass are the new bits and trace digests pinned, and the checks stay.
+last two) and the standard errors within 1e-9 (1e-4 for the
+budget-exhausting fit, whose J^T J is near-singular, against every golden
+but SVD_COVARIANCE_GOLDEN, which it is not in).  Only once those checks pass
+are the new bits and trace digests pinned, and the checks stay.
 Otherwise re-record from a commit known to be right, never from the change
 under test.
 
@@ -41,6 +44,7 @@ checks pass.
 
 import hashlib
 import math
+from fractions import Fraction
 import sys
 import threading
 import tracemalloc
@@ -128,8 +132,8 @@ GOLDEN_BEST = (
     (4863938544.864087, 45516.302988253636, 8220044.408938354, -0.4419570972957112, 401, 1987131395),
     "a96d8052a3ce7d6d",
     ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a7dp+27",
-     "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7baadb34b00d7p+13",
-     "0x1.b31c6ec81c08cp+39", "0x1.c6e4529666e4fp+39", "0x1.82eba280b203bp+12"),
+     "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba323ecd9025p+13",
+     "0x1.b313965906c61p+39", "0x1.c6db114f9564fp+39", "0x1.82e3c3403a5bcp+12"),
     200)
 GOLDEN_ALL = {**GOLDEN, "best-401": GOLDEN_BEST}
 
@@ -250,6 +254,19 @@ SVD_COVARIANCE_GOLDEN = {
          "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e59eaed1p+7",
          "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f12p+7", "0x1.777893319ea57p-10"),
         3),
+}
+
+# The budget-exhausting golden of the fitter that took a near-singular J^T J's
+# covariance (a Cholesky pivot at 1e-8 of its diagonal entry or less) from the
+# SVD pseudo-inverse, truncated as np.linalg.pinv truncates, before every fit
+# took it from the Cholesky factor: the fingerprint and the iteration count,
+# recorded from that fitter.  The converged goldens never took that route.
+TRUNCATED_SVD_GOLDEN = {
+    "best-401": (
+        ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a7dp+27",
+         "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7baadb34b00d7p+13",
+         "0x1.b31c6ec81c08cp+39", "0x1.c6e4529666e4fp+39", "0x1.82eba280b203bp+12"),
+        200),
 }
 
 # The goldens of the step and cost rules alone, before the relative-offset
@@ -397,13 +414,54 @@ def test_golden_within_tolerance_of_the_pinv_covariance(name):
     """The covariance diagonal from h's SVD rounds differently from
     np.linalg.pinv's matrix product: each golden takes the same iterations,
     with the parameters and rms residual within 1e-12 relative and the
-    standard errors within 1e-9."""
+    standard errors within 1e-9 (1e-4 for the budget-exhausting fit, whose
+    near-singular J^T J no longer takes an SVD)."""
     values, iterations = PINV_GOLDEN[name]
     got, got_iterations = golden_outcome(GOLDEN_ALL[name])
     assert got_iterations == iterations
     got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
     np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
+
+
+def exact_inverse_diagonal(h):
+    """diag(h^-1) of the float entries, by Gauss-Jordan elimination in
+    rational arithmetic."""
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(4)]
+            for i, row in enumerate(h.tolist())]
+    for c in range(4):
+        for r in range(4):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [float(rows[i][4 + i] / rows[i][i]) for i in range(4)]
+
+
+def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
+    """The Cholesky diagonal of the budget-exhausting fit's near-singular h
+    (a pivot share of 4.9e-12) rounds differently from the truncated SVD
+    pseudo-inverse it replaced: the same iterations, the parameters and rms
+    residual bit for bit, and the standard errors within 1e-4 relative, each
+    closer to those of the exact inverse of the same h."""
+    values, iterations = TRUNCATED_SVD_GOLDEN["best-401"]
+    seen = []
+
+    def standard_errors(h, sigma2):
+        seen.append((h.copy(), sigma2))
+        return errors(h, sigma2)
+
+    errors = fitting._standard_errors
+    monkeypatch.setattr(fitting, "_standard_errors", standard_errors)
+    got, got_iterations = golden_outcome(GOLDEN_BEST)
+    assert got_iterations == iterations
+    assert got[:5] == values[:5]
+    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
+    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4, atol=0)
+    (h, sigma2), = seen
+    exact = [math.sqrt(sigma2 * v) for v in exact_inverse_diagonal(h)]
+    exact = [exact[0], got[1] * exact[1], got[2] * exact[2], exact[3]]  # f_r, Q_L, Q_e, phi
+    for g, w, e in zip(got[5:], want[5:], exact):
+        assert abs(g - e) < abs(w - e)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -677,6 +677,12 @@ class TestPulseRadius:
             else:
                 assert step.radius == informative_size(step.position, errors[min(k, 2)])
 
+    def test_a_reading_without_standard_errors_probes_one_pulse(self, monkeypatch):
+        # A fit whose J^T J is not positive definite reports NaN errors: its
+        # reading sizes a one-pulse probe, and no move agrees with it.
+        session = reading_errors(monkeypatch, [math.nan], max_steps=4)
+        assert [(s.radius, s.pulses, s.gain) for s in session.steps] == [(1, 1, 1.0)] * 4
+
     def test_informative_bands_from_agreement_and_approach(self):
         # An agreeing move that clears the bands bounds the belief's gain
         # where a 5%-short aim still lands no farther than it started.

@@ -187,6 +187,17 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_pin_model(F_BASELINE, F_CLOSEST, D_MIN, 0.0)
 
+    @pytest.mark.parametrize("f_baseline,f_closest,peak", [
+        (1e9, 1e14, 1e-310),      # the slope term underflows to 0
+        (F_BASELINE, F_CLOSEST, 1e-320),  # the decay length overflows
+        (1e-300, 2e-300, 1e300),  # the decay length underflows to 0
+    ])
+    def test_decay_length_out_of_range(self, f_baseline, f_closest, peak, monkeypatch):
+        """Refused before a PinCouplingModel is built."""
+        monkeypatch.setattr("pintune.resonator.PinCouplingModel", None)
+        with pytest.raises(CalibrationError, match="decay length"):
+            calibrate_pin_model(f_baseline, f_closest, D_MIN, peak)
+
 
 class TestCoarseTrim:
     def test_100um_finger(self):
