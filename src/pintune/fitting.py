@@ -7,16 +7,20 @@ multiplicative damping (x10 on a rejected step, /10 on a cost decrease) and
 analytic residual derivatives.  A trial step is rejected when its cost rises,
 is not finite, or its Q exponents overflow.  A trial point costs only its
 residual: the Jacobian and the normal equations are evaluated at the start
-point and at accepted points alone (Moré 1978).  One unrolled Cholesky
-factorisation on Python floats serves the damped and undamped 4x4 solves and
-the covariance; a pivot that is not positive is a failed solve, a rejected
-trial or an unmet offset test.
+point and at accepted points alone (Moré 1978).  The 4x4 algebra is an
+unrolled Cholesky factorisation on Python floats and one substitution with
+its factor.  Each point the fit stands on, the start and each accepted point,
+is factored once, undamped; that factor serves the point's offset test and,
+at the last point, the standard errors.  A damped step factors its own
+h + lam D.  A pivot that is not positive fails a factorisation: a damped one
+raises the damping x10, an undamped one is an unmet offset test and, at the
+last point, NaN standard errors.
 
 A fit reaches its verdict before it pays for standard errors: one that
 converged to a Q_L outside (0, Q_e) raises NonPhysicalFit, which carries no
 result, and computes none.  Every other fit, returned or carried as a
 ConvergenceFailure's best, computes them once, in _standard_errors:
-diag(h^-1), the column sums of squares of L^-1 for the final h = L L^T, or
+diag(h^-1), entry k being |L^-1 e_k|^2 from the final point's h = L L^T, or
 NaN when h is not positive definite (a zero J^T J included).  Cholesky's
 error on a graded h grows about as eps / share, share being the least ratio
 of a pivot l_kk**2 to its diagonal entry h_kk, whatever h's own condition
@@ -30,8 +34,8 @@ accepted step below STEP_TOL relative ("step"), a relative cost decrease
 below COST_TOL ("cost"), and, at the start point and every accepted point,
 the relative-offset criterion of Bates & Watts (Technometrics 23, 179
 (1981)) ("offset").  With g = J^T r, h = J^T J and q = g^T h^-1 g, the part
-of the residual r^T r in the tangent plane, from one undamped solve, it
-stops once the remaining improvement is negligible against the noise:
+of the residual r^T r in the tangent plane, from the point's undamped factor,
+it stops once the remaining improvement is negligible against the noise:
 
     (q / p) / ((r^T r - q) / (n - p)) <= OFFSET_TOL**2,   p = 4 parameters
 
@@ -263,14 +267,11 @@ def _cholesky(h, lam=0.0):
     return l00, l10, l11, l20, l21, l22, l30, l31, l32, math.sqrt(p)
 
 
-def _solve(h, g, lam=0.0):
-    """Solve (h + lam D) x = g with _cholesky's factor L.  Returns x and
-    q = z.z with z = L^-1 g, or None when the factorisation fails."""
-    l = _cholesky(h, lam)
-    if l is None:
-        return None
+def _solve(l, g):
+    """Solve L L^T x = g for _cholesky's factor l and g four Python floats.
+    Returns x and q = z.z with z = L^-1 g."""
     l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
-    g0, g1, g2, g3 = g.tolist()
+    g0, g1, g2, g3 = g
     z0 = g0 / l00  # L z = g, then L^T x = z
     z1 = (g1 - l10 * z0) / l11
     z2 = (g2 - l20 * z0 - l21 * z1) / l22
@@ -282,48 +283,25 @@ def _solve(h, g, lam=0.0):
     return (x0, x1, x2, x3), z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
 
 
-def _inverse_diagonal(h):
-    """diag(h^-1), each entry the sum of squares of a column of L^-1, L being
-    _cholesky(h)'s factor; or None when h is not positive definite."""
-    l = _cholesky(h)
+def _standard_errors(l, sigma2):
+    """The standard errors of theta at the point h = L L^T factored as l,
+    from the local quadratic model, assuming independent noise of variance
+    sigma2 (indicative only): the square roots of sigma2 diag(h^-1), entry k
+    being |L^-1 e_k|^2, or NaN for all four when l is None, h not being
+    positive definite (module docstring)."""
     if l is None:
-        return None
-    l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
-    # Column k of L^-1 solves L z = e_k, from its diagonal entry 1/l_kk down.
-    z0 = 1.0 / l00
-    z1 = -l10 * z0 / l11
-    z2 = -(l20 * z0 + l21 * z1) / l22
-    z3 = -(l30 * z0 + l31 * z1 + l32 * z2) / l33
-    d0 = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
-    z1 = 1.0 / l11
-    z2 = -l21 * z1 / l22
-    z3 = -(l31 * z1 + l32 * z2) / l33
-    d1 = z1 * z1 + z2 * z2 + z3 * z3
-    z2 = 1.0 / l22
-    z3 = -l32 * z2 / l33
-    d2 = z2 * z2 + z3 * z3
-    z3 = 1.0 / l33
-    return d0, d1, d2, z3 * z3
-
-
-def _standard_errors(h, sigma2):
-    """The standard errors of theta at h from the local quadratic model,
-    assuming independent noise of variance sigma2 (indicative only): the
-    square roots of sigma2 diag(h^-1) by _inverse_diagonal, or NaN for all
-    four when h is not positive definite (module docstring)."""
-    diag = _inverse_diagonal(h)
-    if diag is None:
         return [float("nan")] * 4
-    return [math.sqrt(sigma2 * v) for v in diag]
+    units = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+    return [math.sqrt(sigma2 * _solve(l, e)[1]) for e in units]
 
 
-def _offset_small(h, g, cost, n):
-    """The relative-offset test at the current point (module docstring).  An
-    undamped solve that fails, or a q outside [0, cost), is not converged."""
-    solved = _solve(h, g)
-    if solved is None:
+def _offset_small(l, g, cost, n):
+    """The relative-offset test at a point with J^T J factored as l and
+    J^T r = g (module docstring).  A point whose factor is None, or a q
+    outside [0, cost), is not converged."""
+    if l is None:
         return False
-    q = solved[1]
+    q = _solve(l, g)[1]
     return 0.0 <= q < cost < math.inf and (q / 4) / ((cost - q) / (n - 4)) <= OFFSET_TOL**2
 
 
@@ -363,19 +341,20 @@ def _fit(f, y, theta):
     ws = _workspace(f.size)
     r, terms = _residual(theta, f, y, ws)
     jac = _jacobian(theta, terms, ws)
-    h, g = jac.T @ jac, jac.T @ r
+    h, g = jac.T @ jac, (jac.T @ r).tolist()
+    l = _cholesky(h)  # the one undamped factor of each point the fit stands on
     cost = float(r @ r)
     lam = DAMPING_START
     n_iter = 0
-    stop = "offset" if _offset_small(h, g, cost, f.size) else None
+    stop = "offset" if _offset_small(l, g, cost, f.size) else None
 
     while stop is None and n_iter < MAX_ITERATIONS:
         n_iter += 1
-        solved = _solve(h, g, lam)
-        if solved is None:
+        damped = _cholesky(h, lam)
+        if damped is None:
             lam *= 10.0
             continue
-        x = solved[0]  # the step is -x
+        x = _solve(damped, g)[0]  # the step is -x
 
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
         theta_new = (theta[0] - x[0], theta[1] - x[1], theta[2] - x[2],
@@ -396,13 +375,14 @@ def _fit(f, y, theta):
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             theta, r, cost = theta_new, r_new, cost_new
             jac = _jacobian(theta, terms, ws)
-            h, g = jac.T @ jac, jac.T @ r
+            h, g = jac.T @ jac, (jac.T @ r).tolist()
+            l = _cholesky(h)
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL:
                 stop = "step"
             elif rel_drop < COST_TOL:
                 stop = "cost"
-            elif _offset_small(h, g, cost, f.size):
+            elif _offset_small(l, g, cost, f.size):
                 stop = "offset"
         else:
             lam *= 10.0
@@ -411,7 +391,7 @@ def _fit(f, y, theta):
     converged = stop is not None
     if converged and not 0 < q_l < q_e:  # Q_L underflows to 0 on a trace far off the model's baseline
         raise NonPhysicalFit(f"fit landed at Q_L = {q_l:.4g} outside (0, Q_e = {q_e:.4g})")
-    errs = _standard_errors(h, cost / max(f.size - 4, 1))
+    errs = _standard_errors(l, cost / (f.size - 4))
     result = FitResult(
         f_r=f_r,
         q_l=q_l,

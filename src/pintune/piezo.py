@@ -270,16 +270,19 @@ class ControllerModel:
                     and abs(predicted) >= INFORMATIVE_BANDS * noise):  # crossing or not
                 self.gain, self.trusted = moved / abs(predicted), True
                 self.share = min(APPROACH_SHORT, abs(self.gain - 1.0) + noise / abs(predicted))
-        # The pulse radius.  A probe, `sized`, is the pulses whose believed df
-        # is INFORMATIVE_BANDS times the next move's agreement noise, or one
-        # when the noise or the slope is unusable.
-        per_pulse = frequency_sensitivity(self.state_at(self.height), self.params, self.pin,
-                                          self.step_length)
-        sized = 1
-        if per_pulse > 0 and math.isfinite(fit.f_r_err):
-            bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
-            sized = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
-        self.radius = RADIUS_MAX if self.trusted else sized
+        # The pulse radius: RADIUS_MAX once a move has measured the gain, until
+        # then a probe, the pulses whose believed df is INFORMATIVE_BANDS times
+        # the next move's agreement noise, or one when the noise or the slope
+        # is unusable.
+        if self.trusted:
+            self.radius = RADIUS_MAX
+        else:
+            per_pulse = frequency_sensitivity(self.state_at(self.height), self.params, self.pin,
+                                              self.step_length)
+            self.radius = 1
+            if per_pulse > 0 and math.isfinite(fit.f_r_err):
+                bands = INFORMATIVE_BANDS * AGREE_SIGMA * math.sqrt(2.0) * fit.f_r_err
+                self.radius = max(math.ceil(min(bands / per_pulse, RADIUS_MAX)), 1)
         self.offset = fit.f_r - f_belief
         self.shape = (fit.q_l, fit.q_e, fit.phi)
         self.last = (f_belief, fit)

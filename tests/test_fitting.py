@@ -12,7 +12,7 @@ from pintune.errors import ConvergenceFailure, FitFailure, NonPhysicalFit, NoRes
 from pintune.fitting import (
     FitResult,
     InitialGuess,
-    _inverse_diagonal,
+    _cholesky,
     _jacobian,
     _residual,
     _solve,
@@ -300,6 +300,30 @@ class TestFitResonance:
         best = failure.value.best
         assert best.f_r > f[-1] and not best.converged and best.stop == "offset"
 
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_a_dip_between_the_end_points_is_inside_the_span(self, end):
+        """The span test includes the outermost intervals: a noiseless dip
+        half a point spacing from either end of the axis fits to its f_r and
+        comes back converged."""
+        f_r, q_l = 6.83e9, PAPER_QL
+        spacing = 10 * f_r / q_l / 400
+        f = f_r + spacing * (np.arange(401) - (0.5 if end == "first" else 399.5))
+        res = fit_resonance(SweepTrace(f, notch_response(f, f_r, q_l, 5e5, 0.0)[0], -131.0))
+        assert res.converged and res.f_r == pytest.approx(f_r, abs=1e-6 * spacing)
+        assert f[0] < res.f_r < f[1] if end == "first" else f[-2] < res.f_r < f[-1]
+
+    def test_an_f_r_step_above_the_step_tolerance_keeps_the_fit_going(self):
+        """The step rule weighs f_r's step relative to f_r: from a start off a
+        noiseless trace's f_r alone, by 2 STEP_TOL relative, the first step
+        moves f_r by that much and the other three parameters by under a
+        tenth of STEP_TOL, and the fit goes on to the trace's f_r rather than
+        stop after the first damped step, about 1e-3 of the offset short."""
+        f_r, q_l, q_e = 6.83e9, 30.0, 90.0
+        offset = 2 * fitting.STEP_TOL * f_r
+        res = fit_resonance(make_trace(f_r, q_l, q_e, n=401), InitialGuess(f_r + offset, q_l, q_e))
+        assert res.converged and res.n_iterations > 1
+        assert abs(res.f_r - f_r) <= 1e-4 * offset
+
     def test_converged_is_a_plain_bool(self):
         """On a returned fit, a warm one, and the best of a fit out of its
         budget and of one beyond its span (whose span test is numpy's)."""
@@ -496,6 +520,21 @@ def graded_spd(draw):
     return (h + h.T) / 2
 
 
+def solve(h, g, lam=0.0):
+    """The fit's solve of (h + lam D) x = g: _cholesky's factor, then _solve;
+    None when the factorisation fails."""
+    l = _cholesky(h, lam)
+    return None if l is None else _solve(l, g.tolist())
+
+
+def inverse_diagonal(h):
+    """diag(h^-1) as _standard_errors takes it, entry k being |L^-1 e_k|^2
+    from _solve on _cholesky(h)'s factor; None when h is not positive
+    definite."""
+    l = _cholesky(h)
+    return None if l is None else [_solve(l, e)[1] for e in np.eye(4).tolist()]
+
+
 def exact_quadratic_form(a, g):
     """g^T a^-1 g of the float entries, solved in rational arithmetic."""
     rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(a.tolist(), g.tolist())]
@@ -530,7 +569,7 @@ class TestSolve:
         h = s[:, None] * core * s[None, :]
         h = (h + h.T) / 2
         g = s * rng.standard_normal(4)
-        x, got_q = _solve(h, g, lam)
+        x, got_q = solve(h, g, lam)
         a, x = damped(h, lam), np.array(x)
         eps = np.finfo(float).eps
         assert np.linalg.norm(a @ x - g) <= 4 * eps * np.linalg.norm(a, 2) * np.linalg.norm(x)
@@ -546,18 +585,18 @@ class TestSolve:
         pivot positive here; the other entries are damped by themselves."""
         h = np.diag([entry, 2.0, 4.0, 8.0])
         g = np.array([1e-30, 2.0, 4.0, 8.0])
-        x, q = _solve(h, g, 1e3)
+        x, q = solve(h, g, 1e3)
         pivot = entry + 1e3 * 1e-30
         assert x == pytest.approx([1e-30 / pivot, 2.0 / 2002.0, 4.0 / 4004.0, 8.0 / 8008.0])
         assert q == pytest.approx(1e-60 / pivot + 4.0 / 2002.0 + 16.0 / 4004.0 + 64.0 / 8008.0)
 
     def test_negative_diagonal_stays_negative(self):
-        assert _solve(np.diag([1.0, 1.0, 1.0, -3.0]), np.ones(4), 1e3) is None
+        assert solve(np.diag([1.0, 1.0, 1.0, -3.0]), np.ones(4), 1e3) is None
 
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     def test_zero_diagonal_solves_only_when_damped(self, lam):
         h = np.diag([1.0, 0.0, 1.0, 1.0])
-        assert (_solve(h, np.ones(4), lam) is None) == (lam == 0.0)
+        assert (solve(h, np.ones(4), lam) is None) == (lam == 0.0)
 
     @pytest.mark.parametrize("h", [
         np.diag([1.0, 1.0, float("nan"), 1.0]),
@@ -567,7 +606,7 @@ class TestSolve:
         -np.eye(4),
     ], ids=["nan-diagonal", "nan-off-diagonal", "indefinite", "singular", "negative-definite"])
     def test_not_positive_definite_returns_none(self, h):
-        assert _solve(h, np.ones(4)) is None
+        assert solve(h, np.ones(4)) is None
 
     def test_reads_the_upper_triangle_only(self):
         rng = np.random.default_rng(5)
@@ -576,7 +615,7 @@ class TestSolve:
         g = rng.standard_normal(4)
         junk = h.copy()
         junk[np.tril_indices(4, -1)] = np.nan
-        assert _solve(junk, g, 1e-3) == _solve(h, g, 1e-3)
+        assert solve(junk, g, 1e-3) == solve(h, g, 1e-3)
 
     def test_inverse_diagonal_needs_every_pivot_share(self):
         """diag(h^-1) of a well-conditioned h, as the exact inverse gives it,
@@ -588,17 +627,20 @@ class TestSolve:
         b = rng.standard_normal((6, 4))
         h = b.T @ b
         want = [exact_quadratic_form(h, e) for e in np.eye(4)]
-        assert _inverse_diagonal(h) == pytest.approx(want, rel=1e-14)
+        assert inverse_diagonal(h) == pytest.approx(want, rel=1e-14)
+        # The fit's standard errors are the square roots of this diagonal.
+        errors = [math.sqrt(2.0 * v) for v in inverse_diagonal(h)]
+        assert fitting._standard_errors(_cholesky(h), 2.0) == errors
         for delta in [1e-8, 1e-9, 1e-12, 1e-15]:
             h = np.eye(4)
             h[2, 3] = h[3, 2] = 1.0 - delta
             want = [exact_quadratic_form(h, e) for e in np.eye(4)]
-            assert _inverse_diagonal(h) == pytest.approx(want, rel=32 * eps / exact_pivot_share(h))
+            assert inverse_diagonal(h) == pytest.approx(want, rel=32 * eps / exact_pivot_share(h))
         singular = np.eye(4)
         singular[2, 3] = singular[3, 2] = 1.0  # the last pivot is exactly 0
         for h in [singular, np.zeros((4, 4)), -np.eye(4), np.diag([1.0, 1.0, float("nan"), 1.0]),
                   np.array([[1.0, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]:
-            assert _inverse_diagonal(h) is None
+            assert inverse_diagonal(h) is None
 
     @settings(max_examples=300, deadline=None)
     @given(h=graded_spd())
@@ -615,7 +657,7 @@ class TestSolve:
         worst reached 9 eps / share, and the largest refused share 6.7 eps."""
         eps = np.finfo(float).eps
         share = exact_pivot_share(h)
-        got = _inverse_diagonal(h)
+        got = inverse_diagonal(h)
         if got is None:
             assert share < 16 * eps
             return
@@ -657,7 +699,7 @@ class TestSolve:
         _, terms = _residual(theta, trace.frequencies, trace.power_ratio, ws)
         jac = _jacobian(theta, terms, ws)
         h = jac.T @ jac
-        got = _inverse_diagonal(h)
+        got = inverse_diagonal(h)
         if got is None:  # h is not positive definite
             return
         eps, scale, cond = np.finfo(float).eps, np.sqrt(h.diagonal()), np.linalg.cond(h)
@@ -690,14 +732,14 @@ class TestSolve:
         undisturbed = fit_resonance(trace)
         damped_calls = []
 
-        def first_damped_fails(h, g, lam=0.0):
+        def first_damped_fails(h, lam=0.0):
             if lam > 0:
                 damped_calls.append(lam)
                 if len(damped_calls) == 1:
                     return None
-            return _solve(h, g, lam)
+            return _cholesky(h, lam)
 
-        monkeypatch.setattr(fitting, "_solve", first_damped_fails)
+        monkeypatch.setattr(fitting, "_cholesky", first_damped_fails)
         res = fit_resonance(trace)
         assert damped_calls[1] == 10.0 * damped_calls[0]
         assert res.stop != "budget"
@@ -705,33 +747,87 @@ class TestSolve:
         assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
 
     def test_a_failed_undamped_solve_is_not_converged(self, monkeypatch):
-        """The offset test reads a failed undamped solve as not converged, so
-        a fit that would stop on it ends on another rule, at the same optimum."""
+        """The offset test reads a failed undamped factorisation as not
+        converged, so a fit that would stop on it ends on another rule, at the
+        same optimum; the same failed factor leaves it no standard errors."""
         trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
         undisturbed = fit_resonance(trace)
         assert undisturbed.stop == "offset"
-        monkeypatch.setattr(fitting, "_solve", lambda h, g, lam=0.0: _solve(h, g, lam) if lam else None)
+        monkeypatch.setattr(fitting, "_cholesky", lambda h, lam=0.0: _cholesky(h, lam) if lam else None)
         res = fit_resonance(trace)
         assert res.stop in ("step", "cost")
         assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
+        assert all(math.isnan(e) for e in (res.f_r_err, res.q_l_err, res.q_e_err, res.phi_err))
 
     def test_a_refused_fit_computes_no_standard_errors(self, monkeypatch):
         """A converged fit with Q_L outside (0, Q_e) raises NonPhysicalFit,
         which carries no result, before its covariance is computed; a fit out
-        of its budget carries its best, and pays for one Cholesky diagonal."""
+        of its budget carries its best, and pays for one diagonal of h^-1."""
         calls = []
+        standard_errors = fitting._standard_errors
 
-        def counted(h):
-            calls.append("cholesky")
-            return _inverse_diagonal(h)
+        def counted(l, sigma2):
+            calls.append("covariance")
+            return standard_errors(l, sigma2)
 
-        monkeypatch.setattr(fitting, "_inverse_diagonal", counted)
+        monkeypatch.setattr(fitting, "_standard_errors", counted)
         with pytest.raises(NonPhysicalFit):
             fit_resonance(criterion4_trace(*NON_PHYSICAL_CASE))
         assert calls == []
         with pytest.raises(ConvergenceFailure):
             fit_resonance(criterion4_trace(*NEAR_SINGULAR_CASE))
-        assert calls == ["cholesky"]
+        assert calls == ["covariance"]
+
+    @pytest.mark.parametrize("n", [16, 404])
+    def test_the_offset_test_stops_at_offset_tol(self, n):
+        """(q / 4) / ((r^T r - q) / (n - 4)) <= OFFSET_TOL**2, q from the
+        factor's solve: a point a millionth inside the bound is converged and
+        one a millionth outside is not."""
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((6, 4))
+        l, g = _cholesky(b.T @ b), rng.standard_normal(4).tolist()
+        q = _solve(l, g)[1]
+        for share, converged in [(1 - 1e-6, True), (1 + 1e-6, False)]:
+            cost = q + (q / 4) / (fitting.OFFSET_TOL**2 * share) * (n - 4)
+            assert fitting._offset_small(l, g, cost, n) is converged
+
+    def test_one_undamped_factorisation_per_jacobian(self, monkeypatch):
+        """Each point a fit stands on, its start and each accepted point, is
+        factored undamped once, for its offset test and, at the last point,
+        the standard errors: in every fit, cold, warm, refused or out of
+        budget, the undamped factorisations equal the Jacobians."""
+        cholesky, jacobian, fit = fitting._cholesky, fitting._jacobian, fitting._fit
+        counts, fits = {}, []
+
+        def counted_cholesky(h, lam=0.0):
+            counts["undamped"] += not lam
+            return cholesky(h, lam)
+
+        def counted_jacobian(*args):
+            counts["jacobian"] += 1
+            return jacobian(*args)
+
+        def counted_fit(*args):
+            counts.update(undamped=0, jacobian=0)
+            try:
+                return fit(*args)
+            finally:
+                fits.append((counts["undamped"], counts["jacobian"]))
+
+        monkeypatch.setattr(fitting, "_cholesky", counted_cholesky)
+        monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
+        monkeypatch.setattr(fitting, "_fit", counted_fit)
+        trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
+        cold = fit_resonance(trace)
+        fit_resonance(trace, InitialGuess(cold.f_r, cold.q_l, cold.q_e, cold.phi))
+        fit_resonance(trace, InitialGuess(cold.f_r, 2 * cold.q_e, cold.q_e))  # refused, then cold
+        with pytest.raises(NonPhysicalFit):
+            fit_resonance(criterion4_trace(*NON_PHYSICAL_CASE))
+        with pytest.raises(ConvergenceFailure):
+            fit_resonance(criterion4_trace(*NEAR_SINGULAR_CASE))
+        assert len(fits) == 6
+        assert all(undamped == jacobians >= 1 for undamped, jacobians in fits)
+        assert fits[-1][1] > 100  # the budget-exhausting fit accepts about half its trials
 
     def test_a_failed_covariance_reports_nan_errors(self):
         """An h that is not positive definite (zero, with a negative pivot,
@@ -740,7 +836,8 @@ class TestSolve:
         for h in [np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, -3.0]),
                   np.array([[1.0, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
                   np.ones((4, 4)), np.diag([1.0, 1.0, float("nan"), 1.0])]:
-            assert all(math.isnan(e) for e in fitting._standard_errors(h, 1.0))
+            assert _cholesky(h) is None
+            assert all(math.isnan(e) for e in fitting._standard_errors(_cholesky(h), 1.0))
 
     def test_a_kept_reading_with_a_zero_jtj_reports_nan_errors(self, monkeypatch):
         """A loud-probe session (tools/probe_sessions.py: sigma_rel 0.05,

@@ -444,20 +444,29 @@ def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
     residual bit for bit, and the standard errors within 1e-4 relative, each
     closer to those of the exact inverse of the same h."""
     values, iterations = TRUNCATED_SVD_GOLDEN["best-401"]
-    seen = []
+    undamped, seen = [], []
 
-    def standard_errors(h, sigma2):
-        seen.append((h.copy(), sigma2))
-        return errors(h, sigma2)
+    def counted_cholesky(h, lam=0.0):
+        l = cholesky(h, lam)
+        if not lam:
+            undamped.append((h.copy(), l))
+        return l
 
-    errors = fitting._standard_errors
+    def standard_errors(l, sigma2):
+        seen.append((l, sigma2))
+        return errors(l, sigma2)
+
+    cholesky, errors = fitting._cholesky, fitting._standard_errors
+    monkeypatch.setattr(fitting, "_cholesky", counted_cholesky)
     monkeypatch.setattr(fitting, "_standard_errors", standard_errors)
     got, got_iterations = golden_outcome(GOLDEN_BEST)
     assert got_iterations == iterations
     assert got[:5] == values[:5]
     got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
     np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4, atol=0)
-    (h, sigma2), = seen
+    (l, sigma2), = seen
+    h, last = undamped[-1]  # the final point's h, factored once
+    assert l is last
     exact = [math.sqrt(sigma2 * v) for v in exact_inverse_diagonal(h)]
     exact = [exact[0], got[1] * exact[1], got[2] * exact[2], exact[3]]  # f_r, Q_L, Q_e, phi
     for g, w, e in zip(got[5:], want[5:], exact):

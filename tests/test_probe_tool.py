@@ -21,7 +21,7 @@ def test_the_noiseless_grid_probe_prints_its_tally(monkeypatch):
     spec = importlib.util.spec_from_file_location("probe_sessions", PROBE_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    synthesize, solve = piezo.synthesize_sweep, fitting._solve
+    synthesize, cholesky = piezo.synthesize_sweep, fitting._cholesky
     assert tool.probe("noiseless_grid") == NOISELESS_GRID
     assert piezo.synthesize_sweep is synthesize  # the counters are taken off again
-    assert fitting._solve is solve
+    assert fitting._cholesky is cholesky

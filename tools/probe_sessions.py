@@ -9,7 +9,7 @@ failed fit: the calls to `pintune.piezo.synthesize_sweep` during the probe
 less its measurements), the total Gauss-Newton iterations of the readings'
 kept fits (`fit_iterations`) and of every fit the probe ran
 (`all_fit_iterations`: warm fits that were fitted again from the guess and
-fits that failed count too, one damped solve per iteration), its `Aborted`
+fits that failed count too, one damped factorisation per iteration), its `Aborted`
 sessions counted by the note of their last step, and two sha256 digests
 (first 16 hex digits) over its sessions in order:
 `outcomes` of each session's outcome and measurement count, `logs` of its
@@ -176,20 +176,20 @@ def probe(name, each=False):
     outcomes, logs = hashlib.sha256(), hashlib.sha256()
     tally, aborted, false, lengths, iterations = Counter(), Counter(), 0, [], 0
     sweeps, synthesize = 0, piezo.synthesize_sweep
-    all_iterations, solve = 0, fitting._solve
+    all_iterations, cholesky = 0, fitting._cholesky
 
     def counted(*args, **kwargs):
         nonlocal sweeps
         sweeps += 1
         return synthesize(*args, **kwargs)
 
-    def counted_solve(h, g, lam=0.0):
+    def counted_cholesky(h, lam=0.0):
         nonlocal all_iterations
-        all_iterations += lam > 0  # the damped solve, once per iteration
-        return solve(h, g, lam)
+        all_iterations += lam > 0  # the damped factorisation, once per iteration
+        return cholesky(h, lam)
 
     piezo.synthesize_sweep = counted  # every sweep a session takes
-    fitting._solve = counted_solve  # every fit those sweeps take
+    fitting._cholesky = counted_cholesky  # every fit those sweeps take
     try:
         for i, (session, plant, stage) in enumerate(PROBES[name]()):
             n, wrong = len(session.steps), is_false(session, plant, stage)
@@ -205,7 +205,7 @@ def probe(name, each=False):
                 print(f"{name} {i} {session.outcome} {n} {'false' if wrong else 'true'}")
     finally:
         piezo.synthesize_sweep = synthesize
-        fitting._solve = solve
+        fitting._cholesky = cholesky
     counts = " ".join(f"{o} {tally[o]}" for o in OUTCOMES)
     p50, p90 = np.percentile(lengths, [50, 90])
     notes = "; ".join(f"{note} {n}" for note, n in sorted(aborted.items())) or "none"
