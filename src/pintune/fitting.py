@@ -8,11 +8,12 @@ analytic residual derivatives.  A trial step is rejected when its cost rises,
 is not finite, or its Q exponents overflow.  A trial point costs only its
 residual: the Jacobian and the normal equations are evaluated at the start
 point and at accepted points alone (Moré 1978).  The 4x4 algebra is an
-unrolled Cholesky factorisation on Python floats and one substitution with
-its factor.  Each point the fit stands on, the start and each accepted point,
-is factored once, undamped; that factor serves the point's offset test and,
-at the last point, the standard errors.  A damped step factors its own
-h + lam D.  A pivot that is not positive fails a factorisation: a damped one
+unrolled Cholesky factorisation on Python floats and substitutions with its
+factor.  Each point the fit stands on, the start and each accepted point, is
+factored once, undamped; that factor's forward substitution serves the
+point's offset test and, at the last point, the standard errors.  A damped
+step factors its own h + lam D and solves for the step with a forward and a
+back substitution.  A pivot that is not positive fails a factorisation: a damped one
 raises the damping x10, an undamped one is an unmet offset test and, at the
 last point, NaN standard errors.
 
@@ -267,9 +268,20 @@ def _cholesky(h, lam=0.0):
     return l00, l10, l11, l20, l21, l22, l30, l31, l32, math.sqrt(p)
 
 
+def _forward(l, g):
+    """q = z.z with L z = g, by forward substitution, for _cholesky's factor l
+    and g four Python floats: g^T h^-1 g for h = L L^T."""
+    l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
+    g0, g1, g2, g3 = g
+    z0 = g0 / l00
+    z1 = (g1 - l10 * z0) / l11
+    z2 = (g2 - l20 * z0 - l21 * z1) / l22
+    z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    return z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+
+
 def _solve(l, g):
-    """Solve L L^T x = g for _cholesky's factor l and g four Python floats.
-    Returns x and q = z.z with z = L^-1 g."""
+    """x with L L^T x = g, for _cholesky's factor l and g four Python floats."""
     l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
     g0, g1, g2, g3 = g
     z0 = g0 / l00  # L z = g, then L^T x = z
@@ -280,7 +292,7 @@ def _solve(l, g):
     x2 = (z2 - l32 * x3) / l22
     x1 = (z1 - l21 * x2 - l31 * x3) / l11
     x0 = (z0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
-    return (x0, x1, x2, x3), z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+    return x0, x1, x2, x3
 
 
 def _standard_errors(l, sigma2):
@@ -292,7 +304,7 @@ def _standard_errors(l, sigma2):
     if l is None:
         return [float("nan")] * 4
     units = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
-    return [math.sqrt(sigma2 * _solve(l, e)[1]) for e in units]
+    return [math.sqrt(sigma2 * _forward(l, e)) for e in units]
 
 
 def _offset_small(l, g, cost, n):
@@ -301,7 +313,7 @@ def _offset_small(l, g, cost, n):
     outside [0, cost), is not converged."""
     if l is None:
         return False
-    q = _solve(l, g)[1]
+    q = _forward(l, g)
     return 0.0 <= q < cost < math.inf and (q / 4) / ((cost - q) / (n - 4)) <= OFFSET_TOL**2
 
 
@@ -354,7 +366,7 @@ def _fit(f, y, theta):
         if damped is None:
             lam *= 10.0
             continue
-        x = _solve(damped, g)[0]  # the step is -x
+        x = _solve(damped, g)  # the step is -x
 
         # Keep phi inside its domain; the model is undefined beyond +-pi/2.
         theta_new = (theta[0] - x[0], theta[1] - x[1], theta[2] - x[2],

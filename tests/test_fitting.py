@@ -13,6 +13,7 @@ from pintune.fitting import (
     FitResult,
     InitialGuess,
     _cholesky,
+    _forward,
     _jacobian,
     _residual,
     _solve,
@@ -521,18 +522,19 @@ def graded_spd(draw):
 
 
 def solve(h, g, lam=0.0):
-    """The fit's solve of (h + lam D) x = g: _cholesky's factor, then _solve;
-    None when the factorisation fails."""
+    """The fit's solve of (h + lam D) x = g and g^T (h + lam D)^-1 g:
+    _cholesky's factor, then _solve and _forward; None when the factorisation
+    fails."""
     l = _cholesky(h, lam)
-    return None if l is None else _solve(l, g.tolist())
+    return None if l is None else (_solve(l, g.tolist()), _forward(l, g.tolist()))
 
 
 def inverse_diagonal(h):
     """diag(h^-1) as _standard_errors takes it, entry k being |L^-1 e_k|^2
-    from _solve on _cholesky(h)'s factor; None when h is not positive
+    from _forward on _cholesky(h)'s factor; None when h is not positive
     definite."""
     l = _cholesky(h)
-    return None if l is None else [_solve(l, e)[1] for e in np.eye(4).tolist()]
+    return None if l is None else [_forward(l, e) for e in np.eye(4).tolist()]
 
 
 def exact_quadratic_form(a, g):
@@ -781,12 +783,12 @@ class TestSolve:
     @pytest.mark.parametrize("n", [16, 404])
     def test_the_offset_test_stops_at_offset_tol(self, n):
         """(q / 4) / ((r^T r - q) / (n - 4)) <= OFFSET_TOL**2, q from the
-        factor's solve: a point a millionth inside the bound is converged and
+        factor's forward substitution: a point a millionth inside the bound is converged and
         one a millionth outside is not."""
         rng = np.random.default_rng(3)
         b = rng.standard_normal((6, 4))
         l, g = _cholesky(b.T @ b), rng.standard_normal(4).tolist()
-        q = _solve(l, g)[1]
+        q = _forward(l, g)
         for share, converged in [(1 - 1e-6, True), (1 + 1e-6, False)]:
             cost = q + (q / 4) / (fitting.OFFSET_TOL**2 * share) * (n - 4)
             assert fitting._offset_small(l, g, cost, n) is converged
