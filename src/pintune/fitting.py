@@ -12,8 +12,8 @@ unrolled Cholesky factorisation on Python floats and substitutions with its
 factor.  Each point the fit stands on, the start and each accepted point, is
 factored once, undamped; that factor's forward substitution serves the
 point's offset test and, at the last point, the standard errors.  A damped
-step factors its own h + lam D and solves for the step with a forward and a
-back substitution.  A pivot that is not positive fails a factorisation: a damped one
+step factors its own h + lam D, and a forward and a back substitution give
+the step.  A pivot that is not positive fails a factorisation: a damped one
 raises the damping x10, an undamped one is an unmet offset test and, at the
 last point, NaN standard errors.
 
@@ -44,11 +44,12 @@ An exhausted iteration budget is "budget".  The undamped solve matters: a
 damped step shrinks where damping is heavy, so a runaway fit would look
 converged.
 
-The Jacobian columns reuse the residual's u, D and m (see transmission),
-with dS/du = -2(a sin phi + u m)/D:
+The Jacobian columns reuse the residual's u, W = 1/D and m (see
+transmission), with dS/du = -2(a sin phi + u m) W, and divide no array: the
+residual takes one array division, W's, and the Jacobian none.
 
-    dS/d f_r = dS/du (-(u + 2 Q_L)/f_r)     dS/d ln Q_e = -(m + a**2/D)
-    dS/d ln Q_L = u dS/du - dS/d ln Q_e    dS/d phi = 2a (sin phi - u cos phi)/D
+    dS/d f_r = dS/du (-(u + 2 Q_L)/f_r)     dS/d ln Q_e = -(m + a**2 W)
+    dS/d ln Q_L = u dS/du - dS/d ln Q_e    dS/d phi = 2a (sin phi - u cos phi) W
 
 A fit starts from initial_guess's point: the dip's f_r, Q_L from the
 half-depth width, Q_e from the depth and phi = 0.  Given a lineshape it
@@ -193,9 +194,9 @@ def initial_guess(trace):
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 
 
-# A fit's point-sized arrays, nine float64 rows: the residual, u, D, m, a
+# A fit's point-sized arrays, nine float64 rows: the residual, u, W, m, a
 # scratch row and the Jacobian's four columns.
-_Workspace = namedtuple("_Workspace", "r u d m scratch jac")
+_Workspace = namedtuple("_Workspace", "r u w m scratch jac")
 
 
 def _workspace(n):
@@ -206,37 +207,37 @@ def _workspace(n):
 
 def _residual(theta, f, y, ws):
     """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
-    the lineshape terms (Q_L, u, D, m) that _jacobian reuses, written into
+    the lineshape terms (Q_L, u, W, m) that _jacobian reuses, written into
     the workspace ws."""
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
-    r, u, d, m = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=(ws.r, ws.u, ws.d, ws.m))
+    r, u, w, m = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=(ws.r, ws.u, ws.w, ws.m))
     r -= y
-    return r, (q_l, u, d, m)
+    return r, (q_l, u, w, m)
 
 
 def _jacobian(theta, terms, ws):
     """d r / d theta at the point whose _residual returned terms, by the
     module docstring's closed forms, into the workspace ws."""
-    q_l, u, d, m = terms
+    q_l, u, w, m = terms
     f_r, _, lqe, phi = theta
     a = q_l / math.exp(lqe)
     a_sin, a_cos = a * math.sin(phi), a * math.cos(phi)
     jac = ws.jac
     p = np.multiply(u, m, out=ws.scratch)  # p = -(dS/du)/2
     p += a_sin
-    p /= d
+    p *= w
     col = np.add(u, 2.0 * q_l, out=jac[:, 0])  # f_r
     col *= p
     col *= 2.0 / f_r
-    col = np.divide(-a * a, d, out=jac[:, 2])  # ln Q_e
+    col = np.multiply(w, -a * a, out=jac[:, 2])  # ln Q_e
     col -= m
     col = np.multiply(u, p, out=jac[:, 1])  # ln Q_L
     col *= -2.0
     col -= jac[:, 2]
     col = np.multiply(u, -2.0 * a_cos, out=jac[:, 3])  # phi
     col += 2.0 * a_sin
-    col /= d
+    col *= w
     return jac
 
 

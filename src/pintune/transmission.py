@@ -1,15 +1,17 @@
 """Forward model of the measured transmission.
 
 Near resonance the ratio of transmitted to input power for the notch-coupled
-resonator is, with u = 2 Q_L (f - f_r)/f_r, a = Q_L/Q_e, D = 1 + u**2 and
-1/Q_L = 1/Q_i + 1/Q_e (Probst et al., Rev. Sci. Instrum. 86, 024706 (2015)),
+resonator is, with u = (f - f_r) 2 Q_L/f_r, a = Q_L/Q_e, W = 1/D = 1/(1 + u**2)
+and 1/Q_L = 1/Q_i + 1/Q_e (Probst et al., Rev. Sci. Instrum. 86, 024706
+(2015)),
 
-    S = |1 - a e^{i phi}/(1 + i u)|**2 = 1 + (a**2 - 2a cos phi - 2a u sin phi)/D
+    S = |1 - a e^{i phi}/(1 + i u)|**2 = 1 + (a**2 - 2a cos phi - 2a u sin phi) W
 
-and m = S - 1.  This module evaluates that lineshape in real arithmetic,
-composes quality factors, synthesizes noisy sweeps (including broadening from
-mechanical vibration of the tuning pin), and does the power-chain / photon
-bookkeeping.
+and m = S - 1.  This module evaluates that lineshape in real arithmetic, with
+one array division per evaluation at a float f_r (W's; u takes 2 Q_L/f_r as
+one number), composes quality factors, synthesizes noisy sweeps (including
+broadening from mechanical vibration of the tuning pin), and does the
+power-chain / photon bookkeeping.
 """
 
 from __future__ import annotations
@@ -101,27 +103,34 @@ class NoiseModel:
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
     """S = 1 + m of the module docstring, in real arithmetic, and the terms
-    the fit's Jacobian reuses; returns (S, u, D, m).  The one copy of the
+    the fit's Jacobian reuses; returns (S, u, W, m).  The one copy of the
     lineshape: no argument checks, f is an increasing array and f_r a float
     or an array.  out: optional real arrays of f's shape that receive
-    (S, u, D, m)."""
-    s, u, d, m = (None,) * 4 if out is None else out
+    (S, u, W, m)."""
+    s, u, w, m = (None,) * 4 if out is None else out
     a = q_l / q_e
-    # x = (f - f_r)/f_r clamped so that |u| <= U_CLAMP (np.minimum and np.maximum
-    # cost less than np.clip); a 2 Q_L past the float range keeps u = 0 * inf = nan.
-    # At a float f_r, x is monotone along f, rounding included, so when both
-    # ends are within the clamp every point is and the clamp is skipped; an
-    # end that is NaN (f_r = 0, NaN or infinite) fails the test.
-    x_max = U_CLAMP / (2.0 * q_l) if q_l > 0 else math.inf
-    u = np.divide(np.subtract(f, f_r, out=u), f_r, out=u)
-    if not (isinstance(f_r, float) and abs(u.item(0)) <= x_max and abs(u.item(-1)) <= x_max):
-        u = np.maximum(np.minimum(u, x_max, out=u), -x_max, out=u)
-    u = np.multiply(u, 2.0 * q_l, out=u)
-    d = np.add(np.multiply(u, u, out=d), 1.0, out=d)
+    # 2 Q_L / f_r: at a float f_r, Python's quotient when it is finite, which
+    # is numpy's with no warning; numpy's, and its warnings, per point at an
+    # array f_r and otherwise.  A 2 Q_L past the float range is NaN, and so
+    # is every u, as when u was 0 * inf: a fit rejects such a trial.
+    two_q = 2.0 * q_l
+    two_q = math.nan if math.isinf(two_q) else two_q
+    scale = two_q / f_r if isinstance(f_r, float) and f_r else math.inf
+    if not math.isfinite(scale):
+        scale = np.divide(two_q, f_r, out=w)
+    u = np.subtract(f, f_r, out=u)
+    u = np.multiply(u, scale, out=u)  # in place: a scalar f raises TypeError here
+    # u clamped at +-U_CLAMP (np.minimum and np.maximum cost less than
+    # np.clip).  At a float f_r, u is monotone along f, rounding included, so
+    # when both ends are within the clamp every point is and the clamp is
+    # skipped; an end that is NaN fails the test.
+    if not (isinstance(f_r, float) and abs(u.item(0)) <= U_CLAMP and abs(u.item(-1)) <= U_CLAMP):
+        u = np.maximum(np.minimum(u, U_CLAMP, out=u), -U_CLAMP, out=u)
+    w = np.divide(1.0, np.add(np.multiply(u, u, out=w), 1.0, out=w), out=w)  # the one division
     m = np.multiply(u, -2.0 * a * math.sin(phi), out=m)
     m += a * (a - 2.0 * math.cos(phi))
-    m /= d
-    return np.add(m, 1.0, out=s), u, d, m
+    m *= w
+    return np.add(m, 1.0, out=s), u, w, m
 
 
 def loaded_q(q_i, q_e):

@@ -748,6 +748,50 @@ class TestSolve:
         assert res.n_iterations > undisturbed.n_iterations
         assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
 
+    def test_a_trial_past_the_float_range_is_rejected(self, monkeypatch):
+        """A trial at Q_L = 1e308, finite, where 2 Q_L / f_r is not, costs NaN
+        (the kernel's u is NaN there): the fit rejects it and damps ten times
+        harder, although the flat S = 1 that a clamped u would give there
+        costs less than the start, a full-depth dip four linewidths off."""
+        trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
+        f, y = trace.frequencies, trace.power_ratio
+        start = (6.83e9 * (1 + 4.01 / PAPER_QL), math.log(PAPER_QL), math.log(1.001 * PAPER_QL), 0.0)
+        far = (start[0], math.log(1e308), math.log(1.5e308), 0.0)
+        assert 2.0 * math.exp(far[1]) == math.inf > math.exp(far[2])
+        costs, lams, accepted = [], [], []
+        cholesky, solve, residual, jacobian = (
+            fitting._cholesky, fitting._solve, fitting._residual, fitting._jacobian)
+
+        def counted_cholesky(h, lam=0.0):
+            if lam:
+                lams.append(lam)
+            return cholesky(h, lam)
+
+        def first_step_far(l, g):  # the step is -x, from the start to far
+            return tuple(a - b for a, b in zip(start, far)) if len(lams) == 1 else solve(l, g)
+
+        def counted_residual(theta, *args):
+            out = residual(theta, *args)
+            costs.append(float(out[0] @ out[0]))
+            return out
+
+        def counted_jacobian(theta, *args):
+            accepted.append(theta)
+            return jacobian(theta, *args)
+
+        for name, spy in [("_cholesky", counted_cholesky), ("_solve", first_step_far),
+                          ("_residual", counted_residual), ("_jacobian", counted_jacobian)]:
+            monkeypatch.setattr(fitting, name, spy)
+        try:
+            fitting._fit(f, y, start)
+        except FitFailure:
+            pass
+        assert not np.isin(start[0], f)  # no point at f_r: a clamped u is finite everywhere
+        assert float(np.sum((1.0 - y) ** 2)) < costs[0]
+        assert math.isnan(costs[1])
+        assert lams[1] == 10.0 * lams[0]
+        assert all(theta[1] < 700.0 for theta in accepted)
+
     def test_a_failed_undamped_solve_is_not_converged(self, monkeypatch):
         """The offset test reads a failed undamped factorisation as not
         converged, so a fit that would stop on it ends on another rule, at the

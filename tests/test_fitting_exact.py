@@ -19,15 +19,18 @@ A change that rounds differently by design, as the real-arithmetic notch
 kernel did against the complex one, the closed-form Cholesky solve against
 LAPACK's, the covariance diagonal from h's SVD against np.linalg.pinv, the
 Cholesky diagonal of h^-1 against the SVD's and, on the near-singular
-budget-exhausting fit, against the truncated SVD pseudo-inverse, is held
-against the goldens it replaces, which stay in this file
-(COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN, PINV_GOLDEN,
-SVD_COVARIANCE_GOLDEN, TRUNCATED_SVD_GOLDEN): the same iteration counts, the
-parameters and rms residual within 1e-12 relative (bit for bit against the
-last two) and the standard errors within 1e-9 (1e-4 for the
-budget-exhausting fit, whose J^T J is near-singular, against every golden
-but SVD_COVARIANCE_GOLDEN, which it is not in).  Only once those checks pass
-are the new bits and trace digests pinned, and the checks stay.
+budget-exhausting fit, against the truncated SVD pseudo-inverse, and the
+kernel that multiplies by W = 1/D against the one that divided by D (and
+with it every trace), is held against the goldens it replaces, which stay in
+this file (COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN, PINV_GOLDEN,
+SVD_COVARIANCE_GOLDEN, TRUNCATED_SVD_GOLDEN, DIVIDE_KERNEL_GOLDEN): the same
+iteration counts, the parameters and rms residual within 1e-12 relative and
+the standard errors within 1e-9 (1e-4 for the budget-exhausting fit, whose
+J^T J is near-singular, against every golden but SVD_COVARIANCE_GOLDEN,
+which it is not in).  The parameters and rms residual of
+SVD_COVARIANCE_GOLDEN and TRUNCATED_SVD_GOLDEN stay bit for bit those of
+DIVIDE_KERNEL_GOLDEN, the fits they were held against.  Only once those
+checks pass are the new bits and trace digests pinned, and the checks stay.
 Otherwise re-record from a commit known to be right, never from the change
 under test.
 
@@ -85,45 +88,45 @@ def criterion4_trace(f_r, q_i, q_e, phi, n, seed):
 GOLDEN = {
     "device-401": (
         (6834683000.0, 35000.0, 500000.0, -0.222029717806419, 401, 328258452),
-        "f08eda6a416214aa",
+        "520ac91b94307a10",
         ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
-         "-0x1.c100812b5fcdcp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959804b7p+11",
-         "0x1.c8bab460673abp+9", "0x1.3ff8a21ee66f4p+13", "0x1.71afcad40ed22p-6"),
+         "-0x1.c100812b5fcddp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959804bap+11",
+         "0x1.c8bab460673abp+9", "0x1.3ff8a21ee66f4p+13", "0x1.71afcad40ed24p-6"),
         3),
     "device-1601": (
         (6834683000.0, 35000.0, 500000.0, 0.43373840568325917, 1601, 955959054),
-        "a9bf03484a26e248",
+        "f26e0d7560cb9d1f",
         ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
-         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397afc13p+10",
-         "0x1.cad13cd1992ebp+8", "0x1.368e058520684p+12", "0x1.5ccd0d69f99f5p-7"),
+         "0x1.c13c1c0b0813bp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397afc11p+10",
+         "0x1.cad13cd1992ecp+8", "0x1.368e058520685p+12", "0x1.5ccd0d69f99f4p-7"),
         4),
     "device-6401": (
         (6834683000.0, 35000.0, 500000.0, -0.2206261194775878, 6401, 536393447),
-        "f0584721f2e7c843",
+        "307f7f6a9de282b2",
         ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
-         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb9f88p+9",
-         "0x1.c4c1635c937ddp+7", "0x1.32f7a4bfcbbc1p+11", "0x1.632b33a16bc3cp-8"),
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb9f86p+9",
+         "0x1.c4c1635c937ddp+7", "0x1.32f7a4bfcbbc1p+11", "0x1.632b33a16bc3bp-8"),
         3),
     "broad-401": (
         (4228100136.274949, 18784.912940901275, 633043.3010062983, 0.278446362175662, 401, 1481135592),
         "ef7557f06c3842f7",
         ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
-         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f75517p+12",
-         "0x1.472771418aeb6p+10", "0x1.e71d05e299d64p+14", "0x1.9d042905bd5e7p-5"),
+         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f75514p+12",
+         "0x1.472771418aeb4p+10", "0x1.e71d05e299d62p+14", "0x1.9d042905bd5e7p-5"),
         4),
     "broad-1601": (
         (7659040120.583509, 23057.581793387475, 1140880.1162411429, -0.48644385669938683, 1601, 92906558),
-        "764bb77b9f2f180b",
+        "274e4a0626588e07",
         ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
          "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd72707c9f8fp+12",
-         "0x1.f5043f8dd7a0cp+9", "0x1.0c901466508afp+15", "0x1.0e3017e38e753p-5"),
+         "0x1.f5043f8dd7a0ap+9", "0x1.0c901466508afp+15", "0x1.0e3017e38e753p-5"),
         7),
     "broad-6401": (
         (6488750664.203288, 40015.865015532974, 126838.71963366943, 0.12928980070184704, 6401, 1862978404),
-        "44f7216d1c913bb1",
+        "0861115fa2bd2e3c",
         ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
-         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e599536cp+7",
-         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9efdp+7", "0x1.777893317b030p-10"),
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4cp-7", "0x1.cb0b4e599536ap+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f00p+7", "0x1.777893317b02fp-10"),
         3),
 }
 # A shallow dip (Q_i 45,500 against Q_e 8.2e6) that exhausts the budget: the
@@ -131,11 +134,52 @@ GOLDEN = {
 GOLDEN_BEST = (
     (4863938544.864087, 45516.302988253636, 8220044.408938354, -0.4419570972957112, 401, 1987131395),
     "a96d8052a3ce7d6d",
-    ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a7dp+27",
-     "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba323ecd9025p+13",
-     "0x1.b313965906c61p+39", "0x1.c6db114f9564fp+39", "0x1.82e3c3403a5bcp+12"),
+    ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a96p+27",
+     "0x1.db65a07cde2b1p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba4b71b8b02dp+13",
+     "0x1.b3156a56396fbp+39", "0x1.c6dcfa8f612b3p+39", "0x1.82e5636517036p+12"),
     200)
 GOLDEN_ALL = {**GOLDEN, "best-401": GOLDEN_BEST}
+
+# The goldens of the kernel that divided by D = 1 + u**2 (and by f_r for u)
+# where it now multiplies by W = 1/D, by name: the fingerprint and the
+# iteration count, recorded from that kernel on its own traces.
+DIVIDE_KERNEL_GOLDEN = {
+    "device-401": (
+        ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
+         "-0x1.c100812b5fcdcp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959804b7p+11",
+         "0x1.c8bab460673abp+9", "0x1.3ff8a21ee66f4p+13", "0x1.71afcad40ed22p-6"),
+        3),
+    "device-1601": (
+        ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
+         "0x1.c13c1c0b0813cp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397afc13p+10",
+         "0x1.cad13cd1992ebp+8", "0x1.368e058520684p+12", "0x1.5ccd0d69f99f5p-7"),
+        4),
+    "device-6401": (
+        ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb9f88p+9",
+         "0x1.c4c1635c937ddp+7", "0x1.32f7a4bfcbbc1p+11", "0x1.632b33a16bc3cp-8"),
+        3),
+    "broad-401": (
+        ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
+         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f75517p+12",
+         "0x1.472771418aeb6p+10", "0x1.e71d05e299d64p+14", "0x1.9d042905bd5e7p-5"),
+        4),
+    "broad-1601": (
+        ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
+         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd72707c9f8fp+12",
+         "0x1.f5043f8dd7a0cp+9", "0x1.0c901466508afp+15", "0x1.0e3017e38e753p-5"),
+        7),
+    "broad-6401": (
+        ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4bp-7", "0x1.cb0b4e599536cp+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9efdp+7", "0x1.777893317b030p-10"),
+        3),
+    "best-401": (
+        ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a7dp+27",
+         "0x1.db65a07cde297p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba323ecd9025p+13",
+         "0x1.b313965906c61p+39", "0x1.c6db114f9564fp+39", "0x1.82e3c3403a5bcp+12"),
+        200),
+}
 
 # The goldens of the fitter that solved its 4x4 systems with LAPACK
 # (np.linalg.solve) before the unrolled Cholesky, by name: the fingerprint
@@ -358,7 +402,7 @@ def golden_trace(case, digest):
 # makes a jitter of about 5.7 kHz.  The traces above all sit at d = 0.05 m,
 # where the jitter is 0, so this digest is the one that pins the jittered
 # synthesis: (pin height, points, span, sigma_rel, vibration, noise seed).
-VIBRATING_PIN_TRACE = ((154e-6, 1201, 6e6, 0.005, 0.1e-6, 2718), "799954cc6c2f08d4")
+VIBRATING_PIN_TRACE = ((154e-6, 1201, 6e6, 0.005, 0.1e-6, 2718), "6ac5d304f4a76c5a")
 
 
 def test_vibrating_pin_trace_golden():
@@ -393,6 +437,21 @@ def assert_stops_within_noise(name, reference):
     params, errs = [0, 1, 2, 3], [5, 6, 7, 8]
     assert np.all(np.abs(got[params] - want[params]) <= 1e-2 * want[errs])
     np.testing.assert_allclose(got[errs], want[errs], rtol=1e-3, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
+def test_golden_within_tolerance_of_the_divide_kernel(name):
+    """Multiplying by W = 1/D rounds differently from dividing by D, and
+    the traces with it: each golden takes the same iterations on its
+    re-synthesized trace, with the parameters and rms residual within 1e-12
+    relative and the standard errors within 1e-9 (1e-4 for the
+    budget-exhausting fit)."""
+    values, iterations = DIVIDE_KERNEL_GOLDEN[name]
+    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
+    assert got_iterations == iterations
+    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
+    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
@@ -441,9 +500,12 @@ def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
     """The Cholesky diagonal of the budget-exhausting fit's near-singular h
     (a pivot share of 4.9e-12) rounds differently from the truncated SVD
     pseudo-inverse it replaced: the same iterations, the parameters and rms
-    residual bit for bit, and the standard errors within 1e-4 relative, each
-    closer to those of the exact inverse of the same h."""
+    residual bit for bit in the divide kernel's golden and within 1e-12
+    relative now, and the standard errors within 1e-4 relative, each closer
+    to those of the exact inverse of the same h."""
     values, iterations = TRUNCATED_SVD_GOLDEN["best-401"]
+    kept, kept_iterations = DIVIDE_KERNEL_GOLDEN["best-401"]
+    assert (kept[:5], kept_iterations) == (values[:5], iterations)
     undamped, seen = [], []
 
     def counted_cholesky(h, lam=0.0):
@@ -461,8 +523,8 @@ def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
     monkeypatch.setattr(fitting, "_standard_errors", standard_errors)
     got, got_iterations = golden_outcome(GOLDEN_BEST)
     assert got_iterations == iterations
-    assert got[:5] == values[:5]
     got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
+    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
     np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4, atol=0)
     (l, sigma2), = seen
     h, last = undamped[-1]  # the final point's h, factored once
@@ -477,14 +539,18 @@ def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
 def test_golden_within_tolerance_of_the_svd_covariance(name):
     """The Cholesky diagonal of h^-1 rounds differently from the SVD
     pseudo-inverse's: each converged golden takes the same iterations, with
-    the parameters and rms residual bit for bit and the standard errors within
-    1e-9 relative."""
+    the parameters and rms residual bit for bit in the divide kernel's golden
+    and within 1e-12 relative now, and the standard errors within 1e-9
+    relative."""
     values, iterations = SVD_COVARIANCE_GOLDEN[name]
+    kept, kept_iterations = DIVIDE_KERNEL_GOLDEN[name]
+    assert (kept[:5], kept_iterations) == (values[:5], iterations)
     got, got_iterations = golden_outcome(GOLDEN[name])
     assert got_iterations == iterations
-    assert got[:5] == values[:5]
-    got, want = ([float.fromhex(v) for v in vs[5:]] for vs in (got, values))
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    for have in kept, got:
+        have, want = ([float.fromhex(v) for v in vs] for vs in (have, values))
+        np.testing.assert_allclose(have[:5], want[:5], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(have[5:], want[5:], rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ALL))

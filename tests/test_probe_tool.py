@@ -11,9 +11,9 @@ from pintune import fitting, piezo
 PROBE_TOOL = Path(__file__).resolve().parents[1] / "tools" / "probe_sessions.py"
 NOISELESS_GRID = (
     "noiseless_grid: sessions 36, Converged 36 Unreachable 0 StepBudgetExhausted 0 Aborted 0, "
-    "false 0, measurements 180 (median 5, p90 6, max 6), retries 4, fit_iterations 657, "
-    "all_fit_iterations 2257, aborted by note (none), outcomes 584704392f62ba59, "
-    "logs d85b3c3caaa95116")
+    "false 0, measurements 180 (median 5, p90 6, max 6), retries 4, fit_iterations 655, "
+    "all_fit_iterations 2255, aborted by note (none), outcomes 584704392f62ba59, "
+    "logs 2ea4568690470fa3")
 
 
 def test_the_noiseless_grid_probe_prints_its_tally(monkeypatch):

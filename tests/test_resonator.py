@@ -279,6 +279,14 @@ class TestInvariantValidation:
         with pytest.raises(DomainError):
             ResonatorParams(L0=1e-9, C=1e-12, Qi0=1e4, Qe=1e5, phi=2.0)
 
+    @pytest.mark.parametrize("name", ["L0", "C", "Qi0", "Qe"])
+    def test_params_refuse_zero(self, name):
+        # At the bound: each of L0, C, Qi0 and Qe must be > 0, not >= 0.
+        values = {"L0": 1e-9, "C": 1e-12, "Qi0": 1e4, "Qe": 1e5}
+        ResonatorParams(**values)
+        with pytest.raises(DomainError, match=f"ResonatorParams.{name} must be > 0"):
+            ResonatorParams(**{**values, name: 0.0})
+
     def test_pin_model_invariants(self):
         with pytest.raises(DomainError):
             PinCouplingModel(m_max=1.0, lam=1e-4, d_min=1e-5)

@@ -37,17 +37,17 @@ def seed_of(*key):
 # calibrated decay length, 60-nm steps, no backlash).
 SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
-        "Converged", 4, 2432, "2eb8d83a414f6ab69c0be737ad09325bfe750ba223034a923a1bcac8b18125f3"),
+        "Converged", 4, 2432, "b39769102ee111577a8efa1251326c8115a9c0437ca0e7097d3f9cb71a762103"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 8, 2436, "939943a4a5f32405b0a2f67ec57ff8fb1139fa88aaeefc91218b18d2b38af18d"),
+        "Converged", 8, 2436, "4c9992c8f20997bd853323c93b5c687c85fb82fadd458afb7cdb12b225963273"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
-        "Converged", 4, 7432, "4cdb5b566cf4c952c9666db6d44785d6aab1a9989a0d26f2337ac94167d32b3a"),
+        "Converged", 4, 7432, "8a0a84442cf49adfaea266cc4439f29841685dfce188f874c2a8369d4e842b4b"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
-        "Converged", 4, 7431, "f33db83939173b3fbda1008cba0fb46f61c1602870c094c60e1ea9d37aa8e128"),
+        "Converged", 4, 7431, "dc699494aa161e70609813a695f91faac822e5923c85ec1ac9d58ea37f82c80e"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 5, 7502, "8d78acbe25b06c075f07e1c20bb9be4fb8435fe4eb6a78ccf9c68a1fd137f93d"),
+        "Converged", 5, 7502, "ba1476590279dd1282b74a5abe99396be497b07cb30cd2313779e6ec6f88355a"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
-        "Converged", 8, 2824, "27e9aeb5294290b9404017b8db1e94a4c883b49d5a92fdb93eaace71531052d5"),
+        "Converged", 8, 2824, "c984354482cc67366db1ae73118c93be29e74228d5f1195384a90a98eb8f609f"),
 }
 
 
@@ -75,7 +75,7 @@ GRID_CASES = [(1.0, 60.0, 0.0)] + [
     (lam, step, back) for lam in (0.9, 1.0, 1.1) for step in (54.0, 60.0, 66.0)
     for back in (0.0, 5.0) if (lam, step, back) != (1.0, 60.0, 0.0)
 ]
-GRID_LOGS = "d85b3c3caaa95116cb877e087ee6e9c64949160c4ae6c93abe5dff8917e90256"
+GRID_LOGS = "2ea4568690470fa3e08f248cea9438b22da24e31af4b4326958223e5c58a6e43"
 
 
 def test_noiseless_grid_is_bit_identical():

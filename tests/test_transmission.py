@@ -48,11 +48,12 @@ def s21(f, f_r, q_l, q_e, phi=0.0):
 def always_clamped(f, f_r, q_l, q_e, phi):
     """notch_response's arithmetic, op for op, with the clamp always applied."""
     a = q_l / q_e
-    x_max = U_CLAMP / (2.0 * q_l) if q_l > 0 else math.inf
-    u = np.maximum(np.minimum((f - f_r) / f_r, x_max), -x_max) * (2.0 * q_l)
-    d = u * u + 1.0
-    m = (u * (-2.0 * a * math.sin(phi)) + a * (a - 2.0 * math.cos(phi))) / d
-    return m + 1.0, u, d, m
+    two_q = 2.0 * q_l
+    scale = np.divide(math.nan if math.isinf(two_q) else two_q, f_r)
+    u = np.maximum(np.minimum((f - f_r) * scale, U_CLAMP), -U_CLAMP)
+    w = 1.0 / (u * u + 1.0)
+    m = (u * (-2.0 * a * math.sin(phi)) + a * (a - 2.0 * math.cos(phi))) * w
+    return m + 1.0, u, w, m
 
 
 class TestS21Power:
@@ -107,13 +108,17 @@ class TestS21Power:
     @example(f_r=6.83e9, log_q_l=4.5, straddle=False, ends=(0.0, 0.0), n=1,
              grid=[6.82e9, 6.83e9, 6.84e9], phi=0.3)
     @example(f_r=6.83e9, log_q_l=140.0, straddle=True, ends=(-1.0, 1.0), n=5, grid=[0.0], phi=0.3)
+    # 2 Q_L = 2e10 is finite and 2 Q_L / f_r overflows: numpy's warning at
+    # either centre, and with warnings ignored u = +-inf clamped, NaN at f_r.
+    @example(f_r=1e-300, log_q_l=10.0, straddle=False, ends=(0.0, 0.0), n=1,
+             grid=[-1.0, 1e-300, 6.83e9], phi=0.3)
     def test_a_skipped_clamp_is_bit_exact(self, f_r, log_q_l, straddle, ends, n, grid, phi):
         """At a float f_r on an increasing grid the kernel skips the clamp when
         both ends are within it: it returns the bits of an array centre, which
         always clamps, and raises what that raises.  Grids straddle the clamp
-        at +-U_CLAMP / (2 Q_L) or are drawn anywhere."""
+        at u = +-U_CLAMP or are drawn anywhere."""
         q_l = 10.0**log_q_l
-        if straddle:  # (f - f_r)/f_r from ends[0] to ends[1] times the clamp
+        if straddle:  # u from ends[0] to ends[1] times U_CLAMP
             centre = f_r if math.isfinite(f_r) and f_r != 0 else 6.83e9
             with np.errstate(all="ignore"):
                 f = np.sort(centre + centre * (U_CLAMP / (2.0 * q_l)) * np.linspace(*sorted(ends), n))
@@ -135,7 +140,7 @@ class TestS21Power:
 
     def test_an_array_centre_keeps_the_clamp(self):
         # Both ends at their own centre, the middle point's centre near 0: its
-        # x is about 7e12, past the clamp of 5e9, and only the clamp keeps
+        # u is about 1.4e153, past U_CLAMP = 1e150, and only the clamp keeps
         # u**2 finite.
         f = np.array([6.83e9, 6.83e9 + 1.0, 6.83e9 + 2.0])
         centre = np.array([6.83e9, 1e-3, 6.83e9 + 2.0])
@@ -156,6 +161,12 @@ class TestQualityFactors:
 
     def test_uncoupled_limit(self):
         assert loaded_q(35000, 1e18) == pytest.approx(35000, rel=1e-9)
+
+    def test_a_q_below_one_composes(self):
+        # Any Q_i > 0 composes: 0.5 * 1 / (0.5 + 1) is 1/3, rounded once.
+        assert loaded_q(0.5, 1.0) == 1.0 / 3.0
+        with pytest.raises(DomainError):
+            loaded_q(0.0, 1.0)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(42)
@@ -353,6 +364,12 @@ class TestSweepTraceInvariants:
     def test_non_increasing(self):
         with pytest.raises(DomainError):
             SweepTrace(np.array([2.0, 1.0]), np.array([1.0, 1.0]), -131.0)
+
+    def test_a_zero_frequency_is_refused(self):
+        # At the bound: the first frequency must be > 0, not >= 0.
+        SweepTrace(np.array([5e-324, 1.0]), np.array([1.0, 1.0]), -131.0)
+        with pytest.raises(DomainError, match="positive"):
+            SweepTrace(np.array([0.0, 1.0]), np.array([1.0, 1.0]), -131.0)
 
     def test_negative_ratio(self):
         with pytest.raises(DomainError):
