@@ -112,7 +112,7 @@ def notch_response(f, f_r, q_l, q_e, phi, out=None):
     # 2 Q_L / f_r: at a float f_r, Python's quotient when it is finite, which
     # is numpy's with no warning; numpy's, and its warnings, per point at an
     # array f_r and otherwise.  A 2 Q_L past the float range is NaN, and so
-    # is every u, as when u was 0 * inf: a fit rejects such a trial.
+    # are u and S, so that a fit rejects such a trial.
     two_q = 2.0 * q_l
     two_q = math.nan if math.isinf(two_q) else two_q
     scale = two_q / f_r if isinstance(f_r, float) and f_r else math.inf
