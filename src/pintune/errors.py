@@ -33,8 +33,9 @@ class NoResonance(FitFailure):
 
 
 class NonPhysicalFit(FitFailure):
-    """Fit converged to Q_L >= Q_e, implying infinite or negative Q_i, or to
-    a Q_L that underflows to 0."""
+    """Fit converged to Q_L >= Q_e, implying infinite or negative Q_i, to a
+    Q_L that underflows to 0, or where J^T J is not positive definite (a
+    model left flat by an overflowing Q_e/Q_L)."""
 
 
 class ConvergenceFailure(FitFailure):

@@ -15,14 +15,16 @@ point's offset test and, at the last point, the standard errors.  A damped
 step factors its own h + lam D, and a forward and a back substitution give
 the step.  A pivot that is not positive fails a factorisation: a damped one
 raises the damping x10, an undamped one is an unmet offset test and, at the
-last point, NaN standard errors.
+last point, a refused fit or NaN standard errors.
 
 A fit reaches its verdict before it pays for standard errors: one that
-converged to a Q_L outside (0, Q_e) raises NonPhysicalFit, which carries no
-result, and computes none.  Every other fit, returned or carried as a
+converged to a Q_L outside (0, Q_e), or where h is not positive definite (a
+flat model whose overflowing Q_e/Q_L leaves J^T J zero, which a zero step
+"converges" on), raises NonPhysicalFit, which carries no result, and
+computes none.  Every other fit, returned or carried as a
 ConvergenceFailure's best, computes them once, in _standard_errors:
 diag(h^-1), entry k being |L^-1 e_k|^2 from the final point's h = L L^T, or
-NaN when h is not positive definite (a zero J^T J included).  Cholesky's
+NaN, on a best out of budget, when h is not positive definite.  Cholesky's
 error on a graded h grows about as eps / share, share being the least ratio
 of a pivot l_kk**2 to its diagonal entry h_kk, whatever h's own condition
 number (Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).  On
@@ -92,8 +94,9 @@ class InitialGuess:
 
 @dataclass
 class FitResult:
-    """A fit's parameters, their standard errors and how it ended.  The *_err
-    fields are NaN when J^T J is not positive definite at the fitted point."""
+    """A fit's parameters, their standard errors and how it ended.  A fit
+    that converged has a positive definite J^T J at its point; only a
+    ConvergenceFailure's best, out of budget, may carry NaN *_err fields."""
 
     f_r: float
     q_l: float
@@ -329,8 +332,9 @@ def fit_resonance(trace, start=None):
     the window; otherwise it fits again from the guess, as without start.
 
     Raises a FitFailure: NoResonance (no usable dip), NonPhysicalFit
-    (converged to Q_L >= Q_e or Q_L <= 0), or ConvergenceFailure (budget
-    exhausted or f_r outside the span; carries the best-so-far result).
+    (converged to Q_L >= Q_e or Q_L <= 0, or where J^T J is not positive
+    definite), or ConvergenceFailure (budget exhausted or f_r outside the
+    span; carries the best-so-far result).
     """
     guess = initial_guess(trace)
     f = trace.frequencies
@@ -404,6 +408,8 @@ def _fit(f, y, theta):
     converged = stop is not None
     if converged and not 0 < q_l < q_e:  # Q_L underflows to 0 on a trace far off the model's baseline
         raise NonPhysicalFit(f"fit landed at Q_L = {q_l:.4g} outside (0, Q_e = {q_e:.4g})")
+    if converged and l is None:  # a flat model, as when Q_e/Q_L overflows: J^T J is zero
+        raise NonPhysicalFit(f"fit stopped on {stop} where J^T J is not positive definite")
     errs = _standard_errors(l, cost / (f.size - 4))
     result = FitResult(
         f_r=f_r,

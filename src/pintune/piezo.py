@@ -30,7 +30,9 @@ its height: each reading's fit starts from the lineshape the session already
 knows, the last fit's (the belief's own before the first), at the sweep
 centre (see fitting.fit_resonance for the window that guards it).  A fit
 fails on any FitFailure; the wider retry of a failed fit starts from its own
-guess, and a reading fails when both fits do."""
+guess, and a reading fails when both fits do.  A session keys one Philox
+stream with the plant's noise seed and every sweep, a retry included, draws
+its noise from it in turn: the retry is a second, independent measurement."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -196,13 +198,11 @@ class Plant:
     def true_frequency(self, d):
         return tuned_frequency(self.params, self.state_at(d), self.pin)
 
-    def sweep(self, sweep, d, iteration, timestamp):
-        """The trace of one sweep at pin height d; iteration k draws its own
-        noise seed."""
-        noise = NoiseModel(self.noise.sigma_rel, self.noise.vib_amplitude,
-                           self.noise.seed + iteration)
+    def sweep(self, sweep, d, rng, timestamp):
+        """The trace of one sweep at pin height d, its noise drawn next from
+        rng, the session's one stream."""
         return synthesize_sweep(sweep, self.params, self.state_at(d), self.pin,
-                                noise, timestamp=timestamp)
+                                self.noise, timestamp=timestamp, rng=rng)
 
 
 @dataclass
@@ -349,13 +349,15 @@ def reading_sweeps(cfg, f_center):
         yield sweep
 
 
-def _measure(plant, stage, cfg, f_center, iteration, shape):
-    """One reading around f_center: the first sweep's fit starts from shape =
-    (Q_L, Q_e, phi) at f_center, the retry's from its own guess.  Raises the
-    retry's FitFailure when both fits fail."""
+def _measure(plant, stage, cfg, f_center, shape, rng, timestamp):
+    """One reading around f_center at `timestamp`: the first sweep's fit
+    starts from shape = (Q_L, Q_e, phi) at f_center, the retry's from its own
+    guess.  Each sweep draws its noise next from rng, the session's stream,
+    so a retry is a second, independent measurement.  Raises the retry's
+    FitFailure when both fits fail."""
     last_exc = None
     for sweep, start in zip(reading_sweeps(cfg, f_center), (InitialGuess(f_center, *shape), None)):
-        trace = plant.sweep(sweep, stage.position, iteration, iteration * cfg.duration_s)
+        trace = plant.sweep(sweep, stage.position, rng, timestamp)
         try:
             return fit_resonance(trace, start)
         except FitFailure as exc:
@@ -387,6 +389,7 @@ def tune_to_target(plant, stage, cfg, model=None):
         session.final_error_hz = model.frequency(model.height) - cfg.f_target
         return session
 
+    rng = plant.noise.stream()
     for k in range(cfg.max_steps):
         f_belief = model.frequency(model.height)
         step = TuningStep(k, stage.position, true_f_r=plant.true_frequency(stage.position),
@@ -394,7 +397,8 @@ def tune_to_target(plant, stage, cfg, model=None):
                           gain=model.gain)
         session.steps.append(step)
         try:
-            fit = _measure(plant, stage, cfg, step.predicted_f_r, k, model.shape)
+            fit = _measure(plant, stage, cfg, step.predicted_f_r, model.shape, rng,
+                           k * cfg.duration_s)
         except FitFailure as exc:
             session.outcome = "Aborted"
             step.note = f"fit failed: {type(exc).__name__}"

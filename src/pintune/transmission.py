@@ -85,7 +85,8 @@ class NoiseModel:
 
     sigma_rel: relative (multiplicative) Gaussian noise on the power ratio
     vib_amplitude: mechanical vibration amplitude of the pin (m)
-    seed: RNG seed (counter-based Philox; fixed seed -> bit-identical traces)
+    seed: the key of the counter-based Philox stream the draws come from
+    (fixed seed -> bit-identical traces and tune sessions)
     """
 
     sigma_rel: float = 0.0
@@ -99,6 +100,11 @@ class NoiseModel:
             raise DomainError("NoiseModel.vib_amplitude must be >= 0 and finite")
         if not self.seed >= 0:  # Philox takes no negative seed
             raise DomainError("NoiseModel.seed must be >= 0")
+
+    def stream(self):
+        """A fresh Generator on Philox(seed): a single sweep draws from its
+        own, and a tune session draws every sweep from one, in order."""
+        return np.random.Generator(np.random.Philox(self.seed))
 
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
@@ -149,18 +155,21 @@ def internal_q(q_l, q_e):
     return q_l * q_e / (q_e - q_l)
 
 
-def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
+def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0, rng=None):
     """Synthesize one VNA sweep of the tuned plant.
 
     Pin vibration is modeled as a sinusoidal mechanical oscillation much
     faster than the sweep, so each frequency point sees the resonance
     displaced by an arcsine-distributed offset of amplitude
     |df/dd| * vib_amplitude.  Multiplicative Gaussian noise sigma_rel is then
-    applied to the power ratio.  Deterministic for a fixed seed (Philox,
-    vectorized draws, Gaussian ones scaled by zero without noise).  A sweep
-    without vibration skips its phase draws, advancing Philox's counter past
-    them, and takes the lineshape at the one f_r, with no np.sin, in the
-    bits the per-point form gives.
+    applied to the power ratio.  The sweep takes its n phases and then its n
+    Gaussian gains (scaled by zero without noise) from the Generator rng, in
+    order: by default a fresh `noise.stream()`, so a single sweep is fixed by
+    its seed; a tune session passes its one stream, so each sweep, a retry
+    included, draws what the last left.  A sweep without vibration skips its
+    phase draws, reading n raw 64-bit outputs (one per uniform draw), and
+    takes the lineshape at the one f_r, with no np.sin, in the bits the
+    per-point form gives.
 
     The trace skips `SweepTrace`'s checks that hold by construction: the
     axis is `config`'s, by np.linspace's arithmetic (2 or more points,
@@ -180,7 +189,7 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
     jitter_amp = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
     if not math.isfinite(jitter_amp):
         raise DomainError("NoiseModel.vib_amplitude times |df/dd| must be finite")
-    rng = np.random.Generator(np.random.Philox(noise.seed))
+    rng = noise.stream() if rng is None else rng
     if jitter_amp:
         # Per-point resonance displacement: each point sees its own jittered
         # f_r, f_r + jitter_amp sin(phase), with uniform(0, 2 pi)'s phases.
@@ -190,8 +199,7 @@ def synthesize_sweep(config, params, state, pin, noise, timestamp=0.0):
         centre *= jitter_amp
         centre += f_r
     else:  # f_r + 0 sin(phase) is f_r, and the kernel's float path keeps its bits
-        rng.bit_generator.advance(n // 4)  # past the n phase draws: Philox
-        rng.random(n % 4)  # gives four 64-bit outputs per counter step
+        rng.bit_generator.random_raw(n)  # past the n phase draws, wherever the stream stands
         centre = f_r
     gain = rng.standard_normal(n)
     ratio = notch_response(f, centre, q_l, params.Qe, params.phi)[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pintune import config, fitting, piezo
+from pintune import fitting
 from pintune.errors import ConvergenceFailure, FitFailure, NonPhysicalFit, NoResonance, PintuneError
 from pintune.fitting import (
     FitResult,
@@ -21,7 +21,6 @@ from pintune.fitting import (
     fit_resonance,
     initial_guess,
 )
-from pintune.piezo import ControllerModel, tune_to_target
 from pintune.resonator import (
     ResonatorParams,
     TuningState,
@@ -795,15 +794,22 @@ class TestSolve:
     def test_a_failed_undamped_solve_is_not_converged(self, monkeypatch):
         """The offset test reads a failed undamped factorisation as not
         converged, so a fit that would stop on it ends on another rule, at the
-        same optimum; the same failed factor leaves it no standard errors."""
+        same optimum; the same failed factor leaves it no standard errors, so
+        it is refused as NonPhysicalFit."""
         trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
         undisturbed = fit_resonance(trace)
         assert undisturbed.stop == "offset"
+        jacobian, points = fitting._jacobian, []
+
+        def counted_jacobian(theta, *args):
+            points.append(theta)
+            return jacobian(theta, *args)
+
         monkeypatch.setattr(fitting, "_cholesky", lambda h, lam=0.0: _cholesky(h, lam) if lam else None)
-        res = fit_resonance(trace)
-        assert res.stop in ("step", "cost")
-        assert abs(res.f_r - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
-        assert all(math.isnan(e) for e in (res.f_r_err, res.q_l_err, res.q_e_err, res.phi_err))
+        monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
+        with pytest.raises(NonPhysicalFit, match=r"^fit stopped on (step|cost) where J\^T J is not"):
+            fit_resonance(trace)
+        assert abs(points[-1][0] - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
 
     def test_a_refused_fit_computes_no_standard_errors(self, monkeypatch):
         """A converged fit with Q_L outside (0, Q_e) raises NonPhysicalFit,
@@ -885,31 +891,18 @@ class TestSolve:
             assert _cholesky(h) is None
             assert all(math.isnan(e) for e in fitting._standard_errors(_cholesky(h), 1.0))
 
-    def test_a_kept_reading_with_a_zero_jtj_reports_nan_errors(self, monkeypatch):
-        """A loud-probe session (tools/probe_sessions.py: sigma_rel 0.05,
-        1-um vibration, from 600 um, seed SeedSequence([12, 1, 193])) whose
-        fourth reading starts from the third's near-degenerate lineshape and
-        drives Q_e to 2e301: the model is flat there, J^T J is zero, a zero
-        step stops the fit, and the reading it keeps reports NaN errors."""
-        cfg = config.from_dict({"noise": {"sigma_rel": 0.05, "vib_amplitude_um": 1.0}})
-        believed = cfg.plant()
-        stage = replace(cfg.stage, position=600e-6)
-        seed = int(np.random.SeedSequence([12, 1, 193]).generate_state(1)[0])
-        plant = replace(believed, noise=replace(cfg.noise, seed=seed))
-        fits = []
-
-        def spy(trace, start=None):
-            fits.append((trace, fit_resonance(trace, start)))
-            return fits[-1][1]
-
-        monkeypatch.setattr(piezo, "fit_resonance", spy)
-        session = tune_to_target(plant, stage, cfg.controller, ControllerModel.of(believed, stage))
-        trace, res = fits[3]
-        assert session.steps[3].measured_f_r == res.f_r
-        assert res.converged and res.stop == "step" and res.q_e > 1e300
-        theta = (res.f_r, math.log(res.q_l), math.log(res.q_e), res.phi)
-        ws = _workspace(trace.frequencies.size)
-        _, terms = _residual(theta, trace.frequencies, trace.power_ratio, ws)
-        jac = _jacobian(theta, terms, ws)
+    @pytest.mark.parametrize("q_e", [1e304, math.exp(700.0)], ids=["1e304", "exp700"])
+    def test_a_fit_on_a_flat_model_is_non_physical(self, q_e):
+        """A start whose Q_e/Q_L overflows leaves the model flat: the Jacobian
+        is zero, a zero step stops the fit, and with J^T J not positive
+        definite it is refused as NonPhysicalFit, before its standard errors,
+        so a warm start there falls back to the fit from the guess."""
+        trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
+        f, y = trace.frequencies, trace.power_ratio
+        theta = (6.83e9, math.log(PAPER_QL), math.log(q_e), 0.0)
+        ws = _workspace(f.size)
+        jac = _jacobian(theta, _residual(theta, f, y, ws)[1], ws)
         assert not (jac.T @ jac).any()
-        assert all(math.isnan(e) for e in (res.f_r_err, res.q_l_err, res.q_e_err, res.phi_err))
+        with pytest.raises(NonPhysicalFit, match=r"^fit stopped on step where J\^T J is not"):
+            fitting._fit(f, y, theta)
+        assert fit_resonance(trace, InitialGuess(6.83e9, PAPER_QL, q_e)) == fit_resonance(trace)

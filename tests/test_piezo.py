@@ -43,6 +43,7 @@ from pintune.resonator import (
     calibrate_pin_model,
     capacitance_for_frequency,
     d_min_floor,
+    frequency_slope,
     screened_inductance,
     tuned_frequency,
 )
@@ -52,6 +53,7 @@ from pintune.transmission import (
     SweepConfig,
     internal_q,
     loaded_q,
+    notch_response,
     photon_number,
 )
 
@@ -421,6 +423,40 @@ class TestFitFailure:
         assert session.steps[0].pulses == 0 and session.total_pulses == 0
         assert stage.position == 300 * UM
 
+    def test_a_retry_draws_fresh_noise(self, monkeypatch):
+        """The retry of a failed fit is a second measurement: the session's
+        one noise stream gives it the phases and Gaussian gains that follow
+        the failed sweep's, not those again.  Each trace is the per-point
+        form of its draws, in the order the session took them."""
+        traces = []
+
+        def fails_first(trace, start=None):
+            traces.append(trace)
+            if len(traces) == 1:
+                raise NoResonance("no dip")
+            return fit_resonance(trace, start)
+
+        monkeypatch.setattr(piezo, "fit_resonance", fails_first)
+        plant = replace(noiseless_plant(), noise=NoiseModel(0.005, 0.1 * UM, 5))
+        tune_to_target(plant, PiezoStage(position=300 * UM), ControllerConfig(max_steps=1))
+        params, state, noise = plant.params, plant.state_at(300 * UM), plant.noise
+        f_r = tuned_frequency(params, state, plant.pin)
+        jitter = abs(frequency_slope(params, state, plant.pin)) * noise.vib_amplitude
+        rng, draws = np.random.Generator(np.random.Philox(5)), []
+        for trace in traces:
+            n = trace.frequencies.size
+            phases, gains = rng.uniform(0.0, 2.0 * math.pi, n), rng.standard_normal(n)
+            centre = f_r + jitter * np.sin(phases)
+            shape = notch_response(trace.frequencies, centre, loaded_q(params.Qi0, params.Qe),
+                                   params.Qe, params.phi)[0]
+            expected = np.clip(shape * (1.0 + noise.sigma_rel * gains), 0.0, None)
+            assert trace.power_ratio.tobytes() == expected.tobytes()
+            draws.append((phases, gains))
+        assert len(draws) == 2
+        (first_phases, first_gains), (retry_phases, retry_gains) = draws
+        assert not np.array_equal(retry_phases, first_phases)
+        assert not np.array_equal(retry_gains, first_gains)
+
     def test_an_unusable_retry_names_its_sweep(self, monkeypatch):
         def always_fails(trace, start=None):
             raise NoResonance("no dip")
@@ -699,9 +735,9 @@ class TestPulseRadius:
         # radius becomes the second reading's informative size.  The second
         # move clears the bands, measures the gain and lifts the cap: the
         # third move is the first aimed by the gain.
-        session = tune_to_target(*noisy(300.0, 5)[:2], ControllerConfig())
-        assert [s.radius for s in session.steps[:3]] == [56, 57, RADIUS_MAX]
-        assert [s.pulses for s in session.steps[:2]] == [56, 57]
+        session = tune_to_target(*noisy(300.0, 2)[:2], ControllerConfig())
+        assert [s.radius for s in session.steps[:3]] == [56, 59, RADIUS_MAX]
+        assert [s.pulses for s in session.steps[:2]] == [56, 59]
         assert [s.gain for s in session.steps[:2]] == [1.0, 1.0]
         assert session.steps[2].gain != 1.0
 
@@ -799,7 +835,7 @@ def replay(plant, model, cfg, start, session):
     offset, radius, trusted, final = 0.0, 1, False, nan
     gain, share, last = 1.0, APPROACH_SHORT, None
     shape = (loaded_q(model.params.Qi0, model.params.Qe), model.params.Qe, model.params.phi)
-    log = []
+    log, rng = [], plant.noise.stream()  # the session's one noise stream
     for k, logged in enumerate(session.steps):
         f_belief = model.frequency(d)
         step = TuningStep(k, stage.position, nan, nan, 0, 0, nan, 0, "",
@@ -811,7 +847,7 @@ def replay(plant, model, cfg, start, session):
         centre, span = step.predicted_f_r, cfg.sweep_span
         sweep = SweepConfig(centre - span / 2.0, centre + span / 2.0, cfg.sweep_points,
                             cfg.p_in_dbm)
-        fit = fit_resonance(plant.sweep(sweep, stage.position, k, k * cfg.duration_s),
+        fit = fit_resonance(plant.sweep(sweep, stage.position, rng, k * cfg.duration_s),
                             InitialGuess(centre, *shape))
         shape = (fit.q_l, fit.q_e, fit.phi)
         err = fit.f_r - cfg.f_target
@@ -925,7 +961,7 @@ def second_move_stalls(monkeypatch):
 EXITS = {
     "converged": (lambda: (*mismatched(lam_factor=0.9), ControllerConfig()), None,
                   "Converged", 5, (0, 0, RADIUS_MAX, "")),
-    "noisy": (lambda: noisy(300.0, 5), None, "Converged", 7, (0, 0, RADIUS_MAX, "")),
+    "noisy": (lambda: noisy(300.0, 2), None, "Converged", 5, (0, 0, RADIUS_MAX, "")),
     "unreachable": (lambda: matched(300.0, f_target=7.0e9), None, "Unreachable", 0, None),
     "pin does not couple": (uncoupled, None, "Unreachable", 1, (0, 0, 1, "pin does not couple")),
     "fit failed": (lambda: matched(600.0), third_reading_fails, "Aborted", 3,

@@ -6,6 +6,10 @@ controller loop that should not change what it does (a refactor of how the
 log is written, say) must leave every hash as it is.  Outcome, step count and
 total pulses are pinned beside the hash, so a failure shows what moved.
 
+A session draws every sweep's noise, retries included, from one Philox stream
+keyed by its noise seed, so a change to how the stream is drawn re-records
+every noisy row; the noise-free grid below draws nothing it uses.
+
 The hashes were recorded with numpy 2.4.6 (OpenBLAS) on x86-64: the sessions
 run the same sweep synthesis and fits as the golden fits in
 test_fitting_exact.py, and another numpy or BLAS build may round them
@@ -37,17 +41,17 @@ def seed_of(*key):
 # calibrated decay length, 60-nm steps, no backlash).
 SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
-        "Converged", 4, 2432, "b39769102ee111577a8efa1251326c8115a9c0437ca0e7097d3f9cb71a762103"),
+        "Converged", 4, 2432, "87ed6a8a655b148056f81865124c761f3ea3da484c7222a387604ecb49405148"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 8, 2436, "4c9992c8f20997bd853323c93b5c687c85fb82fadd458afb7cdb12b225963273"),
+        "Converged", 5, 2432, "8064c767424f3cb32a3890bebdb699fc39f020c056e37dfa74ed0f4ef7a611e6"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
-        "Converged", 4, 7432, "8a0a84442cf49adfaea266cc4439f29841685dfce188f874c2a8369d4e842b4b"),
+        "Converged", 4, 7432, "595249362cf00a89b7c0f38d08d5065687c1b5883b88ea0ab5cd02685215a8f4"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
-        "Converged", 4, 7431, "dc699494aa161e70609813a695f91faac822e5923c85ec1ac9d58ea37f82c80e"),
+        "Converged", 7, 7436, "f64dd913c3503ccb29611f5ebaf7fefac6578c693d33ddaf60a21ba369899a02"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 5, 7502, "ba1476590279dd1282b74a5abe99396be497b07cb30cd2313779e6ec6f88355a"),
+        "Converged", 5, 7498, "1fe3ad98895e45a11696eecb084c01dbba8aaf440f2d55a69103166224a9a4c5"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
-        "Converged", 8, 2824, "c984354482cc67366db1ae73118c93be29e74228d5f1195384a90a98eb8f609f"),
+        "Converged", 7, 2858, "cb52c55757139cd78d6396399060adf06ca9039a4700ad33c75cab5257332376"),
 }
 
 

@@ -218,14 +218,16 @@ class TestSynthesizeSweep:
             np.testing.assert_array_equal(tr.power_ratio, expected * (1.0 + sigma_rel * z))
 
     @staticmethod
-    def per_point_form(config, params, state, pin, noise):
+    def per_point_form(config, params, state, pin, noise, rng=None):
         """The reference sweep in its per-point form: every point has its own
         centre f_r + jitter sin(phase), even at zero jitter; the lineshape
-        there, times 1 + sigma z, clipped at 0.  Returns the axis and the ratio."""
+        there, times 1 + sigma z, clipped at 0, the phases and then the z
+        drawn from rng (a fresh Philox(seed) by default).  Returns the axis
+        and the ratio."""
         f_r = tuned_frequency(params, state, pin)
         jitter = abs(frequency_slope(params, state, pin)) * noise.vib_amplitude
         f = np.linspace(config.f_start, config.f_stop, config.n_points)
-        rng = np.random.Generator(np.random.Philox(noise.seed))
+        rng = np.random.Generator(np.random.Philox(noise.seed)) if rng is None else rng
         centre = f_r + jitter * np.sin(rng.uniform(0.0, 2.0 * math.pi, config.n_points))
         z = rng.standard_normal(config.n_points)
         lineshape = notch_response(f, centre, loaded_q(params.Qi0, params.Qe), params.Qe, params.phi)[0]
@@ -240,8 +242,8 @@ class TestSynthesizeSweep:
     @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=1)
     @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.1e-6, coupled=False, d=40e-6, seed=2)
     @example(span=6e6, n=1201, sigma_rel=0.005, vib=0.1e-6, coupled=True, d=40e-6, seed=3)
-    # The jitter-free branch skips the n phase draws by n // 4 Philox counter
-    # steps and n % 4 draws: one n of each residue mod 4.
+    # The jitter-free branch skips the n phase draws by reading n raw outputs,
+    # four to a Philox block: one n of each residue mod 4.
     @example(span=6e6, n=2, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=4)
     @example(span=6e6, n=3, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=5)
     @example(span=6e6, n=4, sigma_rel=0.005, vib=0.0, coupled=True, d=154e-6, seed=6)
@@ -263,6 +265,26 @@ class TestSynthesizeSweep:
         f, ratio = self.per_point_form(*args)
         assert got.frequencies.tobytes() == f.tobytes()
         assert got.power_ratio.tobytes() == ratio.tobytes()
+
+    def test_sweeps_on_one_stream_draw_in_turn(self):
+        # A tune session's sweeps share one Generator: each takes the n phases
+        # and n gains after the last sweep's, and one without vibration skips
+        # its phases wherever the stream stands, mid-block included (the
+        # Gaussian draws take a varying number of outputs).  Each sweep keeps
+        # the bits of the per-point form drawn from the same stream.
+        params, pin = paper_plant()
+        state = TuningState(d=154e-6)
+        f_r = tuned_frequency(params, state, pin)
+        stream, reference = NoiseModel(seed=9).stream(), NoiseModel(seed=9).stream()
+        for n, vib in [(5, 0.0), (3, 0.1e-6), (6, 0.0), (1201, 0.0), (7, 0.1e-6), (2, 0.0),
+                       (1201, 0.1e-6), (4, 0.0), (9, 0.0)]:
+            args = (SweepConfig(f_r - 3e6, f_r + 3e6, n, -131.0), params, state, pin,
+                    NoiseModel(0.005, vib, 9))
+            got = synthesize_sweep(*args, rng=stream)
+            f, ratio = self.per_point_form(*args, rng=reference)
+            assert got.power_ratio.tobytes() == ratio.tobytes()
+        np.testing.assert_array_equal(stream.bit_generator.random_raw(5),
+                                      reference.bit_generator.random_raw(5))
 
     def test_deterministic_for_fixed_seed(self):
         params, pin = paper_plant()
@@ -332,7 +354,7 @@ class TestNoiseModel:
             NoiseModel(**{name: value})
 
     def test_a_negative_seed_is_refused(self):
-        # Every sweep seeds Philox, which takes no negative seed.
+        # The seed keys every noise stream's Philox, which takes no negative seed.
         with pytest.raises(DomainError, match="NoiseModel.seed must be >= 0"):
             NoiseModel(seed=-1)
         assert NoiseModel(seed=0).seed == 0
