@@ -6,16 +6,16 @@ and Q_e positive without constraints.  The optimizer is Gauss-Newton with
 multiplicative damping (x10 on a rejected step, /10 on a cost decrease) and
 analytic residual derivatives.  A trial step is rejected when its cost rises,
 is not finite, or its Q exponents overflow.  A trial point costs only its
-residual: the Jacobian and the normal equations are evaluated at the start
-point and at accepted points alone (Moré 1978).  The 4x4 algebra is an
-unrolled Cholesky factorisation on Python floats and substitutions with its
-factor.  Each point the fit stands on, the start and each accepted point, is
-factored once, undamped; that factor's forward substitution serves the
-point's offset test and, at the last point, the standard errors.  A damped
-step factors its own h + lam D, and a forward and a back substitution give
-the step.  A pivot that is not positive fails a factorisation: a damped one
-raises the damping x10, an undamped one is an unmet offset test and, at the
-last point, a refused fit or NaN standard errors.
+residual: the normal equations are evaluated at the start point and at
+accepted points alone (Moré 1978).  The 4x4 algebra is an unrolled Cholesky
+factorisation on Python floats and substitutions with its factor.  Each
+point the fit stands on, the start and each accepted point, is factored
+once, undamped; that factor's forward substitution serves the point's offset
+test and, at the last point, the standard errors.  A damped step factors its
+own h + lam D, and a forward and a back substitution give the step.  A pivot
+that is not positive fails a factorisation: a damped one raises the damping
+x10, an undamped one is an unmet offset test and, at the last point, a
+refused fit or NaN standard errors.
 
 A fit reaches its verdict before it pays for standard errors: one that
 converged to a Q_L outside (0, Q_e), or where h is not positive definite (a
@@ -46,12 +46,22 @@ An exhausted iteration budget is "budget".  The undamped solve matters: a
 damped step shrinks where damping is heavy, so a runaway fit would look
 converged.
 
-The Jacobian columns reuse the residual's u, W = 1/D and m (see
-transmission), with dS/du = -2(a sin phi + u m) W, and divide no array: the
-residual takes one array division, W's, and the Jacobian none.
+The normal equations are built on four rows, B = (W, uW, W**2, uW**2), from
+the residual's u and W = 1/D (see transmission), and divide no array.  With
+alpha = a (a - 2 cos phi) and beta = -2a sin phi, S - 1 = alpha W + beta uW,
+and u**2 W = 1 - W, so each Jacobian column is a combination of B's rows
+with four Python-float coefficients, J^T = C B:
 
-    dS/d f_r = dS/du (-(u + 2 Q_L)/f_r)     dS/d ln Q_e = -(m + a**2 W)
-    dS/d ln Q_L = u dS/du - dS/d ln Q_e    dS/d phi = 2a (sin phi - u cos phi) W
+    dS/du = -beta W + 2 beta W**2 - 2 alpha uW**2
+    u dS/du = -2 alpha W - beta uW + 2 alpha W**2 + 2 beta uW**2
+    dS/d f_r = -(u dS/du + 2 Q_L dS/du) / f_r
+    dS/d ln Q_e = -a (d alpha/da W + d beta/da uW) = 2a (cos phi - a) W - beta uW
+    dS/d ln Q_L = u dS/du - dS/d ln Q_e = 2a cos phi W + 2 alpha W**2 + 2 beta uW**2
+    dS/d phi = 2a (sin phi W - cos phi uW)
+
+So h = C (B B^T) C^T and g = C (B r): three array products form B's last
+three rows, one matrix product and one matrix-vector product reduce them, and
+the rest is 4x4 arithmetic on Python floats; no n-by-4 Jacobian is formed.
 
 A fit starts from initial_guess's point: the dip's f_r, Q_L from the
 half-depth width, Q_e from the depth and phi = 0.  Given a lineshape it
@@ -197,60 +207,85 @@ def initial_guess(trace):
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 
 
-# A fit's point-sized arrays, nine float64 rows: the residual, u, W, m, a
-# scratch row and the Jacobian's four columns.
-_Workspace = namedtuple("_Workspace", "r u w m scratch jac")
+# A fit's point-sized arrays, seven float64 rows: the residual, u, m and the
+# basis B = (W, uW, W**2, uW**2) of the normal equations, whose first row, W,
+# the lineshape writes.
+_Workspace = namedtuple("_Workspace", "r u m basis")
 
 
 def _workspace(n):
-    """A workspace of n-point rows, laid out as one fresh (9, n) array."""
-    rows = np.empty((9, n))
-    return _Workspace(*rows[:5], rows[5:].T)
+    """A workspace of n-point rows, laid out as one fresh (7, n) array."""
+    rows = np.empty((7, n))
+    return _Workspace(rows[0], rows[1], rows[2], rows[3:])
 
 
 def _residual(theta, f, y, ws):
     """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
-    the lineshape terms (Q_L, u, W, m) that _jacobian reuses, written into
-    the workspace ws."""
+    the lineshape terms (Q_L, u, W) that _normal reuses, written into the
+    workspace ws."""
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
-    r, u, w, m = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=(ws.r, ws.u, ws.w, ws.m))
+    out = ws.r, ws.u, ws.basis[0], ws.m
+    r, u, w, _ = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=out)
     r -= y
-    return r, (q_l, u, w, m)
+    return r, (q_l, u, w)
 
 
-def _jacobian(theta, terms, ws):
-    """d r / d theta at the point whose _residual returned terms, by the
-    module docstring's closed forms, into the workspace ws."""
-    q_l, u, w, m = terms
+def _normal(theta, terms, r, ws):
+    """h = J^T J, as its upper triangle by rows (h00, h01, h02, h03, h11, h12,
+    h13, h22, h23, h33), and g = J^T r, Python floats, at the point whose
+    _residual returned r and terms: C (B B^T) C^T and C (B r) by the module
+    docstring's closed forms, B written into the workspace ws."""
+    q_l, u, w = terms
     f_r, _, lqe, phi = theta
     a = q_l / math.exp(lqe)
-    a_sin, a_cos = a * math.sin(phi), a * math.cos(phi)
-    jac = ws.jac
-    p = np.multiply(u, m, out=ws.scratch)  # p = -(dS/du)/2
-    p += a_sin
-    p *= w
-    col = np.add(u, 2.0 * q_l, out=jac[:, 0])  # f_r
-    col *= p
-    col *= 2.0 / f_r
-    col = np.multiply(w, -a * a, out=jac[:, 2])  # ln Q_e
-    col -= m
-    col = np.multiply(u, p, out=jac[:, 1])  # ln Q_L
-    col *= -2.0
-    col -= jac[:, 2]
-    col = np.multiply(u, -2.0 * a_cos, out=jac[:, 3])  # phi
-    col += 2.0 * a_sin
-    col *= w
-    return jac
+    a_cos = a * math.cos(phi)
+    alpha, beta = a * (a - 2.0 * math.cos(phi)), -2.0 * a * math.sin(phi)
+    basis = ws.basis
+    np.multiply(u, w, out=basis[1])
+    np.multiply(w, w, out=basis[2])
+    np.multiply(basis[1], w, out=basis[3])
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
+        basis @ basis.T).tolist()
+    b0, b1, b2, b3 = (basis @ r).tolist()
+    # C's rows on (W, uW, W**2, uW**2): f_r (c), ln Q_L (l, no uW term), and
+    # ln Q_e (e) and phi (p), on W and uW alone.
+    two_q = 2.0 * q_l
+    c0, c1 = (2.0 * alpha + two_q * beta) / f_r, beta / f_r
+    c2, c3 = -(2.0 * alpha + 2.0 * two_q * beta) / f_r, (2.0 * two_q * alpha - 2.0 * beta) / f_r
+    l0, l2, l3 = 2.0 * a_cos, 2.0 * alpha, 2.0 * beta
+    e0, e1 = 2.0 * (a_cos - a * a), -beta
+    p0, p1 = -beta, -2.0 * a_cos
+    # (B B^T) times each row of C, then each row of C times those.
+    c_0 = g00 * c0 + g01 * c1 + g02 * c2 + g03 * c3
+    c_1 = g01 * c0 + g11 * c1 + g12 * c2 + g13 * c3
+    c_2 = g02 * c0 + g12 * c1 + g22 * c2 + g23 * c3
+    c_3 = g03 * c0 + g13 * c1 + g23 * c2 + g33 * c3
+    l_0 = g00 * l0 + g02 * l2 + g03 * l3
+    l_1 = g01 * l0 + g12 * l2 + g13 * l3
+    l_2 = g02 * l0 + g22 * l2 + g23 * l3
+    l_3 = g03 * l0 + g23 * l2 + g33 * l3
+    e_0, e_1 = g00 * e0 + g01 * e1, g01 * e0 + g11 * e1
+    e_2, e_3 = g02 * e0 + g12 * e1, g03 * e0 + g13 * e1
+    p_0, p_1 = g00 * p0 + g01 * p1, g01 * p0 + g11 * p1
+    p_2, p_3 = g02 * p0 + g12 * p1, g03 * p0 + g13 * p1
+    h = (c0 * c_0 + c1 * c_1 + c2 * c_2 + c3 * c_3, c0 * l_0 + c1 * l_1 + c2 * l_2 + c3 * l_3,
+         c0 * e_0 + c1 * e_1 + c2 * e_2 + c3 * e_3, c0 * p_0 + c1 * p_1 + c2 * p_2 + c3 * p_3,
+         l0 * l_0 + l2 * l_2 + l3 * l_3, l0 * e_0 + l2 * e_2 + l3 * e_3,
+         l0 * p_0 + l2 * p_2 + l3 * p_3,
+         e0 * e_0 + e1 * e_1, e0 * p_0 + e1 * p_1, p0 * p_0 + p1 * p_1)
+    g = (c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3, l0 * b0 + l2 * b2 + l3 * b3,
+         e0 * b0 + e1 * b1, p0 * b0 + p1 * b1)
+    return h, g
 
 
 def _cholesky(h, lam=0.0):
     """The factor L of h + lam D = L L^T, D being h's diagonal with its
     non-positive entries raised to 1e-30, by an unrolled Cholesky
-    factorisation of h's upper triangle on Python floats: L's lower triangle
-    by rows, (l00, l10, l11, l20, l21, l22, l30, l31, l32, l33), or None when
-    a pivot is not > 0 (NaN included)."""
-    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = h.tolist()
+    factorisation on Python floats of h given as _normal gives it, its upper
+    triangle by rows: L's lower triangle by rows, (l00, l10, l11, l20, l21,
+    l22, l30, l31, l32, l33), or None when a pivot is not > 0 (NaN included)."""
+    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = h
     p = a00 + lam * (a00 if a00 > 0 else 1e-30)
     if not p > 0:
         return None
@@ -357,8 +392,7 @@ def _fit(f, y, theta):
     # One set of buffers: a trial overwrites the current point's spent terms.
     ws = _workspace(f.size)
     r, terms = _residual(theta, f, y, ws)
-    jac = _jacobian(theta, terms, ws)
-    h, g = jac.T @ jac, (jac.T @ r).tolist()
+    h, g = _normal(theta, terms, r, ws)
     l = _cholesky(h)  # the one undamped factor of each point the fit stands on
     cost = float(r @ r)
     lam = DAMPING_START
@@ -391,8 +425,7 @@ def _fit(f, y, theta):
             )
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             theta, r, cost = theta_new, r_new, cost_new
-            jac = _jacobian(theta, terms, ws)
-            h, g = jac.T @ jac, (jac.T @ r).tolist()
+            h, g = _normal(theta, terms, r, ws)
             l = _cholesky(h)
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL:

@@ -109,9 +109,9 @@ class NoiseModel:
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
     """S = 1 + m of the module docstring, in real arithmetic, and the terms
-    the fit's Jacobian reuses; returns (S, u, W, m).  The one copy of the
-    lineshape: no argument checks, f is an increasing array and f_r a float
-    or an array.  out: optional real arrays of f's shape that receive
+    the fit's normal equations reuse; returns (S, u, W, m).  The one copy of
+    the lineshape: no argument checks, f is an increasing array and f_r a
+    float or an array.  out: optional real arrays of f's shape that receive
     (S, u, W, m)."""
     s, u, w, m = (None,) * 4 if out is None else out
     a = q_l / q_e

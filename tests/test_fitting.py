@@ -14,7 +14,7 @@ from pintune.fitting import (
     InitialGuess,
     _cholesky,
     _forward,
-    _jacobian,
+    _normal,
     _residual,
     _solve,
     _workspace,
@@ -87,11 +87,22 @@ CONVERGED_GRADED_H = (
     "0x1.8f6979b59d282p-3")
 
 
+def full(h):
+    """The symmetric 4x4 array of h given by its upper triangle by rows, as
+    _normal gives h and _cholesky takes it."""
+    a = np.zeros((4, 4))
+    a[np.triu_indices(4)] = h
+    return a + np.triu(a, 1).T
+
+
+def upper(h):
+    """The upper triangle by rows of a 4x4 array, ten Python floats."""
+    return tuple(h[np.triu_indices(4)].tolist())
+
+
 def symmetric(upper):
     """The symmetric 4x4 matrix of float.hex entries of its upper triangle by rows."""
-    h = np.zeros((4, 4))
-    h[np.triu_indices(4)] = [float.fromhex(v) for v in upper]
-    return h + np.triu(h, 1).T
+    return full([float.fromhex(v) for v in upper])
 
 # A shallow broad-range dip (Q_i 25,900 against Q_e 7.5e6), case 212 of the
 # fit_batch recipe's rng [7, 2]: the fit converges to Q_L within 0.1% of Q_e
@@ -443,6 +454,10 @@ def test_fit_recovers_synthesized_parameters(log_qi, log_qe, phi, f_r, n):
 
 class TestGradientCheck:
     def test_analytic_jacobian_matches_finite_differences(self):
+        """_normal's h and g against J^T J and J^T r of a central-difference
+        Jacobian, each column of which is within e_j = 1e-6 of its largest
+        magnitude of the analytic one: |dh_ij| <= e_i |J_j|_1 + e_j |J_i|_1
+        + n e_i e_j and |dg_i| <= e_i |r|_1."""
         rng = np.random.default_rng(23)
         f_r0 = 6.83e9
         f = np.linspace(f_r0 - 2e6, f_r0 + 2e6, 41)
@@ -457,19 +472,22 @@ class TestGradientCheck:
                 ]
             )
             ws = _workspace(f.size)
-            _, terms = _residual(theta, f, y, ws)
-            jac = _jacobian(theta, terms, ws)
+            r, terms = _residual(theta, f, y, ws)
+            h, g = _normal(theta, terms, r, ws)
             # steps sized for truncation error: f_r varies on the linewidth
             # scale, not its absolute scale
             steps = (10.0, 1e-6, 1e-6, 1e-6)
+            fd = np.empty((f.size, 4))
             for j in range(4):
-                h = np.zeros(4)
-                h[j] = steps[j]
-                rp, _ = _residual(theta + h, f, y, _workspace(f.size))
-                rm, _ = _residual(theta - h, f, y, _workspace(f.size))
-                fd = (rp - rm) / (2 * h[j])
-                scale = np.max(np.abs(fd)) + 1e-300
-                assert np.max(np.abs(jac[:, j] - fd)) / scale < 1e-6
+                step = np.zeros(4)
+                step[j] = steps[j]
+                rp, _ = _residual(theta + step, f, y, _workspace(f.size))
+                rm, _ = _residual(theta - step, f, y, _workspace(f.size))
+                fd[:, j] = (rp - rm) / (2 * step[j])
+            err, col = 1e-6 * np.max(np.abs(fd), axis=0), np.abs(fd).sum(axis=0)
+            bound = np.outer(err, col) + np.outer(col, err) + f.size * np.outer(err, err)
+            assert np.all(np.abs(full(h) - fd.T @ fd) <= bound)
+            assert np.all(np.abs(np.array(g) - fd.T @ r) <= err * np.abs(r).sum())
 
 
 def damped(h, lam):
@@ -524,7 +542,7 @@ def solve(h, g, lam=0.0):
     """The fit's solve of (h + lam D) x = g and g^T (h + lam D)^-1 g:
     _cholesky's factor, then _solve and _forward; None when the factorisation
     fails."""
-    l = _cholesky(h, lam)
+    l = _cholesky(upper(h), lam)
     return None if l is None else (_solve(l, g.tolist()), _forward(l, g.tolist()))
 
 
@@ -532,7 +550,7 @@ def inverse_diagonal(h):
     """diag(h^-1) as _standard_errors takes it, entry k being |L^-1 e_k|^2
     from _forward on _cholesky(h)'s factor; None when h is not positive
     definite."""
-    l = _cholesky(h)
+    l = _cholesky(upper(h))
     return None if l is None else [_forward(l, e) for e in np.eye(4).tolist()]
 
 
@@ -610,13 +628,15 @@ class TestSolve:
         assert solve(h, np.ones(4)) is None
 
     def test_reads_the_upper_triangle_only(self):
+        """h is its upper triangle by rows, (h00, h01, h02, h03, h11, ...,
+        h33), and L comes back as its lower triangle by rows."""
         rng = np.random.default_rng(5)
         b = rng.standard_normal((6, 4))
         h = b.T @ b
-        g = rng.standard_normal(4)
-        junk = h.copy()
-        junk[np.tril_indices(4, -1)] = np.nan
-        assert solve(junk, g, 1e-3) == solve(h, g, 1e-3)
+        want = np.linalg.cholesky(h)[np.tril_indices(4)]
+        np.testing.assert_allclose(_cholesky(upper(h)), want, rtol=1e-13)
+        np.testing.assert_allclose(_cholesky(upper(h), 1e-3), np.linalg.cholesky(damped(h, 1e-3))[
+            np.tril_indices(4)], rtol=1e-13)
 
     def test_inverse_diagonal_needs_every_pivot_share(self):
         """diag(h^-1) of a well-conditioned h, as the exact inverse gives it,
@@ -631,7 +651,7 @@ class TestSolve:
         assert inverse_diagonal(h) == pytest.approx(want, rel=1e-14)
         # The fit's standard errors are the square roots of this diagonal.
         errors = [math.sqrt(2.0 * v) for v in inverse_diagonal(h)]
-        assert fitting._standard_errors(_cholesky(h), 2.0) == errors
+        assert fitting._standard_errors(_cholesky(upper(h)), 2.0) == errors
         for delta in [1e-8, 1e-9, 1e-12, 1e-15]:
             h = np.eye(4)
             h[2, 3] = h[3, 2] = 1.0 - delta
@@ -697,9 +717,8 @@ class TestSolve:
             return
         theta = (res.f_r, math.log(res.q_l), math.log(res.q_e), res.phi)
         ws = _workspace(n)
-        _, terms = _residual(theta, trace.frequencies, trace.power_ratio, ws)
-        jac = _jacobian(theta, terms, ws)
-        h = jac.T @ jac
+        r, terms = _residual(theta, trace.frequencies, trace.power_ratio, ws)
+        h = full(_normal(theta, terms, r, ws)[0])
         got = inverse_diagonal(h)
         if got is None:  # h is not positive definite
             return
@@ -758,8 +777,8 @@ class TestSolve:
         far = (start[0], math.log(1e308), math.log(1.5e308), 0.0)
         assert 2.0 * math.exp(far[1]) == math.inf > math.exp(far[2])
         costs, lams, accepted = [], [], []
-        cholesky, solve, residual, jacobian = (
-            fitting._cholesky, fitting._solve, fitting._residual, fitting._jacobian)
+        cholesky, solve, residual, normal = (
+            fitting._cholesky, fitting._solve, fitting._residual, fitting._normal)
 
         def counted_cholesky(h, lam=0.0):
             if lam:
@@ -774,12 +793,12 @@ class TestSolve:
             costs.append(float(out[0] @ out[0]))
             return out
 
-        def counted_jacobian(theta, *args):
+        def counted_normal(theta, *args):
             accepted.append(theta)
-            return jacobian(theta, *args)
+            return normal(theta, *args)
 
         for name, spy in [("_cholesky", counted_cholesky), ("_solve", first_step_far),
-                          ("_residual", counted_residual), ("_jacobian", counted_jacobian)]:
+                          ("_residual", counted_residual), ("_normal", counted_normal)]:
             monkeypatch.setattr(fitting, name, spy)
         try:
             fitting._fit(f, y, start)
@@ -799,14 +818,14 @@ class TestSolve:
         trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
         undisturbed = fit_resonance(trace)
         assert undisturbed.stop == "offset"
-        jacobian, points = fitting._jacobian, []
+        normal, points = fitting._normal, []
 
-        def counted_jacobian(theta, *args):
+        def counted_normal(theta, *args):
             points.append(theta)
-            return jacobian(theta, *args)
+            return normal(theta, *args)
 
         monkeypatch.setattr(fitting, "_cholesky", lambda h, lam=0.0: _cholesky(h, lam) if lam else None)
-        monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
+        monkeypatch.setattr(fitting, "_normal", counted_normal)
         with pytest.raises(NonPhysicalFit, match=r"^fit stopped on (step|cost) where J\^T J is not"):
             fit_resonance(trace)
         assert abs(points[-1][0] - undisturbed.f_r) <= 0.01 * undisturbed.f_r_err
@@ -837,7 +856,7 @@ class TestSolve:
         one a millionth outside is not."""
         rng = np.random.default_rng(3)
         b = rng.standard_normal((6, 4))
-        l, g = _cholesky(b.T @ b), rng.standard_normal(4).tolist()
+        l, g = _cholesky(upper(b.T @ b)), rng.standard_normal(4).tolist()
         q = _forward(l, g)
         for share, converged in [(1 - 1e-6, True), (1 + 1e-6, False)]:
             cost = q + (q / 4) / (fitting.OFFSET_TOL**2 * share) * (n - 4)
@@ -847,27 +866,28 @@ class TestSolve:
         """Each point a fit stands on, its start and each accepted point, is
         factored undamped once, for its offset test and, at the last point,
         the standard errors: in every fit, cold, warm, refused or out of
-        budget, the undamped factorisations equal the Jacobians."""
-        cholesky, jacobian, fit = fitting._cholesky, fitting._jacobian, fitting._fit
+        budget, the undamped factorisations equal the normal equations
+        formed."""
+        cholesky, normal, fit = fitting._cholesky, fitting._normal, fitting._fit
         counts, fits = {}, []
 
         def counted_cholesky(h, lam=0.0):
             counts["undamped"] += not lam
             return cholesky(h, lam)
 
-        def counted_jacobian(*args):
-            counts["jacobian"] += 1
-            return jacobian(*args)
+        def counted_normal(*args):
+            counts["normal"] += 1
+            return normal(*args)
 
         def counted_fit(*args):
-            counts.update(undamped=0, jacobian=0)
+            counts.update(undamped=0, normal=0)
             try:
                 return fit(*args)
             finally:
-                fits.append((counts["undamped"], counts["jacobian"]))
+                fits.append((counts["undamped"], counts["normal"]))
 
         monkeypatch.setattr(fitting, "_cholesky", counted_cholesky)
-        monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
+        monkeypatch.setattr(fitting, "_normal", counted_normal)
         monkeypatch.setattr(fitting, "_fit", counted_fit)
         trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
         cold = fit_resonance(trace)
@@ -878,7 +898,7 @@ class TestSolve:
         with pytest.raises(ConvergenceFailure):
             fit_resonance(criterion4_trace(*NEAR_SINGULAR_CASE))
         assert len(fits) == 6
-        assert all(undamped == jacobians >= 1 for undamped, jacobians in fits)
+        assert all(undamped == normals >= 1 for undamped, normals in fits)
         assert fits[-1][1] > 100  # the budget-exhausting fit accepts about half its trials
 
     def test_a_failed_covariance_reports_nan_errors(self):
@@ -888,21 +908,23 @@ class TestSolve:
         for h in [np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, -3.0]),
                   np.array([[1.0, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
                   np.ones((4, 4)), np.diag([1.0, 1.0, float("nan"), 1.0])]:
-            assert _cholesky(h) is None
-            assert all(math.isnan(e) for e in fitting._standard_errors(_cholesky(h), 1.0))
+            assert _cholesky(upper(h)) is None
+            assert all(math.isnan(e) for e in fitting._standard_errors(_cholesky(upper(h)), 1.0))
 
     @pytest.mark.parametrize("q_e", [1e304, math.exp(700.0)], ids=["1e304", "exp700"])
     def test_a_fit_on_a_flat_model_is_non_physical(self, q_e):
-        """A start whose Q_e/Q_L overflows leaves the model flat: the Jacobian
-        is zero, a zero step stops the fit, and with J^T J not positive
+        """A start whose Q_e/Q_L overflows leaves the model flat: h = J^T J
+        and g = J^T r are exactly zero, with no warning (the suite raises
+        on one), a zero step stops the fit, and with J^T J not positive
         definite it is refused as NonPhysicalFit, before its standard errors,
         so a warm start there falls back to the fit from the guess."""
         trace = make_trace(6.83e9, PAPER_QL, 5e5, n=401, noise=0.01, seed=5)
         f, y = trace.frequencies, trace.power_ratio
         theta = (6.83e9, math.log(PAPER_QL), math.log(q_e), 0.0)
         ws = _workspace(f.size)
-        jac = _jacobian(theta, _residual(theta, f, y, ws)[1], ws)
-        assert not (jac.T @ jac).any()
+        r, terms = _residual(theta, f, y, ws)
+        h, g = _normal(theta, terms, r, ws)
+        assert h == (0.0,) * 10
         with pytest.raises(NonPhysicalFit, match=r"^fit stopped on step where J\^T J is not"):
             fitting._fit(f, y, theta)
         assert fit_resonance(trace, InitialGuess(6.83e9, PAPER_QL, q_e)) == fit_resonance(trace)

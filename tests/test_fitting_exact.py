@@ -1,6 +1,6 @@
 """The fitter's hot path is pinned bit for bit.
 
-`fit_resonance` evaluates the Jacobian only at accepted points, takes its
+`fit_resonance` forms the normal equations only at accepted points, takes its
 quantiles by partial sorts and walks to the half-depth points with vectorised
 searches.  None of this may change a bit of a result, so these tests hold it
 against golden values and against copies of the plain implementations.
@@ -13,7 +13,9 @@ with no LAPACK call, and reports them as NaN when J^T J is not positive
 definite at the fitted point.  The six converged fits' pivots keep far more
 than 1e-8 of their diagonal entries; the budget-exhausting fit's J^T J is
 near-singular (a pivot share of 4.9e-12), and its errors are within 1e-5
-relative of the exact inverse's.
+relative of those of the exact inverse of the float h the fit formed.  That
+h's own rounding, magnified by about eps / share, puts them 2.4e-5 relative
+from the exact inverse of J^T J at the fitted point (exact_best_errors).
 
 A change that rounds differently by design, as the real-arithmetic notch
 kernel did against the complex one, the closed-form Cholesky solve against
@@ -21,13 +23,17 @@ LAPACK's, the covariance diagonal from h's SVD against np.linalg.pinv, the
 Cholesky diagonal of h^-1 against the SVD's and, on the near-singular
 budget-exhausting fit, against the truncated SVD pseudo-inverse, and the
 kernel that multiplies by W = 1/D against the one that divided by D (and
-with it every trace), is held against the goldens it replaces, which stay in
-this file (COMPLEX_KERNEL_GOLDEN, LAPACK_SOLVE_GOLDEN, PINV_GOLDEN,
-SVD_COVARIANCE_GOLDEN, TRUNCATED_SVD_GOLDEN, DIVIDE_KERNEL_GOLDEN): the same
-iteration counts, the parameters and rms residual within 1e-12 relative and
-the standard errors within 1e-9 (1e-4 for the budget-exhausting fit, whose
-J^T J is near-singular, against every golden but SVD_COVARIANCE_GOLDEN,
-which it is not in).  The parameters and rms residual of
+with it every trace), and the normal equations from four basis rows against
+the products of the Jacobian's columns, is held against the goldens it
+replaces, which stay in this file (COMPLEX_KERNEL_GOLDEN,
+LAPACK_SOLVE_GOLDEN, PINV_GOLDEN, SVD_COVARIANCE_GOLDEN,
+TRUNCATED_SVD_GOLDEN, DIVIDE_KERNEL_GOLDEN, JACOBIAN_COLUMNS_GOLDEN): the
+same iteration counts, the parameters and rms residual within 1e-12 relative
+and the standard errors within 1e-9.  The budget-exhausting fit's J^T J is
+near-singular, and each golden's standard errors carry their own h's
+rounding: its errors are held within 1e-4 relative of the exact inverse's
+instead, and each closer to it than every golden's but
+SVD_COVARIANCE_GOLDEN's, which it is not in.  The parameters and rms residual of
 SVD_COVARIANCE_GOLDEN and TRUNCATED_SVD_GOLDEN stay bit for bit those of
 DIVIDE_KERNEL_GOLDEN, the fits they were held against.  Only once those
 checks pass are the new bits and trace digests pinned, and the checks stay.
@@ -45,6 +51,7 @@ bit-exact.  The same order holds: the new bits are pinned only once those
 checks pass.
 """
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -90,43 +97,43 @@ GOLDEN = {
         (6834683000.0, 35000.0, 500000.0, -0.222029717806419, 401, 328258452),
         "520ac91b94307a10",
         ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
-         "-0x1.c100812b5fcddp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959804bap+11",
-         "0x1.c8bab460673abp+9", "0x1.3ff8a21ee66f4p+13", "0x1.71afcad40ed24p-6"),
+         "-0x1.c100812b5fce0p-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959804c8p+11",
+         "0x1.c8bab460673d0p+9", "0x1.3ff8a21ee6708p+13", "0x1.71afcad40ed2ap-6"),
         3),
     "device-1601": (
         (6834683000.0, 35000.0, 500000.0, 0.43373840568325917, 1601, 955959054),
         "f26e0d7560cb9d1f",
         ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
-         "0x1.c13c1c0b0813bp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397afc11p+10",
-         "0x1.cad13cd1992ecp+8", "0x1.368e058520685p+12", "0x1.5ccd0d69f99f4p-7"),
+         "0x1.c13c1c0b0813bp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397afc20p+10",
+         "0x1.cad13cd1992edp+8", "0x1.368e058520685p+12", "0x1.5ccd0d69f99fep-7"),
         4),
     "device-6401": (
         (6834683000.0, 35000.0, 500000.0, -0.2206261194775878, 6401, 536393447),
         "307f7f6a9de282b2",
         ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
-         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb9f86p+9",
-         "0x1.c4c1635c937ddp+7", "0x1.32f7a4bfcbbc1p+11", "0x1.632b33a16bc3bp-8"),
+         "-0x1.bfcaf422d2631p-3", "0x1.415b5b729126dp-7", "0x1.847937adb9f8cp+9",
+         "0x1.c4c1635c937e8p+7", "0x1.32f7a4bfcbbc2p+11", "0x1.632b33a16bc3dp-8"),
         3),
     "broad-401": (
         (4228100136.274949, 18784.912940901275, 633043.3010062983, 0.278446362175662, 401, 1481135592),
         "ef7557f06c3842f7",
         ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
-         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f75514p+12",
-         "0x1.472771418aeb4p+10", "0x1.e71d05e299d62p+14", "0x1.9d042905bd5e7p-5"),
+         "0x1.38c259864dc68p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f7551ap+12",
+         "0x1.472771418ae97p+10", "0x1.e71d05e299d50p+14", "0x1.9d042905bd5e9p-5"),
         4),
     "broad-1601": (
         (7659040120.583509, 23057.581793387475, 1140880.1162411429, -0.48644385669938683, 1601, 92906558),
         "274e4a0626588e07",
         ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
-         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd72707c9f8fp+12",
-         "0x1.f5043f8dd7a0ap+9", "0x1.0c901466508afp+15", "0x1.0e3017e38e753p-5"),
+         "-0x1.1206e2d74988ep-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd72707c9f73p+12",
+         "0x1.f5043f8dd79c9p+9", "0x1.0c90146650899p+15", "0x1.0e3017e38e74bp-5"),
         7),
     "broad-6401": (
         (6488750664.203288, 40015.865015532974, 126838.71963366943, 0.12928980070184704, 6401, 1862978404),
         "0861115fa2bd2e3c",
         ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
-         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4cp-7", "0x1.cb0b4e599536ap+7",
-         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f00p+7", "0x1.777893317b02fp-10"),
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4cp-7", "0x1.cb0b4e5995360p+7",
+         "0x1.e655f7ac5ff45p+5", "0x1.6b489ddbf9f20p+7", "0x1.777893317b029p-10"),
         3),
 }
 # A shallow dip (Q_i 45,500 against Q_e 8.2e6) that exhausts the budget: the
@@ -134,11 +141,52 @@ GOLDEN = {
 GOLDEN_BEST = (
     (4863938544.864087, 45516.302988253636, 8220044.408938354, -0.4419570972957112, 401, 1987131395),
     "a96d8052a3ce7d6d",
-    ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a96p+27",
-     "0x1.db65a07cde2b1p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba4b71b8b02dp+13",
-     "0x1.b3156a56396fbp+39", "0x1.c6dcfa8f612b3p+39", "0x1.82e5636517036p+12"),
+    ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5b866p+26", "0x1.926dc0e7ca3ecp+27",
+     "0x1.db65a07cdf1fep-1", "0x1.5b7390d91efa9p-7", "0x1.7b9c6be998758p+13",
+     "0x1.b30bc7a0a6b1dp+39", "0x1.c6d2e7f25a616p+39", "0x1.82dcd2161a84cp+12"),
     200)
 GOLDEN_ALL = {**GOLDEN, "best-401": GOLDEN_BEST}
+
+# The goldens of the fitter that formed J^T J and J^T r from the Jacobian's
+# four columns, before the normal equations from four basis rows, by name:
+# the fingerprint and the iteration count, recorded from that fitter.
+JACOBIAN_COLUMNS_GOLDEN = {
+    "device-401": (
+        ("0x1.9760f967ad6e0p+32", "0x1.f0586f6f5aa70p+14", "0x1.e9be5fdcebc2dp+18",
+         "-0x1.c100812b5fcddp-3", "0x1.4554bbaa994bdp-7", "0x1.9e2be959804bap+11",
+         "0x1.c8bab460673abp+9", "0x1.3ff8a21ee66f4p+13", "0x1.71afcad40ed24p-6"),
+        3),
+    "device-1601": (
+        ("0x1.9760f3440d556p+32", "0x1.ffef585119fa6p+14", "0x1.e340971831aebp+18",
+         "0x1.c13c1c0b0813bp-2", "0x1.443684ded5cdcp-7", "0x1.7e33e397afc11p+10",
+         "0x1.cad13cd1992ecp+8", "0x1.368e058520685p+12", "0x1.5ccd0d69f99f4p-7"),
+        4),
+    "device-6401": (
+        ("0x1.9760fbf964146p+32", "0x1.fdcd7c6f92864p+14", "0x1.e6dc00f82bd9ap+18",
+         "-0x1.bfcaf422d2632p-3", "0x1.415b5b729126dp-7", "0x1.847937adb9f86p+9",
+         "0x1.c4c1635c937ddp+7", "0x1.32f7a4bfcbbc1p+11", "0x1.632b33a16bc3bp-8"),
+        3),
+    "broad-401": (
+        ("0x1.f8071d56efd51p+31", "0x1.3b7dd5f6310ebp+14", "0x1.4a1564803bc3fp+19",
+         "0x1.38c259864dc67p-2", "0x1.48e500b80fc32p-7", "0x1.bf930a8f75514p+12",
+         "0x1.472771418aeb4p+10", "0x1.e71d05e299d62p+14", "0x1.9d042905bd5e7p-5"),
+        4),
+    "broad-1601": (
+        ("0x1.c883ee8ec829ap+32", "0x1.6a33e538d957ep+14", "0x1.0d4c1cfaff3f5p+20",
+         "-0x1.1206e2d74988dp-1", "0x1.3f1fc79ff55fep-7", "0x1.cdd72707c9f8fp+12",
+         "0x1.f5043f8dd7a0ap+9", "0x1.0c901466508afp+15", "0x1.0e3017e38e753p-5"),
+        7),
+    "broad-6401": (
+        ("0x1.82c27bb9b61dfp+32", "0x1.da9e87524702ap+14", "0x1.ef2168479fcdbp+16",
+         "0x1.050c8fc3ea623p-3", "0x1.358bf06665a4cp-7", "0x1.cb0b4e599536ap+7",
+         "0x1.e655f7ac5fefbp+5", "0x1.6b489ddbf9f00p+7", "0x1.777893317b02fp-10"),
+        3),
+    "best-401": (
+        ("0x1.21e37ffd4380fp+32", "0x1.5f48454f5c9a3p+26", "0x1.926dc0e7c9a96p+27",
+         "0x1.db65a07cde2b1p-1", "0x1.5b7390d91efa9p-7", "0x1.7ba4b71b8b02dp+13",
+         "0x1.b3156a56396fbp+39", "0x1.c6dcfa8f612b3p+39", "0x1.82e5636517036p+12"),
+        200),
+}
 
 # The goldens of the kernel that divided by D = 1 + u**2 (and by f_r for u)
 # where it now multiplies by W = 1/D, by name: the fingerprint and the
@@ -439,55 +487,19 @@ def assert_stops_within_noise(name, reference):
     np.testing.assert_allclose(got[errs], want[errs], rtol=1e-3, atol=0)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
-def test_golden_within_tolerance_of_the_divide_kernel(name):
-    """Multiplying by W = 1/D rounds differently from dividing by D, and
-    the traces with it: each golden takes the same iterations on its
-    re-synthesized trace, with the parameters and rms residual within 1e-12
-    relative and the standard errors within 1e-9 (1e-4 for the
-    budget-exhausting fit)."""
-    values, iterations = DIVIDE_KERNEL_GOLDEN[name]
-    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
-    assert got_iterations == iterations
-    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
-    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
-def test_golden_within_tolerance_of_the_lapack_solve(name):
-    """The closed-form Cholesky solve rounds differently from LAPACK's: each
-    golden takes the same iterations, with the parameters and rms residual
-    within 1e-12 relative and the standard errors within 1e-9 (1e-4 for the
-    budget-exhausting fit)."""
-    values, iterations = LAPACK_SOLVE_GOLDEN[name]
-    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
-    assert got_iterations == iterations
-    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
-    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
-def test_golden_within_tolerance_of_the_pinv_covariance(name):
-    """The covariance diagonal from h's SVD rounds differently from
-    np.linalg.pinv's matrix product: each golden takes the same iterations,
-    with the parameters and rms residual within 1e-12 relative and the
-    standard errors within 1e-9 (1e-4 for the budget-exhausting fit, whose
-    near-singular J^T J no longer takes an SVD)."""
-    values, iterations = PINV_GOLDEN[name]
-    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
-    assert got_iterations == iterations
-    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
-    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4 if name == "best-401" else 1e-9, atol=0)
+def full(h):
+    """The symmetric 4x4 array of h given by its upper triangle by rows, as
+    _normal gives h and _cholesky takes it."""
+    a = np.zeros((4, 4))
+    a[np.triu_indices(4)] = h
+    return a + np.triu(a, 1).T
 
 
 def exact_inverse_diagonal(h):
-    """diag(h^-1) of the float entries, by Gauss-Jordan elimination in
-    rational arithmetic."""
+    """diag(h^-1) of a 4x4 nested list of floats or fractions, by
+    Gauss-Jordan elimination in rational arithmetic."""
     rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(4)]
-            for i, row in enumerate(h.tolist())]
+            for i, row in enumerate(h)]
     for c in range(4):
         for r in range(4):
             if r != c:
@@ -496,13 +508,113 @@ def exact_inverse_diagonal(h):
     return [float(rows[i][4 + i] / rows[i][i]) for i in range(4)]
 
 
+@functools.cache
+def exact_best_errors():
+    """The budget-exhausting fit's standard errors from the exact inverse of
+    J^T J at its fitted point.  J's entries follow from the fit's float
+    parameters, sin phi and cos phi in rational arithmetic, by the closed
+    forms of the Jacobian's columns, not the fitter's basis rows, and are each
+    rounded once to a float; J^T J and its inverse are then exact.  Rounding
+    J moves that inverse by 8e-14 relative here (against J's entries to 120
+    bits), where rounding h moves it by about eps / share, 5e-5."""
+    case, digest, _, _ = GOLDEN_BEST
+    trace = golden_trace(case, digest)
+    with pytest.raises(ConvergenceFailure) as info:
+        fit_resonance(trace)
+    best = info.value.best
+    f_r, q_l, q_e = Fraction(best.f_r), Fraction(best.q_l), Fraction(best.q_e)
+    sin, cos = Fraction(math.sin(best.phi)), Fraction(math.cos(best.phi))
+    a = q_l / q_e
+    jac = []
+    for f in trace.frequencies.tolist():
+        u = (Fraction(f) - f_r) * 2 * q_l / f_r
+        w = 1 / (1 + u * u)
+        m = (a * a - 2 * a * cos - 2 * a * u * sin) * w
+        ds_du = -2 * (a * sin + u * m) * w
+        ds_lqe = -(m + a * a * w)
+        jac.append([Fraction(float(v)) for v in (
+            -ds_du * (u + 2 * q_l) / f_r, u * ds_du - ds_lqe, ds_lqe, 2 * a * (sin - u * cos) * w)])
+    h = [[sum(row[i] * row[j] for row in jac) for j in range(4)] for i in range(4)]
+    n = len(jac)
+    sigma2 = best.rms_residual**2 * n / (n - 4)
+    errs = [math.sqrt(sigma2 * v) for v in exact_inverse_diagonal(h)]
+    return [errs[0], best.q_l * errs[1], best.q_e * errs[2], errs[3]]  # f_r, Q_L, Q_e, phi
+
+
+def assert_best_errors_near_the_exact_inverse(got, golden):
+    """The budget-exhausting fit's standard errors got, against a golden's:
+    within 1e-4 relative of exact_best_errors, and each closer to it than
+    the golden's."""
+    exact = exact_best_errors()
+    np.testing.assert_allclose(got, exact, rtol=1e-4, atol=0)
+    for g, w, e in zip(got, golden, exact):
+        assert abs(g - e) < abs(w - e)
+
+
+def assert_within_tolerance(name, goldens):
+    """The golden fit name takes the iterations goldens holds for it, with the
+    parameters and rms residual within 1e-12 relative and the standard errors
+    within 1e-9 (the budget-exhausting fit's near the exact inverse)."""
+    values, iterations = goldens[name]
+    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
+    assert got_iterations == iterations
+    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
+    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
+    if name == "best-401":
+        assert_best_errors_near_the_exact_inverse(got[5:], want[5:])
+    else:
+        np.testing.assert_allclose(got[5:], want[5:], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
+def test_golden_within_tolerance_of_the_jacobian_columns(name):
+    """The normal equations from four basis rows, C (B B^T) C^T and C (B r),
+    round differently from the products of the Jacobian's columns: each
+    golden takes the same iterations, with the parameters and rms residual
+    within 1e-12 relative and the standard errors within 1e-9 (the
+    budget-exhausting fit's within 1e-4 of the exact inverse and closer to it
+    than the columns' were)."""
+    assert_within_tolerance(name, JACOBIAN_COLUMNS_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
+def test_golden_within_tolerance_of_the_divide_kernel(name):
+    """Multiplying by W = 1/D rounds differently from dividing by D, and
+    the traces with it: each golden takes the same iterations on its
+    re-synthesized trace, with the parameters and rms residual within 1e-12
+    relative and the standard errors within 1e-9 (the budget-exhausting
+    fit's within 1e-4 of the exact inverse)."""
+    assert_within_tolerance(name, DIVIDE_KERNEL_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
+def test_golden_within_tolerance_of_the_lapack_solve(name):
+    """The closed-form Cholesky solve rounds differently from LAPACK's: each
+    golden takes the same iterations, with the parameters and rms residual
+    within 1e-12 relative and the standard errors within 1e-9 (the
+    budget-exhausting fit's within 1e-4 of the exact inverse)."""
+    assert_within_tolerance(name, LAPACK_SOLVE_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALL))
+def test_golden_within_tolerance_of_the_pinv_covariance(name):
+    """The covariance diagonal from h's SVD rounds differently from
+    np.linalg.pinv's matrix product: each golden takes the same iterations,
+    with the parameters and rms residual within 1e-12 relative and the
+    standard errors within 1e-9 (the budget-exhausting fit's, whose
+    near-singular J^T J no longer takes an SVD, within 1e-4 of the exact
+    inverse)."""
+    assert_within_tolerance(name, PINV_GOLDEN)
+
+
 def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
     """The Cholesky diagonal of the budget-exhausting fit's near-singular h
     (a pivot share of 4.9e-12) rounds differently from the truncated SVD
     pseudo-inverse it replaced: the same iterations, the parameters and rms
     residual bit for bit in the divide kernel's golden and within 1e-12
-    relative now, and the standard errors within 1e-4 relative, each closer
-    to those of the exact inverse of the same h."""
+    relative now, and the standard errors within 1e-4 relative of the exact
+    inverse of J^T J and each closer to those of the exact inverse of the
+    same h, within 1e-5 relative of them."""
     values, iterations = TRUNCATED_SVD_GOLDEN["best-401"]
     kept, kept_iterations = DIVIDE_KERNEL_GOLDEN["best-401"]
     assert (kept[:5], kept_iterations) == (values[:5], iterations)
@@ -511,7 +623,7 @@ def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
     def counted_cholesky(h, lam=0.0):
         l = cholesky(h, lam)
         if not lam:
-            undamped.append((h.copy(), l))
+            undamped.append((h, l))
         return l
 
     def standard_errors(l, sigma2):
@@ -525,12 +637,13 @@ def test_golden_within_tolerance_of_the_truncated_svd(monkeypatch):
     assert got_iterations == iterations
     got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
     np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4, atol=0)
+    assert_best_errors_near_the_exact_inverse(got[5:], want[5:])
     (l, sigma2), = seen
     h, last = undamped[-1]  # the final point's h, factored once
     assert l is last
-    exact = [math.sqrt(sigma2 * v) for v in exact_inverse_diagonal(h)]
+    exact = [math.sqrt(sigma2 * v) for v in exact_inverse_diagonal(full(h).tolist())]
     exact = [exact[0], got[1] * exact[1], got[2] * exact[2], exact[3]]  # f_r, Q_L, Q_e, phi
+    np.testing.assert_allclose(got[5:], exact, rtol=1e-5, atol=0)
     for g, w, e in zip(got[5:], want[5:], exact):
         assert abs(g - e) < abs(w - e)
 
@@ -557,16 +670,12 @@ def test_golden_within_tolerance_of_the_svd_covariance(name):
 def test_golden_within_tolerance_of_the_complex_kernel(name):
     """The real kernel rounds differently from the complex one it replaced:
     the budget-exhausting fit takes the same iterations and differs in its
-    low bits only; the converged ones stop within the noise of its results."""
+    low bits only, its standard errors within 1e-4 of the exact inverse; the
+    converged ones stop within the noise of its results."""
     if name in GOLDEN:
         assert_stops_within_noise(name, COMPLEX_KERNEL_GOLDEN)
         return
-    values, iterations = COMPLEX_KERNEL_GOLDEN[name]
-    got, got_iterations = golden_outcome(GOLDEN_ALL[name])
-    assert got_iterations == iterations
-    got, want = ([float.fromhex(v) for v in vs] for vs in (got, values))
-    np.testing.assert_allclose(got[:5], want[:5], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-4, atol=0)
+    assert_within_tolerance(name, COMPLEX_KERNEL_GOLDEN)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -605,8 +714,8 @@ def test_offset_stop_leaves_no_step_beyond_the_noise(regime, f_r, log_q_i, log_q
     theta = (res.f_r, math.log(res.q_l), math.log(res.q_e), res.phi)
     ws = fitting._workspace(trace.frequencies.size)
     r, terms = fitting._residual(theta, trace.frequencies, trace.power_ratio, ws)
-    jac = fitting._jacobian(theta, terms, ws)
-    step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
+    h, g = fitting._normal(theta, terms, r, ws)
+    step = np.linalg.solve(full(h), -np.array(g))
     sigma = np.array([res.f_r_err, res.q_l_err / res.q_l, res.q_e_err / res.q_e, res.phi_err])
     assert np.all(np.abs(step) <= 1e-2 * sigma)
 
@@ -638,27 +747,27 @@ def test_best_so_far_says_the_budget_stopped_it():
 
 
 def test_jacobian_only_at_accepted_points(monkeypatch):
-    """One Jacobian at the start point and one per accepted step: a trial
-    step that is rejected costs only its residual."""
-    costs, jacobians = [], []
-    residual, jacobian = fitting._residual, fitting._jacobian
+    """The normal equations at the start point and once per accepted step: a
+    trial step that is rejected costs only its residual."""
+    costs, normals = [], []
+    residual, normal = fitting._residual, fitting._normal
 
     def counted_residual(theta, f, y, *args):
         out = residual(theta, f, y, *args)
         costs.append(float(out[0] @ out[0]))
         return out
 
-    def counted_jacobian(theta, terms, *args):
-        jacobians.append(theta)
-        return jacobian(theta, terms, *args)
+    def counted_normal(theta, terms, *args):
+        normals.append(theta)
+        return normal(theta, terms, *args)
 
     monkeypatch.setattr(fitting, "_residual", counted_residual)
-    monkeypatch.setattr(fitting, "_jacobian", counted_jacobian)
+    monkeypatch.setattr(fitting, "_normal", counted_normal)
     rejected_total = 0
     for case, digest, _, _ in (GOLDEN["broad-1601"], GOLDEN_BEST):
         trace = golden_trace(case, digest)
         costs.clear()
-        jacobians.clear()
+        normals.clear()
         try:
             fit_resonance(trace)
         except ConvergenceFailure:
@@ -669,7 +778,7 @@ def test_jacobian_only_at_accepted_points(monkeypatch):
             if cost <= current:
                 accepted, current = accepted + 1, cost
         rejected_total += len(costs) - 1 - accepted
-        assert len(jacobians) == accepted + 1
+        assert len(normals) == accepted + 1
     assert rejected_total > 0  # the budget-exhausting fit rejects half its trials
 
 
@@ -741,7 +850,7 @@ def test_threads_fitting_at_once_match_the_serial_bits():
 
 def test_a_fit_leaves_no_point_sized_memory_behind():
     """A fit's workspace is freed with the fit: in a fresh thread, traced
-    memory after a 10,001-point fit (72 bytes a point in use, about 720 KB)
+    memory after a 10,001-point fit (56 bytes a point in use, about 560 KB)
     is back within a few KB of where it started."""
     trace = criterion4_trace(6834683000.0, 35000.0, 500000.0, 0.1, 10001, 7)
     outcome = {}
@@ -764,7 +873,10 @@ def test_a_fit_leaves_no_point_sized_memory_behind():
 
 
 def test_standalone_residuals_do_not_alias():
-    """In two workspaces, _residual and _jacobian write separate arrays."""
+    """A workspace's seven rows, r, u, m and the basis (W, uW, W**2, uW**2),
+    are disjoint, with W in the basis's first row; in two workspaces,
+    _residual and _normal write separate arrays, and _normal leaves the
+    residual as it was."""
     case, digest, _, _ = GOLDEN["device-401"]
     trace = golden_trace(case, digest)
     f, y = trace.frequencies, trace.power_ratio
@@ -773,10 +885,21 @@ def test_standalone_residuals_do_not_alias():
     ws, ws_other = fitting._workspace(f.size), fitting._workspace(f.size)
     first, terms = fitting._residual(theta, f, y, ws)
     kept = first.copy()
-    second, other = fitting._residual(theta + [1e3, 0.0, 0.0, 0.1], f, y, ws_other)
-    arrays = [first, *terms[1:], fitting._jacobian(theta, terms, ws)]
-    for a in arrays:
-        for b in [second, *other[1:], fitting._jacobian(theta, other, ws_other)]:
+    other_theta = theta + [1e3, 0.0, 0.0, 0.1]
+    second, other = fitting._residual(other_theta, f, y, ws_other)
+    fitting._normal(theta, terms, first, ws)
+    fitting._normal(other_theta, other, second, ws_other)
+    rows = []
+    for r, (_, u, w), space in [(first, terms, ws), (second, other, ws_other)]:
+        for got, row in [(r, space.r), (u, space.u), (w, space.basis[0])]:
+            assert np.shares_memory(got, row)
+        rows.append([space.r, space.u, space.m, *space.basis])
+        assert len(rows[-1]) == 7 and all(row.shape == f.shape for row in rows[-1])
+        for i, a in enumerate(rows[-1]):
+            for b in rows[-1][i + 1:]:
+                assert not np.shares_memory(a, b)
+    for a in rows[0]:
+        for b in rows[1]:
             assert not np.shares_memory(a, b)
     np.testing.assert_array_equal(first, kept)
 
@@ -880,24 +1003,38 @@ def reference_notch(theta, f):
     offset=st.floats(-0.5, 0.5),        # of the span, from f_r to its centre
     n=st.integers(2, 200),
 )
+# a = 1 and a = 2 at phi = 0, where the ln Q_e and the f_r columns vanish
+@example(f_r=6.8e9, log_q_l=4.0, log_coupling=0.0, phi=0.0, log_span=1.0, offset=0.1, n=101)
+@example(f_r=6.8e9, log_q_l=2.0003, log_coupling=-math.log10(2), phi=0.0, log_span=1.0, offset=0.1, n=101)
 def test_real_kernel_matches_the_complex_one(f_r, log_q_l, log_coupling, phi, log_span, offset, n):
     theta = np.array([f_r, log_q_l * math.log(10), (log_q_l + log_coupling) * math.log(10), phi])
     span = 10**log_span * f_r / math.exp(theta[1])
     f = np.linspace(f_r + (offset - 0.5) * span, f_r + (offset + 0.5) * span, n)
     ws = fitting._workspace(n)
     s, terms = fitting._residual(theta, f, np.zeros(n), ws)
-    jac = fitting._jacobian(theta, terms, ws)
+    h, g = fitting._normal(theta, terms, s, ws)
     s_ref, jac_ref = reference_notch(theta, f)
     q_l, eps = math.exp(theta[1]), np.finfo(float).eps
     a = q_l / math.exp(theta[2])
-    assert np.max(np.abs(s - s_ref)) <= 8 * eps * (1 + a) ** 2
-    # Each column within 1e-12 of its largest magnitude, plus a rounding
-    # floor for a column that cancels to zero (a = 1 or 2 at phi = 0); a
-    # column scales as a (1 + a), times du/d f_r for f_r.
+    s_err = 8 * eps * (1 + a) ** 2
+    assert np.max(np.abs(s - s_ref)) <= s_err
+    # h and g as a Jacobian would give them whose every column k is within
+    # e_k of the reference's: 1e-12 of the column's largest magnitude, plus a
+    # rounding floor for a column that cancels to zero (a = 1 or 2 at
+    # phi = 0); a column scales as a (1 + a), times du/d f_r for f_r.  Then
+    # |dh_ij| <= e_i |J_j|_1 + e_j |J_i|_1 + n e_i e_j, and g takes S's error
+    # too.  h sums the basis rows' products before C combines them, so a
+    # column that cancels leaves h the rounding of n products of terms of its
+    # scale, floor / (16 eps): n floor_i floor_j / eps at most.
     floor = 16 * eps * a * (1 + a) * np.array([2 * q_l * f[-1] / f_r**2, 1.0, 1.0, 1.0])
-    for k in range(4):
-        err = np.max(np.abs(jac[:, k] - jac_ref[:, k]))
-        assert err <= 1e-12 * np.max(np.abs(jac_ref[:, k])) + floor[k], k
+    err, col = 1e-12 * np.max(np.abs(jac_ref), axis=0) + floor, np.abs(jac_ref).sum(axis=0)
+    bound = (np.outer(err, col) + np.outer(col, err) + n * np.outer(err, err)
+             + n * np.outer(floor, floor) / eps)
+    assert np.all(np.abs(full(h) - jac_ref.T @ jac_ref) <= bound)
+    assert np.all(np.abs(np.array(g) - jac_ref.T @ s_ref) <= err * np.abs(s_ref).sum() + col * s_err)
+    if phi == 0.0 and a in (1.0, 2.0):  # the vanishing column's row of h and entry of g are zero
+        k = 2 if a == 1.0 else 0
+        assert not full(h)[k].any() and g[k] == 0.0
 
 
 def dip_trace(n, u, width, depth, noise, slope, f0, df):

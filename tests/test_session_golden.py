@@ -43,13 +43,13 @@ SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
         "Converged", 4, 2432, "87ed6a8a655b148056f81865124c761f3ea3da484c7222a387604ecb49405148"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 5, 2432, "8064c767424f3cb32a3890bebdb699fc39f020c056e37dfa74ed0f4ef7a611e6"),
+        "Converged", 5, 2432, "aef80c6d221a93eca96c21c8fccee98e80d53361741a4b39973f9e6e123f8dc9"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
-        "Converged", 4, 7432, "595249362cf00a89b7c0f38d08d5065687c1b5883b88ea0ab5cd02685215a8f4"),
+        "Converged", 4, 7432, "0c216b5f4a3a9db3af6b1dacb5baa8323bb4f639fe79acb9e03558fe6d70ac81"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
         "Converged", 7, 7436, "f64dd913c3503ccb29611f5ebaf7fefac6578c693d33ddaf60a21ba369899a02"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 5, 7498, "1fe3ad98895e45a11696eecb084c01dbba8aaf440f2d55a69103166224a9a4c5"),
+        "Converged", 5, 7498, "043669a6be74d975c6b63577ddd780bbd045cc08031577d1cb39cb61f4a6f7f8"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
         "Converged", 7, 2858, "cb52c55757139cd78d6396399060adf06ca9039a4700ad33c75cab5257332376"),
 }
@@ -79,7 +79,7 @@ GRID_CASES = [(1.0, 60.0, 0.0)] + [
     (lam, step, back) for lam in (0.9, 1.0, 1.1) for step in (54.0, 60.0, 66.0)
     for back in (0.0, 5.0) if (lam, step, back) != (1.0, 60.0, 0.0)
 ]
-GRID_LOGS = "2ea4568690470fa3e08f248cea9438b22da24e31af4b4326958223e5c58a6e43"
+GRID_LOGS = "6e374a9ce29a2579c0e201f2081ed7e61803a1aaee8db00f87d5bf028388a030"
 
 
 def test_noiseless_grid_is_bit_identical():
