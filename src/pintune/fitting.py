@@ -46,22 +46,30 @@ An exhausted iteration budget is "budget".  The undamped solve matters: a
 damped step shrinks where damping is heavy, so a runaway fit would look
 converged.
 
-The normal equations are built on four rows, B = (W, uW, W**2, uW**2), from
-the residual's u and W = 1/D (see transmission), and divide no array.  With
-alpha = a (a - 2 cos phi) and beta = -2a sin phi, S - 1 = alpha W + beta uW,
-and u**2 W = 1 - W, so each Jacobian column is a combination of B's rows
-with four Python-float coefficients, J^T = C B:
+The normal equations are built on four rows, B = (W**2, u**2 W**2, uW, uW**2),
+from the residual's u and W = 1/D (see transmission), and divide no array.
+With alpha = a (a - 2 cos phi) and beta = -2a sin phi, S - 1 = alpha W +
+beta uW, and W = W**2 + u**2 W**2, so each Jacobian column is a combination
+of B's rows with four Python-float coefficients, J^T = C B:
 
-    dS/du = -beta W + 2 beta W**2 - 2 alpha uW**2
-    u dS/du = -2 alpha W - beta uW + 2 alpha W**2 + 2 beta uW**2
+    dS/du = W**2 (beta (1 - u**2) - 2 alpha u)
+          = beta W**2 - beta u**2 W**2 - 2 alpha uW**2
+    u dS/du = -2 alpha u**2 W**2 - beta uW + 2 beta uW**2
     dS/d f_r = -(u dS/du + 2 Q_L dS/du) / f_r
-    dS/d ln Q_e = -a (d alpha/da W + d beta/da uW) = 2a (cos phi - a) W - beta uW
-    dS/d ln Q_L = u dS/du - dS/d ln Q_e = 2a cos phi W + 2 alpha W**2 + 2 beta uW**2
-    dS/d phi = 2a (sin phi W - cos phi uW)
+    dS/d ln Q_e = 2a W ((cos phi - a) + sin phi u)
+                = 2a (cos phi - a) (W**2 + u**2 W**2) - beta uW
+    dS/d ln Q_L = u dS/du - dS/d ln Q_e
+                = 2a ((a - cos phi) W**2 + cos phi u**2 W**2) + 2 beta uW**2
+    dS/d phi = 2a (sin phi (W**2 + u**2 W**2) - cos phi uW)
 
-So h = C (B B^T) C^T and g = C (B r): three array products form B's last
-three rows, one matrix product and one matrix-vector product reduce them, and
-the rest is 4x4 arithmetic on Python floats; no n-by-4 Jacobian is formed.
+Apart from u dS/du's -beta uW + 2 beta uW**2 = beta uW**2 (1 - u**2), these
+are each column's own terms, W**k times a polynomial in u, so C cancels
+terms only where the column itself has a zero.  B holds W**2 and u**2 W**2,
+not their sum W with one of them: W - W**2 cancels to u**2 W**2 near u = 0,
+and W - u**2 W**2 to W**2 far out.
+h = C (B B^T) C^T and g = C (B r): four array products form B, one matrix
+product and one matrix-vector product reduce it, and the rest is 4x4
+arithmetic on Python floats; no n-by-4 Jacobian is formed.
 
 A fit starts from initial_guess's point: the dip's f_r, Q_L from the
 half-depth width, Q_e from the depth and phi = 0.  Given a lineshape it
@@ -207,10 +215,10 @@ def initial_guess(trace):
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 
 
-# A fit's point-sized arrays, seven float64 rows: the residual, u, m and the
-# basis B = (W, uW, W**2, uW**2) of the normal equations, whose first row, W,
-# the lineshape writes.
-_Workspace = namedtuple("_Workspace", "r u m basis")
+# A fit's point-sized arrays, seven float64 rows: the residual, u, W and the
+# basis B = (W**2, u**2 W**2, uW, uW**2) of the normal equations, into whose
+# first row the lineshape writes its m, unused, for _normal to overwrite.
+_Workspace = namedtuple("_Workspace", "r u w basis")
 
 
 def _workspace(n):
@@ -225,7 +233,7 @@ def _residual(theta, f, y, ws):
     workspace ws."""
     f_r, lql, lqe, phi = theta
     q_l = math.exp(lql)
-    out = ws.r, ws.u, ws.basis[0], ws.m
+    out = ws.r, ws.u, ws.w, ws.basis[0]
     r, u, w, _ = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=out)
     r -= y
     return r, (q_l, u, w)
@@ -239,43 +247,47 @@ def _normal(theta, terms, r, ws):
     q_l, u, w = terms
     f_r, _, lqe, phi = theta
     a = q_l / math.exp(lqe)
-    a_cos = a * math.cos(phi)
-    alpha, beta = a * (a - 2.0 * math.cos(phi)), -2.0 * a * math.sin(phi)
+    cos = math.cos(phi)
+    alpha, beta = a * (a - 2.0 * cos), -2.0 * a * math.sin(phi)
     basis = ws.basis
-    np.multiply(u, w, out=basis[1])
-    np.multiply(w, w, out=basis[2])
-    np.multiply(basis[1], w, out=basis[3])
+    np.multiply(w, w, out=basis[0])
+    np.multiply(u, w, out=basis[2])
+    np.multiply(basis[2], basis[2], out=basis[1])
+    np.multiply(basis[2], w, out=basis[3])
     (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
         basis @ basis.T).tolist()
     b0, b1, b2, b3 = (basis @ r).tolist()
-    # C's rows on (W, uW, W**2, uW**2): f_r (c), ln Q_L (l, no uW term), and
-    # ln Q_e (e) and phi (p), on W and uW alone.
+    # C's rows on (W**2, u**2 W**2, uW, uW**2): f_r (c), ln Q_L (l, no uW
+    # term), and ln Q_e (e) and phi (p), each with one coefficient on
+    # W = W**2 + u**2 W**2 and one on uW.
     two_q = 2.0 * q_l
-    c0, c1 = (2.0 * alpha + two_q * beta) / f_r, beta / f_r
-    c2, c3 = -(2.0 * alpha + 2.0 * two_q * beta) / f_r, (2.0 * two_q * alpha - 2.0 * beta) / f_r
-    l0, l2, l3 = 2.0 * a_cos, 2.0 * alpha, 2.0 * beta
-    e0, e1 = 2.0 * (a_cos - a * a), -beta
-    p0, p1 = -beta, -2.0 * a_cos
-    # (B B^T) times each row of C, then each row of C times those.
+    c0, c1 = -two_q * beta / f_r, (2.0 * alpha + two_q * beta) / f_r
+    c2, c3 = beta / f_r, (2.0 * two_q * alpha - 2.0 * beta) / f_r
+    l0, l1, l3 = 2.0 * a * (a - cos), 2.0 * a * cos, 2.0 * beta
+    e0, e2 = -l0, -beta
+    p0, p2 = -beta, -2.0 * a * cos
+    # (B B^T) times each row of C, then each row of C times those; e and p
+    # meet B B^T's rows through their sums on W, s_k.
     c_0 = g00 * c0 + g01 * c1 + g02 * c2 + g03 * c3
     c_1 = g01 * c0 + g11 * c1 + g12 * c2 + g13 * c3
     c_2 = g02 * c0 + g12 * c1 + g22 * c2 + g23 * c3
     c_3 = g03 * c0 + g13 * c1 + g23 * c2 + g33 * c3
-    l_0 = g00 * l0 + g02 * l2 + g03 * l3
-    l_1 = g01 * l0 + g12 * l2 + g13 * l3
-    l_2 = g02 * l0 + g22 * l2 + g23 * l3
-    l_3 = g03 * l0 + g23 * l2 + g33 * l3
-    e_0, e_1 = g00 * e0 + g01 * e1, g01 * e0 + g11 * e1
-    e_2, e_3 = g02 * e0 + g12 * e1, g03 * e0 + g13 * e1
-    p_0, p_1 = g00 * p0 + g01 * p1, g01 * p0 + g11 * p1
-    p_2, p_3 = g02 * p0 + g12 * p1, g03 * p0 + g13 * p1
+    l_0 = g00 * l0 + g01 * l1 + g03 * l3
+    l_1 = g01 * l0 + g11 * l1 + g13 * l3
+    l_2 = g02 * l0 + g12 * l1 + g23 * l3
+    l_3 = g03 * l0 + g13 * l1 + g33 * l3
+    s0, s1, s2, s3 = g00 + g01, g01 + g11, g02 + g12, g03 + g13
+    e_0, e_1 = s0 * e0 + g02 * e2, s1 * e0 + g12 * e2
+    e_2, e_3 = s2 * e0 + g22 * e2, s3 * e0 + g23 * e2
+    p_0, p_1 = s0 * p0 + g02 * p2, s1 * p0 + g12 * p2
+    p_2, p_3 = s2 * p0 + g22 * p2, s3 * p0 + g23 * p2
     h = (c0 * c_0 + c1 * c_1 + c2 * c_2 + c3 * c_3, c0 * l_0 + c1 * l_1 + c2 * l_2 + c3 * l_3,
          c0 * e_0 + c1 * e_1 + c2 * e_2 + c3 * e_3, c0 * p_0 + c1 * p_1 + c2 * p_2 + c3 * p_3,
-         l0 * l_0 + l2 * l_2 + l3 * l_3, l0 * e_0 + l2 * e_2 + l3 * e_3,
-         l0 * p_0 + l2 * p_2 + l3 * p_3,
-         e0 * e_0 + e1 * e_1, e0 * p_0 + e1 * p_1, p0 * p_0 + p1 * p_1)
-    g = (c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3, l0 * b0 + l2 * b2 + l3 * b3,
-         e0 * b0 + e1 * b1, p0 * b0 + p1 * b1)
+         l0 * l_0 + l1 * l_1 + l3 * l_3, l0 * e_0 + l1 * e_1 + l3 * e_3,
+         l0 * p_0 + l1 * p_1 + l3 * p_3,
+         e0 * (e_0 + e_1) + e2 * e_2, e0 * (p_0 + p_1) + e2 * p_2, p0 * (p_0 + p_1) + p2 * p_2)
+    g = (c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3, l0 * b0 + l1 * b1 + l3 * b3,
+         e0 * (b0 + b1) + e2 * b2, p0 * (b0 + b1) + p2 * b2)
     return h, g
 
 

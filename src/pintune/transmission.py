@@ -108,11 +108,11 @@ class NoiseModel:
 
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
-    """S = 1 + m of the module docstring, in real arithmetic, and the terms
-    the fit's normal equations reuse; returns (S, u, W, m).  The one copy of
-    the lineshape: no argument checks, f is an increasing array and f_r a
-    float or an array.  out: optional real arrays of f's shape that receive
-    (S, u, W, m)."""
+    """S = 1 + m of the module docstring, in real arithmetic, and its terms;
+    returns (S, u, W, m), of which the fit's normal equations reuse u and W.
+    The one copy of the lineshape: no argument checks, f is an increasing
+    array and f_r a float or an array.  out: optional real arrays of f's
+    shape that receive (S, u, W, m)."""
     s, u, w, m = (None,) * 4 if out is None else out
     a = q_l / q_e
     # 2 Q_L / f_r: at a float f_r, Python's quotient when it is finite, which

@@ -25,8 +25,8 @@ TALLIES = {
     "wide": (
         "wide: sessions 400, Converged 218 Unreachable 0 StepBudgetExhausted 164 Aborted 18, "
         "false 0, measurements 34641 (median 7, p90 200, max 200), retries 1941, "
-        "fit_iterations 110901, all_fit_iterations 783605, aborted by note "
-        "(fit failed: ConvergenceFailure 18), outcomes d882d04ff1abfcc9, logs f9989df4f80a4151"),
+        "fit_iterations 110900, all_fit_iterations 783597, aborted by note "
+        "(fit failed: ConvergenceFailure 18), outcomes d882d04ff1abfcc9, logs be890e6ffd3c4de2"),
 }
 
 

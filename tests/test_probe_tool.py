@@ -13,7 +13,7 @@ NOISELESS_GRID = (
     "noiseless_grid: sessions 36, Converged 36 Unreachable 0 StepBudgetExhausted 0 Aborted 0, "
     "false 0, measurements 180 (median 5, p90 6, max 6), retries 4, fit_iterations 655, "
     "all_fit_iterations 2255, aborted by note (none), outcomes 584704392f62ba59, "
-    "logs 6e374a9ce29a2579")
+    "logs 017bac884c6433a2")
 
 
 def test_the_noiseless_grid_probe_prints_its_tally(monkeypatch):

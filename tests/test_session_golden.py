@@ -43,13 +43,13 @@ SESSIONS = {
     (300, (171, 300, 0), 1.0, 60.0, 0.0): (
         "Converged", 4, 2432, "87ed6a8a655b148056f81865124c761f3ea3da484c7222a387604ecb49405148"),
     (300, (171, 300, 1), 1.0, 60.0, 0.0): (
-        "Converged", 5, 2432, "aef80c6d221a93eca96c21c8fccee98e80d53361741a4b39973f9e6e123f8dc9"),
+        "Converged", 5, 2432, "be7cf4314fdcc3618fe2df3941cc6e92542fa6a65d31df5cd9d6a581902f756f"),
     (600, (171, 600, 0), 1.0, 60.0, 0.0): (
         "Converged", 4, 7432, "0c216b5f4a3a9db3af6b1dacb5baa8323bb4f639fe79acb9e03558fe6d70ac81"),
     (600, (171, 600, 1), 1.0, 60.0, 0.0): (
         "Converged", 7, 7436, "f64dd913c3503ccb29611f5ebaf7fefac6578c693d33ddaf60a21ba369899a02"),
     (600, (181, 10, 600, 0), 1.0, 66.0, 5.0): (
-        "Converged", 5, 7498, "043669a6be74d975c6b63577ddd780bbd045cc08031577d1cb39cb61f4a6f7f8"),
+        "Converged", 5, 7498, "355a970c8dc5584068642a59cac04119544e3f8a10a1cc92ee23909c4fd64091"),
     (300, (181, 2, 300, 0), 0.9, 60.0, 0.0): (
         "Converged", 7, 2858, "cb52c55757139cd78d6396399060adf06ca9039a4700ad33c75cab5257332376"),
 }
@@ -79,7 +79,7 @@ GRID_CASES = [(1.0, 60.0, 0.0)] + [
     (lam, step, back) for lam in (0.9, 1.0, 1.1) for step in (54.0, 60.0, 66.0)
     for back in (0.0, 5.0) if (lam, step, back) != (1.0, 60.0, 0.0)
 ]
-GRID_LOGS = "6e374a9ce29a2579c0e201f2081ed7e61803a1aaee8db00f87d5bf028388a030"
+GRID_LOGS = "017bac884c6433a2d0e3a7db5627158038f3f35e0bee3d78baeefff100a15217"
 
 
 def test_noiseless_grid_is_bit_identical():
