@@ -27,7 +27,9 @@ diag(h^-1), entry k being |L^-1 e_k|^2 from the final point's h = L L^T, or
 NaN, on a best out of budget, when h is not positive definite.  Cholesky's
 error on a graded h grows about as eps / share, share being the least ratio
 of a pivot l_kk**2 to its diagonal entry h_kk, whatever h's own condition
-number (Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).  On
+number (Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)), down
+to a share of about 16 eps; below it a factor may still come back, its error
+bounded only by 16 eps cond(h_s), h_s being h scaled to a unit diagonal.  On
 criterion-4 fits the diagonal was within 1.2e-13 relative of the exact
 inverse at shares above 1e-2 (every device-regime fit) and 5e-9 at 1.5e-8,
 and the standard errors within 2% above 1e-14 and 15% at 3e-16.
@@ -81,7 +83,8 @@ physical and its f_r lies in the window; otherwise it fits again from the
 guess, exactly as without a start.
 
 A fit writes its point-sized arrays into one workspace of its own, reused
-across its iterations and freed with the fit.
+across its iterations and freed with the fit: _residual writes a point's r, u
+and W there, and _normal reads them back when the fit stands on that point.
 """
 
 import math
@@ -188,17 +191,10 @@ def initial_guess(trace):
     # either side of the minimum, interpolated against its inner neighbour,
     # in Python floats (numpy scalars would do the same IEEE operations).
     half_level = baseline - depth / 2.0
-    left = right = None
     above = (y[:imin] >= half_level).nonzero()[0]
-    if above.size:
-        j = above.item(-1)
-        frac = (half_level - y.item(j + 1)) / (y.item(j) - y.item(j + 1))
-        left = f.item(j + 1) + frac * (f.item(j) - f.item(j + 1))
+    left = _crossing(f, y, half_level, above.item(-1), 1) if above.size else None
     above = (y[imin + 1:] >= half_level).nonzero()[0]
-    if above.size:
-        j = imin + 1 + above.item(0)
-        frac = (half_level - y.item(j - 1)) / (y.item(j) - y.item(j - 1))
-        right = f.item(j - 1) + frac * (f.item(j) - f.item(j - 1))
+    right = _crossing(f, y, half_level, imin + 1 + above.item(0), -1) if above.size else None
     if left is not None and right is not None:
         width = right - left
     elif left is not None:
@@ -215,9 +211,15 @@ def initial_guess(trace):
     return InitialGuess(f_r=f_r, q_l=q_l, q_e=q_e, phi=0.0, at_edge=at_edge)
 
 
+def _crossing(f, y, level, j, inward):
+    # Where y crosses level between the point j and its inner neighbour j + inward.
+    k = j + inward
+    frac = (level - y.item(k)) / (y.item(j) - y.item(k))
+    return f.item(k) + frac * (f.item(j) - f.item(k))
+
+
 # A fit's point-sized arrays, seven float64 rows: the residual, u, W and the
-# basis B = (W**2, u**2 W**2, uW, uW**2) of the normal equations, into whose
-# first row the lineshape writes its m, unused, for _normal to overwrite.
+# basis B = (W**2, u**2 W**2, uW, uW**2) of the normal equations.
 _Workspace = namedtuple("_Workspace", "r u w basis")
 
 
@@ -228,28 +230,26 @@ def _workspace(n):
 
 
 def _residual(theta, f, y, ws):
-    """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi), and
-    the lineshape terms (Q_L, u, W) that _normal reuses, written into the
-    workspace ws."""
+    """Residuals r = model - data for theta = (f_r, ln Q_L, ln Q_e, phi),
+    written with the lineshape's u and W into the workspace ws; returns r,
+    which is ws.r."""
     f_r, lql, lqe, phi = theta
-    q_l = math.exp(lql)
-    out = ws.r, ws.u, ws.w, ws.basis[0]
-    r, u, w, _ = notch_response(f, f_r, q_l, math.exp(lqe), phi, out=out)
+    r = notch_response(f, f_r, math.exp(lql), math.exp(lqe), phi, out=ws[:3])[0]
     r -= y
-    return r, (q_l, u, w)
+    return r
 
 
-def _normal(theta, terms, r, ws):
+def _normal(theta, ws):
     """h = J^T J, as its upper triangle by rows (h00, h01, h02, h03, h11, h12,
-    h13, h22, h23, h33), and g = J^T r, Python floats, at the point whose
-    _residual returned r and terms: C (B B^T) C^T and C (B r) by the module
-    docstring's closed forms, B written into the workspace ws."""
-    q_l, u, w = terms
-    f_r, _, lqe, phi = theta
+    h13, h22, h23, h33), and g = J^T r, Python floats, at theta, whose
+    _residual wrote r, u and W into the workspace ws: C (B B^T) C^T and
+    C (B r) by the module docstring's closed forms, B written into ws."""
+    f_r, lql, lqe, phi = theta
+    q_l = math.exp(lql)  # _residual's Q_L, the same bits
     a = q_l / math.exp(lqe)
     cos = math.cos(phi)
     alpha, beta = a * (a - 2.0 * cos), -2.0 * a * math.sin(phi)
-    basis = ws.basis
+    r, u, w, basis = ws
     np.multiply(w, w, out=basis[0])
     np.multiply(u, w, out=basis[2])
     np.multiply(basis[2], basis[2], out=basis[1])
@@ -320,25 +320,21 @@ def _cholesky(h, lam=0.0):
 
 
 def _forward(l, g):
-    """q = z.z with L z = g, by forward substitution, for _cholesky's factor l
-    and g four Python floats: g^T h^-1 g for h = L L^T."""
+    """z with L z = g, by forward substitution, for _cholesky's factor l and
+    g four Python floats; z.z is g^T h^-1 g for h = L L^T."""
     l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
     g0, g1, g2, g3 = g
     z0 = g0 / l00
     z1 = (g1 - l10 * z0) / l11
     z2 = (g2 - l20 * z0 - l21 * z1) / l22
     z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
-    return z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
+    return z0, z1, z2, z3
 
 
 def _solve(l, g):
     """x with L L^T x = g, for _cholesky's factor l and g four Python floats."""
     l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = l
-    g0, g1, g2, g3 = g
-    z0 = g0 / l00  # L z = g, then L^T x = z
-    z1 = (g1 - l10 * z0) / l11
-    z2 = (g2 - l20 * z0 - l21 * z1) / l22
-    z3 = (g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    z0, z1, z2, z3 = _forward(l, g)  # L z = g, then L^T x = z
     x3 = z3 / l33
     x2 = (z2 - l32 * x3) / l22
     x1 = (z1 - l21 * x2 - l31 * x3) / l11
@@ -355,7 +351,8 @@ def _standard_errors(l, sigma2):
     if l is None:
         return [float("nan")] * 4
     units = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
-    return [math.sqrt(sigma2 * _forward(l, e)) for e in units]
+    return [math.sqrt(sigma2 * (z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3))
+            for z0, z1, z2, z3 in (_forward(l, e) for e in units)]
 
 
 def _offset_small(l, g, cost, n):
@@ -364,7 +361,8 @@ def _offset_small(l, g, cost, n):
     outside [0, cost), is not converged."""
     if l is None:
         return False
-    q = _forward(l, g)
+    z0, z1, z2, z3 = _forward(l, g)
+    q = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
     return 0.0 <= q < cost < math.inf and (q / 4) / ((cost - q) / (n - 4)) <= OFFSET_TOL**2
 
 
@@ -403,8 +401,8 @@ def _fit(f, y, theta):
     and its FitResult, raising as fit_resonance does."""
     # One set of buffers: a trial overwrites the current point's spent terms.
     ws = _workspace(f.size)
-    r, terms = _residual(theta, f, y, ws)
-    h, g = _normal(theta, terms, r, ws)
+    r = _residual(theta, f, y, ws)
+    h, g = _normal(theta, ws)
     l = _cholesky(h)  # the one undamped factor of each point the fit stands on
     cost = float(r @ r)
     lam = DAMPING_START
@@ -424,8 +422,8 @@ def _fit(f, y, theta):
                      min(max(theta[3] - x[3], -PHI_LIMIT), PHI_LIMIT))
         try:  # a trial may overflow; quietly, as its non-finite cost is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
-                r_new, terms = _residual(theta_new, f, y, ws)
-                cost_new = float(r_new @ r_new)
+                r = _residual(theta_new, f, y, ws)
+                cost_new = float(r @ r)
         except ArithmeticError:  # ln Q_L or ln Q_e stepped past the float range
             lam *= 10.0
             continue
@@ -436,8 +434,8 @@ def _fit(f, y, theta):
                 abs(x[0]) / theta[0], abs(x[1]), abs(x[2]), abs(x[3])
             )
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
-            theta, r, cost = theta_new, r_new, cost_new
-            h, g = _normal(theta, terms, r, ws)
+            theta, cost = theta_new, cost_new
+            h, g = _normal(theta, ws)
             l = _cholesky(h)
             lam = max(lam / 10.0, 1e-15)
             if rel_step < STEP_TOL:

@@ -126,7 +126,7 @@ def piezo_step(stage, direction, d_min=0.0, pulses=1):
     do and MechanicalLimit is raised with their count in `issued`."""
     if direction not in (-1, 1):
         raise DomainError("direction must be +1 or -1")
-    if pulses < 1:
+    if not pulses >= 1:
         raise DomainError("pulses must be >= 1")
     if stage.voltage < stage.min_voltage:
         raise StageStalled(
@@ -160,7 +160,7 @@ def piezo_step(stage, direction, d_min=0.0, pulses=1):
 
 def frequency_sensitivity(state, params, pin, step_length=60e-9):
     """|df| per piezo pulse at the current separation (Hz/step)."""
-    if step_length < 0:
+    if not step_length >= 0:
         raise DomainError("step_length must be >= 0")
     return abs(frequency_slope(params, state, pin)) * step_length
 

@@ -124,7 +124,7 @@ def screened_inductance(L0, M):
     currents: L0 * (1 - M**2/L0**2)."""
     if not L0 > 0:
         raise DomainError("L0 must be > 0")
-    if abs(M) >= L0:
+    if not abs(M) < L0:
         raise DomainError("|M| must be < L0 (inductance would vanish)")
     return L0 * (1.0 - (M * M) / (L0 * L0))
 
@@ -137,7 +137,7 @@ def d_min_floor(d_min):
 
 def mutual_inductance(d, model):
     """Coupling ratio m = M/L0 at pin separation d (dimensionless)."""
-    if d < d_min_floor(model.d_min):
+    if not d >= d_min_floor(model.d_min):
         raise DomainError("d < d_min: pin would touch the resonator")
     d = max(d, model.d_min)
     return model.m_max * math.exp(-(d - model.d_min) / model.lam)
@@ -182,7 +182,7 @@ def calibrate_pin_model(f_baseline, f_closest, d_min, peak_sensitivity):
 def coarse_trim(finger_length_increase):
     """Frequency shift (Hz, <= 0) from lengthening a capacitor finger by
     `finger_length_increase` meters."""
-    if finger_length_increase < 0:
+    if not finger_length_increase >= 0:
         raise DomainError("finger_length_increase must be >= 0")
     return TRIM_RATE_HZ_PER_M * finger_length_increase
 

@@ -108,12 +108,12 @@ class NoiseModel:
 
 
 def notch_response(f, f_r, q_l, q_e, phi, out=None):
-    """S = 1 + m of the module docstring, in real arithmetic, and its terms;
-    returns (S, u, W, m), of which the fit's normal equations reuse u and W.
-    The one copy of the lineshape: no argument checks, f is an increasing
+    """S = 1 + m of the module docstring, in real arithmetic, m formed in S's
+    array; returns (S, u, W), of which the fit's normal equations reuse u and
+    W.  The one copy of the lineshape: no argument checks, f is an increasing
     array and f_r a float or an array.  out: optional real arrays of f's
-    shape that receive (S, u, W, m)."""
-    s, u, w, m = (None,) * 4 if out is None else out
+    shape that receive (S, u, W)."""
+    s, u, w = (None,) * 3 if out is None else out
     a = q_l / q_e
     # 2 Q_L / f_r: at a float f_r, Python's quotient when it is finite, which
     # is numpy's with no warning; numpy's, and its warnings, per point at an
@@ -133,10 +133,10 @@ def notch_response(f, f_r, q_l, q_e, phi, out=None):
     if not (isinstance(f_r, float) and abs(u.item(0)) <= U_CLAMP and abs(u.item(-1)) <= U_CLAMP):
         u = np.maximum(np.minimum(u, U_CLAMP, out=u), -U_CLAMP, out=u)
     w = np.divide(1.0, np.add(np.multiply(u, u, out=w), 1.0, out=w), out=w)  # the one division
-    m = np.multiply(u, -2.0 * a * math.sin(phi), out=m)
-    m += a * (a - 2.0 * math.cos(phi))
-    m *= w
-    return np.add(m, 1.0, out=s), u, w, m
+    s = np.multiply(u, -2.0 * a * math.sin(phi), out=s)  # m, then S = m + 1
+    s += a * (a - 2.0 * math.cos(phi))
+    s *= w
+    return np.add(s, 1.0, out=s), u, w
 
 
 def loaded_q(q_i, q_e):

@@ -713,8 +713,8 @@ def test_offset_stop_leaves_no_step_beyond_the_noise(regime, f_r, log_q_i, log_q
         return
     theta = (res.f_r, math.log(res.q_l), math.log(res.q_e), res.phi)
     ws = fitting._workspace(trace.frequencies.size)
-    r, terms = fitting._residual(theta, trace.frequencies, trace.power_ratio, ws)
-    h, g = fitting._normal(theta, terms, r, ws)
+    fitting._residual(theta, trace.frequencies, trace.power_ratio, ws)
+    h, g = fitting._normal(theta, ws)
     step = np.linalg.solve(full(h), -np.array(g))
     sigma = np.array([res.f_r_err, res.q_l_err / res.q_l, res.q_e_err / res.q_e, res.phi_err])
     assert np.all(np.abs(step) <= 1e-2 * sigma)
@@ -753,13 +753,13 @@ def test_jacobian_only_at_accepted_points(monkeypatch):
     residual, normal = fitting._residual, fitting._normal
 
     def counted_residual(theta, f, y, *args):
-        out = residual(theta, f, y, *args)
-        costs.append(float(out[0] @ out[0]))
-        return out
+        r = residual(theta, f, y, *args)
+        costs.append(float(r @ r))
+        return r
 
-    def counted_normal(theta, terms, *args):
+    def counted_normal(theta, *args):
         normals.append(theta)
-        return normal(theta, terms, *args)
+        return normal(theta, *args)
 
     monkeypatch.setattr(fitting, "_residual", counted_residual)
     monkeypatch.setattr(fitting, "_normal", counted_normal)
@@ -874,24 +874,24 @@ def test_a_fit_leaves_no_point_sized_memory_behind():
 
 def test_standalone_residuals_do_not_alias():
     """A workspace's seven rows, r, u, W and the basis (W**2, u**2 W**2, uW,
-    uW**2), are disjoint; in two workspaces, _residual and _normal write
-    separate arrays, and _normal leaves the residual as it was."""
+    uW**2), are disjoint; _residual returns its workspace's row r; in two
+    workspaces, _residual and _normal write separate arrays, and _normal
+    leaves the residual as it was."""
     case, digest, _, _ = GOLDEN["device-401"]
     trace = golden_trace(case, digest)
     f, y = trace.frequencies, trace.power_ratio
     g = initial_guess(trace)
     theta = np.array([g.f_r, math.log(g.q_l), math.log(g.q_e), g.phi])
     ws, ws_other = fitting._workspace(f.size), fitting._workspace(f.size)
-    first, terms = fitting._residual(theta, f, y, ws)
+    first = fitting._residual(theta, f, y, ws)
     kept = first.copy()
     other_theta = theta + [1e3, 0.0, 0.0, 0.1]
-    second, other = fitting._residual(other_theta, f, y, ws_other)
-    fitting._normal(theta, terms, first, ws)
-    fitting._normal(other_theta, other, second, ws_other)
+    second = fitting._residual(other_theta, f, y, ws_other)
+    fitting._normal(theta, ws)
+    fitting._normal(other_theta, ws_other)
     rows = []
-    for r, (_, u, w), space in [(first, terms, ws), (second, other, ws_other)]:
-        for got, row in [(r, space.r), (u, space.u), (w, space.w)]:
-            assert np.shares_memory(got, row)
+    for r, space in [(first, ws), (second, ws_other)]:
+        assert r is space.r
         rows.append([space.r, space.u, space.w, *space.basis])
         assert len(rows[-1]) == 7 and all(row.shape == f.shape for row in rows[-1])
         for i, a in enumerate(rows[-1]):
@@ -1016,8 +1016,8 @@ def test_real_kernel_matches_the_complex_one(f_r, log_q_l, log_coupling, phi, lo
     span = 10**log_span * f_r / math.exp(theta[1])
     f = np.linspace(f_r + (offset - 0.5) * span, f_r + (offset + 0.5) * span, n)
     ws = fitting._workspace(n)
-    s, terms = fitting._residual(theta, f, np.zeros(n), ws)
-    h, g = fitting._normal(theta, terms, s, ws)
+    s = fitting._residual(theta, f, np.zeros(n), ws)
+    h, g = fitting._normal(theta, ws)
     s_ref, jac_ref = reference_notch(theta, f)
     q_l, eps = math.exp(theta[1]), np.finfo(float).eps
     a = q_l / math.exp(theta[2])
@@ -1071,8 +1071,8 @@ def test_a_vanishing_column_gives_a_zero_row(a, k):
     n = 101
     f = np.linspace(f_r - 4.5 * f_r / q_l, f_r + 5.5 * f_r / q_l, n)
     ws = fitting._workspace(n)
-    r, terms = fitting._residual(theta, f, np.full(n, 0.5), ws)
-    h, g = fitting._normal(theta, terms, r, ws)
+    fitting._residual(theta, f, np.full(n, 0.5), ws)
+    h, g = fitting._normal(theta, ws)
     assert not full(h)[k].any() and g[k] == 0.0
     assert np.all(np.delete(np.diag(full(h)), k) > 0)
 

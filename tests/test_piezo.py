@@ -42,8 +42,10 @@ from pintune.resonator import (
     baseline_frequency,
     calibrate_pin_model,
     capacitance_for_frequency,
+    coarse_trim,
     d_min_floor,
     frequency_slope,
+    mutual_inductance,
     screened_inductance,
     tuned_frequency,
 )
@@ -1021,12 +1023,18 @@ API_GUARDS = {
                        "PiezoStage.position must be > 0"),
     "no pulses": (lambda: piezo_step(PiezoStage(position=300 * UM), -1, pulses=0), DomainError,
                   "pulses must be >= 1"),
+    "NaN pulses": (lambda: piezo_step(PiezoStage(position=300 * UM), -1, 40 * UM, math.nan),
+                   DomainError, "pulses must be >= 1"),
     "upward from below d_min": (below_d_min_after_reversal, MechanicalLimit,
                                 "step would push the pin below d_min"),
     "negative step": (lambda: frequency_sensitivity(TuningState(d=300 * UM),
                                                     ResonatorParams.at(F_BASELINE, 3.5e4, 5e5),
                                                     PinCouplingModel(0.07, 240 * UM, 40 * UM), -NM),
                       DomainError, "step_length must be >= 0"),
+    "NaN step": (lambda: frequency_sensitivity(TuningState(d=300 * UM),
+                                               ResonatorParams.at(F_BASELINE, 3.5e4, 5e5),
+                                               PinCouplingModel(0.07, 240 * UM, 40 * UM), math.nan),
+                 DomainError, "step_length must be >= 0"),
     "believed step": (lambda: ControllerModel(ResonatorParams.at(F_BASELINE, 3.5e4, 5e5),
                                               PinCouplingModel(0.07, 240 * UM, 40 * UM), 0.0),
                       DomainError, "ControllerModel.step_length must be > 0"),
@@ -1037,6 +1045,11 @@ API_GUARDS = {
     "capacitance inductance": (lambda: capacitance_for_frequency(F_BASELINE, 0.0), DomainError,
                                "inductance must be > 0"),
     "screened L0": (lambda: screened_inductance(0.0, 0.0), DomainError, "L0 must be > 0"),
+    "NaN screened M": (lambda: screened_inductance(1e-9, math.nan), DomainError,
+                       "|M| must be < L0 (inductance would vanish)"),
+    "NaN pin height": (lambda: mutual_inductance(math.nan, PinCouplingModel(0.07, 240 * UM, 40 * UM)),
+                       DomainError, "d < d_min: pin would touch the resonator"),
+    "NaN trim": (lambda: coarse_trim(math.nan), DomainError, "finger_length_increase must be >= 0"),
     "loaded Q": (lambda: loaded_q(0.0, 5e5), DomainError, "quality factors must be > 0"),
     "internal Q": (lambda: internal_q(0.0, 5e5), DomainError, "quality factors must be > 0"),
     "photon Q": (lambda: photon_number(-131.0, F_BASELINE, 0.0, 5e5), DomainError,

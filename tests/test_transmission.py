@@ -53,7 +53,7 @@ def always_clamped(f, f_r, q_l, q_e, phi):
     u = np.maximum(np.minimum((f - f_r) * scale, U_CLAMP), -U_CLAMP)
     w = 1.0 / (u * u + 1.0)
     m = (u * (-2.0 * a * math.sin(phi)) + a * (a - 2.0 * math.cos(phi))) * w
-    return m + 1.0, u, w, m
+    return m + 1.0, u, w
 
 
 class TestS21Power:
